@@ -14,7 +14,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +77,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
+    unknown = sorted(set(data) - {f.name for f in fields(RunConfig)})
+    if unknown:
+        raise ValueError(f"unknown config key(s) {unknown}")
     cfg = RunConfig(**data)
     cfg.validate()
     return cfg
@@ -188,7 +191,7 @@ def hypersurface_suite(cfg: RunConfig) -> list[dict]:
     t0 = time.perf_counter()
     c_grid = np.arange(-2.0, 0.0 + 1e-12, cfg.c_grid_step)
     out = probe_codazzi_floor(g, ctx, n_frames=cfg.probe_frames, c_grid=c_grid,
-                              seed=cfg.seed)
+                              seed=cfg.seed, jobs=cfg.jobs)
     _check(checks, "codazzi-floor(2,4)", "codazzi-floor", out["floor"] > 1e-6,
            out["floor"], t0, candidates=out["candidates"], frames=out["frames"])
     return checks

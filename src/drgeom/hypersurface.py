@@ -11,6 +11,11 @@ Derivative terms of eigenvalue functions are set to zero throughout
 (constant-multiplicity, constant-eigenvalue ansatz), which makes every
 probe a necessary-condition test: a nonzero residual is obstruction
 evidence, never a false negative for existence.
+
+The probe computes the C-independent data once per frame (the Jacobi
+eigendata, the shared eigenframe X and its curvature contractions); then,
+per C value, it brackets the trace equation for all splits at once and
+evaluates the Gauss/Codazzi residuals of that C's candidates as one batch.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from scipy.optimize import brentq
 
 from .curvature import CurvatureContext
 from .numkernel import MPoly, eig_sym
-from .spectrum import NormalFrame
+from .spectrum import NormalFrame, _complete_basis, random_frame
 
 QUADRATIC_TOL = 1e-10
 
@@ -54,17 +59,64 @@ class ShapeCandidate:
         return max(float(np.max(np.abs(quad))), tr)
 
 
-def _eigenspace_data(frame: NormalFrame, ctx: CurvatureContext,
-                     cluster_tol: float = 1e-7):
-    """Jacobi spectrum on xi-perp: (alphas, multiplicities, basis columns)."""
-    from .spectrum import _complete_basis
-    jac = ctx.jacobi(frame.xi)
-    perp = _complete_basis(frame.g.dim, frame.xi[:, None])
-    dec = eig_sym(perp.T @ jac @ perp, cluster_tol=cluster_tol)
-    alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
-    mults = [len(c) for c in dec.clusters]
-    bases = [perp @ dec.cluster_basis(k) for k in range(len(dec.clusters))]
-    return alphas, mults, bases
+class _Eigenframe:
+    """The C-independent part of the enumeration for one normal: the Jacobi
+    spectrum on xi-perp, the eigenframe X and per-vector alphas that every
+    candidate shares, the splits as count matrices and the H sample grid."""
+
+    def __init__(self, frame: NormalFrame, ctx: CurvatureContext,
+                 h_bound: float = 60.0, h_samples: int = 2400,
+                 max_enumeration_dim: int = 16):
+        perp = _complete_basis(frame.g.dim, frame.xi[:, None])
+        dec = eig_sym(perp.T @ ctx.jacobi(frame.xi) @ perp)
+        self.alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
+        mults = [len(c) for c in dec.clusters]
+        self.x = np.hstack([perp @ dec.cluster_basis(k) for k in range(len(mults))])
+        self.vector_alphas = np.repeat(self.alphas, mults)
+        split_ranges = [[(m, 0), (0, m)] if m > max_enumeration_dim
+                        else [(p, m - p) for p in range(m + 1)] for m in mults]
+        self.splits = list(product(*split_ranges))
+        # Tr S - H = [rho+ | rho- | H] @ weights, one column per split
+        counts = np.array(self.splits, dtype=float)  # [split, cluster, (m+, m-)]
+        self.weights = np.vstack([counts[:, :, 0].T, counts[:, :, 1].T, -np.ones(len(counts))])
+        self.hs = np.linspace(-h_bound, h_bound, h_samples)
+        self._fvals = np.empty((h_samples, len(self.splits)))
+
+    def candidates(self, c_const: float) -> list[ShapeCandidate]:
+        """Self-consistent candidates at one C, in split order then by H."""
+        hs = self.hs
+        disc = hs[:, None] ** 2 - 4.0 * (np.asarray(self.alphas)[None, :] - c_const)
+        valid = np.all(disc >= 0.0, axis=1)
+        sq = np.sqrt(np.maximum(disc, 0.0))
+        rp = 0.5 * (hs[:, None] + sq)
+        rm = 0.5 * (hs[:, None] - sq)
+        # the trace gap, in a buffer reused across C, rounds differently from a
+        # per-split scan; only its signs and exact zeros are used
+        fvals = np.matmul(np.hstack([rp, rm, hs[:, None]]), self.weights, out=self._fvals)
+        pos, neg = fvals > 0.0, fvals < 0.0
+        cross = valid[:-1, None] & valid[1:, None] & ((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
+        zero = valid[:, None] & (fvals == 0.0)
+        out: list[ShapeCandidate] = []
+        for si in np.nonzero(cross.any(axis=0) | zero.any(axis=0))[0]:
+            splits = self.splits[si]
+            roots = [float(hs[i]) for i in np.nonzero(zero[:, si])[0]]
+            f = _mk_trace_gap(self.alphas, splits, c_const)
+            for i in np.nonzero(cross[:, si])[0]:
+                roots.append(float(brentq(f, hs[i], hs[i + 1], xtol=1e-13)))
+            for h in _dedupe(roots):
+                lam = []
+                for (p, m), alpha in zip(splits, self.alphas):
+                    d = h * h - 4.0 * (alpha - c_const)
+                    if d < -1e-12:
+                        break
+                    r = np.sqrt(max(d, 0.0))
+                    lam += [0.5 * (h + r)] * p + [0.5 * (h - r)] * m
+                else:
+                    cand = ShapeCandidate(c_const, h, self.vector_alphas, np.array(lam),
+                                          self.x, splits)
+                    if cand.invariant_residual() <= QUADRATIC_TOL:
+                        out.append(cand)
+        return out
 
 
 def shape_candidates(frame: NormalFrame, ctx: CurvatureContext, c_const: float,
@@ -79,54 +131,7 @@ def shape_candidates(frame: NormalFrame, ctx: CurvatureContext, c_const: float,
     Splits with complex roots are discarded.  Within an eigenspace the
     first m+ vectors of the deterministic cluster basis take the + root.
     """
-    alphas, mults, bases = _eigenspace_data(frame, ctx)
-    k = len(alphas)
-    split_ranges = []
-    for m in mults:
-        if m > max_enumeration_dim:
-            split_ranges.append([(m, 0), (0, m)])
-        else:
-            split_ranges.append([(p, m - p) for p in range(m + 1)])
-
-    out: list[ShapeCandidate] = []
-    hs = np.linspace(-h_bound, h_bound, h_samples)
-    disc = hs[:, None] ** 2 - 4.0 * (np.asarray(alphas)[None, :] - c_const)
-    valid = np.all(disc >= 0.0, axis=1)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    rp = 0.5 * (hs[:, None] + sq)
-    rm = 0.5 * (hs[:, None] - sq)
-
-    for splits in product(*split_ranges):
-        plus = np.array([p for p, _ in splits], dtype=float)
-        minus = np.array([m for _, m in splits], dtype=float)
-        fvals = rp @ plus + rm @ minus - hs
-        cross = valid[:-1] & valid[1:] & (fvals[:-1] * fvals[1:] < 0.0)
-        roots = [float(hs[i]) for i in np.nonzero(valid & (fvals == 0.0))[0]]
-        if cross.any():
-            f = _mk_trace_gap(alphas, splits, c_const)
-            for i in np.nonzero(cross)[0]:
-                roots.append(float(brentq(f, hs[i], hs[i + 1], xtol=1e-13)))
-        for h in _dedupe(roots):
-            lam = []
-            al = []
-            cols = []
-            ok = True
-            for (p, m), alpha, basis in zip(splits, alphas, bases):
-                d = h * h - 4.0 * (alpha - c_const)
-                if d < -1e-12:
-                    ok = False
-                    break
-                r = np.sqrt(max(d, 0.0))
-                lam += [0.5 * (h + r)] * p + [0.5 * (h - r)] * m
-                al += [alpha] * (p + m)
-                cols.append(basis)
-            if not ok:
-                continue
-            cand = ShapeCandidate(c_const, h, np.array(al), np.array(lam),
-                                  np.hstack(cols), splits)
-            if cand.invariant_residual() <= QUADRATIC_TOL:
-                out.append(cand)
-    return out
+    return _Eigenframe(frame, ctx, h_bound, h_samples, max_enumeration_dim).candidates(c_const)
 
 
 def _mk_trace_gap(alphas, splits, c_const):
@@ -182,6 +187,57 @@ def gauss_map_derivatives(cand: ShapeCandidate, ctx: CurvatureContext,
     return nx @ cand.frame_basis + cand.frame_basis * cand.lambdas[None, :]
 
 
+class _FrameTensors:
+    """Contractions that depend only on the eigenframe X and the normal xi.
+    Candidates enter only through N_xi X + X diag(lam), so the residuals of
+    B candidates are one stacked matrix product; ``lam`` has shape (B, n)."""
+
+    def __init__(self, ctx: CurvatureContext, xi: np.ndarray, x: np.ndarray,
+                 alphas: np.ndarray):
+        n = x.shape[1]
+        r4 = ctx.riemann_tensor
+        # T[j, i, :] = R(xi, X_j) X_i, flattened over (j, i)
+        t = np.einsum("a,bj,ci,abce->jie", xi, x, x, r4, optimize=True)
+        self.x = x
+        self.nx = nomizu(ctx, xi) @ x
+        self.t = t.reshape(n * n, -1)
+        self.t_sym = (t + np.transpose(t, (1, 0, 2))).reshape(n * n, -1)
+        # <nabla_k X_i, X_j> and R(X_k, X_i, X_j, xi)
+        self.nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
+        self.rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, xi, r4, optimize=True)
+        self.dalpha = alphas[None, None, :] - alphas[None, :, None]  # alpha_j - alpha_i
+
+    def gauss(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """dG1[b, i, k] and Gamma[b, k, i, j]."""
+        b, n = lam.shape
+        gm = self.nx + self.x * lam[:, None, :]
+        rxij = np.matmul(self.t, gm).reshape(b, n, n, n)  # [b, j, i, k]
+        num = np.matmul(self.t_sym, gm).reshape(b, n, n, n).transpose(0, 3, 2, 1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gamma = num / self.dalpha + self.nab
+        gamma[:, :, np.abs(self.dalpha[0]) < 1e-9] = np.nan
+        diag = np.arange(n)
+        return rxij[:, diag, diag, :], gamma
+
+    def codazzi(self, lam: np.ndarray, gamma: np.ndarray):
+        """Residuals [b, k, i, j] (NaN where a needed Gamma is missing) and that mask."""
+        li_lj = lam[:, None, :, None] - lam[:, None, None, :]
+        lk_lj = lam[:, :, None, None] - lam[:, None, None, :]
+        gamma_ikj = np.transpose(gamma, (0, 2, 1, 3))
+        term1 = np.where(np.abs(li_lj) < 1e-12, 0.0, li_lj * gamma)
+        term2 = np.where(np.abs(lk_lj) < 1e-12, 0.0, lk_lj * gamma_ikj)
+        needed_missing = ((np.abs(li_lj) >= 1e-12) & np.isnan(gamma)) | \
+                         ((np.abs(lk_lj) >= 1e-12) & np.isnan(gamma_ikj))
+        return np.where(needed_missing, np.nan, self.rkij - term1 + term2), needed_missing
+
+    def aggregate(self, lam: np.ndarray) -> np.ndarray:
+        """Max of |dG1| and of the evaluated |Codazzi| residuals, per row."""
+        dg1, gamma = self.gauss(lam)
+        res = np.abs(self.codazzi(lam, gamma)[0])
+        cz = np.max(res, axis=(1, 2, 3), initial=0.0, where=~np.isnan(res))
+        return np.maximum(np.max(np.abs(dg1), axis=(1, 2)), cz)
+
+
 def derived_gauss_residuals(cand: ShapeCandidate, ctx: CurvatureContext,
                             frame: NormalFrame) -> dict:
     """First-derivative Gauss data: the dG1 table and reconstructed Gammas.
@@ -191,26 +247,9 @@ def derived_gauss_residuals(cand: ShapeCandidate, ctx: CurvatureContext,
     solves the derived-Gauss relation on pairs with alpha_i != alpha_j and
     is NaN where the relation is silent.
     """
-    xi = frame.xi
-    x = cand.frame_basis
-    n = cand.n
-    r4 = ctx.riemann_tensor
-    gm = gauss_map_derivatives(cand, ctx, xi)
-
-    # T[j, i, :] = R(xi, X_j) X_i
-    t = np.einsum("a,bj,ci,abce->jie", xi, x, x, r4, optimize=True)
-    # dG1: R_{X_i} xi = R(xi, X_i) X_i
-    rxij = np.einsum("jie,ek->jik", t, gm, optimize=True)
-    dg1 = np.stack([rxij[i, i, :] for i in range(n)])  # [i, k]
-
-    num = np.einsum("jie,ek->kij", t + np.transpose(t, (1, 0, 2)), gm, optimize=True)
-    # <nabla_k X_i, X_j>
-    nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
-    dalpha = cand.alphas[None, None, :] - cand.alphas[None, :, None]  # alpha_j - alpha_i
-    with np.errstate(divide="ignore", invalid="ignore"):
-        gamma = num / dalpha + nab
-    gamma[:, np.abs(dalpha[0]) < 1e-9] = np.nan
-    return {"dg1": dg1, "gamma": gamma, "dg1_max": float(np.max(np.abs(dg1)))}
+    tensors = _FrameTensors(ctx, frame.xi, cand.frame_basis, cand.alphas)
+    dg1, gamma = tensors.gauss(cand.lambdas[None])
+    return {"dg1": dg1[0], "gamma": gamma[0], "dg1_max": float(np.max(np.abs(dg1)))}
 
 
 def codazzi_residual(cand: ShapeCandidate, gamma: np.ndarray,
@@ -223,50 +262,35 @@ def codazzi_residual(cand: ShapeCandidate, gamma: np.ndarray,
     required when its lambda coefficient is nonzero; triples needing an
     unavailable Gamma are skipped and counted.
     """
-    x = cand.frame_basis
-    lam = cand.lambdas
-    n = cand.n
-    rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, frame.xi,
-                     ctx.riemann_tensor, optimize=True)
-    li_lj = lam[None, :, None] - lam[None, None, :]
-    lk_lj = lam[:, None, None] - lam[None, None, :]
-    gamma_ikj = np.transpose(gamma, (1, 0, 2))
-    term1 = np.where(np.abs(li_lj) < 1e-12, 0.0, li_lj * gamma)
-    term2 = np.where(np.abs(lk_lj) < 1e-12, 0.0, lk_lj * gamma_ikj)
-    res = rkij - term1 + term2
-    needed_missing = ((np.abs(li_lj) >= 1e-12) & np.isnan(gamma)) | \
-                     ((np.abs(lk_lj) >= 1e-12) & np.isnan(gamma_ikj))
-    res = np.where(needed_missing, np.nan, res)
-    ok = ~np.isnan(res)
-    max_res = float(np.nanmax(np.abs(res))) if ok.any() else 0.0
-    return {"residuals": res, "max": max_res, "evaluated": int(ok.sum()),
-            "skipped": int(needed_missing.sum())}
+    tensors = _FrameTensors(ctx, frame.xi, cand.frame_basis, cand.alphas)
+    res, needed_missing = tensors.codazzi(cand.lambdas[None], np.asarray(gamma)[None])
+    ok = ~np.isnan(res[0])
+    return {"residuals": res[0], "max": float(np.max(np.abs(res[0]), initial=0.0, where=ok)),
+            "evaluated": int(ok.sum()), "skipped": int(needed_missing.sum())}
 
 
 def candidate_aggregate_residual(cand: ShapeCandidate, ctx: CurvatureContext,
                                  frame: NormalFrame) -> float:
     """Max of the dG1 table and the Codazzi residuals for one candidate."""
-    dg = derived_gauss_residuals(cand, ctx, frame)
-    cz = codazzi_residual(cand, dg["gamma"], ctx, frame)
-    return max(dg["dg1_max"], cz["max"])
+    tensors = _FrameTensors(ctx, frame.xi, cand.frame_basis, cand.alphas)
+    return float(tensors.aggregate(cand.lambdas[None])[0])
 
 
-def _probe_one_frame(args) -> tuple[int, float, int, dict | None]:
-    """One frame of the probe; top-level so a worker pool can dispatch it."""
-    dims, frame_seed, fidx, c_grid, min_component = args
-    from .dralgebra import DamekRicci
-    from .spectrum import random_frame
-    g = DamekRicci.from_dims(*dims)
-    ctx = CurvatureContext(g)
-    rng = np.random.default_rng(frame_seed)
-    frame = random_frame(g, rng, min_component)
-    best = np.inf
-    best_info = None
-    n_candidates = 0
+def _probe_frame(args) -> tuple[int, float, int, dict | None]:
+    """One frame: C-independent work once, then one batch per C (top-level
+    with one tuple argument so a worker pool can dispatch it)."""
+    g, ctx, frame_seed, fidx, c_grid, min_component = args
+    frame = random_frame(g, np.random.default_rng(frame_seed), min_component)
+    eigenframe = _Eigenframe(frame, ctx)
+    tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
+    best, best_info, n_candidates = np.inf, None, 0
     for c in c_grid:
-        for cand in shape_candidates(frame, ctx, float(c)):
-            n_candidates += 1
-            agg = candidate_aggregate_residual(cand, ctx, frame)
+        cands = eigenframe.candidates(float(c))
+        if not cands:
+            continue
+        n_candidates += len(cands)
+        aggs = tensors.aggregate(np.stack([cand.lambdas for cand in cands]))
+        for cand, agg in zip(cands, aggs):
             if agg < best:
                 best = agg
                 best_info = {"frame_index": fidx, "C": float(c),
@@ -280,24 +304,23 @@ def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
     """Minimum aggregate residual over random frames, the C grid and splits.
 
     The reported floor is the smallest obstruction residual any candidate
-    achieves; a strictly positive floor certifies that no pointwise shape
-    operator is compatible with the Einstein condition on the sampled set.
+    achieves; a strictly positive floor is evidence (not a certificate) that
+    no pointwise shape operator is compatible with the Einstein condition on
+    the sampled frames and C values.
     Frames get independent seeds spawned from ``seed``, so the result is
     identical whether the grid is processed serially or by a worker pool.
     """
     if c_grid is None:
         c_grid = np.arange(-2.0, 0.0 + 1e-12, 0.01)
-    dims = (g.d_z, g.d_v)
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
-    tasks = [(dims, frame_seeds[i], i, np.asarray(c_grid), min_component)
+    tasks = [(g, ctx, frame_seeds[i], i, np.asarray(c_grid), min_component)
              for i in range(n_frames)]
     if jobs > 1:
         from multiprocessing import Pool
         with Pool(jobs) as pool:
-            results = pool.map(_probe_one_frame, tasks)
+            results = pool.map(_probe_frame, tasks)
     else:
-        results = [_probe_one_frame(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        results = [_probe_frame(t) for t in tasks]
     per_frame = [r[1] for r in results]
     n_candidates = sum(r[2] for r in results)
     floor_idx = int(np.argmin(per_frame))

@@ -241,7 +241,8 @@ def f_cubic_roots(q: float) -> dict:
     f0 = qf ** 2
     f_minus_q = -qf * (qf - Fraction(9, 4)) * (qf - Fraction(1, 4))
     from .numkernel import poly_eval_fraction
-    assert poly_eval_fraction(coeffs, -qf) == f_minus_q
+    if poly_eval_fraction(coeffs, -qf) != f_minus_q:
+        raise ArithmeticError(f"f(-q) disagrees with its factored form at q = {q}")
     return {"roots": roots, "brackets": (b1, b2, b3),
             "f_at_0": f0, "f_at_minus_q": f_minus_q,
             "certificate": bool(f0 > 0 and f_minus_q < 0)}

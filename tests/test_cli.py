@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +27,15 @@ def test_config_file_and_flag_precedence(tmp_path):
     assert cfg.seed == 9          # flag wins
     assert cfg.tol == 1e-8        # file value kept
     assert cfg.dims == [(2, 4)]
+
+
+def test_config_rejects_unknown_keys(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": 1, "frames": 3, "colour": "red"}))
+    status = main(["verify", "clifford", "--dims", "2:4", "--config", str(path)])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "unknown config key" in err and "'colour'" in err and "'frames'" in err
 
 
 def test_verify_clifford_exit_zero(tmp_path, capsys):
@@ -128,3 +142,30 @@ def test_probe_subcommand_smoke(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["probe"]["floor"] > 1e-6
     assert payload["probe"]["frames"] == 2
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_has_no_assert_statements():
+    # asserts vanish under python -O; checks must be verdicts or exceptions
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((SRC / "drgeom").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_replay_no_z_under_python_optimize(tmp_path):
+    out = tmp_path / "no-z.json"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-m", "drgeom.cli", "replay", "no-z",
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rep = json.loads(out.read_text())["replays"][0]
+    assert rep["passed"]
+    scan = {s["id"]: s for s in rep["steps"]}["trace-identity-scan"]
+    assert scan["verdict"] == "exact-pass"
+    assert scan["witness"]["violations"] == []

@@ -9,7 +9,13 @@ import pytest
 
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from drgeom.hypersurface import (ShapeCandidate, codazzi_residual,
+from itertools import product
+
+from scipy.optimize import brentq
+
+from drgeom.hypersurface import (QUADRATIC_TOL, ShapeCandidate, _dedupe,
+                                 _Eigenframe, _FrameTensors, _mk_trace_gap,
+                                 _probe_frame, codazzi_residual,
                                  candidate_aggregate_residual,
                                  derived_gauss_residuals, gauss_map_derivatives,
                                  nomizu, probe_codazzi_floor, shape_candidates)
@@ -316,3 +322,157 @@ def test_probe_serial_parallel_agree(g24, ctx24):
     b = probe_codazzi_floor(g24, ctx24, n_frames=4, c_grid=grid, seed=3, jobs=2)
     assert a["per_frame_min"] == b["per_frame_min"]
     assert a["floor"] == b["floor"]
+
+
+# ---------------------------------------------------------------------------
+# reference: the per-C, per-candidate probe the batched one replaces
+# ---------------------------------------------------------------------------
+
+def _ref_eigenspace_data(frame, ctx, cluster_tol=1e-7):
+    from drgeom.numkernel import eig_sym
+    from drgeom.spectrum import _complete_basis
+    jac = ctx.jacobi(frame.xi)
+    perp = _complete_basis(frame.g.dim, frame.xi[:, None])
+    dec = eig_sym(perp.T @ jac @ perp, cluster_tol=cluster_tol)
+    alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
+    mults = [len(c) for c in dec.clusters]
+    bases = [perp @ dec.cluster_basis(k) for k in range(len(dec.clusters))]
+    return alphas, mults, bases
+
+
+def _ref_shape_candidates(frame, ctx, c_const, h_bound=60.0, h_samples=2400):
+    """Eigendata recomputed for this C, one trace scan per split."""
+    alphas, mults, bases = _ref_eigenspace_data(frame, ctx)
+    split_ranges = [[(p, m - p) for p in range(m + 1)] for m in mults]
+    out = []
+    hs = np.linspace(-h_bound, h_bound, h_samples)
+    disc = hs[:, None] ** 2 - 4.0 * (np.asarray(alphas)[None, :] - c_const)
+    valid = np.all(disc >= 0.0, axis=1)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    rp = 0.5 * (hs[:, None] + sq)
+    rm = 0.5 * (hs[:, None] - sq)
+    for splits in product(*split_ranges):
+        plus = np.array([p for p, _ in splits], dtype=float)
+        minus = np.array([m for _, m in splits], dtype=float)
+        fvals = rp @ plus + rm @ minus - hs
+        cross = valid[:-1] & valid[1:] & (fvals[:-1] * fvals[1:] < 0.0)
+        roots = [float(hs[i]) for i in np.nonzero(valid & (fvals == 0.0))[0]]
+        if cross.any():
+            f = _mk_trace_gap(alphas, splits, c_const)
+            for i in np.nonzero(cross)[0]:
+                roots.append(float(brentq(f, hs[i], hs[i + 1], xtol=1e-13)))
+        for h in _dedupe(roots):
+            lam, al, cols, ok = [], [], [], True
+            for (p, m), alpha, basis in zip(splits, alphas, bases):
+                d = h * h - 4.0 * (alpha - c_const)
+                if d < -1e-12:
+                    ok = False
+                    break
+                r = np.sqrt(max(d, 0.0))
+                lam += [0.5 * (h + r)] * p + [0.5 * (h - r)] * m
+                al += [alpha] * (p + m)
+                cols.append(basis)
+            if not ok:
+                continue
+            cand = ShapeCandidate(c_const, h, np.array(al), np.array(lam),
+                                  np.hstack(cols), splits)
+            if cand.invariant_residual() <= QUADRATIC_TOL:
+                out.append(cand)
+    return out
+
+
+def _ref_derived_gauss(cand, ctx, frame):
+    xi, x, n = frame.xi, cand.frame_basis, cand.n
+    r4 = ctx.riemann_tensor
+    gm = nomizu(ctx, xi) @ x + x * cand.lambdas[None, :]
+    t = np.einsum("a,bj,ci,abce->jie", xi, x, x, r4, optimize=True)
+    rxij = np.einsum("jie,ek->jik", t, gm, optimize=True)
+    dg1 = np.stack([rxij[i, i, :] for i in range(n)])
+    num = np.einsum("jie,ek->kij", t + np.transpose(t, (1, 0, 2)), gm, optimize=True)
+    nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
+    dalpha = cand.alphas[None, None, :] - cand.alphas[None, :, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        gamma = num / dalpha + nab
+    gamma[:, np.abs(dalpha[0]) < 1e-9] = np.nan
+    return dg1, gamma
+
+
+def _ref_codazzi(cand, gamma, ctx, frame):
+    x, lam = cand.frame_basis, cand.lambdas
+    rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, frame.xi,
+                     ctx.riemann_tensor, optimize=True)
+    li_lj = lam[None, :, None] - lam[None, None, :]
+    lk_lj = lam[:, None, None] - lam[None, None, :]
+    gamma_ikj = np.transpose(gamma, (1, 0, 2))
+    term1 = np.where(np.abs(li_lj) < 1e-12, 0.0, li_lj * gamma)
+    term2 = np.where(np.abs(lk_lj) < 1e-12, 0.0, lk_lj * gamma_ikj)
+    res = rkij - term1 + term2
+    needed_missing = ((np.abs(li_lj) >= 1e-12) & np.isnan(gamma)) | \
+                     ((np.abs(lk_lj) >= 1e-12) & np.isnan(gamma_ikj))
+    return np.where(needed_missing, np.nan, res)
+
+
+def _ref_probe_frame(g, ctx, frame_seed, fidx, c_grid):
+    frame = random_frame(g, np.random.default_rng(frame_seed), 0.05)
+    best, best_info, n_candidates = np.inf, None, 0
+    for c in c_grid:
+        for cand in _ref_shape_candidates(frame, ctx, float(c)):
+            n_candidates += 1
+            dg1, gamma = _ref_derived_gauss(cand, ctx, frame)
+            res = _ref_codazzi(cand, gamma, ctx, frame)
+            ok = ~np.isnan(res)
+            cz = float(np.nanmax(np.abs(res))) if ok.any() else 0.0
+            agg = max(float(np.max(np.abs(dg1))), cz)
+            if agg < best:
+                best = agg
+                best_info = {"frame_index": fidx, "C": float(c),
+                             "H": cand.h_mean, "splits": cand.splits}
+    return fidx, float(best), n_candidates, best_info
+
+
+REF_GRID = np.arange(-2.0, 0.0 + 1e-12, 0.05)  # 41 C values
+
+
+@pytest.mark.parametrize("seed", [2000, 12])
+def test_probe_matches_per_candidate_reference(g24, ctx24, seed):
+    # seed 2000 holds the frame where an unoptimized einsum drifts by 1 ulp
+    n_frames = 3
+    frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
+    ref = [_ref_probe_frame(g24, ctx24, frame_seeds[i], i, REF_GRID)
+           for i in range(n_frames)]
+    for i in range(n_frames):
+        assert _probe_frame((g24, ctx24, frame_seeds[i], i, REF_GRID, 0.05)) == ref[i]
+    out = probe_codazzi_floor(g24, ctx24, n_frames=n_frames, c_grid=REF_GRID, seed=seed)
+    floor_idx = int(np.argmin([r[1] for r in ref]))
+    assert out["per_frame_min"] == [r[1] for r in ref]
+    assert out["candidates"] == sum(r[2] for r in ref)
+    assert out["floor"] == ref[floor_idx][1]
+    assert out["floor_info"] == ref[floor_idx][3]
+
+
+def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
+    fr = random_frame(g24, np.random.default_rng(11))
+    eigenframe = _Eigenframe(fr, ctx24)
+    for c in (-1.3, -0.8, -0.35):
+        cands = eigenframe.candidates(c)
+        assert [(cd.h_mean, cd.splits) for cd in cands] == \
+               [(cd.h_mean, cd.splits) for cd in _ref_shape_candidates(fr, ctx24, c)]
+        if not cands:
+            continue
+        lam = np.stack([cd.lambdas for cd in cands])
+        tensors = _FrameTensors(ctx24, fr.xi, eigenframe.x, eigenframe.vector_alphas)
+        dg1, gamma = tensors.gauss(lam)
+        res, _ = tensors.codazzi(lam, gamma)
+        aggs = tensors.aggregate(lam)
+        for b, cand in enumerate(cands):
+            dg = derived_gauss_residuals(cand, ctx24, fr)
+            cz = codazzi_residual(cand, dg["gamma"], ctx24, fr)
+            ref_dg1, ref_gamma = _ref_derived_gauss(cand, ctx24, fr)
+            assert np.array_equal(dg["dg1"], dg1[b])
+            assert np.array_equal(dg["dg1"], ref_dg1)
+            assert np.array_equal(dg["gamma"], gamma[b], equal_nan=True)
+            assert np.array_equal(dg["gamma"], ref_gamma, equal_nan=True)
+            assert np.array_equal(cz["residuals"], res[b], equal_nan=True)
+            assert np.array_equal(cz["residuals"], _ref_codazzi(cand, ref_gamma, ctx24, fr),
+                                  equal_nan=True)
+            assert candidate_aggregate_residual(cand, ctx24, fr) == aggs[b]

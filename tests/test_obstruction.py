@@ -71,9 +71,10 @@ def test_replay_no_z(dims):
 
 
 def test_replay_no_z_rederived_bound():
-    # the grid scan asserts d2 > (1 + d_z + d_v)/3 internally for every point
+    # the grid scan's verdict includes d2 > (1 + d_z + d_v)/3 at every point
     rep = replay_no_z(5, 8, s_grid=[Fraction(i, 20) for i in range(1, 20)])
     assert rep.passed
+    assert rep.step("trace-identity-scan").witness["violations"] == []
 
 
 # ---------------------------------------------------------------------------
