@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clifford import max_center_dim
+from .clifford import admissible, center_dim_bound
 from .curvature import CurvatureContext, ricci_heisenberg, ricci_isotropy
 from .dralgebra import DamekRicci, verify_heisenberg_identities
 from .obstruction import (FAIL, LedgerReport, enumerate_dimension_cases,
@@ -50,11 +50,16 @@ class RunConfig:
 
     def validate(self):
         for d_z, d_v in self.dims:
-            bound = max_center_dim(d_v)
-            if not (1 <= d_z <= bound):
+            if not admissible(d_z, d_v):
                 raise ValueError(
-                    f"inadmissible dimensions (d_z, d_v) = ({d_z}, {d_v}): "
-                    f"the admissible bound for d_v = {d_v} is d_z <= {bound}")
+                    f"inadmissible dimensions (d_z, d_v) = ({d_z}, {d_v}): the admissible "
+                    f"bound for d_v = {d_v} is 1 <= d_z <= {center_dim_bound(d_v)}")
+        for name in ("samples", "probe_frames", "jobs"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.c_grid_step, (int, float)) or not self.c_grid_step > 0:
+            raise ValueError(f"c_grid_step must be a number > 0, got {self.c_grid_step!r}")
         for s in self.suites:
             if s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}; choose from {SUITES}")
@@ -381,20 +386,22 @@ def _add_common(p: argparse.ArgumentParser):
 def _parse_dims(text: str) -> list[tuple[int, int]]:
     out = []
     for item in text.split(","):
-        d_z, d_v = item.split(":")
-        out.append((int(d_z), int(d_v)))
+        try:
+            d_z, d_v = item.split(":")
+            out.append((int(d_z), int(d_v)))
+        except ValueError:
+            raise ValueError(f"bad --dims item {item!r}: expected d_z:d_v with "
+                             f"integers, e.g. 2:4") from None
     return out
 
 
 def _config_from_args(args) -> RunConfig:
     overrides = {"seed": args.seed, "tol": args.tol, "exact": args.exact,
-                 "out": args.out}
-    if getattr(args, "dims", None):
+                 "out": args.out,
+                 "probe_frames": getattr(args, "frames", None),
+                 "jobs": getattr(args, "jobs", None)}
+    if getattr(args, "dims", None) is not None:
         overrides["dims"] = _parse_dims(args.dims)
-    if getattr(args, "frames", None):
-        overrides["probe_frames"] = args.frames
-    if getattr(args, "jobs", None):
-        overrides["jobs"] = args.jobs
     return load_config(args.config, overrides)
 
 

@@ -97,9 +97,6 @@ class Octonion:
     def real(self) -> float:
         return float(self.coords[0])
 
-    def imag_norm(self) -> float:
-        return float(np.linalg.norm(self.coords[1:]))
-
 
 def oct_left_mult_matrix(z: Octonion) -> np.ndarray:
     """Matrix of w -> z*w on R^8."""
@@ -132,7 +129,18 @@ def max_center_dim(d_v: int) -> int:
     return 8 * a + 2 ** b - 1
 
 
-_MIN_DV = {1: 2, 2: 4, 3: 4, 4: 8, 5: 8, 6: 8, 7: 8, 8: 16}
+def center_dim_bound(d_v: int) -> int:
+    """Largest d_z that ``build_module`` constructs for d_v.
+
+    ``max_center_dim(d_v)`` capped at 8, where the irreducible constructions
+    stop; the bound itself allows 9 from d_v = 32 on (Clifford 8-periodicity).
+    """
+    return min(8, max_center_dim(d_v))
+
+
+def admissible(d_z: int, d_v: int) -> bool:
+    """Whether ``build_module(d_z, d_v)`` exists: 1 <= d_z <= center_dim_bound(d_v)."""
+    return 1 <= d_z <= center_dim_bound(d_v)
 
 
 @lru_cache(maxsize=None)
@@ -206,13 +214,10 @@ def build_module(d_z: int, d_v: int, iso_flags: tuple[int, ...] | None = None) -
     generator of that summand, producing the non-isomorphic class when
     d_z = 3 mod 4 (and an equivalent module otherwise).  Default: all +1.
     """
-    if d_z < 1:
-        raise ValueError("d_z must be >= 1")
-    bound = max_center_dim(d_v)
-    if d_z > bound:
+    if not admissible(d_z, d_v):
         raise ValueError(
-            f"d_z = {d_z} exceeds the admissible bound {bound} for d_v = {d_v} "
-            f"(Radon-Hurwitz-type constraint)")
+            f"d_z = {d_z} is outside the admissible bound 1 <= d_z <= "
+            f"{center_dim_bound(d_v)} for d_v = {d_v} (Radon-Hurwitz-type constraint)")
     base = _irreducible_generators(d_z)
     m = base.shape[1]
     if d_v % m:
@@ -259,8 +264,3 @@ def is_symmetric_space(module: CliffordModule, tol: float = 1e-9) -> bool:
         return min(float(np.max(np.abs(vol - eye))),
                    float(np.max(np.abs(vol + eye)))) <= tol
     return False
-
-
-def octonion_pair_module() -> CliffordModule:
-    """The (8, 16) module in the octonion-pair identification."""
-    return build_module(8, 16)

@@ -66,14 +66,6 @@ class CurvatureContext:
         tf = t.flat() if isinstance(t, SolvVec) else np.asarray(t, float)
         return np.einsum("b,c,abce->ea", tf, tf, self.riemann_tensor)
 
-    def jacobi_closed_form(self, t: SolvVec) -> np.ndarray:
-        """Matrix of the closed-form Jacobi operator at t (independent route)."""
-        n = self.g.dim
-        m = np.zeros((n, n))
-        for j in range(n):
-            m[:, j] = jacobi_apply(self.g, t, self.g.basis_vector(j)).flat()
-        return m
-
     def nabla_riemann(self, tk, x, y, z, w) -> float:
         """(nabla_{tk} R)(x, y, z, w) for left-invariant arguments.
 

@@ -49,9 +49,6 @@ class ShapeCandidate:
     def n(self) -> int:
         return self.lambdas.shape[0]
 
-    def s_matrix(self) -> np.ndarray:
-        return np.diag(self.lambdas)
-
     def invariant_residual(self) -> float:
         """Max residual of S^2 - H S + (alpha - C) = 0 and Tr S = H."""
         quad = self.lambdas ** 2 - self.h_mean * self.lambdas + (self.alphas - self.c_const)

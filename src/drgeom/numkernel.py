@@ -287,13 +287,6 @@ class MPoly:
     def depends_on(self, var: str) -> bool:
         return self.degree(var) > 0
 
-    def constant_value(self) -> Fraction:
-        """The value of a constant polynomial."""
-        for exp, c in self.terms.items():
-            if any(exp):
-                raise ValueError(f"polynomial is not constant: {self!r}")
-        return next(iter(self.terms.values()), Fraction(0))
-
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Fraction:
         missing = [v for v in self.variables
                    if v not in assignment and self.depends_on(v)]
@@ -562,6 +555,70 @@ def rational_bisect(coeffs: Sequence[RationalLike], lo: RationalLike, hi: Ration
     return lo, hi
 
 
-def bracket_midpoint(bracket: tuple[Fraction, Fraction]) -> float:
-    lo, hi = bracket
-    return float((lo + hi) / 2)
+# cells a float root may be off by before certification gives up
+CELL_WALK = 4
+
+
+def certified_brackets(coeffs: Sequence[RationalLike], cuts: Sequence[RationalLike],
+                       max_width: RationalLike = Fraction(1, 10 ** 16)
+                       ) -> list[tuple[Fraction, Fraction]]:
+    """``rational_bisect`` on each interval between consecutive cuts, certified.
+
+    If the degree equals the number of intervals and the exact values at
+    the increasing cuts alternate in sign, none zero, each interval holds
+    exactly one simple root.  Bisection of [lo, hi] then ends in the cell
+    [lo + j w/2^k, lo + (j+1) w/2^k] holding it (k halvings reach
+    ``max_width``) unless it meets the root exactly, so the cell of a float
+    root is bisection's answer once its endpoints show a strict exact sign
+    change.  Every other case, including a float root more than
+    ``CELL_WALK`` cells off, falls back to ``rational_bisect``.
+    """
+    coeffs = [_as_fraction(c) for c in coeffs]
+    cuts = [_as_fraction(c) for c in cuts]
+    max_width = _as_fraction(max_width)
+    vals = [poly_eval_fraction(coeffs, c) for c in cuts]
+    degree = max((i for i, c in enumerate(coeffs) if c), default=0)
+    certifiable = (degree == len(cuts) - 1
+                   and all(a < b for a, b in zip(cuts, cuts[1:]))
+                   and all(fa * fb < 0 for fa, fb in zip(vals, vals[1:])))
+    fcoeffs = [float(c) for c in coeffs]
+    out = []
+    for lo, hi, flo in zip(cuts, cuts[1:], vals):
+        cell = (_certified_cell(coeffs, fcoeffs, lo, hi, flo > 0, max_width)
+                if certifiable else None)
+        out.append(cell or rational_bisect(coeffs, lo, hi, max_width))
+    return out
+
+
+def _certified_cell(coeffs, fcoeffs, lo: Fraction, hi: Fraction, lo_positive: bool,
+                    max_width: Fraction) -> tuple[Fraction, Fraction] | None:
+    """Bisection's final cell on [lo, hi] from a float root, or None."""
+    ratio = (hi - lo) / max_width
+    halvings = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
+    cell = (hi - lo) / (1 << halvings)
+    # float bisection down to about one cell locates the root
+    a, b, cell_f = float(lo), float(hi), float(cell)
+    while b - a > cell_f:
+        mid = 0.5 * (a + b)
+        if not a < mid < b:  # adjacent floats: as close as float gets
+            break
+        val = 0.0
+        for c in reversed(fcoeffs):
+            val = val * mid + c
+        if (val > 0) == lo_positive:
+            a = mid
+        else:
+            b = mid
+    j = min(max(int((Fraction(0.5 * (a + b)) - lo) // cell), 0), (1 << halvings) - 1)
+    # walk towards the root; the signs at lo and hi keep j inside the grid
+    for _ in range(CELL_WALK):
+        left = lo + j * cell
+        f_left = poly_eval_fraction(coeffs, left)
+        f_right = poly_eval_fraction(coeffs, left + cell)
+        if f_left == 0 or f_right == 0:
+            return None
+        left_on_lo_side = (f_left > 0) == lo_positive
+        if left_on_lo_side and (f_right > 0) != lo_positive:
+            return left, left + cell
+        j += 1 if left_on_lo_side else -1
+    return None

@@ -409,10 +409,6 @@ class _SWord:
     def syms():
         return MPoly.symbols("H C lam")
 
-    def _smallc(self):
-        h, c, _ = self.syms()
-        return c + Fraction(1, 4)
-
     def lmul_s(self) -> "_SWord":
         h, c, _ = self.syms()
         small = c + Fraction(1, 4)
@@ -702,6 +698,7 @@ def _compat_residual_floor(gs: list[np.ndarray], seed: int, restarts: int = 24) 
     x^2 - H x - (C + 1) = 0, per split and sign pattern; the floor is the
     smallest max-norm residual of the compatibility equation found.
     """
+    from scipy.linalg import expm
     from scipy.optimize import minimize
     rng = np.random.default_rng(seed)
     n = gs[0].shape[0]
@@ -712,7 +709,7 @@ def _compat_residual_floor(gs: list[np.ndarray], seed: int, restarts: int = 24) 
         skew = np.zeros((n, n))
         skew[tri] = params[2:2 + len(tri[0])]
         skew -= skew.T
-        qmat = _expm_skew(skew)
+        qmat = expm(skew)
         return h_val, c_val, qmat
 
     mixed_patterns = [(1, 1, -1), (1, -1, 1), (-1, 1, 1),
@@ -746,11 +743,6 @@ def _compat_residual_floor(gs: list[np.ndarray], seed: int, restarts: int = 24) 
                        options={"maxiter": 4000, "xatol": 1e-10, "fatol": 1e-12})
         best = min(best, float(res.fun))
     return best
-
-
-def _expm_skew(a: np.ndarray) -> np.ndarray:
-    from scipy.linalg import expm
-    return expm(a)
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +943,6 @@ def final_positivity_analysis(grid: int = 50) -> dict:
     # edge v = 0: 4 + 8y, min 4 at y = 0
     edge_v0 = geval(Fraction(0), Fraction(0))
     # edge v + y = 1: 27v^2 - 36v + 12 = 3(3v-2)^2, min 0 at v = 2/3
-    vv = MPoly.symbols("vv")[0]
     edge_poly = gexpr.substitute("y", 1 - v)
     factored_ok = edge_poly - 3 * (3 * v - 2) ** 2 == MPoly.zero(edge_poly.variables)
     edge_diag = geval(Fraction(2, 3), Fraction(1, 3))
@@ -982,8 +973,10 @@ def final_positivity_analysis(grid: int = 50) -> dict:
 def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
     """All exact steps of the general-position contradiction.
 
-    Every step runs in rational arithmetic; ``exact=False`` keeps only the
-    cheap numeric confirmations (grids and spot values).
+    Every step runs in rational arithmetic except the float grid of
+    ``leading-coefficient-positivity``, which its verdict needs, so that
+    step is numeric; ``exact=False`` keeps only the cheap confirmations
+    (grids and spot values).
     """
     rep = LedgerReport("general-case-ledger")
     if exact:
@@ -1009,7 +1002,7 @@ def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
     t0 = time.perf_counter()
     r2 = leading_coefficient_positivity()
     _step(rep, "leading-coefficient-positivity", "two-eigenvalue-shape-relation",
-          t0, r2["ok"], exact=r2["identity_ok"], residual=None,
+          t0, r2["ok"], exact=False, residual=None,
           grid_min=r2["grid_min"], spot=r2["spot"], hypothesis=r2["hypothesis"])
 
     t0 = time.perf_counter()

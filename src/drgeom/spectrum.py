@@ -18,7 +18,8 @@ import numpy as np
 
 from .curvature import CurvatureContext
 from .dralgebra import DamekRicci
-from .numkernel import MPoly, cluster_indices, eig_sym, rational_bisect
+from .numkernel import (MPoly, certified_brackets, cluster_indices, eig_sym,
+                        poly_eval_fraction)
 
 CERT_TOL = 1e-9
 
@@ -72,6 +73,8 @@ class NormalFrame:
     k_matrix: np.ndarray = field(repr=False, default=None)
     k_basis: np.ndarray = field(repr=False, default=None)
     mu_clusters: tuple = ()
+    # alpha_cubic per K^2 eigenvalue mu, filled on first use by cubic_roots
+    _roots: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def vsq(self) -> float:
@@ -89,11 +92,14 @@ class NormalFrame:
     def d_p(self) -> int:
         return self.p_basis.shape[1]
 
-    def mu_values(self) -> list[float]:
-        return [m for m, _ in self.mu_clusters]
+    def cubic_roots(self, mu: float) -> dict:
+        """alpha_cubic(mu, |V|^2, |Y|^2), solved once per frame and mu.
 
-    def mu_space(self, k: int) -> np.ndarray:
-        return self.mu_clusters[k][1]
+        Every call for the same mu returns the same dict; do not mutate it.
+        """
+        if mu not in self._roots:
+            self._roots[mu] = alpha_cubic(mu, self.vsq, self.ysq)
+        return self._roots[mu]
 
     def k_apply(self, z: np.ndarray) -> np.ndarray:
         """K_{V,Y} of a center vector lying in Y-perp."""
@@ -189,11 +195,14 @@ def random_frame(g: DamekRicci, rng: np.random.Generator,
 # ---------------------------------------------------------------------------
 
 def alpha_cubic(mu: float, v: float, y: float) -> dict:
-    """The three Jacobi eigenvalues of a mu-family, by exact bisection.
+    """The three Jacobi eigenvalues of a mu-family, in exact brackets.
 
     They solve (alpha+1)(alpha+1/4)^2 = 27/64 v^2 y (1+mu); the substitution
     eta = 4 alpha + 1 turns this into eta^2(eta+3) = q with
-    q = 27 v^2 y (1+mu).  Roots are bracketed with exact rational signs.
+    q = 27 v^2 y (1+mu).  Each bracket of eta is the final cell of exact
+    rational bisection to width 1e-15, certified by exact signs at its
+    endpoints (``certified_brackets``).  Every call solves afresh;
+    ``NormalFrame.cubic_roots`` keeps one result per frame and mu.
     """
     if -1e-9 < mu <= 1e-9:
         mu = 0.0  # numerical noise around the kernel eigenvalue
@@ -203,11 +212,7 @@ def alpha_cubic(mu: float, v: float, y: float) -> dict:
         raise ValueError(f"need v, y > 0 and v + y < 1, got v={v}, y={y}")
     q = Fraction(27) * Fraction(v) ** 2 * Fraction(y) * (1 + Fraction(mu))
     # p(t) = t^3 + 3 t^2 - q, roots in (-3,-2), (-2,0), (0,1)
-    coeffs = [-q, Fraction(0), Fraction(3), Fraction(1)]
-    width = Fraction(1, 10 ** 15)
-    brackets = [rational_bisect(coeffs, Fraction(-3), Fraction(-2), width),
-                rational_bisect(coeffs, Fraction(-2), Fraction(0), width),
-                rational_bisect(coeffs, Fraction(0), Fraction(1), width)]
+    brackets = certified_brackets([-q, 0, 3, 1], [-3, -2, 0, 1], Fraction(1, 10 ** 15))
     etas = [float((lo + hi) / 2) for lo, hi in brackets]
     alphas = [(e - 1.0) / 4.0 for e in etas]
     return {"q": q, "etas": etas, "alphas": alphas, "brackets": brackets}
@@ -228,22 +233,21 @@ def f_cubic_roots(q: float) -> dict:
     Valid for q in (0, 1/4); returns the three roots with the certified
     chain -1 < a1 < -3/4 < a2 < -1/4 < a3 <= 0 and the exact sign
     certificates f(0) > 0 and f(-q) < 0 that place a3 inside (-q, 0).
+    Each bracket is the final cell of exact rational bisection to width
+    1e-15, certified by exact signs at its endpoints (``certified_brackets``).
     """
     qf = Fraction(q)
     if not (0 < qf < Fraction(1, 4)):
         raise ValueError(f"q = {q} outside (0, 1/4)")
     coeffs = [qf ** 2, Fraction(9, 16), Fraction(3, 2), Fraction(1)]
-    width = Fraction(1, 10 ** 15)
-    b1 = rational_bisect(coeffs, Fraction(-1), Fraction(-3, 4), width)
-    b2 = rational_bisect(coeffs, Fraction(-3, 4), Fraction(-1, 4), width)
-    b3 = rational_bisect(coeffs, Fraction(-1, 4), Fraction(0), width)
-    roots = [float((lo + hi) / 2) for lo, hi in (b1, b2, b3)]
+    brackets = tuple(certified_brackets(
+        coeffs, [-1, Fraction(-3, 4), Fraction(-1, 4), 0], Fraction(1, 10 ** 15)))
+    roots = [float((lo + hi) / 2) for lo, hi in brackets]
     f0 = qf ** 2
     f_minus_q = -qf * (qf - Fraction(9, 4)) * (qf - Fraction(1, 4))
-    from .numkernel import poly_eval_fraction
     if poly_eval_fraction(coeffs, -qf) != f_minus_q:
         raise ArithmeticError(f"f(-q) disagrees with its factored form at q = {q}")
-    return {"roots": roots, "brackets": (b1, b2, b3),
+    return {"roots": roots, "brackets": brackets,
             "f_at_0": f0, "f_at_minus_q": f_minus_q,
             "certificate": bool(f0 > 0 and f_minus_q < 0)}
 
@@ -279,9 +283,8 @@ def psi_map(frame: NormalFrame, l: int, z: np.ndarray,
     nz = np.linalg.norm(z)
     if nz == 0:
         return np.zeros(g.dim)
-    mu, basis, _ = _locate_mu(frame, z, proj_tol)
-    roots = alpha_cubic(mu, frame.vsq, frame.ysq)
-    eta = roots["etas"][l]
+    mu = _locate_mu(frame, z, proj_tol)
+    eta = frame.cubic_roots(mu)["etas"][l]
     nu = eta + 3.0 * frame.vsq
     ny = float(np.linalg.norm(frame.y))
     jyv = g.j_z(frame.y) @ frame.v
@@ -294,9 +297,7 @@ def psi_map(frame: NormalFrame, l: int, z: np.ndarray,
 def psi_homothety_ratio(frame: NormalFrame, l: int, mu: float) -> float:
     """Closed-form |psi_l(Z)|^2 / |Z|^2 for Z in the mu-eigenspace."""
     v, y = frame.vsq, frame.ysq
-    ny = np.sqrt(y)
-    roots = alpha_cubic(mu, v, y)
-    eta = roots["etas"][l]
+    eta = frame.cubic_roots(mu)["etas"][l]
     nu = eta + 3.0 * v
     return ((eta * nu) ** 2 + 9.0 * nu ** 2 * y * v - 81.0 * mu * v ** 3 * y
             + 9.0 * frame.s ** 2 * eta ** 2 * v + 54.0 * mu * nu * v ** 2 * y)
@@ -304,10 +305,10 @@ def psi_homothety_ratio(frame: NormalFrame, l: int, mu: float) -> float:
 
 def _locate_mu(frame: NormalFrame, z: np.ndarray, proj_tol: float):
     nz = np.linalg.norm(z)
-    for k, (mu, basis) in enumerate(frame.mu_clusters):
+    for mu, basis in frame.mu_clusters:
         proj = basis @ (basis.T @ z)
         if np.linalg.norm(z - proj) <= proj_tol * nz:
-            return mu, basis, k
+            return mu
     raise ValueError("Z does not lie in a single K^2 eigenspace away from -1")
 
 
@@ -378,23 +379,19 @@ def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext,
         for i in range(frame.d_p):
             preds.append(-0.25)
             cert("p_quarter", g.vec(frame.p_basis[:, i]).flat(), -0.25)
-        for mu, basis in frame.mu_clusters:
-            roots = alpha_cubic(mu, frame.vsq, frame.ysq)
-            for l in range(3):
-                for i in range(basis.shape[1]):
-                    preds.append(roots["alphas"][l])
-                    cert(f"psi_{l}", psi_map(frame, l, basis[:, i]), roots["alphas"][l])
-        # homothety spread per (mu, l)
+        # each psi_l image is an eigenvector certificate, and its squared
+        # norm is checked against the closed-form homothety ratio
         spread = 0.0
         for mu, basis in frame.mu_clusters:
-            if basis.shape[1] < 1:
-                continue
+            alphas = frame.cubic_roots(mu)["alphas"]
             for l in range(3):
-                ratios = [float(np.linalg.norm(psi_map(frame, l, basis[:, i])) ** 2)
-                          for i in range(basis.shape[1])]
                 closed = psi_homothety_ratio(frame, l, mu)
-                for r in ratios:
-                    spread = max(spread, abs(r - closed) / max(closed, 1e-30))
+                for i in range(basis.shape[1]):
+                    vec = psi_map(frame, l, basis[:, i])
+                    preds.append(alphas[l])
+                    cert(f"psi_{l}", vec, alphas[l])
+                    ratio = float(np.linalg.norm(vec) ** 2)
+                    spread = max(spread, abs(ratio - closed) / max(closed, 1e-30))
         certs["psi_homothety_spread"] = spread
     elif ny <= 1e-13 and nv > 1e-13 and abs(s) > 1e-13:
         # no-center-component case: eigenvalues exactly {-1, -1/4}

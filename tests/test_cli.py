@@ -53,6 +53,31 @@ def test_verify_rejects_bad_dims(capsys):
     assert "admissible bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, expect", [
+    (["verify", "clifford", "--dims", "2"], "bad --dims item '2': expected d_z:d_v"),
+    (["verify", "clifford", "--dims", "a:b"], "bad --dims item 'a:b': expected d_z:d_v"),
+    (["verify", "clifford", "--dims", "2:4,1:2:3"], "bad --dims item '1:2:3'"),
+    (["verify", "clifford", "--dims", "9:32"], "1 <= d_z <= 8"),
+    (["probe", "hypersurface", "--frames", "-1"], "probe_frames must be an integer >= 1, got -1"),
+    (["probe", "hypersurface", "--frames", "0"], "probe_frames must be an integer >= 1, got 0"),
+    (["probe", "hypersurface", "--jobs", "0"], "jobs must be an integer >= 1, got 0"),
+])
+def test_front_door_rejects_bad_flags(capsys, argv, expect):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert expect in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("field, value", [("c_grid_step", 0), ("c_grid_step", -0.1),
+                                          ("c_grid_step", "0.1"), ("samples", 0),
+                                          ("samples", "a"), ("jobs", 0)])
+def test_front_door_rejects_bad_config_numbers(tmp_path, capsys, field, value):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({field: value}))
+    assert main(["probe", "hypersurface", "--config", str(path)]) == 2
+    assert f"{field} must be" in capsys.readouterr().err
+
+
 def test_replay_subcommand(tmp_path):
     out = tmp_path / "replay.json"
     status = main(["replay", "no-a", "--out", str(out)])

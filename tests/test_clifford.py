@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom.clifford import (Octonion, anticommutation_residual, build_module,
-                             is_symmetric_space, j_from_octonions, j_op,
-                             max_center_dim, oct_left_mult_matrix)
+from drgeom.clifford import (Octonion, admissible, anticommutation_residual,
+                             build_module, is_symmetric_space, j_from_octonions,
+                             j_op, max_center_dim, oct_left_mult_matrix)
 
 ADMISSIBLE = [(d_z, d_v) for d_v in (2, 4, 8, 16)
               for d_z in range(1, max_center_dim(d_v) + 1)]
@@ -45,6 +45,19 @@ def test_anticommutation_all_admissible(d_z, d_v):
 def test_build_module_rejects_excess_center():
     with pytest.raises(ValueError, match="admissible bound"):
         build_module(9, 16)
+
+
+def test_admissible_agrees_with_build_module():
+    # (9, 32) is within the Radon-Hurwitz bound but has no construction here
+    assert max_center_dim(32) == 9 and not admissible(9, 32)
+    for d_v in range(1, 33):
+        for d_z in range(0, 11):
+            try:
+                build_module(d_z, d_v)
+                built = True
+            except ValueError:
+                built = False
+            assert built == admissible(d_z, d_v), (d_z, d_v)
 
 
 def test_octonion_pair_model_matches_pair_formula():

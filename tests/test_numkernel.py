@@ -14,7 +14,7 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom.numkernel import (MPoly, NotSymmetricError,
+from drgeom.numkernel import (MPoly, NotSymmetricError, certified_brackets,
                               eig_sym, mpoly_resultant, poly_eval_fraction,
                               poly_reduce, rational_bisect, symmetric_eliminate)
 
@@ -240,3 +240,22 @@ def test_rational_bisect_exact_signs():
 def test_rational_bisect_needs_sign_change():
     with pytest.raises(ValueError, match="sign change"):
         rational_bisect([1, 0, 1], 0, 1)
+
+
+def test_certified_brackets_fall_back_on_an_exact_root():
+    # p(t) = t^3 + 3 t^2 - 2 has the root -1, the first midpoint of [-2, 0]
+    coeffs, cuts = [-2, 0, 3, 1], [-3, -2, 0, 1]
+    width = Fraction(1, 10 ** 15)
+    out = certified_brackets(coeffs, cuts, width)
+    assert out[1] == (Fraction(-1), Fraction(-1))
+    assert out == [rational_bisect(coeffs, lo, hi, width)
+                   for lo, hi in zip(cuts, cuts[1:])]
+
+
+def test_certified_brackets_without_alternation_match_bisection():
+    # t^2 - 2 on three cuts: degree 2 and signs -, +, + do not certify
+    coeffs, cuts = [-2, 0, 1], [0, 2, 3]
+    with pytest.raises(ValueError, match="sign change"):
+        certified_brackets(coeffs, cuts)
+    assert (certified_brackets([-2, 0, 1], [1, 2], Fraction(1, 10 ** 20))
+            == [rational_bisect([-2, 0, 1], 1, 2, Fraction(1, 10 ** 20))])

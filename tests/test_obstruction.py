@@ -10,7 +10,7 @@ import pytest
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
 from drgeom.numkernel import MPoly
-from drgeom.obstruction import (EXACT, FAIL, _SWord, cyclic_sum_vanishing,
+from drgeom.obstruction import (EXACT, FAIL, NUMERIC, _SWord, cyclic_sum_vanishing,
                                 enumerate_dimension_cases,
                                 final_positivity_analysis, general_case_ledger,
                                 leading_coefficient_positivity, m_coefficients,
@@ -221,6 +221,13 @@ def test_general_case_ledger_exact_passes():
         if s.id in ("product-identity-reduction", "cyclic-sum-vanishing",
                     "poly-coprimality", "final-positivity"):
             assert s.verdict == EXACT
+
+
+def test_leading_coefficient_positivity_is_numeric():
+    # its verdict needs the float grid, so it cannot be exact-pass
+    step = general_case_ledger(exact=False).step("leading-coefficient-positivity")
+    assert step.verdict == NUMERIC
+    assert step.witness["grid_min"] > 0
 
 
 def test_ledger_json_roundtrip():

@@ -6,11 +6,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from drgeom import spectrum
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from drgeom.numkernel import poly_eval_fraction
-from drgeom.spectrum import (alpha_cubic, center_family_vector,
+from drgeom.numkernel import poly_eval_fraction, rational_bisect
+from drgeom.spectrum import (NormalFrame, alpha_cubic, center_family_vector,
                              eta_alpha_exact_identity, f_cubic_roots,
                              make_frame, psi_homothety_ratio, psi_map,
                              random_frame, xi_spectrum)
@@ -139,9 +142,69 @@ def test_f_cubic_domain():
         f_cubic_roots(0.0)
 
 
+WIDTH = Fraction(1, 10 ** 15)
+
+
+def _bisected(coeffs, cuts, max_width=WIDTH):
+    """What certified_brackets must return: plain bisection per interval."""
+    return [rational_bisect(coeffs, lo, hi, max_width) for lo, hi in zip(cuts, cuts[1:])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(mu=st.floats(-0.999, 0.0), v=st.floats(0.001, 0.998),
+       y_frac=st.floats(0.001, 0.999))
+def test_alpha_cubic_brackets_equal_bisection(mu, v, y_frac):
+    y = y_frac * (1.0 - v)
+    if not (y > 0 and v + y < 1):
+        return
+    out = alpha_cubic(mu, v, y)
+    assert out["brackets"] == _bisected([-out["q"], 0, 3, 1], [-3, -2, 0, 1])
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.floats(1e-9, 0.25, exclude_max=True))
+def test_f_cubic_brackets_equal_bisection(q):
+    qf = Fraction(q)
+    expect = _bisected([qf ** 2, Fraction(9, 16), Fraction(3, 2), 1],
+                       [-1, Fraction(-3, 4), Fraction(-1, 4), 0])
+    assert list(f_cubic_roots(q)["brackets"]) == expect
+
+
 # ---------------------------------------------------------------------------
 # eigenvector families and the full report
 # ---------------------------------------------------------------------------
+
+def test_alpha_cubic_solved_once_per_mu_cluster(gctx, monkeypatch):
+    g, ctx = gctx(8, 16)
+    fr = random_frame(g, np.random.default_rng(11))
+    calls = []
+
+    def counted(mu, v, y):
+        calls.append(mu)
+        return alpha_cubic(mu, v, y)
+
+    monkeypatch.setattr(spectrum, "alpha_cubic", counted)
+    xi_spectrum(fr, ctx)
+    assert sorted(calls) == sorted(mu for mu, _ in fr.mu_clusters)
+    xi_spectrum(fr, ctx)  # a second report reuses the frame's roots
+    assert len(calls) == len(fr.mu_clusters) > 1
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (7, 16), (8, 16)])
+def test_spectral_report_matches_unmemoized_bisection(gctx, monkeypatch, dims):
+    g, ctx = gctx(*dims)
+    memo = xi_spectrum(random_frame(g, np.random.default_rng(12)), ctx)
+    # every psi_map and homothety ratio solves its cubic afresh, by bisection
+    monkeypatch.setattr(NormalFrame, "cubic_roots",
+                        lambda fr, mu: alpha_cubic(mu, fr.vsq, fr.ysq))
+    monkeypatch.setattr(spectrum, "certified_brackets", _bisected)
+    plain = xi_spectrum(random_frame(g, np.random.default_rng(12)), ctx)
+    for name in ("eigenvalues", "predicted", "basis_perp", "jacobi_perp"):
+        assert np.array_equal(getattr(memo, name), getattr(plain, name)), name
+    assert memo.clusters == plain.clusters and memo.dims == plain.dims
+    assert memo.match_residual == plain.match_residual
+    assert memo.certificate_residuals == plain.certificate_residuals
+
 
 def test_psi_map_zero(gctx):
     g, _ = gctx(2, 4)
