@@ -10,9 +10,9 @@ from .hypersurface import (ShapeCandidate, codazzi_residual,
                            shape_candidates)
 from .numkernel import (EigenDecomposition, MPoly, eig_sym, poly_reduce,
                         rational_bisect, symmetric_eliminate)
-from .obstruction import (LedgerReport, LedgerStep, enumerate_dimension_cases,
-                          general_case_ledger, replay_no_a, replay_no_v,
-                          replay_no_z, replay_octonion_case,
+from .obstruction import (Check, LedgerReport, enumerate_dimension_cases,
+                          general_case_ledger, replay_dimension_cases, replay_no_a,
+                          replay_no_v, replay_no_z, replay_octonion_case,
                           replay_p_space_annihilation,
                           replay_quarter_eigenspace_jcompat)
 from .spectrum import (NormalFrame, SpectralReport, alpha_cubic, f_cubic_roots,

@@ -14,25 +14,26 @@ import io
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .clifford import admissible, center_dim_bound
-from .curvature import CurvatureContext, ricci_heisenberg, ricci_isotropy
+from .clifford import (admissible, anticommutation_residual, build_module,
+                       center_dim_bound)
+from .curvature import (CurvatureContext, jacobi_closed_batch, ricci_heisenberg,
+                        ricci_isotropy)
 from .dralgebra import DamekRicci, verify_heisenberg_identities
-from .obstruction import (FAIL, LedgerReport, enumerate_dimension_cases,
-                          general_case_ledger, replay_no_a, replay_no_v,
+from .hypersurface import probe_codazzi_floor
+from .obstruction import (FAIL, LedgerReport, general_case_ledger,
+                          replay_dimension_cases, replay_no_a, replay_no_v,
                           replay_no_z, replay_octonion_case,
                           replay_p_space_annihilation,
                           replay_quarter_eigenspace_jcompat)
+from .spectrum import random_frame, xi_spectrum
 
 SCHEMA_VERSION = 1
 DEFAULT_DIMS = [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
-SUITES = ("clifford", "curvature", "spectrum", "hypersurface", "obstruction", "all")
-REPLAY_STEPS = ("no-v", "no-a", "no-z", "dimension-cases", "octonion",
-                "quarter-jcompat", "general-ledger", "p-annihilation")
 
 
 @dataclass
@@ -49,21 +50,37 @@ class RunConfig:
     out: str | None = None
 
     def validate(self):
+        if not isinstance(self.dims, list) or not all(
+                isinstance(d, tuple) and len(d) == 2 and all(map(_is_int, d))
+                for d in self.dims):
+            raise ValueError(f"dims must be a list of [d_z, d_v] integer pairs, "
+                             f"got {self.dims!r}")
         for d_z, d_v in self.dims:
             if not admissible(d_z, d_v):
                 raise ValueError(
                     f"inadmissible dimensions (d_z, d_v) = ({d_z}, {d_v}): the admissible "
                     f"bound for d_v = {d_v} is 1 <= d_z <= {center_dim_bound(d_v)}")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("samples", "probe_frames", "jobs"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-        if not isinstance(self.c_grid_step, (int, float)) or not self.c_grid_step > 0:
-            raise ValueError(f"c_grid_step must be a number > 0, got {self.c_grid_step!r}")
+        for name in ("tol", "c_grid_step"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not value > 0:
+                raise ValueError(f"{name} must be a number > 0, got {value!r}")
+        if not isinstance(self.exact, bool):
+            raise ValueError(f"exact must be true or false, got {self.exact!r}")
+        if not isinstance(self.suites, list):
+            raise ValueError(f"suites must be a list, got {self.suites!r}")
         for s in self.suites:
             if s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}; choose from {SUITES}")
         if self.out is not None:
+            if not isinstance(self.out, str):
+                raise ValueError(f"out must be a path, got {self.out!r}")
             parent = Path(self.out).resolve().parent
             if not parent.is_dir():
                 raise ValueError(f"output directory {parent} does not exist")
@@ -72,13 +89,19 @@ class RunConfig:
                 raise ValueError(f"output directory {parent} is not writable")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_config(path: str | None, overrides: dict) -> RunConfig:
     """JSON file values, then explicit flags on top (flags win)."""
     data = {}
     if path:
         data = json.loads(Path(path).read_text())
-        if "dims" in data:
-            data["dims"] = [tuple(d) for d in data["dims"]]
+        if not isinstance(data, dict):
+            raise ValueError(f"config file {path} must hold a JSON object")
+        if isinstance(data.get("dims"), list):
+            data["dims"] = [tuple(d) if isinstance(d, list) else d for d in data["dims"]]
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -91,59 +114,62 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# suite checks
+# replays and suites: each returns one LedgerReport
 # ---------------------------------------------------------------------------
 
-def _check(checks, check_id, anchor, ok, residual, t0, **witness):
-    # runtime is recorded next to the check but kept out of the
-    # deterministic payload (same role as the header timestamp)
-    checks.append(({
-        "id": check_id, "anchor": anchor,
-        "verdict": "pass" if ok else "fail",
-        "residual": residual,
-        **({"witness": witness} if witness else {})},
-        round(time.perf_counter() - t0, 6)))
+def _replay_no_a(cfg: RunConfig, full: bool) -> LedgerReport:
+    g = DamekRicci.from_dims(2, 4)
+    return replay_no_a(g, CurvatureContext(g), seed=cfg.seed)
 
 
-def clifford_suite(cfg: RunConfig) -> list[dict]:
-    from .clifford import anticommutation_residual, build_module
-    checks = []
+# replay id -> (cfg, full) -> LedgerReport; ``full`` adds the minimization
+# and the exact general-case steps: always in ``replay``, under ``--exact``
+# in ``verify obstruction``
+REPLAYS = {
+    "no-v": lambda cfg, full: replay_no_v(DamekRicci.from_dims(2, 4)),
+    "no-a": _replay_no_a,
+    "no-z": lambda cfg, full: replay_no_z(2, 4, seed=cfg.seed),
+    "dimension-cases": lambda cfg, full: replay_dimension_cases(),
+    "octonion": lambda cfg, full: replay_octonion_case(seed=cfg.seed),
+    "quarter-jcompat": lambda cfg, full: replay_quarter_eigenspace_jcompat(
+        seed=cfg.seed, run_minimization=full),
+    "general-ledger": lambda cfg, full: general_case_ledger(exact=full),
+    "p-annihilation": lambda cfg, full: replay_p_space_annihilation(seed=cfg.seed),
+}
+REPLAY_STEPS = tuple(REPLAYS)
+
+
+def clifford_suite(cfg: RunConfig) -> LedgerReport:
+    rep = LedgerReport("clifford")
     for d_z, d_v in cfg.dims:
-        t0 = time.perf_counter()
-        mod = build_module(d_z, d_v)
-        res = anticommutation_residual(mod.generators)
-        _check(checks, f"clifford-relations({d_z},{d_v})", "clifford-anticommutation",
-               res <= 1e-12, res, t0)
-    return checks
+        res = anticommutation_residual(build_module(d_z, d_v).generators)
+        rep.record(f"clifford-relations({d_z},{d_v})", "clifford-anticommutation",
+                   res <= 1e-12, exact=False, residual=res)
+    return rep
 
 
-def curvature_suite(cfg: RunConfig) -> list[dict]:
-    checks = []
+def curvature_suite(cfg: RunConfig) -> LedgerReport:
+    rep = LedgerReport("curvature")
     rng = np.random.default_rng(cfg.seed)
     for d_z, d_v in cfg.dims:
         g = DamekRicci.from_dims(d_z, d_v)
         ctx = CurvatureContext(g)
-        t0 = time.perf_counter()
         h = verify_heisenberg_identities(g, samples=cfg.samples, seed=cfg.seed)
-        _check(checks, f"heisenberg-identities({d_z},{d_v})", "bracket-identities",
-               h["passed"], h["max_residual"], t0)
-        t0 = time.perf_counter()
+        rep.record(f"heisenberg-identities({d_z},{d_v})", "bracket-identities",
+                   h["passed"], exact=False, residual=h["max_residual"])
         worst = _connection_axioms_residual(g, ctx, cfg.samples, rng)
-        _check(checks, f"connection-axioms({d_z},{d_v})", "connection-axioms",
-               worst <= 1e-12, worst, t0)
-        t0 = time.perf_counter()
+        rep.record(f"connection-axioms({d_z},{d_v})", "connection-axioms",
+                   worst <= 1e-12, exact=False, residual=worst)
         worst = _jacobi_cross_residual(g, ctx, cfg.samples, rng)
-        _check(checks, f"jacobi-cross-check({d_z},{d_v})", "jacobi-closed-form",
-               worst <= 1e-10, worst, t0)
-        t0 = time.perf_counter()
+        rep.record(f"jacobi-cross-check({d_z},{d_v})", "jacobi-closed-form",
+                   worst <= 1e-10, exact=False, residual=worst)
         mean, std = ricci_isotropy(ctx, samples=max(cfg.samples, 100), seed=cfg.seed)
-        _check(checks, f"einstein-isotropy({d_z},{d_v})", "einstein-isotropy",
-               std <= 1e-10, std, t0, einstein_constant=mean)
-        t0 = time.perf_counter()
+        rep.record(f"einstein-isotropy({d_z},{d_v})", "einstein-isotropy",
+                   std <= 1e-10, exact=False, residual=std, einstein_constant=mean)
         nil = ricci_heisenberg(g.module)
-        _check(checks, f"nilpotent-ricci-split({d_z},{d_v})", "nilpotent-non-einstein",
-               nil["sign_split"], nil["offdiag"], t0)
-    return checks
+        rep.record(f"nilpotent-ricci-split({d_z},{d_v})", "nilpotent-non-einstein",
+                   nil["sign_split"], exact=False, residual=nil["offdiag"])
+    return rep
 
 
 def _connection_axioms_residual(g, ctx, samples, rng) -> float:
@@ -157,7 +183,6 @@ def _connection_axioms_residual(g, ctx, samples, rng) -> float:
 
 
 def _jacobi_cross_residual(g, ctx, samples, rng) -> float:
-    from .curvature import jacobi_closed_batch
     t1 = rng.standard_normal((samples, g.dim))
     t2 = rng.standard_normal((samples, g.dim))
     closed = jacobi_closed_batch(g, t1, t2)
@@ -166,66 +191,49 @@ def _jacobi_cross_residual(g, ctx, samples, rng) -> float:
     return float(np.max(np.abs(closed - assembled)))
 
 
-def spectrum_suite(cfg: RunConfig) -> list[dict]:
-    from .spectrum import random_frame, xi_spectrum
-    checks = []
+def spectrum_suite(cfg: RunConfig) -> LedgerReport:
+    rep = LedgerReport("spectrum")
     rng = np.random.default_rng(cfg.seed)
     for d_z, d_v in cfg.dims:
         g = DamekRicci.from_dims(d_z, d_v)
         ctx = CurvatureContext(g)
-        t0 = time.perf_counter()
         worst_match = 0.0
         worst_cert = 0.0
         for _ in range(3):
-            frame = random_frame(g, rng)
-            rep = xi_spectrum(frame, ctx)
-            worst_match = max(worst_match, rep.match_residual)
-            if rep.certificate_residuals:
-                worst_cert = max(worst_cert, max(rep.certificate_residuals.values()))
-        ok = worst_match <= cfg.tol and worst_cert <= cfg.tol
-        _check(checks, f"normal-jacobi-spectrum({d_z},{d_v})",
-               "normal-jacobi-spectrum", ok, max(worst_match, worst_cert), t0)
-    return checks
+            spec = xi_spectrum(random_frame(g, rng), ctx)
+            worst_match = max(worst_match, spec.match_residual)
+            if spec.certificate_residuals:
+                worst_cert = max(worst_cert, max(spec.certificate_residuals.values()))
+        rep.record(f"normal-jacobi-spectrum({d_z},{d_v})", "normal-jacobi-spectrum",
+                   worst_match <= cfg.tol and worst_cert <= cfg.tol, exact=False,
+                   residual=max(worst_match, worst_cert))
+    return rep
 
 
-def hypersurface_suite(cfg: RunConfig) -> list[dict]:
-    from .hypersurface import probe_codazzi_floor
-    checks = []
+def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
+    """The (2,4) probe and its one check, shared by ``probe`` and the suite."""
+    rep = LedgerReport("hypersurface")
     g = DamekRicci.from_dims(2, 4)
-    ctx = CurvatureContext(g)
-    t0 = time.perf_counter()
-    c_grid = np.arange(-2.0, 0.0 + 1e-12, cfg.c_grid_step)
-    out = probe_codazzi_floor(g, ctx, n_frames=cfg.probe_frames, c_grid=c_grid,
+    out = probe_codazzi_floor(g, CurvatureContext(g), n_frames=cfg.probe_frames,
+                              c_grid=np.arange(-2.0, 0.0 + 1e-12, cfg.c_grid_step),
                               seed=cfg.seed, jobs=cfg.jobs)
-    _check(checks, "codazzi-floor(2,4)", "codazzi-floor", out["floor"] > 1e-6,
-           out["floor"], t0, candidates=out["candidates"], frames=out["frames"])
-    return checks
+    rep.record("codazzi-floor(2,4)", "codazzi-floor", out["floor"] > 1e-6, exact=False,
+               residual=out["floor"], candidates=out["candidates"], frames=out["frames"])
+    return out, rep
 
 
-def obstruction_suite(cfg: RunConfig) -> list[dict]:
-    checks = []
-    reports: list[LedgerReport] = []
-    g24 = DamekRicci.from_dims(2, 4)
-    ctx24 = CurvatureContext(g24)
-    reports.append(replay_no_v(g24))
-    reports.append(replay_no_a(g24, ctx24, seed=cfg.seed))
-    reports.append(replay_no_z(2, 4, seed=cfg.seed))
-    t0 = time.perf_counter()
-    cases = enumerate_dimension_cases()
-    _check(checks, "dimension-enumeration", "dimension-enumeration",
-           cases == [(5, 8), (6, 8), (7, 8), (7, 16), (8, 16)], 0.0, t0,
-           cases=cases)
-    reports.append(replay_octonion_case(seed=cfg.seed))
-    reports.append(replay_quarter_eigenspace_jcompat(seed=cfg.seed,
-                                                     run_minimization=cfg.exact))
-    reports.append(replay_p_space_annihilation(seed=cfg.seed))
-    reports.append(general_case_ledger(exact=cfg.exact))
-    for rep in reports:
-        for s in rep.steps:
-            checks.append(({"id": f"{rep.name}:{s.id}", "anchor": s.anchor,
-                            "verdict": "pass" if s.verdict != FAIL else "fail",
-                            "residual": s.residual}, round(s.runtime_s, 6)))
-    return checks
+def hypersurface_suite(cfg: RunConfig) -> LedgerReport:
+    return _codazzi_probe(cfg)[1]
+
+
+def obstruction_suite(cfg: RunConfig) -> LedgerReport:
+    """Every replay, its steps named ``<report>:<step>`` and without witnesses."""
+    rep = LedgerReport("obstruction")
+    for replay_fn in REPLAYS.values():
+        ledger = replay_fn(cfg, cfg.exact)
+        rep.steps += [replace(s, id=f"{ledger.name}:{s.id}", witness={})
+                      for s in ledger.steps]
+    return rep
 
 
 SUITE_RUNNERS = {
@@ -235,86 +243,58 @@ SUITE_RUNNERS = {
     "hypersurface": hypersurface_suite,
     "obstruction": obstruction_suite,
 }
+SUITES = (*SUITE_RUNNERS, "all")
 
 
 # ---------------------------------------------------------------------------
 # run / replay / probe / summarize
 # ---------------------------------------------------------------------------
 
+def _header(cfg: RunConfig, runtimes: dict[str, float]) -> dict:
+    """Seed and config, plus all that varies between identical runs: time stamp, runtimes."""
+    return {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "seed": cfg.seed,
+            "config": {**asdict(cfg), "dims": [list(d) for d in cfg.dims]},
+            "runtimes_s": {k: round(v, 6) for k, v in runtimes.items()}}
+
+
 def run(cfg: RunConfig) -> tuple[int, dict]:
     suites = list(SUITE_RUNNERS) if "all" in cfg.suites else cfg.suites
-    pairs: list[tuple[dict, float]] = []
-    for name in suites:
-        pairs.extend(SUITE_RUNNERS[name](cfg))
-    pairs.sort(key=lambda p: p[0]["id"])
-    checks = [c for c, _ in pairs]
-    report = {
-        "schema_version": SCHEMA_VERSION,
-        "header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-                   "seed": cfg.seed,
-                   "config": {**asdict(cfg), "dims": [list(d) for d in cfg.dims]},
-                   "runtimes_s": {c["id"]: rt for c, rt in pairs}},
-        "checks": checks,
-    }
+    steps = sorted((s for name in suites for s in SUITE_RUNNERS[name](cfg).steps),
+                   key=lambda s: s.id)
+    checks = []
+    for s in steps:
+        entry = {**s.to_json(), "verdict": "pass" if s.verdict != FAIL else "fail"}
+        if not s.witness:
+            del entry["witness"]
+        checks.append(entry)
+    report = {"schema_version": SCHEMA_VERSION,
+              "header": _header(cfg, {s.id: s.runtime_s for s in steps}),
+              "checks": checks}
     failed = [c for c in checks if c["verdict"] == "fail"]
     return (1 if failed else 0), report
 
 
 def replay(step: str, cfg: RunConfig) -> tuple[int, dict]:
-    g24 = DamekRicci.from_dims(2, 4)
-    runners = {
-        "no-v": lambda: replay_no_v(g24),
-        "no-a": lambda: replay_no_a(g24, CurvatureContext(g24), seed=cfg.seed),
-        "no-z": lambda: replay_no_z(2, 4, seed=cfg.seed),
-        "dimension-cases": _dimension_cases_report,
-        "octonion": lambda: replay_octonion_case(seed=cfg.seed),
-        "quarter-jcompat": lambda: replay_quarter_eigenspace_jcompat(seed=cfg.seed),
-        "general-ledger": lambda: general_case_ledger(exact=True),
-        "p-annihilation": lambda: replay_p_space_annihilation(seed=cfg.seed),
-    }
-    names = list(runners) if step == "all" else [step]
-    unknown = [n for n in names if n not in runners]
+    names = list(REPLAYS) if step == "all" else [step]
+    unknown = [n for n in names if n not in REPLAYS]
     if unknown:
         raise ValueError(f"unknown replay step(s) {unknown}; choose from {REPLAY_STEPS}")
-    reports = [runners[n]() for n in names]
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "seed": cfg.seed,
-                   "config": {**asdict(cfg), "dims": [list(d) for d in cfg.dims]}},
-        "replays": [r.to_json() for r in reports],
-    }
-    ok = all(r.passed for r in reports)
-    return (0 if ok else 1), payload
-
-
-def _dimension_cases_report() -> LedgerReport:
-    from .obstruction import LedgerStep
-    rep = LedgerReport("dimension-cases")
-    t0 = time.perf_counter()
-    cases = enumerate_dimension_cases()
-    expected = [(5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
-    rep.add(LedgerStep("enumeration", "dimension-enumeration",
-                       "exact-pass" if cases == expected else "fail",
-                       None, {"cases": cases}, time.perf_counter() - t0))
-    return rep
+    reports = [REPLAYS[n](cfg, True) for n in names]
+    payload = {"schema_version": SCHEMA_VERSION,
+               "header": _header(cfg, {f"{r.name}:{s.id}": s.runtime_s
+                                       for r in reports for s in r.steps}),
+               "replays": [r.to_json() for r in reports]}
+    return (0 if all(r.passed for r in reports) else 1), payload
 
 
 def probe(cfg: RunConfig) -> tuple[int, dict]:
-    from .hypersurface import probe_codazzi_floor
-    g = DamekRicci.from_dims(2, 4)
-    ctx = CurvatureContext(g)
-    c_grid = np.arange(-2.0, 0.0 + 1e-12, cfg.c_grid_step)
-    out = probe_codazzi_floor(g, ctx, n_frames=cfg.probe_frames, c_grid=c_grid,
-                              seed=cfg.seed, jobs=cfg.jobs)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "header": {"timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"), "seed": cfg.seed,
-                   "config": {**asdict(cfg), "dims": [list(d) for d in cfg.dims]}},
-        "probe": {"floor": out["floor"], "floor_info": out["floor_info"],
-                  "candidates": out["candidates"], "frames": out["frames"],
-                  "per_frame_min": out["per_frame_min"]},
-    }
-    return (0 if out["floor"] > 1e-6 else 1), payload
+    out, rep = _codazzi_probe(cfg)
+    payload = {"schema_version": SCHEMA_VERSION,
+               "header": _header(cfg, {s.id: s.runtime_s for s in rep.steps}),
+               "probe": {"floor": out["floor"], "floor_info": out["floor_info"],
+                         "candidates": out["candidates"], "frames": out["frames"],
+                         "per_frame_min": out["per_frame_min"]}}
+    return (0 if rep.passed else 1), payload
 
 
 def summarize(paths: list[str], as_csv: bool = False) -> str:
@@ -398,6 +378,7 @@ def _parse_dims(text: str) -> list[tuple[int, int]]:
 def _config_from_args(args) -> RunConfig:
     overrides = {"seed": args.seed, "tol": args.tol, "exact": args.exact,
                  "out": args.out,
+                 "suites": [args.suite] if "suite" in args else None,
                  "probe_frames": getattr(args, "frames", None),
                  "jobs": getattr(args, "jobs", None)}
     if getattr(args, "dims", None) is not None:
@@ -440,23 +421,8 @@ def main(argv: list[str] | None = None) -> int:
     p_sum.add_argument("--out", default=None)
 
     args = parser.parse_args(argv)
+    commands = {"verify": run, "replay": lambda cfg: replay(args.step, cfg), "probe": probe}
     try:
-        if args.command == "verify":
-            cfg = _config_from_args(args)
-            cfg.suites = [args.suite]
-            status, payload = run(cfg)
-            _emit(payload, cfg.out)
-            return status
-        if args.command == "replay":
-            cfg = _config_from_args(args)
-            status, payload = replay(args.step, cfg)
-            _emit(payload, cfg.out)
-            return status
-        if args.command == "probe":
-            cfg = _config_from_args(args)
-            status, payload = probe(cfg)
-            _emit(payload, cfg.out)
-            return status
         if args.command == "summarize":
             text = summarize(args.reports, as_csv=args.csv)
             if args.out:
@@ -464,10 +430,13 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(text, end="")
             return 0
+        cfg = _config_from_args(args)
+        status, payload = commands[args.command](cfg)
+        _emit(payload, cfg.out)
+        return status
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 0
 
 
 if __name__ == "__main__":

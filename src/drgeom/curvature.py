@@ -33,11 +33,7 @@ class CurvatureContext:
                 ej = g.basis_vector(j)
                 self.nabla_tensor[i, j] = nabla(self, ei, ej).flat()
                 self.bracket_tensor[i, j] = g.bracket(ei, ej).flat()
-        nb = self.nabla_tensor
-        # R(e_a, e_b) e_c = nab_a nab_b e_c - nab_b nab_a e_c - nab_[a,b] e_c
-        r3 = (np.einsum("bcd,ade->abce", nb, nb)
-              - np.einsum("acd,bde->abce", nb, nb)
-              - np.einsum("abd,dce->abce", self.bracket_tensor, nb))
+        r3 = curvature_from_connection(self.nabla_tensor, self.bracket_tensor)
         self.riemann_tensor = r3  # index: [a, b, c, out]
         self.ricci = np.einsum("abca->bc", r3)
 
@@ -170,6 +166,7 @@ def koszul_connection(bracket_tensor: np.ndarray) -> np.ndarray:
 
 def curvature_from_connection(nabla_tensor: np.ndarray,
                               bracket_tensor: np.ndarray) -> np.ndarray:
+    """R(e_a, e_b) e_c = nab_a nab_b e_c - nab_b nab_a e_c - nab_[a,b] e_c."""
     nb = nabla_tensor
     return (np.einsum("bcd,ade->abce", nb, nb)
             - np.einsum("acd,bde->abce", nb, nb)

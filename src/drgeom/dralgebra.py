@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .clifford import CliffordModule, build_module, is_symmetric_space, j_op
+from .numkernel import complete_basis
 
 
 @dataclass(frozen=True)
@@ -114,18 +115,7 @@ class DamekRicci:
         ny = np.linalg.norm(y)
         if ny == 0:
             raise ValueError("Y must be nonzero")
-        cols = [y / ny]
-        for i in range(self.d_z):
-            w = np.zeros(self.d_z)
-            w[i] = 1.0
-            for b in cols:
-                w = w - (b @ w) * b
-            nw = np.linalg.norm(w)
-            if nw > 1e-10:
-                cols.append(w / nw)
-            if len(cols) == self.d_z:
-                break
-        return np.column_stack(cols[1:]) if len(cols) > 1 else np.zeros((self.d_z, 0))
+        return complete_basis(self.d_z, (y / ny)[:, None])
 
     def k_operator(self, v: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """K_{V,Y} on Y-perp in the center: (matrix in basis, basis columns)."""

@@ -28,8 +28,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .curvature import CurvatureContext
-from .numkernel import MPoly, eig_sym
-from .spectrum import NormalFrame, _complete_basis, random_frame
+from .numkernel import MPoly, complete_basis, eig_sym
+from .spectrum import NormalFrame, random_frame
 
 QUADRATIC_TOL = 1e-10
 
@@ -64,7 +64,7 @@ class _Eigenframe:
     def __init__(self, frame: NormalFrame, ctx: CurvatureContext,
                  h_bound: float = 60.0, h_samples: int = 2400,
                  max_enumeration_dim: int = 16):
-        perp = _complete_basis(frame.g.dim, frame.xi[:, None])
+        perp = complete_basis(frame.g.dim, frame.xi[:, None])
         dec = eig_sym(perp.T @ ctx.jacobi(frame.xi) @ perp)
         self.alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
         mults = [len(c) for c in dec.clusters]

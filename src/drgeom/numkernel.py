@@ -76,6 +76,27 @@ def _deterministic_cluster_basis(vecs: np.ndarray) -> np.ndarray:
     return np.column_stack(basis)
 
 
+def complete_basis(n: int, cols: np.ndarray) -> np.ndarray:
+    """Deterministic orthonormal completion of orthonormal columns in R^n.
+
+    Gram-Schmidt over the coordinate axes; returns only the new columns,
+    an (n, 0) block when ``cols`` already spans R^n.
+    """
+    basis = [cols[:, i] for i in range(cols.shape[1])]
+    for i in range(n):
+        if len(basis) == n:
+            break
+        w = np.zeros(n)
+        w[i] = 1.0
+        for b in basis:
+            w -= (b @ w) * b
+        nw = np.linalg.norm(w)
+        if nw > 1e-10:
+            basis.append(w / nw)
+    new = basis[cols.shape[1]:]
+    return np.column_stack(new) if new else np.zeros((n, 0))
+
+
 def eig_sym(m: np.ndarray, sym_tol: float = SYM_TOL,
             cluster_tol: float = CLUSTER_TOL) -> EigenDecomposition:
     """Spectral decomposition of a symmetric matrix, rejecting asymmetry."""

@@ -29,7 +29,9 @@ INFO = "info"
 
 
 @dataclass(frozen=True)
-class LedgerStep:
+class Check:
+    """One recorded check: a ledger step or a suite check."""
+
     id: str
     anchor: str
     verdict: str
@@ -38,24 +40,42 @@ class LedgerStep:
     runtime_s: float = 0.0
 
     def to_json(self) -> dict:
+        """The deterministic payload; the runtime belongs in a report header."""
         return {"id": self.id, "anchor": self.anchor, "verdict": self.verdict,
-                "residual": self.residual, "witness": _jsonable(self.witness),
-                "runtime_s": round(self.runtime_s, 6)}
+                "residual": self.residual, "witness": _jsonable(self.witness)}
 
 
 @dataclass
 class LedgerReport:
-    name: str
-    steps: list[LedgerStep] = field(default_factory=list)
+    """Checks in the order recorded, timed by one lap clock.
 
-    def add(self, step: LedgerStep):
-        self.steps.append(step)
+    The clock starts when the report is created and each recorded check is
+    charged the time since the previous one, so the step runtimes add up to
+    the report's wall time from creation to its last check.
+    """
+
+    name: str
+    steps: list[Check] = field(default_factory=list)
+    _last: float = field(init=False, default=0.0, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._lap()
+
+    def _lap(self) -> float:
+        now = time.perf_counter()
+        elapsed, self._last = now - self._last, now
+        return elapsed
+
+    def record(self, step_id: str, anchor: str, ok: bool, exact: bool,
+               residual: float | None = None, **witness):
+        verdict = (EXACT if exact else NUMERIC) if ok else FAIL
+        self.steps.append(Check(step_id, anchor, verdict, residual, witness, self._lap()))
 
     @property
     def passed(self) -> bool:
         return all(s.verdict != FAIL for s in self.steps)
 
-    def step(self, step_id: str) -> LedgerStep:
+    def step(self, step_id: str) -> Check:
         for s in self.steps:
             if s.id == step_id:
                 return s
@@ -82,13 +102,6 @@ def _jsonable(obj):
     return obj
 
 
-def _step(report: LedgerReport, step_id: str, anchor: str, t0: float,
-          ok: bool, exact: bool, residual: float | None = None, **witness):
-    verdict = (EXACT if exact else NUMERIC) if ok else FAIL
-    report.add(LedgerStep(step_id, anchor, verdict, residual, witness,
-                          time.perf_counter() - t0))
-
-
 # ---------------------------------------------------------------------------
 # special case: no v-component  (normal inside z + RA is impossible because
 # the leaf is the nilpotent group, which is never Einstein)
@@ -97,18 +110,16 @@ def _step(report: LedgerReport, step_id: str, anchor: str, t0: float,
 def replay_no_v(g: DamekRicci) -> LedgerReport:
     """Nilpotent-leaf obstruction: Ricci of the Heisenberg-type group splits sign."""
     rep = LedgerReport(f"no-v-component({g.d_z},{g.d_v})")
-    t0 = time.perf_counter()
     res = ricci_heisenberg(g.module)
-    _step(rep, "nilpotent-ricci-split", "nilpotent-non-einstein", t0,
-          res["sign_split"], exact=False, residual=res["offdiag"],
-          eigs_v=[float(x) for x in res["eigs_v"]],
-          eigs_z=[float(x) for x in res["eigs_z"]])
-    t0 = time.perf_counter()
+    rep.record("nilpotent-ricci-split", "nilpotent-non-einstein",
+               res["sign_split"], exact=False, residual=res["offdiag"],
+               eigs_v=[float(x) for x in res["eigs_v"]],
+               eigs_z=[float(x) for x in res["eigs_z"]])
     flat = ricci_heisenberg(np.zeros_like(g.module.generators))
-    _step(rep, "abelian-control-flat", "nilpotent-non-einstein", t0,
-          flat["flat"], exact=False,
-          residual=float(max(np.max(np.abs(flat["eigs_v"]), initial=0),
-                             np.max(np.abs(flat["eigs_z"]), initial=0))))
+    rep.record("abelian-control-flat", "nilpotent-non-einstein",
+               flat["flat"], exact=False,
+               residual=float(max(np.max(np.abs(flat["eigs_v"]), initial=0),
+                                  np.max(np.abs(flat["eigs_z"]), initial=0))))
     return rep
 
 
@@ -128,13 +139,11 @@ def replay_no_a(g: DamekRicci, ctx: CurvatureContext, samples: int = 12,
     rep = LedgerReport(f"no-a-component({g.d_z},{g.d_v})")
     rng = np.random.default_rng(seed)
 
-    t0 = time.perf_counter()
     nab_a = float(np.max(np.abs(ctx.nabla_tensor[g.ia])))
-    _step(rep, "a-derivative-vanishes", "shape-from-tangency", t0,
-          nab_a <= 1e-14, exact=False, residual=nab_a)
+    rep.record("a-derivative-vanishes", "shape-from-tangency",
+               nab_a <= 1e-14, exact=False, residual=nab_a)
 
     # one sampling loop serves both formulas; its time goes to the first step
-    t0 = time.perf_counter()
     worst_sa = worst_c = 0.0
     for _ in range(samples):
         v = rng.standard_normal(g.d_v)
@@ -152,15 +161,13 @@ def replay_no_a(g: DamekRicci, ctx: CurvatureContext, samples: int = 12,
         raa = float(jacobi_apply(g, g.from_flat(xi), g.a_vector()).a)
         c_val = raa + float(sa @ sa)
         worst_c = max(worst_c, abs(c_val - (-0.25 * (2.0 - vsq) ** 2)))
-    _step(rep, "shape-of-a-formula", "shape-from-tangency", t0,
-          worst_sa <= 1e-12, exact=False, residual=worst_sa, samples=samples)
-    t0 = time.perf_counter()
-    _step(rep, "einstein-difference-formula", "jacobi-evaluation", t0,
-          worst_c <= 1e-10, exact=False, residual=worst_c, samples=samples,
-          derivative_consequence="A(|V|^2) = -|Y|^2 |V|^2, so |V| constant forces Y = 0")
+    rep.record("shape-of-a-formula", "shape-from-tangency",
+               worst_sa <= 1e-12, exact=False, residual=worst_sa, samples=samples)
+    rep.record("einstein-difference-formula", "jacobi-evaluation",
+               worst_c <= 1e-10, exact=False, residual=worst_c, samples=samples,
+               derivative_consequence="A(|V|^2) = -|Y|^2 |V|^2, so |V| constant forces Y = 0")
 
     # Y = 0 sub-case: xi = V unit, SZ = J_Z V / 2, Gauss vs curvature gap
-    t0 = time.perf_counter()
     worst_sz = 0.0
     worst_gap = 0.0
     for _ in range(samples):
@@ -177,9 +184,9 @@ def replay_no_a(g: DamekRicci, ctx: CurvatureContext, samples: int = 12,
         curv = g.inner(jacobi_apply(g, xi_vec, g.vec(z=z)), g.vec(z=z))
         gauss = -float(sz @ sz) + (-0.25)  # H<SZ,Z> = 0, C = -1/4
         worst_gap = max(worst_gap, abs((gauss - curv) - (-0.25)))
-    _step(rep, "center-direction-gap", "gauss-vs-curvature-clash", t0,
-          worst_gap <= 1e-12 and worst_sz <= 1e-12, exact=False,
-          residual=max(worst_gap, worst_sz), gap=-0.25)
+    rep.record("center-direction-gap", "gauss-vs-curvature-clash",
+               worst_gap <= 1e-12 and worst_sz <= 1e-12, exact=False,
+               residual=max(worst_gap, worst_sz), gap=-0.25)
     return rep
 
 
@@ -211,7 +218,6 @@ def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
     if s_grid is None:
         s_grid = [Fraction(i, 50) for i in range(1, 50)]
 
-    t0 = time.perf_counter()
     bad: list[dict] = []
     for s in s_grid:
         s2 = s * s
@@ -228,18 +234,16 @@ def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
         # re-derived bound: any real solution exceeds (1+d_z+d_v)/3 or is negative
         if not (d2 > Fraction(1 + d_z + d_v, 3) if den > 0 else d2 < 0):
             bad.append({"s": s, "d2": d2, "bound": "violated"})
-    _step(rep, "trace-identity-scan", "principal-curvature-count", t0,
-          not bad, exact=True, grid_points=len(s_grid), violations=bad)
+    rep.record("trace-identity-scan", "principal-curvature-count",
+               not bad, exact=True, grid_points=len(s_grid), violations=bad)
 
-    t0 = time.perf_counter()
     s2 = Fraction(1, 3)
     # rho_1 - rho_2 = (3 s^2 - 1)/(2 s): vanishes identically at s^2 = 1/3
     diff_num = 3 * s2 - 1
-    _step(rep, "equal-roots-at-one-third", "principal-curvature-count", t0,
-          diff_num == 0, exact=True, witness_value=diff_num)
+    rep.record("equal-roots-at-one-third", "principal-curvature-count",
+               diff_num == 0, exact=True, witness_value=diff_num)
 
     # numeric eigenvector certificates for the forced shape operator
-    t0 = time.perf_counter()
     g = DamekRicci.from_dims(d_z, d_v)
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -267,8 +271,8 @@ def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
             se2 = vf * s_z - sf * s_jzv
             r2 = float(np.max(np.abs(se2 - float(cst["rho_1"]) * e2)))
             worst = max(worst, sym, r1, r2)
-    _step(rep, "forced-shape-eigenvectors", "shape-from-tangency", t0,
-          worst <= 1e-10, exact=False, residual=worst)
+    rep.record("forced-shape-eigenvectors", "shape-from-tangency",
+               worst <= 1e-10, exact=False, residual=worst)
     return rep
 
 
@@ -293,6 +297,15 @@ def enumerate_dimension_cases(max_dv: int = 64) -> list[tuple[int, int]]:
             if dm1 >= 2 and dm1 % 2 == 0:
                 out.append((d_z, d_v))
     return sorted(out)
+
+
+def replay_dimension_cases() -> LedgerReport:
+    """The enumeration leaves exactly the five cases the argument treats."""
+    rep = LedgerReport("dimension-cases")
+    cases = enumerate_dimension_cases()
+    rep.record("enumeration", "dimension-enumeration",
+               cases == [(5, 8), (6, 8), (7, 8), (7, 16), (8, 16)], exact=True, cases=cases)
+    return rep
 
 
 # ---------------------------------------------------------------------------
@@ -320,12 +333,10 @@ def replay_octonion_case(n_samples: int = 20, seed: int = 0) -> LedgerReport:
     g = DamekRicci.from_dims(8, 16)
     rng = np.random.default_rng(seed)
 
-    t0 = time.perf_counter()
     required = 2 * 8 - 16 // 2 - 4
-    _step(rep, "required-kernel-dimension", "dimension-identity", t0,
-          required == 4, exact=True, required=required)
+    rep.record("required-kernel-dimension", "dimension-identity",
+               required == 4, exact=True, required=required)
 
-    t0 = time.perf_counter()
     dims = []
     for _ in range(n_samples):
         vsq = rng.uniform(0.2, 0.7)
@@ -337,12 +348,11 @@ def replay_octonion_case(n_samples: int = 20, seed: int = 0) -> LedgerReport:
         _, info = g.k_square_minus1_space(frame_v, y)
         dims.append(info["dim"])
     all6 = all(d == 6 for d in dims)
-    _step(rep, "kernel-dimension-samples", "octonion-center-mismatch", t0,
-          all6 and required != 6, exact=False, residual=0.0,
-          observed=dims, required=required, samples=n_samples)
+    rep.record("kernel-dimension-samples", "octonion-center-mismatch",
+               all6 and required != 6, exact=False, residual=0.0,
+               observed=dims, required=required, samples=n_samples)
 
     # the substituted second center vector solves both defining equations
-    t0 = time.perf_counter()
     worst = 0.0
     imag_equiv = 0.0
     for _ in range(8):
@@ -363,18 +373,17 @@ def replay_octonion_case(n_samples: int = 20, seed: int = 0) -> LedgerReport:
                     np.max(np.abs((zo * v2).coords - (zp * v1).coords)),
                     abs(zp.norm() - 1.0), abs(float(zp.coords @ z)))
         imag_equiv = max(imag_equiv, abs(zp.real))
-    _step(rep, "substituted-kernel-vector", "octonion-center-mismatch", t0,
-          worst <= 1e-12 and imag_equiv <= 1e-12, exact=False,
-          residual=max(worst, imag_equiv))
+    rep.record("substituted-kernel-vector", "octonion-center-mismatch",
+               worst <= 1e-12 and imag_equiv <= 1e-12, exact=False,
+               residual=max(worst, imag_equiv))
 
-    t0 = time.perf_counter()
     try:
         bad_v = np.concatenate([np.ones(8), 2 * np.ones(8)]) / 10.0
         _octonion_check_admissible(bad_v)
         ok = False
     except ValueError:
         ok = True
-    _step(rep, "degenerate-v-rejected", "octonion-center-mismatch", t0, ok, exact=True)
+    rep.record("degenerate-v-rejected", "octonion-center-mismatch", ok, exact=True)
     return rep
 
 
@@ -464,18 +473,16 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     e = quarter_compat_element()
 
     # (a) scalar S' = tau id forces equal principal curvatures
-    t0 = time.perf_counter()
     tau, lam1, lam2 = MPoly.symbols("tau lam1 lam2")
     eq1 = 1 + 4 * tau ** 2 - 4 * lam1 * tau
     eq2 = 1 + 4 * tau ** 2 - 4 * lam2 * tau
     diff_ok = (eq1 - eq2) == 4 * tau * (lam2 - lam1)
     tau_zero_value = eq1.substitute("tau", 0)
-    _step(rep, "scalar-shape-branch", "quarter-compat", t0,
-          diff_ok and tau_zero_value == MPoly.constant(1, eq1.variables).embed(eq1.variables),
-          exact=True)
+    rep.record("scalar-shape-branch", "quarter-compat",
+               diff_ok and tau_zero_value == MPoly.constant(1, eq1.variables).embed(eq1.variables),
+               exact=True)
 
     # (b) commuting branch: reduce modulo S'J = JS' and the S' quadratic
-    t0 = time.perf_counter()
     small = c + Fraction(1, 4)
     # e with S'JS' -> (C + 1/4) J + H JS' and S'J -> JS'
     j_coeff = e.c[0] + small * e.c[3]
@@ -487,11 +494,10 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     quad = lam ** 2 - h * lam - (c + 1)
     contradiction = quad.substitute("lam", h).substitute("C", Fraction(-1, 2))
     branch_b_ok = branch_b_ok and contradiction == MPoly.constant(Fraction(-1, 2), quad.variables).embed(quad.variables)
-    _step(rep, "commuting-shape-branch", "quarter-compat", t0, branch_b_ok, exact=True)
+    rep.record("commuting-shape-branch", "quarter-compat", branch_b_ok, exact=True)
 
     # (c) the multiplier chain: S' e reduced by e gives the printed combination,
     # and adding the transpose yields 2 (H lam + 2C)(JS' - S'J)
-    t0 = time.perf_counter()
     x = e.lmul_s()
     x = (x - e.scale(x.c[3] / 4)).reduce_lam()
     target = _SWord(j=-(2 * c * lam + h), sj=-(h * lam + c), js=h * lam + 3 * c)
@@ -499,10 +505,9 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     y = (x + x.transpose()).reduce_lam()
     target2 = _SWord(js=2 * (h * lam + 2 * c), sj=-2 * (h * lam + 2 * c))
     step_c2 = (y - target2).reduce_lam().is_zero
-    _step(rep, "multiplier-chain", "quarter-compat", t0, step_c1 and step_c2, exact=True)
+    rep.record("multiplier-chain", "quarter-compat", step_c1 and step_c2, exact=True)
 
     # (d) H = C = 0 branch: (S' - lam/2) J (S' - lam/2) = e/4
-    t0 = time.perf_counter()
     half_lam = lam / 2
     f = _SWord(j=1).lmul_s().rmul_s() \
         - _SWord(j=1).lmul_s().scale(half_lam) \
@@ -511,11 +516,10 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     diff = (f - e.scale(Fraction(1, 4))).reduce_lam()
     # at H = C = 0 (lam^2 = 1, S'^2 = 1/4)
     at_hc0 = [p.substitute("H", 0).substitute("C", 0) for p in diff.c]
-    _step(rep, "isotropy-factorization", "quarter-compat", t0,
-          all(p.is_zero for p in at_hc0), exact=True)
+    rep.record("isotropy-factorization", "quarter-compat",
+               all(p.is_zero for p in at_hc0), exact=True)
 
     # quaternionic triple induced by the curvature tensor on (5,8)
-    t0 = time.perf_counter()
     g = DamekRicci.from_dims(5, 8)
     ctx = CurvatureContext(g)
     from .spectrum import random_frame
@@ -532,31 +536,28 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     tri_res = min(float(np.max(np.abs(triple - np.eye(dim_q)))),
                   float(np.max(np.abs(triple + np.eye(dim_q)))))
     trace_gap = abs(abs(float(np.trace(triple))) - dim_q)  # a subspace swap has trace 0
-    _step(rep, "quaternionic-triple", "curvature-complex-structures", t0,
-          worst <= 1e-11 and tri_res <= 1e-11 and trace_gap <= 1e-9,
-          exact=False, residual=max(worst, tri_res),
-          triple_trace=float(np.trace(triple)), dim=dim_q)
+    rep.record("quaternionic-triple", "curvature-complex-structures",
+               worst <= 1e-11 and tri_res <= 1e-11 and trace_gap <= 1e-9,
+               exact=False, residual=max(worst, tri_res),
+               triple_trace=float(np.trace(triple)), dim=dim_q)
 
     # per-structure isotropic planes exist but are incompatible with the triple
-    t0 = time.perf_counter()
     iso = _isotropic_plane_witness(gs)
-    _step(rep, "isotropic-plane-witness", "curvature-complex-structures", t0,
-          iso["single_ok"] and not iso["simultaneous"], exact=False,
-          residual=iso["single_residual"], cross_pairing=iso["cross_pairing"])
+    rep.record("isotropic-plane-witness", "curvature-complex-structures",
+               iso["single_ok"] and not iso["simultaneous"], exact=False,
+               residual=iso["single_residual"], cross_pairing=iso["cross_pairing"])
 
     # (6,8) block structure of the induced skew forms
-    t0 = time.perf_counter()
     g6 = DamekRicci.from_dims(6, 8)
     ctx6 = CurvatureContext(g6)
     frame6 = random_frame(g6, rng)
     lm1_6, lq6 = quarter_structure_bases(frame6)
     block = _six_eight_block_check(frame6, ctx6, lm1_6, lq6)
-    _step(rep, "kernel-direction-block-form", "curvature-complex-structures", t0,
-          block["ok"], exact=False, residual=block["residual"],
-          singular_values=block["profile"])
+    rep.record("kernel-direction-block-form", "curvature-complex-structures",
+               block["ok"], exact=False, residual=block["residual"],
+               singular_values=block["profile"])
 
     # lambda bound chain and the two squaring chains
-    t0 = time.perf_counter()
     chain_ok = True
     worst_cert = True
     for qq in [Fraction(k, 100) for k in (1, 8, 12, 20, 24)]:
@@ -572,18 +573,16 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
         worst_cert &= bool(r["certificate"])
         # biggest root inside (-q, 0) exactly
         chain_ok &= (l3 > -qq)
-    _step(rep, "principal-curvature-bound-chain", "cubic-root-chain", t0,
-          chain_ok and worst_cert, exact=True)
+    rep.record("principal-curvature-bound-chain", "cubic-root-chain",
+               chain_ok and worst_cert, exact=True)
 
-    t0 = time.perf_counter()
     sq = _squaring_chains_exact()
-    _step(rep, "squaring-chains", "cubic-root-chain", t0, sq["ok"], exact=True)
+    rep.record("squaring-chains", "cubic-root-chain", sq["ok"], exact=True)
 
     if run_minimization:
-        t0 = time.perf_counter()
         floor = _compat_residual_floor(gs, seed)
-        _step(rep, "residual-floor-minimization", "quarter-compat", t0,
-              floor > 1e-2, exact=False, residual=floor, seed=seed)
+        rep.record("residual-floor-minimization", "quarter-compat",
+                   floor > 1e-2, exact=False, residual=floor, seed=seed)
     return rep
 
 
@@ -980,37 +979,32 @@ def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
     """
     rep = LedgerReport("general-case-ledger")
     if exact:
-        t0 = time.perf_counter()
         r1 = product_identity_reduction()
-        _step(rep, "product-identity-reduction", "two-eigenvalue-shape-relation",
-              t0, r1["ok"], exact=True,
-              A2=r1["A2"], A1=r1["A1"], A0=r1["A0"], lam_free=r1["lam_free"])
+        rep.record("product-identity-reduction", "two-eigenvalue-shape-relation",
+                   r1["ok"], exact=True,
+                   A2=r1["A2"], A1=r1["A1"], A0=r1["A0"], lam_free=r1["lam_free"])
 
-        t0 = time.perf_counter()
         r3 = cyclic_sum_vanishing()
-        _step(rep, "cyclic-sum-vanishing", "commuting-kernel-branch", t0,
-              r3["ok"], exact=True, divisible_by_locus=r3["divisible_by_locus"],
-              relations_used=r3["relations_used"])
+        rep.record("cyclic-sum-vanishing", "commuting-kernel-branch",
+                   r3["ok"], exact=True, divisible_by_locus=r3["divisible_by_locus"],
+                   relations_used=r3["relations_used"])
 
-        t0 = time.perf_counter()
         r4 = psi_coprimality_samples()
-        _step(rep, "poly-coprimality", "commuting-kernel-branch", t0,
-              r4["ok"], exact=True,
-              n_samples=len(r4["samples"]),
-              min_abs_res_psi=str(min(abs(s["res_psi"]) for s in r4["samples"])))
+        rep.record("poly-coprimality", "commuting-kernel-branch",
+                   r4["ok"], exact=True,
+                   n_samples=len(r4["samples"]),
+                   min_abs_res_psi=str(min(abs(s["res_psi"]) for s in r4["samples"])))
 
-    t0 = time.perf_counter()
     r2 = leading_coefficient_positivity()
-    _step(rep, "leading-coefficient-positivity", "two-eigenvalue-shape-relation",
-          t0, r2["ok"], exact=False, residual=None,
-          grid_min=r2["grid_min"], spot=r2["spot"], hypothesis=r2["hypothesis"])
+    rep.record("leading-coefficient-positivity", "two-eigenvalue-shape-relation",
+               r2["ok"], exact=False, residual=None,
+               grid_min=r2["grid_min"], spot=r2["spot"], hypothesis=r2["hypothesis"])
 
-    t0 = time.perf_counter()
     r5 = final_positivity_analysis(grid)
-    _step(rep, "final-positivity", "final-positivity", t0,
-          r5["positive_on_open_region"] and r5["spot_ok"], exact=True,
-          closure_min=r5["closure_min"], grid_min=r5["grid_min"],
-          grid_argmin=r5["grid_argmin"], spot=r5["spot_half_quarter"])
+    rep.record("final-positivity", "final-positivity",
+               r5["positive_on_open_region"] and r5["spot_ok"], exact=True,
+               closure_min=r5["closure_min"], grid_min=r5["grid_min"],
+               grid_argmin=r5["grid_argmin"], spot=r5["spot_half_quarter"])
     return rep
 
 
@@ -1042,7 +1036,6 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
         kz = frame.k_apply(z)
         ny = float(np.linalg.norm(frame.y))
         fz = (g.j_z(frame.y) @ g.j_z(z) @ g.j_z(kz)) / (float(z @ z) * ny)
-        t0 = time.perf_counter()
         sym_res = float(np.max(np.abs(fz - fz.T)))
         inv_res = float(np.max(np.abs(fz @ fz - np.eye(g.d_v))))
         vals = np.linalg.eigvalsh(0.5 * (fz + fz.T))
@@ -1054,25 +1047,23 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
                        for u in vecs_plus)
         ok = (sym_res <= 1e-11 and inv_res <= 1e-11 and spectrum_pm1 <= 1e-11
               and plus_res <= 1e-9 and plus_dim == g.d_v // 2)
-        _step(rep, f"involution-structure({dims[0]},{dims[1]})",
-              "center-involution", t0, ok, exact=False,
-              residual=max(sym_res, inv_res, plus_res),
-              plus_dim=plus_dim, expected_plus_dim=g.d_v // 2)
+        rep.record(f"involution-structure({dims[0]},{dims[1]})",
+                   "center-involution", ok, exact=False,
+                   residual=max(sym_res, inv_res, plus_res),
+                   plus_dim=plus_dim, expected_plus_dim=g.d_v // 2)
 
         if frame.d_p > 0:
-            t0 = time.perf_counter()
             w_res = 0.0
             jy = g.j_z(frame.y)
             for i in range(frame.d_p):
                 p_vec = frame.p_basis[:, i]
                 w = jy @ (g.j_z(z) @ p_vec) + ny * (g.j_z(kz) @ p_vec)
                 w_res = max(w_res, float(np.linalg.norm(w)))
-            _step(rep, f"annihilation-identity({dims[0]},{dims[1]})",
-                  "commutant-annihilation", t0, w_res <= 1e-9, exact=False,
-                  residual=w_res, d_p=frame.d_p)
+            rep.record(f"annihilation-identity({dims[0]},{dims[1]})",
+                       "commutant-annihilation", w_res <= 1e-9, exact=False,
+                       residual=w_res, d_p=frame.d_p)
 
         # the symmetry clash that forces W = 0 for any Einstein shape operator
-        t0 = time.perf_counter()
         clash_res = 0.0
         ysq = frame.ysq
         for _ in range(6):
@@ -1084,12 +1075,11 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
             plusside = g.inner(sjyw, g.vec(w)) - 0.5 * ysq * float(w @ w)
             minusside = g.inner(sw, g.vec(jyw)) + 0.5 * ysq * float(w @ w)
             clash_res = max(clash_res, abs(plusside), abs(minusside))
-        _step(rep, f"symmetry-clash({dims[0]},{dims[1]})",
-              "commutant-annihilation", t0, clash_res <= 1e-11, exact=False,
-              residual=clash_res, clash_coefficient=ysq)
+        rep.record(f"symmetry-clash({dims[0]},{dims[1]})",
+                   "commutant-annihilation", clash_res <= 1e-11, exact=False,
+                   residual=clash_res, clash_coefficient=ysq)
 
     # d_z = 3 with isomorphic summands: the involution collapses to the identity
-    t0 = time.perf_counter()
     g3 = DamekRicci.from_dims(3, 4)
     frame3 = random_frame(g3, rng)
     z = frame3.z_minus1[:, 0]
@@ -1098,7 +1088,7 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
     fz3 = (g3.j_z(frame3.y) @ g3.j_z(z) @ g3.j_z(kz)) / (float(z @ z) * ny)
     id_res = min(float(np.max(np.abs(fz3 - np.eye(4)))),
                  float(np.max(np.abs(fz3 + np.eye(4)))))
-    _step(rep, "involution-identity(3,4)", "center-involution", t0,
-          id_res <= 1e-11 and g3.symmetric, exact=False, residual=id_res,
-          flagged_symmetric=g3.symmetric)
+    rep.record("involution-identity(3,4)", "center-involution",
+               id_res <= 1e-11 and g3.symmetric, exact=False, residual=id_res,
+               flagged_symmetric=g3.symmetric)
     return rep

@@ -18,8 +18,8 @@ import numpy as np
 
 from .curvature import CurvatureContext
 from .dralgebra import DamekRicci
-from .numkernel import (MPoly, certified_brackets, cluster_indices, eig_sym,
-                        poly_eval_fraction)
+from .numkernel import (MPoly, certified_brackets, cluster_indices, complete_basis,
+                        eig_sym, poly_eval_fraction)
 
 CERT_TOL = 1e-9
 
@@ -36,22 +36,6 @@ def _orthonormalize(cols: list[np.ndarray], tol: float = 1e-10) -> np.ndarray:
     if not basis:
         return np.zeros((cols[0].shape[0] if cols else 0, 0))
     return np.column_stack(basis)
-
-
-def _complete_basis(n: int, cols: np.ndarray) -> np.ndarray:
-    """Deterministic orthonormal completion of the given columns."""
-    basis = [cols[:, i] for i in range(cols.shape[1])]
-    for i in range(n):
-        w = np.zeros(n)
-        w[i] = 1.0
-        for b in basis:
-            w -= (b @ w) * b
-        nw = np.linalg.norm(w)
-        if nw > 1e-10:
-            basis.append(w / nw)
-        if len(basis) == n:
-            break
-    return np.column_stack(basis[cols.shape[1]:])
 
 
 @dataclass(frozen=True)
@@ -149,10 +133,11 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float,
 
     if nv > 0 and ny > 0:
         k_matrix, k_basis = g.k_operator(v, y)
-        z_minus1, _ = g.k_square_minus1_space(v, y, cluster_tol)
         k2 = k_matrix @ k_matrix
         k2 = 0.5 * (k2 + k2.T)
         vals, vecs = np.linalg.eigh(k2)
+        # the columns k_square_minus1_space(v, y, cluster_tol) returns
+        z_minus1 = k_basis @ vecs[:, np.abs(vals + 1.0) <= cluster_tol]
         clusters = cluster_indices(list(vals), cluster_tol)
         mu_clusters = []
         for c in clusters:
@@ -344,7 +329,7 @@ def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext,
     if abs(float(frame.xi @ frame.xi) - 1.0) > 1e-9:
         raise ValueError("xi is not a unit vector")
     jac = ctx.jacobi(frame.xi)
-    perp = _complete_basis(g.dim, frame.xi[:, None])
+    perp = complete_basis(g.dim, frame.xi[:, None])
     jac_perp = perp.T @ jac @ perp
     dec = eig_sym(jac_perp)
 

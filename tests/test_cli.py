@@ -7,11 +7,14 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from drgeom.cli import RunConfig, load_config, main, run, summarize
+from drgeom.cli import REPLAYS, RunConfig, load_config, main, run, summarize
 
 
 def test_config_validation_rejects_inadmissible_dims():
@@ -70,12 +73,37 @@ def test_front_door_rejects_bad_flags(capsys, argv, expect):
 
 @pytest.mark.parametrize("field, value", [("c_grid_step", 0), ("c_grid_step", -0.1),
                                           ("c_grid_step", "0.1"), ("samples", 0),
-                                          ("samples", "a"), ("jobs", 0)])
+                                          ("samples", "a"), ("jobs", 0),
+                                          ("dims", [2]), ("dims", [[2]]),
+                                          ("seed", "x"), ("tol", -1)])
 def test_front_door_rejects_bad_config_numbers(tmp_path, capsys, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({field: value}))
     assert main(["probe", "hypersurface", "--config", str(path)]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.dictionaries(
+    st.sampled_from(["dims", "suites", "seed", "tol", "exact", "samples",
+                     "probe_frames", "c_grid_step", "jobs", "out", "frames"]),
+    _JSON | st.lists(st.lists(st.integers(-2, 40), max_size=3), max_size=3),
+    max_size=4))
+def test_load_config_returns_valid_config_or_raises_value_error(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "property-cfg.json"
+    path.write_text(json.dumps(data))
+    try:
+        cfg = load_config(str(path), {})
+    except ValueError:
+        return
+    cfg.validate()
 
 
 def test_replay_subcommand(tmp_path):
@@ -93,6 +121,37 @@ def test_replay_dimension_cases(tmp_path):
     payload = json.loads(out.read_text())
     step = payload["replays"][0]["steps"][0]
     assert step["witness"]["cases"] == [[5, 8], [6, 8], [7, 8], [7, 16], [8, 16]]
+    assert "runtime_s" not in step
+    assert list(payload["header"]["runtimes_s"]) == ["dimension-cases:enumeration"]
+
+
+@pytest.fixture(scope="module")
+def timed_replays():
+    cfg = RunConfig(seed=0, exact=False)
+    out = []
+    for replay_fn in REPLAYS.values():
+        t0 = time.perf_counter()
+        rep = replay_fn(cfg, cfg.exact)
+        out.append((rep, time.perf_counter() - t0))
+    return out
+
+
+def test_verify_obstruction_entries_are_the_registry_replays(timed_replays):
+    _, report = run(RunConfig(seed=0, exact=False, suites=["obstruction"]))
+    expected = sorted(({"id": f"{rep.name}:{s.id}", "anchor": s.anchor,
+                        "verdict": "pass" if s.verdict != "fail" else "fail",
+                        "residual": s.residual}
+                       for rep, _ in timed_replays for s in rep.steps),
+                      key=lambda c: c["id"])
+    assert report["checks"] == expected
+    assert list(report["header"]["runtimes_s"]) == [c["id"] for c in expected]
+
+
+def test_report_step_runtimes_add_up_within_wall_time(timed_replays):
+    for rep, wall in timed_replays:
+        runtimes = [s.runtime_s for s in rep.steps]
+        assert runtimes and all(rt > 0 for rt in runtimes), rep.name
+        assert sum(runtimes) <= wall, rep.name
 
 
 def test_report_determinism(tmp_path):

@@ -122,6 +122,36 @@ def test_k_square_full_kernel_on_octonionic_core():
     assert np.max(np.abs(k @ k + np.eye(6))) < 1e-11
 
 
+def _center_complement_loop(d_z, y):
+    # the Gram-Schmidt loop center_complement_basis ran before it called
+    # numkernel.complete_basis, kept as the reference
+    ny = np.linalg.norm(y)
+    cols = [y / ny]
+    for i in range(d_z):
+        w = np.zeros(d_z)
+        w[i] = 1.0
+        for b in cols:
+            w = w - (b @ w) * b
+        nw = np.linalg.norm(w)
+        if nw > 1e-10:
+            cols.append(w / nw)
+        if len(cols) == d_z:
+            break
+    return np.column_stack(cols[1:]) if len(cols) > 1 else np.zeros((d_z, 0))
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 4), (3, 4), (4, 8), (5, 8), (6, 8),
+                                  (7, 8), (8, 16)])
+def test_center_complement_basis_matches_reference_loop(dims):
+    g = DamekRicci.from_dims(*dims)
+    rng = np.random.default_rng(dims[0])
+    ys = [rng.standard_normal(g.d_z) for _ in range(5)] + [np.eye(g.d_z)[-1]]
+    for y in ys:
+        basis = g.center_complement_basis(y)
+        assert basis.shape == (g.d_z, g.d_z - 1)
+        assert np.array_equal(basis, _center_complement_loop(g.d_z, y))
+
+
 def test_k_square_minus1_space_quaternionic():
     g = DamekRicci.from_dims(3, 4)
     rng = np.random.default_rng(6)

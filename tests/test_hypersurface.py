@@ -57,8 +57,8 @@ def test_candidates_alpha_equals_c_gives_zero_and_h_roots(g24, ctx24):
     fr = random_frame(g24, rng)
     # pick C equal to one of the Jacobi eigenvalues: roots are {0, H}
     jac = ctx24.jacobi(fr.xi)
-    from drgeom.spectrum import _complete_basis
-    perp = _complete_basis(g24.dim, fr.xi[:, None])
+    from drgeom.numkernel import complete_basis
+    perp = complete_basis(g24.dim, fr.xi[:, None])
     vals = np.linalg.eigvalsh(perp.T @ jac @ perp)
     c_val = float(vals[0])
     for cand in shape_candidates(fr, ctx24, c_val):
@@ -329,10 +329,9 @@ def test_probe_serial_parallel_agree(g24, ctx24):
 # ---------------------------------------------------------------------------
 
 def _ref_eigenspace_data(frame, ctx, cluster_tol=1e-7):
-    from drgeom.numkernel import eig_sym
-    from drgeom.spectrum import _complete_basis
+    from drgeom.numkernel import complete_basis, eig_sym
     jac = ctx.jacobi(frame.xi)
-    perp = _complete_basis(frame.g.dim, frame.xi[:, None])
+    perp = complete_basis(frame.g.dim, frame.xi[:, None])
     dec = eig_sym(perp.T @ jac @ perp, cluster_tol=cluster_tol)
     alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
     mults = [len(c) for c in dec.clusters]

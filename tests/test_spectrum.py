@@ -66,6 +66,17 @@ def test_frame_dimension_identity(gctx, dims):
     assert g.d_v == fr.d_p + 2 * g.d_z - fr.d_minus1
 
 
+@pytest.mark.parametrize("dims", MODULES)
+def test_frame_z_minus1_is_k_square_minus1_space(gctx, dims):
+    # make_frame takes the (-1)-eigenspace from its own eigh of K^2
+    g, _ = gctx(*dims)
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        frame = random_frame(g, rng)
+        cols, _ = g.k_square_minus1_space(frame.v, frame.y)
+        assert np.array_equal(frame.z_minus1, cols)
+
+
 def test_frame_p_space_jy_invariant(gctx):
     g, _ = gctx(7, 16)
     rng = np.random.default_rng(2)
