@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -34,6 +35,8 @@ from .spectrum import random_frame, xi_spectrum
 
 SCHEMA_VERSION = 1
 DEFAULT_DIMS = [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
+# the probe scans C over [-2, 0]; a step giving more values is refused
+MAX_C_VALUES = 20001
 
 
 @dataclass
@@ -71,6 +74,11 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
                     or not value > 0:
                 raise ValueError(f"{name} must be a number > 0, got {value!r}")
+        # the probe's C grid has ceil((2 + 1e-12) / c_grid_step) values
+        if self.c_grid_step * MAX_C_VALUES < 2.0 + 1e-12:
+            raise ValueError(f"c_grid_step must be large enough for at most {MAX_C_VALUES} "
+                             f"C values on [-2, 0], got {self.c_grid_step!r} "
+                             f"({(2.0 + 1e-12) / self.c_grid_step:.3g} values)")
         if not isinstance(self.exact, bool):
             raise ValueError(f"exact must be true or false, got {self.exact!r}")
         if not isinstance(self.suites, list):
@@ -84,7 +92,6 @@ class RunConfig:
             parent = Path(self.out).resolve().parent
             if not parent.is_dir():
                 raise ValueError(f"output directory {parent} does not exist")
-            import os
             if not os.access(parent, os.W_OK):
                 raise ValueError(f"output directory {parent} is not writable")
 
@@ -355,11 +362,7 @@ def summarize(paths: list[str], as_csv: bool = False) -> str:
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--config", help="JSON config file (flags override file values)")
-    p.add_argument("--dims", help="comma-separated d_z:d_v pairs, e.g. 2:4,7:8")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
-    p.add_argument("--exact", action="store_true", default=None,
-                   help="run the exact rational ledger steps")
     p.add_argument("--out", default=None, help="report output path")
 
 
@@ -376,8 +379,8 @@ def _parse_dims(text: str) -> list[tuple[int, int]]:
 
 
 def _config_from_args(args) -> RunConfig:
-    overrides = {"seed": args.seed, "tol": args.tol, "exact": args.exact,
-                 "out": args.out,
+    overrides = {"seed": args.seed, "out": args.out,
+                 "tol": getattr(args, "tol", None), "exact": getattr(args, "exact", None),
                  "suites": [args.suite] if "suite" in args else None,
                  "probe_frames": getattr(args, "frames", None),
                  "jobs": getattr(args, "jobs", None)}
@@ -402,6 +405,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("suite", choices=SUITES)
+    p_verify.add_argument("--dims", help="comma-separated d_z:d_v pairs, e.g. 2:4,7:8")
+    p_verify.add_argument("--tol", type=float, default=None)
+    p_verify.add_argument("--exact", action="store_true", default=None,
+                          help="run the exact rational ledger steps")
     _add_common(p_verify)
 
     p_replay = sub.add_parser("replay", help="replay an obstruction step")

@@ -1,10 +1,11 @@
 """Left-invariant connection and curvature of a Damek-Ricci space.
 
-The connection is the closed seven-term formula; the full curvature tensor
-is assembled from it on left-invariant fields and cross-checked against the
-closed-form Jacobi operator.  The covariant derivative of the curvature
-uses that scalar curvature components of left-invariant fields are constant.
-A separate Koszul-formula path computes the curvature of the nilpotent part
+The connection tensor comes from the bracket tensor by the Koszul formula,
+and the full curvature tensor from the connection; the closed seven-term
+connection and the closed-form Jacobi operator are the independent
+cross-checks.  The covariant derivative of the curvature uses that scalar
+curvature components of left-invariant fields are constant.  The same
+Koszul path on the v + z block gives the curvature of the nilpotent part
 alone (the Ricci sign-split witness).
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dralgebra import DamekRicci, SolvVec
+from .dralgebra import DamekRicci, SolvVec, bracket_tensor
 
 
 class CurvatureContext:
@@ -24,15 +25,8 @@ class CurvatureContext:
 
     def __init__(self, g: DamekRicci):
         self.g = g
-        n = g.dim
-        self.nabla_tensor = np.zeros((n, n, n))
-        self.bracket_tensor = np.zeros((n, n, n))
-        for i in range(n):
-            ei = g.basis_vector(i)
-            for j in range(n):
-                ej = g.basis_vector(j)
-                self.nabla_tensor[i, j] = nabla(self, ei, ej).flat()
-                self.bracket_tensor[i, j] = g.bracket(ei, ej).flat()
+        self.bracket_tensor = bracket_tensor(g.module.generators)
+        self.nabla_tensor = koszul_connection(self.bracket_tensor)
         r3 = curvature_from_connection(self.nabla_tensor, self.bracket_tensor)
         self.riemann_tensor = r3  # index: [a, b, c, out]
         self.ricci = np.einsum("abca->bc", r3)
@@ -84,7 +78,8 @@ def nabla(ctx_or_g, t1: SolvVec, t2: SolvVec) -> SolvVec:
     """The left-invariant covariant derivative nabla_{t1} of t2's extension.
 
     Seven-term closed form; metric-compatible and torsion-free against the
-    algebra bracket.
+    algebra bracket.  It is the reference for the Koszul-built
+    ``CurvatureContext.nabla_tensor``.
     """
     g = ctx_or_g.g if isinstance(ctx_or_g, CurvatureContext) else ctx_or_g
     g._check(t1), g._check(t2)
@@ -176,22 +171,17 @@ def curvature_from_connection(nabla_tensor: np.ndarray,
 def ricci_heisenberg(module_or_generators) -> dict:
     """Ricci spectrum of the nilpotent (generalized Heisenberg) group itself.
 
-    Reuses the generic Koszul path on the two-step algebra v + z; returns
-    the Ricci eigenvalues restricted to each block and the sign split that
-    witnesses the non-Einstein property (zero generators give the flat
-    abelian control case).
+    Reuses the Koszul path on the two-step algebra v + z (the v + z block of
+    ``bracket_tensor``); returns the Ricci eigenvalues restricted to each
+    block and the sign split that witnesses the non-Einstein property (zero
+    generators give the flat abelian control case).
     """
     if hasattr(module_or_generators, "generators"):
         gens = module_or_generators.generators
     else:
         gens = np.asarray(module_or_generators, dtype=float)
     d_z, d_v, _ = gens.shape
-    n = d_v + d_z
-    bracket = np.zeros((n, n, n))
-    for a in range(d_v):
-        for b in range(d_v):
-            # [e_a, e_b]_i = <J_i e_a, e_b>
-            bracket[a, b, d_v:] = gens[:, b, a]
+    bracket = bracket_tensor(gens)[:-1, :-1, :-1]
     nb = koszul_connection(bracket)
     r3 = curvature_from_connection(nb, bracket)
     ric = np.einsum("abca->bc", r3)

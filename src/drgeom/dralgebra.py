@@ -37,6 +37,23 @@ class SolvVec:
         return float(np.linalg.norm(self.flat()))
 
 
+def bracket_tensor(generators: np.ndarray) -> np.ndarray:
+    """B[a, b, e] = <[e_a, e_b], e_e> on the orthonormal basis (v, z, A).
+
+    [U, W] = sum_i <J_i U, W> Z_i, [A, U] = U/2, [A, Z] = Z.  Zero
+    generators give the abelian nilradical; the v + z block, [:-1, :-1, :-1],
+    is the bracket of the nilradical alone.
+    """
+    d_z, d_v, _ = generators.shape
+    n = d_v + d_z + 1
+    out = np.zeros((n, n, n))
+    out[:d_v, :d_v, d_v:-1] = np.transpose(generators, (2, 1, 0))
+    iv, iz = np.arange(d_v), np.arange(d_v, n - 1)
+    out[-1, iv, iv], out[iv, -1, iv] = 0.5, -0.5
+    out[-1, iz, iz], out[iz, -1, iz] = 1.0, -1.0
+    return out
+
+
 class DamekRicci:
     """A Damek-Ricci algebra over a Clifford module (d_z, d_v >= 1)."""
 
@@ -133,6 +150,17 @@ class DamekRicci:
             mat[:, j] = basis.T @ img
         return mat, basis
 
+    def k_square_eigh(self, v: np.ndarray, y: np.ndarray):
+        """K_{V,Y} and the eigendecomposition of its symmetrized square.
+
+        Returns (K matrix, basis columns of Y-perp, eigenvalues, eigenvectors);
+        the eigenvectors are coordinates in that basis.
+        """
+        kmat, basis = self.k_operator(v, y)
+        k2 = kmat @ kmat
+        vals, vecs = np.linalg.eigh(0.5 * (k2 + k2.T))
+        return kmat, basis, vals, vecs
+
     def k_square_minus1_space(self, v: np.ndarray, y: np.ndarray,
                               cluster_tol: float = 1e-7) -> tuple[np.ndarray, dict]:
         """(-1)-eigenspace of K^2 (columns in center coordinates) plus checks.
@@ -140,31 +168,16 @@ class DamekRicci:
         The checks record the residual of the equivalence J_X J_Y V =
         |Y| J_{KX} V on the returned basis, K-invariance, and evenness.
         """
-        kmat, basis = self.k_operator(v, y)
-        if kmat.size == 0:
-            return np.zeros((self.d_z, 0)), {"dim": 0, "equiv_residual": 0.0,
-                                             "k_invariance": 0.0, "even": True}
-        k2 = kmat @ kmat
-        k2 = 0.5 * (k2 + k2.T)
-        vals, vecs = np.linalg.eigh(k2)
-        sel = np.abs(vals + 1.0) <= cluster_tol
-        sub = vecs[:, sel]
-        cols = basis @ sub
-        ny = float(np.linalg.norm(y))
-        equiv = 0.0
-        kinv = 0.0
-        jyv = self.j_z(y) @ v
-        for j in range(cols.shape[1]):
-            x = cols[:, j]
-            kx = basis @ (kmat @ (basis.T @ x))
-            lhs = self.j_z(x) @ jyv
-            rhs = ny * (self.j_z(kx) @ v)
-            equiv = max(equiv, float(np.max(np.abs(lhs - rhs))))
-            # K must preserve the eigenspace
-            proj = cols @ (cols.T @ kx)
-            kinv = max(kinv, float(np.max(np.abs(kx - proj))))
+        kmat, basis, vals, vecs = self.k_square_eigh(v, y)
+        cols = basis @ vecs[:, np.abs(vals + 1.0) <= cluster_tol]
+        kx = basis @ (kmat @ (basis.T @ cols))
+        gens = self.module.generators
+        lhs = np.einsum("ij,iab,b->aj", cols, gens, self.j_z(y) @ v)  # J_X J_Y V
+        rhs = np.linalg.norm(y) * np.einsum("ij,iab,b->aj", kx, gens, v)  # |Y| J_KX V
+        kinv = kx - cols @ (cols.T @ kx)  # K must preserve the eigenspace
         d = cols.shape[1]
-        return cols, {"dim": d, "equiv_residual": equiv, "k_invariance": kinv,
+        return cols, {"dim": d, "equiv_residual": float(np.max(np.abs(lhs - rhs), initial=0.0)),
+                      "k_invariance": float(np.max(np.abs(kinv), initial=0.0)),
                       "even": d % 2 == 0}
 
 

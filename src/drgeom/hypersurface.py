@@ -28,8 +28,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .curvature import CurvatureContext
-from .numkernel import MPoly, complete_basis, eig_sym
-from .spectrum import NormalFrame, random_frame
+from .numkernel import MPoly
+from .spectrum import NormalFrame, normal_jacobi, random_frame
 
 QUADRATIC_TOL = 1e-10
 
@@ -64,8 +64,7 @@ class _Eigenframe:
     def __init__(self, frame: NormalFrame, ctx: CurvatureContext,
                  h_bound: float = 60.0, h_samples: int = 2400,
                  max_enumeration_dim: int = 16):
-        perp = complete_basis(frame.g.dim, frame.xi[:, None])
-        dec = eig_sym(perp.T @ ctx.jacobi(frame.xi) @ perp)
+        _, perp, _, dec = normal_jacobi(frame, ctx)
         self.alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
         mults = [len(c) for c in dec.clusters]
         self.x = np.hstack([perp @ dec.cluster_basis(k) for k in range(len(mults))])

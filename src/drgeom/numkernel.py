@@ -57,23 +57,26 @@ def cluster_indices(values: Sequence[float], tol: float) -> tuple[tuple[int, ...
     return tuple(tuple(c) for c in clusters)
 
 
-def _deterministic_cluster_basis(vecs: np.ndarray) -> np.ndarray:
-    """Gram-Schmidt the coordinate axes projected onto span(vecs)."""
-    n, m = vecs.shape
-    proj = vecs @ vecs.T
-    basis: list[np.ndarray] = []
-    for i in range(n):
-        w = proj[:, i].copy()
-        for b in basis:
+def orthonormalize(cols, tol: float = 1e-10, basis=(), limit: int | None = None) -> np.ndarray:
+    """Gram-Schmidt of ``cols`` in order, against ``basis`` and each other.
+
+    ``basis`` holds orthonormal vectors to project out first; they are not
+    returned.  A vector whose remainder has norm at most ``tol`` is dropped,
+    and the pass stops once ``limit`` new vectors are kept.  Returns the new
+    vectors as columns, an (n, 0) block when none is kept.
+    """
+    basis = list(basis)
+    new: list[np.ndarray] = []
+    for w in cols:
+        if limit is not None and len(new) >= limit:
+            break
+        w = w.astype(float)
+        for b in basis + new:
             w -= (b @ w) * b
         nw = np.linalg.norm(w)
-        if nw > 1e-8:
-            basis.append(w / nw)
-        if len(basis) == m:
-            break
-    if len(basis) != m:  # pathological projector; keep LAPACK's basis
-        return vecs
-    return np.column_stack(basis)
+        if nw > tol:
+            new.append(w / nw)
+    return np.column_stack(new) if new else np.zeros((len(cols[0]) if len(cols) else 0, 0))
 
 
 def complete_basis(n: int, cols: np.ndarray) -> np.ndarray:
@@ -82,19 +85,7 @@ def complete_basis(n: int, cols: np.ndarray) -> np.ndarray:
     Gram-Schmidt over the coordinate axes; returns only the new columns,
     an (n, 0) block when ``cols`` already spans R^n.
     """
-    basis = [cols[:, i] for i in range(cols.shape[1])]
-    for i in range(n):
-        if len(basis) == n:
-            break
-        w = np.zeros(n)
-        w[i] = 1.0
-        for b in basis:
-            w -= (b @ w) * b
-        nw = np.linalg.norm(w)
-        if nw > 1e-10:
-            basis.append(w / nw)
-    new = basis[cols.shape[1]:]
-    return np.column_stack(new) if new else np.zeros((n, 0))
+    return orthonormalize(np.eye(n), basis=cols.T, limit=n - cols.shape[1])
 
 
 def eig_sym(m: np.ndarray, sym_tol: float = SYM_TOL,
@@ -115,7 +106,13 @@ def eig_sym(m: np.ndarray, sym_tol: float = SYM_TOL,
     cols = []
     for c in clusters:
         block = vecs[:, list(c)]
-        cols.append(block if len(c) == 1 else _deterministic_cluster_basis(block))
+        if len(c) > 1:
+            # Gram-Schmidt the coordinate axes projected onto the cluster
+            proj = block @ block.T
+            axes = orthonormalize(proj.T, tol=1e-8, limit=len(c))
+            if axes.shape[1] == len(c):  # else a pathological projector: keep LAPACK's
+                block = axes
+        cols.append(block)
     vecs = np.hstack(cols)
     residual = float(np.linalg.norm(m - vecs @ np.diag(vals) @ vecs.T))
     return EigenDecomposition(vals, vecs, clusters, residual)

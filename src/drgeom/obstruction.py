@@ -18,9 +18,9 @@ import numpy as np
 from .clifford import Octonion, max_center_dim
 from .curvature import CurvatureContext, jacobi_apply, ricci_heisenberg
 from .dralgebra import DamekRicci
-from .numkernel import (MPoly, mpoly_resultant, poly_reduce,
+from .numkernel import (MPoly, mpoly_resultant, orthonormalize, poly_reduce,
                         symmetric_eliminate)
-from .spectrum import NormalFrame, f_cubic_roots
+from .spectrum import NormalFrame, eigen_families, f_cubic_roots, random_frame
 
 EXACT = "exact-pass"
 NUMERIC = "numeric-pass"
@@ -522,7 +522,6 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     # quaternionic triple induced by the curvature tensor on (5,8)
     g = DamekRicci.from_dims(5, 8)
     ctx = CurvatureContext(g)
-    from .spectrum import random_frame
     rng = np.random.default_rng(seed)
     frame = random_frame(g, rng)
     lm1, lq = quarter_structure_bases(frame)
@@ -587,20 +586,11 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
 
 
 def quarter_structure_bases(frame: NormalFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the -1 and -1/4 eigenspaces from the certificates."""
-    from .spectrum import _orthonormalize, center_family_vector
-    lm1 = [frame.t0] + [center_family_vector(frame, frame.z_minus1[:, i], "minus1")
-                        for i in range(frame.d_minus1)]
-    lm1 = _orthonormalize(lm1)
-    rest = _orthonormalize([frame.s4[:, i]
-                            - frame.xi * (frame.xi @ frame.s4[:, i])
-                            - frame.t0 * (frame.t0 @ frame.s4[:, i])
-                            for i in range(frame.s4.shape[1])])
-    lq = [rest[:, i] for i in range(rest.shape[1])]
-    lq += [center_family_vector(frame, frame.z_minus1[:, i], "quarter")
-           for i in range(frame.d_minus1)]
-    lq += [frame.g.vec(frame.p_basis[:, i]).flat() for i in range(frame.d_p)]
-    return lm1, _orthonormalize(lq)
+    """Orthonormal bases of the -1 and -1/4 eigenspaces of a generic frame,
+    from its eigenvector families in their order."""
+    families = eigen_families(frame).values()
+    return tuple(orthonormalize([v for alpha, vecs in families if alpha == value
+                                 for v in vecs]) for value in (-1.0, -0.25))
 
 
 def curvature_complex_structures(frame: NormalFrame, ctx: CurvatureContext,
@@ -801,34 +791,44 @@ def product_identity_reduction() -> dict:
             "A0": quots[0] if ok else None, "factor": factor}
 
 
-def leading_coefficient_positivity(grid: int = 24) -> dict:
-    """A2 > 0 on the admissible range, split as in the argument.
+def leading_coefficient_positivity() -> dict:
+    """A2 > 0 on the admissible range, split at v = 1/3 as in the argument.
 
-    For 3v <= 1 every addend of A2 is nonnegative with the constant part
-    positive; for 3v > 1 the exact identity
-    A2 - 9(1-v)^2(1+3v)^2 = (q - 27 v^2 (1-v)) (1-3v) together with the
-    domain bound q < 27 v^2 (1 - v) gives A2 > 9(1-v)^2(1+3v)^2 > 0.  A
-    dense grid confirms numerically.
+    On 0 < v < 1 with 0 <= q < 27 v^2 (1 - v): for v <= 1/3 the addend
+    q(1-3v) is nonnegative and 9(1+5v)(1-v) is positive; for v > 1/3 the
+    exact identity A2 = 9(1-v)^2(1+3v)^2 + (q - 27 v^2 (1-v))(1-3v) writes
+    A2 as a positive square plus a product of two negative factors.  The
+    sign of each linear factor on each open v-interval is exact: a linear
+    function there is a positive combination of its values at the two ends.
     """
     q, v = MPoly.symbols("q v")
-    a2 = q * (1 - 3 * v) + 9 * (1 + 5 * v) * (1 - v)
-    identity = a2 - 9 * (1 - v) ** 2 * (1 + 3 * v) ** 2 \
-        - (q - 27 * v ** 2 * (1 - v)) * (1 - 3 * v)
-    # numeric grid over v, y, mu with q = 27 v^2 y (1 + mu)
-    min_val = np.inf
-    for i in range(1, grid):
-        for j in range(1, grid - i):
-            vv = i / grid
-            yy = j / grid
-            for mu in (-1.0, -0.75, -0.5, -0.25, 0.0):
-                qq = 27.0 * vv * vv * yy * (1.0 + mu)
-                min_val = min(min_val, qq * (1 - 3 * vv) + 9 * (1 + 5 * vv) * (1 - vv))
+    f5, f1, f3, g3 = 1 + 5 * v, 1 - v, 1 + 3 * v, 1 - 3 * v
+    a2 = q * g3 + 9 * f5 * f1
+    identity = a2 - 9 * f1 ** 2 * f3 ** 2 - (q - 27 * v ** 2 * f1) * g3
+    third = Fraction(1, 3)
+    signs = {"1+5v on (0,1)": _linear_sign(f5, 0, 1),
+             "1-v on (0,1)": _linear_sign(f1, 0, 1),
+             "1+3v on (0,1)": _linear_sign(f3, 0, 1),
+             "1-3v on (0,1/3)": _linear_sign(g3, 0, third),
+             "1-3v on (1/3,1)": _linear_sign(g3, third, 1)}
+    signs_ok = (list(signs.values()) == [1, 1, 1, 1, -1]
+                and g3.evaluate({"v": third}) == 0)
     # exact spot value at v = 1/2, y = 1/4, mu = 0
     spot = a2.evaluate({"q": Fraction(27, 16), "v": Fraction(1, 2)})
-    return {"identity_ok": identity.is_zero, "grid_min": float(min_val),
-            "spot_ok": spot == Fraction(477, 32), "spot": spot,
-            "ok": identity.is_zero and min_val > 0 and spot == Fraction(477, 32),
+    return {"identity_ok": identity.is_zero, "factor_signs": signs,
+            "signs_ok": signs_ok, "spot_ok": spot == Fraction(477, 32), "spot": spot,
+            "ok": identity.is_zero and signs_ok and spot == Fraction(477, 32),
             "hypothesis": "q < 27 v^2 (1 - v), from q = 27 v^2 y (1+mu), y < 1-v, mu <= 0"}
+
+
+def _linear_sign(linear: MPoly, lo, hi) -> int:
+    """The strict sign of a linear polynomial in v on the open interval
+    (lo, hi), from its exact values at the ends; 0 if it has none."""
+    if linear.degree("v") > 1:
+        raise ValueError(f"{linear!r} is not linear in v")
+    ends = {(x > 0) - (x < 0) for x in (linear.evaluate({"v": Fraction(t)}) for t in (lo, hi))}
+    ends.discard(0)  # a zero end keeps the open interval's sign strict
+    return ends.pop() if len(ends) == 1 else 0
 
 
 def phi_psi_polys():
@@ -972,10 +972,8 @@ def final_positivity_analysis(grid: int = 50) -> dict:
 def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
     """All exact steps of the general-position contradiction.
 
-    Every step runs in rational arithmetic except the float grid of
-    ``leading-coefficient-positivity``, which its verdict needs, so that
-    step is numeric; ``exact=False`` keeps only the cheap confirmations
-    (grids and spot values).
+    Every step runs in rational arithmetic; ``exact=False`` keeps only the
+    cheap ones (the positivity arguments, their grids and spot values).
     """
     rep = LedgerReport("general-case-ledger")
     if exact:
@@ -997,8 +995,8 @@ def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
 
     r2 = leading_coefficient_positivity()
     rep.record("leading-coefficient-positivity", "two-eigenvalue-shape-relation",
-               r2["ok"], exact=False, residual=None,
-               grid_min=r2["grid_min"], spot=r2["spot"], hypothesis=r2["hypothesis"])
+               r2["ok"], exact=True, factor_signs=r2["factor_signs"], spot=r2["spot"],
+               hypothesis=r2["hypothesis"])
 
     r5 = final_positivity_analysis(grid)
     rep.record("final-positivity", "final-positivity",
@@ -1025,7 +1023,6 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
     """
     rep = LedgerReport("p-space-annihilation")
     rng = np.random.default_rng(seed)
-    from .spectrum import random_frame
 
     for dims in [(5, 8), (7, 16)]:
         g = DamekRicci.from_dims(*dims)

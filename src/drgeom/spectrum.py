@@ -18,24 +18,8 @@ import numpy as np
 
 from .curvature import CurvatureContext
 from .dralgebra import DamekRicci
-from .numkernel import (MPoly, certified_brackets, cluster_indices, complete_basis,
-                        eig_sym, poly_eval_fraction)
-
-CERT_TOL = 1e-9
-
-
-def _orthonormalize(cols: list[np.ndarray], tol: float = 1e-10) -> np.ndarray:
-    basis: list[np.ndarray] = []
-    for w in cols:
-        w = w.astype(float).copy()
-        for b in basis:
-            w -= (b @ w) * b
-        nw = np.linalg.norm(w)
-        if nw > tol:
-            basis.append(w / nw)
-    if not basis:
-        return np.zeros((cols[0].shape[0] if cols else 0, 0))
-    return np.column_stack(basis)
+from .numkernel import (EigenDecomposition, MPoly, certified_brackets, cluster_indices,
+                        complete_basis, eig_sym, orthonormalize, poly_eval_fraction)
 
 
 @dataclass(frozen=True)
@@ -114,7 +98,7 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float,
         cols.append(g.vec(z=y).flat())
         if nv > 0:
             cols.append(g.vec(jyv).flat())
-    s4 = _orthonormalize(cols)
+    s4 = orthonormalize(cols)
 
     # p = kernel of U -> ([U, V], [U, J_Y V]) via rank-revealing SVD;
     # with Y = 0 the commutant is additionally cut down to V-perp
@@ -132,10 +116,7 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float,
         p_basis = np.eye(g.d_v)
 
     if nv > 0 and ny > 0:
-        k_matrix, k_basis = g.k_operator(v, y)
-        k2 = k_matrix @ k_matrix
-        k2 = 0.5 * (k2 + k2.T)
-        vals, vecs = np.linalg.eigh(k2)
+        k_matrix, k_basis, vals, vecs = g.k_square_eigh(v, y)
         # the columns k_square_minus1_space(v, y, cluster_tol) returns
         z_minus1 = k_basis @ vecs[:, np.abs(vals + 1.0) <= cluster_tol]
         clusters = cluster_indices(list(vals), cluster_tol)
@@ -151,8 +132,8 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float,
         z_minus1 = np.zeros((g.d_z, 0))
         mu_clusters = []
 
-    v_minus1 = (_orthonormalize([g.j_z(z_minus1[:, i]) @ v
-                                 for i in range(z_minus1.shape[1])])
+    v_minus1 = (orthonormalize([g.j_z(z_minus1[:, i]) @ v
+                                for i in range(z_minus1.shape[1])])
                 if z_minus1.shape[1] else np.zeros((g.d_v, 0)))
 
     return NormalFrame(g, v, y, float(s), xi=xi, t0=t0, q_vec=q_vec, s4=s4,
@@ -255,6 +236,39 @@ def center_family_vector(frame: NormalFrame, z: np.ndarray, kind: str) -> np.nda
     raise ValueError(f"unknown family kind {kind!r}")
 
 
+def eigen_families(frame: NormalFrame) -> dict[str, tuple[float, list[np.ndarray]]]:
+    """The explicit eigenvector families along xi: name -> (eigenvalue, vectors).
+
+    Fully generic frame (V, Y, s nonzero): T0 and the center minus1 family
+    for -1; span(A, V, Y, J_Y V) minus span(xi, T0), the center quarter
+    family and the commutant p for -1/4.  With Y = 0: the lines
+    J_Z V + s Z (-1) and -s J_Z V + |V|^2 Z (-1/4) for each center axis Z,
+    then Q and p (-1/4).  Any other frame has no explicit families.
+    """
+    g = frame.g
+    nv, ny, s = np.sqrt(frame.vsq), np.sqrt(frame.ysq), frame.s
+    p_vecs = [g.vec(frame.p_basis[:, i]).flat() for i in range(frame.d_p)]
+    if ny > 1e-13 and nv > 1e-13 and abs(s) > 1e-13:
+        zs = [frame.z_minus1[:, i] for i in range(frame.d_minus1)]
+        rest = orthonormalize([frame.s4[:, i] - frame.xi * (frame.xi @ frame.s4[:, i])
+                               - frame.t0 * (frame.t0 @ frame.s4[:, i])
+                               for i in range(frame.s4.shape[1])])
+        return {"t0": (-1.0, [frame.t0]),
+                "center_minus1": (-1.0, [center_family_vector(frame, z, "minus1") for z in zs]),
+                "s4_quarter": (-0.25, [rest[:, i] for i in range(rest.shape[1])]),
+                "center_quarter": (-0.25, [center_family_vector(frame, z, "quarter")
+                                           for z in zs]),
+                "p_quarter": (-0.25, p_vecs)}
+    if nv > 1e-13 and abs(s) > 1e-13:
+        jzvs = [(z, g.j_z(z) @ frame.v) for z in np.eye(g.d_z)]
+        return {"line_minus1": (-1.0, [g.vec(jzv, s * z, 0.0).flat() for z, jzv in jzvs]),
+                "line_quarter": (-0.25, [g.vec(-s * jzv, frame.vsq * z, 0.0).flat()
+                                         for z, jzv in jzvs]),
+                "q_quarter": (-0.25, [frame.q_vec]),
+                "p_quarter": (-0.25, p_vecs)}
+    return {}
+
+
 def psi_map(frame: NormalFrame, l: int, z: np.ndarray,
             proj_tol: float = 1e-8) -> np.ndarray:
     """The homothety from a mu-eigenspace of K^2 onto the l-th cubic family.
@@ -317,53 +331,46 @@ class SpectralReport:
         return self.predicted.shape == self.eigenvalues.shape
 
 
-def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext,
-                cert_tol: float = CERT_TOL) -> SpectralReport:
+def normal_jacobi(frame: NormalFrame, ctx: CurvatureContext
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, EigenDecomposition]:
+    """The Jacobi operator along xi and its restriction to xi-perp.
+
+    Returns (R_xi in ambient coordinates, orthonormal basis of xi-perp as
+    columns, R_xi in that basis, its ``eig_sym`` decomposition).
+    """
+    jac = ctx.jacobi(frame.xi)
+    perp = complete_basis(frame.g.dim, frame.xi[:, None])
+    jac_perp = perp.T @ jac @ perp
+    return jac, perp, jac_perp, eig_sym(jac_perp)
+
+
+def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext) -> SpectralReport:
     """Numeric spectrum of the Jacobi operator on xi-perp plus certificates.
 
-    For a fully generic frame (V, Y, s all nonzero) the -1/-1/4 families and
-    every psi_l image are checked as eigenvector certificates; with Y = 0
-    the two-eigenvalue structure is certified instead.
+    Every vector of ``eigen_families`` is checked as an eigenvector
+    certificate; for a fully generic frame (V, Y, s all nonzero) so is every
+    psi_l image.  A frame without families predicts its own spectrum.
     """
-    g = frame.g
     if abs(float(frame.xi @ frame.xi) - 1.0) > 1e-9:
         raise ValueError("xi is not a unit vector")
-    jac = ctx.jacobi(frame.xi)
-    perp = complete_basis(g.dim, frame.xi[:, None])
-    jac_perp = perp.T @ jac @ perp
-    dec = eig_sym(jac_perp)
-
-    nv, ny, s = np.sqrt(frame.vsq), np.sqrt(frame.ysq), frame.s
+    jac, perp, jac_perp, dec = normal_jacobi(frame, ctx)
     preds: list[float] = []
     certs: dict[str, float] = {}
     dims = {"d_p": frame.d_p, "d_minus1": frame.d_minus1}
 
     def cert(name: str, vec: np.ndarray, alpha: float):
+        preds.append(alpha)
         nv_ = np.linalg.norm(vec)
         if nv_ == 0:
             return
         res = float(np.linalg.norm(jac @ vec - alpha * vec)) / nv_
         certs[name] = max(certs.get(name, 0.0), res)
 
-    if ny > 1e-13 and nv > 1e-13 and abs(s) > 1e-13:
-        preds.append(-1.0)
-        cert("t0", frame.t0, -1.0)
-        for i in range(frame.d_minus1):
-            z = frame.z_minus1[:, i]
-            preds.append(-1.0)
-            cert("center_minus1", center_family_vector(frame, z, "minus1"), -1.0)
-            cert("center_quarter", center_family_vector(frame, z, "quarter"), -0.25)
-            preds.append(-0.25)
-        # s4 minus span(xi, t0)
-        rest = _orthonormalize([frame.s4[:, i] - frame.xi * (frame.xi @ frame.s4[:, i])
-                                - frame.t0 * (frame.t0 @ frame.s4[:, i])
-                                for i in range(frame.s4.shape[1])])
-        for i in range(rest.shape[1]):
-            preds.append(-0.25)
-            cert("s4_quarter", rest[:, i], -0.25)
-        for i in range(frame.d_p):
-            preds.append(-0.25)
-            cert("p_quarter", g.vec(frame.p_basis[:, i]).flat(), -0.25)
+    families = eigen_families(frame)
+    for name, (alpha, vectors) in families.items():
+        for vec in vectors:
+            cert(name, vec, alpha)
+    if "t0" in families:  # fully generic frame
         # each psi_l image is an eigenvector certificate, and its squared
         # norm is checked against the closed-form homothety ratio
         spread = 0.0
@@ -373,27 +380,11 @@ def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext,
                 closed = psi_homothety_ratio(frame, l, mu)
                 for i in range(basis.shape[1]):
                     vec = psi_map(frame, l, basis[:, i])
-                    preds.append(alphas[l])
                     cert(f"psi_{l}", vec, alphas[l])
                     ratio = float(np.linalg.norm(vec) ** 2)
                     spread = max(spread, abs(ratio - closed) / max(closed, 1e-30))
         certs["psi_homothety_spread"] = spread
-    elif ny <= 1e-13 and nv > 1e-13 and abs(s) > 1e-13:
-        # no-center-component case: eigenvalues exactly {-1, -1/4}
-        for i in range(g.d_z):
-            z = np.zeros(g.d_z)
-            z[i] = 1.0
-            jzv = g.j_z(z) @ frame.v
-            preds.append(-1.0)
-            cert("line_minus1", g.vec(jzv, s * z, 0.0).flat(), -1.0)
-            preds.append(-0.25)
-            cert("line_quarter", g.vec(-s * jzv, frame.vsq * z, 0.0).flat(), -0.25)
-        preds.append(-0.25)
-        cert("q_quarter", frame.q_vec, -0.25)
-        for i in range(frame.d_p):
-            preds.append(-0.25)
-            cert("p_quarter", g.vec(frame.p_basis[:, i]).flat(), -0.25)
-    else:
+    if not families:
         preds = list(np.sort(dec.eigenvalues))
 
     predicted = np.sort(np.asarray(preds))

@@ -75,12 +75,31 @@ def test_front_door_rejects_bad_flags(capsys, argv, expect):
                                           ("c_grid_step", "0.1"), ("samples", 0),
                                           ("samples", "a"), ("jobs", 0),
                                           ("dims", [2]), ("dims", [[2]]),
-                                          ("seed", "x"), ("tol", -1)])
+                                          ("seed", "x"), ("tol", -1),
+                                          ("c_grid_step", 1e-300)])
 def test_front_door_rejects_bad_config_numbers(tmp_path, capsys, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({field: value}))
     assert main(["probe", "hypersurface", "--config", str(path)]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+def test_config_bounds_the_c_grid():
+    # 1e-4 gives the largest allowed grid, 20,001 values on [-2, 0]
+    assert load_config(None, {"c_grid_step": 1e-4}).c_grid_step == 1e-4
+    with pytest.raises(ValueError, match="c_grid_step must be large enough for at most 20001 C values"):
+        load_config(None, {"c_grid_step": 1e-6})
+
+
+@pytest.mark.parametrize("command", [["replay", "no-z"],
+                                     ["probe", "hypersurface", "--frames", "1"]])
+@pytest.mark.parametrize("flags", [["--dims", "7:8"], ["--exact"], ["--tol", "1e-3"]])
+def test_verify_only_flags_are_rejected_elsewhere(capsys, command, flags):
+    # replay and probe run fixed modules and steps; they would ignore these
+    with pytest.raises(SystemExit) as exc:
+        main(command + flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
 _JSON = st.recursive(
@@ -237,6 +256,25 @@ def test_package_has_no_assert_statements():
              for path in sorted((SRC / "drgeom").glob("*.py"))
              for node in ast.walk(ast.parse(path.read_text()))
              if isinstance(node, ast.Assert)]
+    assert found == []
+
+
+def test_package_imports_are_module_level_and_public():
+    # a function-level relative import hides a dependency between modules,
+    # and a _private name imported from another module has two owners
+    found = []
+    for path in sorted((SRC / "drgeom").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found += [f"{path.name}:{node.lineno} function-level import"
+                          for node in ast.walk(fn)
+                          if isinstance(node, ast.ImportFrom) and node.level > 0]
+        found += [f"{path.name}:{node.lineno} imports {alias.name}"
+                  for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom)
+                  and (node.level > 0 or (node.module or "").startswith("drgeom"))
+                  for alias in node.names if alias.name.startswith("_")]
     assert found == []
 
 

@@ -42,6 +42,23 @@ def test_anticommutation_all_admissible(d_z, d_v):
     assert anticommutation_residual(mod.generators) <= 1e-12
 
 
+SMALL_ADMISSIBLE = [(d_z, d_v) for d_v in range(1, 17) for d_z in range(1, 9)
+                    if admissible(d_z, d_v)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_build_module_any_iso_flags_validates_and_is_skew(data):
+    d_z, d_v = data.draw(st.sampled_from(SMALL_ADMISSIBLE))
+    copies = len(build_module(d_z, d_v).iso_flags)
+    flags = tuple(data.draw(st.lists(st.sampled_from([1, -1]),
+                                     min_size=copies, max_size=copies)))
+    mod = build_module(d_z, d_v, flags)
+    assert mod.iso_flags == flags
+    assert mod.validate() <= 1e-12
+    assert np.array_equal(mod.generators, -np.transpose(mod.generators, (0, 2, 1)))
+
+
 def test_build_module_rejects_excess_center():
     with pytest.raises(ValueError, match="admissible bound"):
         build_module(9, 16)

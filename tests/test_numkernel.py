@@ -15,8 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgeom.numkernel import (MPoly, NotSymmetricError, certified_brackets,
-                              eig_sym, mpoly_resultant, poly_eval_fraction,
-                              poly_reduce, rational_bisect, symmetric_eliminate)
+                              cluster_indices, complete_basis, eig_sym, mpoly_resultant,
+                              orthonormalize, poly_eval_fraction, poly_reduce,
+                              rational_bisect, symmetric_eliminate)
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +85,92 @@ def test_eig_cluster_basis_deterministic():
     b = d1.cluster_basis(0)
     assert np.allclose(b.T @ b, np.eye(2), atol=1e-12)
     assert np.allclose(b[2, :], 0.0, atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# orthonormalize against the three Gram-Schmidt loops it replaced
+# ---------------------------------------------------------------------------
+
+def _loop_orthonormalize(cols, tol=1e-10):
+    basis = []
+    for w in cols:
+        w = w.astype(float).copy()
+        for b in basis:
+            w -= (b @ w) * b
+        nw = np.linalg.norm(w)
+        if nw > tol:
+            basis.append(w / nw)
+    if not basis:
+        return np.zeros((cols[0].shape[0] if cols else 0, 0))
+    return np.column_stack(basis)
+
+
+def _loop_cluster_basis(vecs):
+    n, m = vecs.shape
+    proj = vecs @ vecs.T
+    basis = []
+    for i in range(n):
+        w = proj[:, i].copy()
+        for b in basis:
+            w -= (b @ w) * b
+        nw = np.linalg.norm(w)
+        if nw > 1e-8:
+            basis.append(w / nw)
+        if len(basis) == m:
+            break
+    if len(basis) != m:
+        return vecs
+    return np.column_stack(basis)
+
+
+def _loop_complete_basis(n, cols):
+    basis = [cols[:, i] for i in range(cols.shape[1])]
+    for i in range(n):
+        if len(basis) == n:
+            break
+        w = np.zeros(n)
+        w[i] = 1.0
+        for b in basis:
+            w -= (b @ w) * b
+        nw = np.linalg.norm(w)
+        if nw > 1e-10:
+            basis.append(w / nw)
+    new = basis[cols.shape[1]:]
+    return np.column_stack(new) if new else np.zeros((n, 0))
+
+
+def _clustered_symmetric(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    vals = np.round(rng.standard_normal(n) * 2) / 2  # repeated eigenvalues
+    m = q @ np.diag(vals) @ q.T
+    return 0.5 * (m + m.T), q
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1))
+def test_orthonormalize_equals_the_gram_schmidt_loops(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 10))
+    cols = [rng.standard_normal(n) for _ in range(int(rng.integers(0, n + 3)))]
+    if len(cols) > 1:  # a dependent vector and a near-zero one get dropped
+        cols.insert(1, 2.0 * cols[0] - 1e-12 * cols[-1])
+    assert np.array_equal(orthonormalize(cols), _loop_orthonormalize(cols))
+    m, q = _clustered_symmetric(rng, n)
+    k = int(rng.integers(0, n + 1))
+    assert np.array_equal(complete_basis(n, q[:, :k]), _loop_complete_basis(n, q[:, :k]))
+    # eig_sym's cluster bases against the loop on the same LAPACK blocks
+    vals, vecs = np.linalg.eigh(0.5 * (m + m.T))
+    blocks = [vecs[:, list(c)] for c in cluster_indices(list(vals), 1e-7)]
+    expect = np.hstack([b if b.shape[1] == 1 else _loop_cluster_basis(b) for b in blocks])
+    assert np.array_equal(eig_sym(m).vectors, expect)
+
+
+def test_orthonormalize_basis_and_limit():
+    e = np.eye(3)
+    out = orthonormalize(e, basis=[e[1]], limit=1)
+    assert np.array_equal(out, e[:, [0]])
+    assert orthonormalize([], basis=[e[0]]).shape == (0, 0)
+    assert orthonormalize([np.zeros(3)]).shape == (3, 0)
 
 
 # ---------------------------------------------------------------------------

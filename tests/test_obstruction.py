@@ -9,17 +9,19 @@ import pytest
 
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from drgeom.numkernel import MPoly
-from drgeom.obstruction import (EXACT, FAIL, NUMERIC, _SWord, cyclic_sum_vanishing,
+from drgeom.numkernel import MPoly, orthonormalize
+from drgeom.obstruction import (EXACT, FAIL, _linear_sign, _SWord,
+                                cyclic_sum_vanishing,
                                 enumerate_dimension_cases,
                                 final_positivity_analysis, general_case_ledger,
                                 leading_coefficient_positivity, m_coefficients,
                                 product_identity_reduction,
                                 psi_coprimality_samples, quarter_compat_element,
-                                replay_no_a, replay_no_v, replay_no_z,
-                                replay_octonion_case,
+                                quarter_structure_bases, replay_no_a, replay_no_v,
+                                replay_no_z, replay_octonion_case,
                                 replay_p_space_annihilation,
                                 replay_quarter_eigenspace_jcompat)
+from drgeom.spectrum import center_family_vector, random_frame
 
 
 @pytest.fixture(scope="module")
@@ -154,6 +156,33 @@ def test_replay_quarter_eigenspace_jcompat_fast():
     assert abs(abs(rep.step("quaternionic-triple").witness["triple_trace"]) - 4) < 1e-9
 
 
+def _listed_quarter_structure_bases(frame):
+    # the family lists quarter_structure_bases built before it read them
+    # from spectrum.eigen_families
+    lm1 = [frame.t0] + [center_family_vector(frame, frame.z_minus1[:, i], "minus1")
+                        for i in range(frame.d_minus1)]
+    rest = orthonormalize([frame.s4[:, i]
+                           - frame.xi * (frame.xi @ frame.s4[:, i])
+                           - frame.t0 * (frame.t0 @ frame.s4[:, i])
+                           for i in range(frame.s4.shape[1])])
+    lq = [rest[:, i] for i in range(rest.shape[1])]
+    lq += [center_family_vector(frame, frame.z_minus1[:, i], "quarter")
+           for i in range(frame.d_minus1)]
+    lq += [frame.g.vec(frame.p_basis[:, i]).flat() for i in range(frame.d_p)]
+    return orthonormalize(lm1), orthonormalize(lq)
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (3, 4), (5, 8), (6, 8), (7, 16), (8, 16)])
+def test_quarter_structure_bases_equal_the_listed_families(dims):
+    g = DamekRicci.from_dims(*dims)
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(4):
+        frame = random_frame(g, rng)
+        for got, expect in zip(quarter_structure_bases(frame),
+                               _listed_quarter_structure_bases(frame)):
+            assert np.array_equal(got, expect)
+
+
 @pytest.mark.slow
 def test_replay_quarter_minimization_floor():
     rep = replay_quarter_eigenspace_jcompat(seed=0, run_minimization=True)
@@ -187,8 +216,20 @@ def test_leading_coefficient_positivity():
     out = leading_coefficient_positivity()
     assert out["ok"]
     assert out["identity_ok"]
-    assert out["grid_min"] > 0
+    assert out["factor_signs"] == {"1+5v on (0,1)": 1, "1-v on (0,1)": 1,
+                                   "1+3v on (0,1)": 1, "1-3v on (0,1/3)": 1,
+                                   "1-3v on (1/3,1)": -1}
     assert out["spot"] == Fraction(477, 32)
+
+
+def test_linear_sign_from_the_interval_ends():
+    v = MPoly.symbols("v")[0]
+    assert _linear_sign(1 - 3 * v, 0, Fraction(1, 3)) == 1   # zero at one end only
+    assert _linear_sign(1 - 3 * v, Fraction(1, 3), 1) == -1
+    assert _linear_sign(1 - 3 * v, 0, 1) == 0                # changes sign inside
+    assert _linear_sign(MPoly.zero(v.variables), 0, 1) == 0
+    with pytest.raises(ValueError, match="not linear"):
+        _linear_sign(v * v, 0, 1)
 
 
 def test_cyclic_sum_vanishing_exact():
@@ -223,11 +264,11 @@ def test_general_case_ledger_exact_passes():
             assert s.verdict == EXACT
 
 
-def test_leading_coefficient_positivity_is_numeric():
-    # its verdict needs the float grid, so it cannot be exact-pass
+def test_leading_coefficient_positivity_is_exact():
+    # the identity and the factor signs are all rational: no float grid
     step = general_case_ledger(exact=False).step("leading-coefficient-positivity")
-    assert step.verdict == NUMERIC
-    assert step.witness["grid_min"] > 0
+    assert step.verdict == EXACT
+    assert step.witness["factor_signs"]["1-3v on (1/3,1)"] == -1
 
 
 def test_ledger_json_roundtrip():
