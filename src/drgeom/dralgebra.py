@@ -165,11 +165,13 @@ class DamekRicci:
                               cluster_tol: float = 1e-7) -> tuple[np.ndarray, dict]:
         """(-1)-eigenspace of K^2 (columns in center coordinates) plus checks.
 
-        The checks record the residual of the equivalence J_X J_Y V =
-        |Y| J_{KX} V on the returned basis, K-invariance, and evenness.
+        The checks record the residual of J_X J_Y V = |Y| J_{KX} V on the basis, K-invariance,
+        evenness, and the largest kept and least other |eigenvalue + 1| (cluster_residual, gap).
         """
         kmat, basis, vals, vecs = self.k_square_eigh(v, y)
-        cols = basis @ vecs[:, np.abs(vals + 1.0) <= cluster_tol]
+        dist = np.abs(vals + 1.0)
+        kept = dist <= cluster_tol
+        cols = basis @ vecs[:, kept]
         kx = basis @ (kmat @ (basis.T @ cols))
         gens = self.module.generators
         lhs = np.einsum("ij,iab,b->aj", cols, gens, self.j_z(y) @ v)  # J_X J_Y V
@@ -178,7 +180,8 @@ class DamekRicci:
         d = cols.shape[1]
         return cols, {"dim": d, "equiv_residual": float(np.max(np.abs(lhs - rhs), initial=0.0)),
                       "k_invariance": float(np.max(np.abs(kinv), initial=0.0)),
-                      "even": d % 2 == 0}
+                      "even": d % 2 == 0, "gap": float(np.min(dist[~kept], initial=np.inf)),
+                      "cluster_residual": float(np.max(dist[kept], initial=0.0))}
 
 
 def verify_heisenberg_identities(g: DamekRicci, samples: int = 64,

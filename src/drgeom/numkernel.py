@@ -1,11 +1,11 @@
 """Numeric and exact-rational kernels.
 
 Two independent layers live here: a thin symmetric-eigensolver wrapper with
-deterministic eigenvalue clustering, and a sparse multivariate polynomial
-over exact rationals (arbitrary-precision, no floating point) supporting
-reduction modulo a univariate relation, symmetric-function elimination and
-resultants.  Everything is immutable after construction and safe to map
-over parameter grids in parallel.
+deterministic eigenvalue clustering (and a least-squares solver), and a sparse
+multivariate polynomial over exact rationals (arbitrary-precision, no floating
+point) supporting reduction modulo a univariate relation, symmetric-function
+elimination and resultants.  Everything is immutable after construction and
+safe to map over parameter grids in parallel.
 """
 
 from __future__ import annotations
@@ -116,6 +116,30 @@ def eig_sym(m: np.ndarray, sym_tol: float = SYM_TOL,
     vecs = np.hstack(cols)
     residual = float(np.linalg.norm(m - vecs @ np.diag(vals) @ vecs.T))
     return EigenDecomposition(vals, vecs, clusters, residual)
+
+
+def levenberg_marquardt(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, r) at a least-squares local minimum of r from ``model(x) = (r, J)``, in plain numpy.
+
+    Steps solve [J; sqrt(mu) I] dx = [-r; 0]; mu starts at 1e-3 max |J e_k|^2 and shrinks or
+    grows tenfold as |r|^2 falls or not.  Stops on a relative change of |r|^2 or x within
+    1e-12, or after MINPACK's budget of 100 len(x) model calls.
+    """
+    r, jm = model(x)
+    cost, damp, eye = r @ r, 1e-3 * np.max(np.sum(jm * jm, axis=0)), np.eye(x.size)
+    for _ in range(100 * x.size - 1):
+        step = np.linalg.lstsq(np.vstack([jm, np.sqrt(damp) * eye]),
+                               np.concatenate([-r, np.zeros(x.size)]))[0]
+        r_new, jm_new = model(x + step)
+        trial = r_new @ r_new
+        if not trial < cost:  # also rejects a NaN residual
+            damp *= 10.0
+            continue
+        stop = cost - trial <= 1e-12 * cost or np.linalg.norm(step) <= 1e-12 * np.linalg.norm(x)
+        x, r, jm, cost, damp = x + step, r_new, jm_new, trial, damp / 10.0
+        if stop:
+            break
+    return x, r
 
 
 # ---------------------------------------------------------------------------

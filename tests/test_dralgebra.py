@@ -172,6 +172,19 @@ def test_k_square_minus1_space_empty():
     assert cols.shape == (2, 0)
 
 
+@pytest.mark.parametrize("dims, seed", [((3, 4), 6), ((2, 4), 7), ((5, 8), 8)])
+def test_k_square_minus1_space_cluster_residual_and_gap(dims, seed):
+    g = DamekRicci.from_dims(*dims)
+    rng = np.random.default_rng(seed)
+    v, y = rng.standard_normal(g.d_v), rng.standard_normal(g.d_z)
+    _, info = g.k_square_minus1_space(v, y)
+    vals = g.k_square_eigh(v, y)[2]
+    dist = np.abs(vals + 1.0)
+    assert info["cluster_residual"] == max([d for d in dist if d <= 1e-7], default=0.0)
+    assert info["gap"] == min([d for d in dist if d > 1e-7], default=np.inf)
+    assert info["cluster_residual"] <= 1e-7 < info["gap"]
+
+
 def test_k_square_minus1_equivalence_both_directions():
     # the kernel equivalence: K^2 X = -X iff J_X J_Y V = |Y| J_{KX} V; on the
     # complement of the kernel the identity must fail
