@@ -225,7 +225,8 @@ def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
                               c_grid=np.arange(-2.0, 0.0 + 1e-12, cfg.c_grid_step),
                               seed=cfg.seed, jobs=cfg.jobs)
     rep.record("codazzi-floor(2,4)", "codazzi-floor", out["floor"] > 1e-6, exact=False,
-               residual=out["floor"], candidates=out["candidates"], frames=out["frames"])
+               residual=out["floor"], candidates=out["candidates"], frames=out["frames"],
+               box=out["box"])
     return out, rep
 
 
@@ -300,7 +301,7 @@ def probe(cfg: RunConfig) -> tuple[int, dict]:
                "header": _header(cfg, {s.id: s.runtime_s for s in rep.steps}),
                "probe": {"floor": out["floor"], "floor_info": out["floor_info"],
                          "candidates": out["candidates"], "frames": out["frames"],
-                         "per_frame_min": out["per_frame_min"]}}
+                         "box": out["box"], "per_frame_min": out["per_frame_min"]}}
     return (0 if rep.passed else 1), payload
 
 

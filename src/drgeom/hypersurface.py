@@ -13,9 +13,9 @@ probe a necessary-condition test: a nonzero residual is obstruction
 evidence, never a false negative for existence.
 
 The probe computes the C-independent data once per frame (the Jacobi
-eigendata, the shared eigenframe X and its curvature contractions); then,
-per C value, it brackets the trace equation for all splits at once and
-evaluates the Gauss/Codazzi residuals of that C's candidates as one batch.
+eigendata, the shared eigenframe X and its curvature contractions); then it
+bisects the trace equation's brackets for all splits and C values at once
+and evaluates the Gauss/Codazzi residuals of each C's candidates as one batch.
 """
 
 from __future__ import annotations
@@ -25,13 +25,25 @@ from fractions import Fraction
 from itertools import product
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .curvature import CurvatureContext
 from .numkernel import MPoly
 from .spectrum import NormalFrame, normal_jacobi, random_frame
 
 QUADRATIC_TOL = 1e-10
+# Tr S = H is scanned for sign changes on H_SAMPLES points of [-H_BOUND, H_BOUND]
+H_BOUND = 60.0
+H_SAMPLES = 2400
+# an eigenspace of larger multiplicity only gets the all-plus and all-minus splits
+MAX_ENUMERATION_DIM = 16
+
+
+def _rho(h, alphas: np.ndarray, c):
+    """rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2 with the square root of the
+    discriminant clipped at 0, and the discriminant itself."""
+    disc = h ** 2 - 4.0 * (alphas - c)
+    sq = np.sqrt(np.maximum(disc, 0.0))
+    return 0.5 * (h + sq), 0.5 * (h - sq), disc
 
 
 @dataclass(frozen=True)
@@ -61,94 +73,93 @@ class _Eigenframe:
     spectrum on xi-perp, the eigenframe X and per-vector alphas that every
     candidate shares, the splits as count matrices and the H sample grid."""
 
-    def __init__(self, frame: NormalFrame, ctx: CurvatureContext,
-                 h_bound: float = 60.0, h_samples: int = 2400,
-                 max_enumeration_dim: int = 16):
+    def __init__(self, frame: NormalFrame, ctx: CurvatureContext):
         _, perp, _, dec = normal_jacobi(frame, ctx)
-        self.alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
+        self.alphas = np.array([float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters])
         mults = [len(c) for c in dec.clusters]
         self.x = np.hstack([perp @ dec.cluster_basis(k) for k in range(len(mults))])
         self.vector_alphas = np.repeat(self.alphas, mults)
-        split_ranges = [[(m, 0), (0, m)] if m > max_enumeration_dim
+        split_ranges = [[(m, 0), (0, m)] if m > MAX_ENUMERATION_DIM
                         else [(p, m - p) for p in range(m + 1)] for m in mults]
         self.splits = list(product(*split_ranges))
         # Tr S - H = [rho+ | rho- | H] @ weights, one column per split
         counts = np.array(self.splits, dtype=float)  # [split, cluster, (m+, m-)]
         self.weights = np.vstack([counts[:, :, 0].T, counts[:, :, 1].T, -np.ones(len(counts))])
-        self.hs = np.linspace(-h_bound, h_bound, h_samples)
-        self._fvals = np.empty((h_samples, len(self.splits)))
+        self.hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
+        self._fvals = np.empty((H_SAMPLES, len(self.splits)))
 
-    def candidates(self, c_const: float) -> list[ShapeCandidate]:
-        """Self-consistent candidates at one C, in split order then by H."""
-        hs = self.hs
-        disc = hs[:, None] ** 2 - 4.0 * (np.asarray(self.alphas)[None, :] - c_const)
-        valid = np.all(disc >= 0.0, axis=1)
-        sq = np.sqrt(np.maximum(disc, 0.0))
-        rp = 0.5 * (hs[:, None] + sq)
-        rm = 0.5 * (hs[:, None] - sq)
-        # the trace gap, in a buffer reused across C, rounds differently from a
-        # per-split scan; only its signs and exact zeros are used
-        fvals = np.matmul(np.hstack([rp, rm, hs[:, None]]), self.weights, out=self._fvals)
-        pos, neg = fvals > 0.0, fvals < 0.0
-        cross = valid[:-1, None] & valid[1:, None] & ((pos[:-1] & neg[1:]) | (neg[:-1] & pos[1:]))
-        zero = valid[:, None] & (fvals == 0.0)
-        out: list[ShapeCandidate] = []
-        for si in np.nonzero(cross.any(axis=0) | zero.any(axis=0))[0]:
-            splits = self.splits[si]
-            roots = [float(hs[i]) for i in np.nonzero(zero[:, si])[0]]
-            f = _mk_trace_gap(self.alphas, splits, c_const)
-            for i in np.nonzero(cross[:, si])[0]:
-                roots.append(float(brentq(f, hs[i], hs[i + 1], xtol=1e-13)))
-            for h in _dedupe(roots):
-                lam = []
-                for (p, m), alpha in zip(splits, self.alphas):
-                    d = h * h - 4.0 * (alpha - c_const)
-                    if d < -1e-12:
-                        break
-                    r = np.sqrt(max(d, 0.0))
-                    lam += [0.5 * (h + r)] * p + [0.5 * (h - r)] * m
-                else:
-                    cand = ShapeCandidate(c_const, h, self.vector_alphas, np.array(lam),
-                                          self.x, splits)
-                    if cand.invariant_residual() <= QUADRATIC_TOL:
-                        out.append(cand)
+    def candidates(self, c_values) -> list[list[ShapeCandidate]]:
+        """Self-consistent candidates for each C, in split order then by H.
+
+        The H grid is scanned per C.  Then the sign changes of all C values
+        are bisected together until each bracket holds two adjacent floats (an
+        exact grid zero is a bracket of width 0), and the end where the trace
+        gap is <= 0 is the root.  Roots within 1e-9 of a smaller one are dropped.
+        """
+        hs, n_splits = self.hs, len(self.splits)
+        c_values = np.asarray(c_values, dtype=float)
+        keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
+        for ci, c in enumerate(c_values):
+            rp, rm, disc = _rho(hs[:, None], self.alphas, c)
+            valid = np.all(disc >= 0.0, axis=1)[:, None]
+            # the trace gap, in a buffer reused across C, rounds differently from a
+            # per-split scan; only its signs and exact zeros are used
+            fvals = np.matmul(np.hstack([rp, rm, hs[:, None]]), self.weights, out=self._fvals)
+            below, above = valid & (fvals < 0.0), valid & (fvals > 0.0)
+            for mask, di_neg, di_pos in ((valid & (fvals == 0.0), 0, 0),
+                                         (below[:-1] & above[1:], 0, 1),
+                                         (above[:-1] & below[1:], 1, 0)):
+                i, si = np.divmod(np.flatnonzero(mask), n_splits)
+                keys.append(ci * n_splits + si)
+                neg.append(hs[i + di_neg])
+                pos.append(hs[i + di_pos])
+        keys, neg, pos = np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
+        live = np.flatnonzero(neg != pos)
+        while live.size:
+            a, b = neg[live], pos[live]
+            mid = 0.5 * (a + b)
+            moving = (mid != a) & (mid != b)
+            live, a, b, mid = live[moving], a[moving], b[moving], mid[moving]
+            # Tr S - H at mid, summed eigenspace by eigenspace
+            rp, rm, _ = _rho(mid[:, None], self.alphas, c_values[keys[live] // n_splits, None])
+            w, n_alpha, gap = self.weights[:, keys[live] % n_splits], len(self.alphas), 0.0
+            for k in range(n_alpha):
+                gap = gap + (w[k] * rp[:, k] + w[n_alpha + k] * rm[:, k])
+            gap = gap - mid
+            neg[live] = np.where(gap <= 0.0, mid, a)
+            pos[live] = np.where(gap >= 0.0, mid, b)
+
+        kept: list[int] = []
+        key_list, root_list = keys.tolist(), neg.tolist()
+        for j in np.lexsort((neg, keys)).tolist():
+            if not kept or key_list[j] != key_list[kept[-1]] or \
+                    root_list[j] - root_list[kept[-1]] > 1e-9:
+                kept.append(j)
+        (ci, si), h = np.divmod(keys[kept], n_splits), neg[kept]
+        rp, rm, disc = _rho(h[:, None], self.alphas, c_values[ci, None])
+        rho = np.stack([rp, rm], axis=2)  # [candidate, cluster, (+, -)]
+        out: list[list[ShapeCandidate]] = [[] for _ in c_values]
+        for j in np.flatnonzero(np.all(disc >= -1e-12, axis=1)):
+            splits = self.splits[si[j]]
+            cand = ShapeCandidate(float(c_values[ci[j]]), float(h[j]), self.vector_alphas,
+                                  np.repeat(rho[j].ravel(), np.ravel(splits)), self.x, splits)
+            if cand.invariant_residual() <= QUADRATIC_TOL:
+                out[ci[j]].append(cand)
         return out
 
 
-def shape_candidates(frame: NormalFrame, ctx: CurvatureContext, c_const: float,
-                     h_bound: float = 60.0, h_samples: int = 2400,
-                     max_enumeration_dim: int = 16) -> list[ShapeCandidate]:
+def shape_candidates(frame: NormalFrame, ctx: CurvatureContext,
+                     c_const: float) -> list[ShapeCandidate]:
     """Enumerate Einstein-compatible shape operators at one value of C.
 
     For each eigenvalue alpha of the normal Jacobi operator with
     multiplicity m, the restriction of S has eigenvalues among the roots
     rho+- (H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every split (m+, m-) is
-    enumerated and H is solved from Tr S = H by bracketed root finding.
+    enumerated and H is solved from Tr S = H by bisecting grid brackets.
     Splits with complex roots are discarded.  Within an eigenspace the
     first m+ vectors of the deterministic cluster basis take the + root.
     """
-    return _Eigenframe(frame, ctx, h_bound, h_samples, max_enumeration_dim).candidates(c_const)
-
-
-def _mk_trace_gap(alphas, splits, c_const):
-    def f(h):
-        total = 0.0
-        for (p, m), alpha in zip(splits, alphas):
-            d = h * h - 4.0 * (alpha - c_const)
-            if d < 0:
-                return np.nan
-            r = np.sqrt(d)
-            total += p * 0.5 * (h + r) + m * 0.5 * (h - r)
-        return total - h
-    return f
-
-
-def _dedupe(xs: list[float], tol: float = 1e-9) -> list[float]:
-    out: list[float] = []
-    for x in sorted(xs):
-        if not out or abs(x - out[-1]) > tol:
-            out.append(x)
-    return out
+    return _Eigenframe(frame, ctx).candidates([c_const])[0]
 
 
 def specialized_codazzi_coefficient_identity() -> bool:
@@ -275,13 +286,12 @@ def candidate_aggregate_residual(cand: ShapeCandidate, ctx: CurvatureContext,
 def _probe_frame(args) -> tuple[int, float, int, dict | None]:
     """One frame: C-independent work once, then one batch per C (top-level
     with one tuple argument so a worker pool can dispatch it)."""
-    g, ctx, frame_seed, fidx, c_grid, min_component = args
-    frame = random_frame(g, np.random.default_rng(frame_seed), min_component)
+    g, ctx, frame_seed, fidx, c_grid = args
+    frame = random_frame(g, np.random.default_rng(frame_seed))
     eigenframe = _Eigenframe(frame, ctx)
     tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
     best, best_info, n_candidates = np.inf, None, 0
-    for c in c_grid:
-        cands = eigenframe.candidates(float(c))
+    for c, cands in zip(c_grid, eigenframe.candidates(c_grid)):
         if not cands:
             continue
         n_candidates += len(cands)
@@ -296,21 +306,20 @@ def _probe_frame(args) -> tuple[int, float, int, dict | None]:
 
 def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
                         c_grid: np.ndarray | None = None, seed: int = 0,
-                        min_component: float = 0.05, jobs: int = 1) -> dict:
+                        jobs: int = 1) -> dict:
     """Minimum aggregate residual over random frames, the C grid and splits.
 
     The reported floor is the smallest obstruction residual any candidate
     achieves; a strictly positive floor is evidence (not a certificate) that
     no pointwise shape operator is compatible with the Einstein condition on
-    the sampled frames and C values.
+    the sampled frames and C values, whose region ``box`` names.
     Frames get independent seeds spawned from ``seed``, so the result is
     identical whether the grid is processed serially or by a worker pool.
     """
     if c_grid is None:
         c_grid = np.arange(-2.0, 0.0 + 1e-12, 0.01)
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
-    tasks = [(g, ctx, frame_seeds[i], i, np.asarray(c_grid), min_component)
-             for i in range(n_frames)]
+    tasks = [(g, ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
     if jobs > 1:
         from multiprocessing import Pool
         with Pool(jobs) as pool:
@@ -320,7 +329,9 @@ def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
     per_frame = [r[1] for r in results]
     n_candidates = sum(r[2] for r in results)
     floor_idx = int(np.argmin(per_frame))
+    box = {"c_min": float(np.min(c_grid)), "c_max": float(np.max(c_grid)),
+           "c_values": len(c_grid), "h_bound": H_BOUND, "h_samples": H_SAMPLES}
     return {"floor": float(per_frame[floor_idx]),
             "floor_info": results[floor_idx][3],
             "candidates": n_candidates, "frames": n_frames, "seed": seed,
-            "per_frame_min": per_frame}
+            "box": box, "per_frame_min": per_frame}

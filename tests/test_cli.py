@@ -245,6 +245,23 @@ def test_probe_subcommand_smoke(tmp_path):
     payload = json.loads(out.read_text())
     assert payload["probe"]["floor"] > 1e-6
     assert payload["probe"]["frames"] == 2
+    box = payload["probe"]["box"]
+    assert box == {"c_min": -2.0, "c_max": pytest.approx(0.0, abs=1e-12), "c_values": 6,
+                   "h_bound": 60.0, "h_samples": 2400}
+    _, report = run(load_config(str(cfg_file), {"suites": ["hypersurface"]}))
+    check, = report["checks"]
+    assert check["id"] == "codazzi-floor(2,4)" and check["witness"]["box"] == box
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy is a test-only oracle; every drgeom command starts without it
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", "import sys, drgeom.cli; "
+                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 SRC = Path(__file__).resolve().parents[1] / "src"

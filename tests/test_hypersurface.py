@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import warnings
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -13,9 +15,9 @@ from itertools import product
 
 from scipy.optimize import brentq
 
-from drgeom.hypersurface import (QUADRATIC_TOL, ShapeCandidate, _dedupe,
-                                 _Eigenframe, _FrameTensors, _mk_trace_gap,
-                                 _probe_frame, codazzi_residual,
+from drgeom.hypersurface import (H_BOUND, H_SAMPLES, QUADRATIC_TOL, ShapeCandidate,
+                                 _Eigenframe, _FrameTensors, _probe_frame,
+                                 codazzi_residual,
                                  candidate_aggregate_residual,
                                  derived_gauss_residuals, gauss_map_derivatives,
                                  nomizu, probe_codazzi_floor, shape_candidates)
@@ -339,12 +341,51 @@ def _ref_eigenspace_data(frame, ctx, cluster_tol=1e-7):
     return alphas, mults, bases
 
 
-def _ref_shape_candidates(frame, ctx, c_const, h_bound=60.0, h_samples=2400):
-    """Eigendata recomputed for this C, one trace scan per split."""
+def _trace_gap(alphas, splits, c_const):
+    """Tr S - H as a scalar function of H, with a negative discriminant clipped to 0."""
+    def f(h):
+        total = 0.0
+        for (p, m), alpha in zip(splits, alphas):
+            d = h * h - 4.0 * (alpha - c_const)
+            r = np.sqrt(max(d, 0.0))
+            total += p * 0.5 * (h + r) + m * 0.5 * (h - r)
+        return total - h
+    return f
+
+
+def _bisect_to_adjacent_floats(f, neg, pos):
+    """Root of f in a bracket with f(neg) < 0 < f(pos): bisect until the two
+    ends are adjacent floats, then return the end where f <= 0."""
+    while True:
+        mid = 0.5 * (neg + pos)
+        if mid in (neg, pos):
+            return neg
+        fm = f(mid)
+        if fm <= 0.0:
+            neg = mid
+        if fm >= 0.0:
+            pos = mid
+
+
+def _brentq_root(f, neg, pos):
+    return brentq(f, min(neg, pos), max(neg, pos), xtol=1e-13)
+
+
+def _dedupe(xs, tol=1e-9):
+    out = []
+    for x in sorted(xs):
+        if not out or abs(x - out[-1]) > tol:
+            out.append(x)
+    return out
+
+
+def _ref_shape_candidates(frame, ctx, c_const, root=_bisect_to_adjacent_floats):
+    """Eigendata recomputed for this C, one trace scan and one scalar root
+    search per split and bracket."""
     alphas, mults, bases = _ref_eigenspace_data(frame, ctx)
     split_ranges = [[(p, m - p) for p in range(m + 1)] for m in mults]
     out = []
-    hs = np.linspace(-h_bound, h_bound, h_samples)
+    hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
     disc = hs[:, None] ** 2 - 4.0 * (np.asarray(alphas)[None, :] - c_const)
     valid = np.all(disc >= 0.0, axis=1)
     sq = np.sqrt(np.maximum(disc, 0.0))
@@ -356,10 +397,10 @@ def _ref_shape_candidates(frame, ctx, c_const, h_bound=60.0, h_samples=2400):
         fvals = rp @ plus + rm @ minus - hs
         cross = valid[:-1] & valid[1:] & (fvals[:-1] * fvals[1:] < 0.0)
         roots = [float(hs[i]) for i in np.nonzero(valid & (fvals == 0.0))[0]]
-        if cross.any():
-            f = _mk_trace_gap(alphas, splits, c_const)
-            for i in np.nonzero(cross)[0]:
-                roots.append(float(brentq(f, hs[i], hs[i + 1], xtol=1e-13)))
+        f = _trace_gap(alphas, splits, c_const)
+        for i in np.nonzero(cross)[0]:
+            ends = (hs[i], hs[i + 1]) if fvals[i] < 0.0 else (hs[i + 1], hs[i])
+            roots.append(float(root(f, *ends)))
         for h in _dedupe(roots):
             lam, al, cols, ok = [], [], [], True
             for (p, m), alpha, basis in zip(splits, alphas, bases):
@@ -440,7 +481,7 @@ def test_probe_matches_per_candidate_reference(g24, ctx24, seed):
     ref = [_ref_probe_frame(g24, ctx24, frame_seeds[i], i, REF_GRID)
            for i in range(n_frames)]
     for i in range(n_frames):
-        assert _probe_frame((g24, ctx24, frame_seeds[i], i, REF_GRID, 0.05)) == ref[i]
+        assert _probe_frame((g24, ctx24, frame_seeds[i], i, REF_GRID)) == ref[i]
     out = probe_codazzi_floor(g24, ctx24, n_frames=n_frames, c_grid=REF_GRID, seed=seed)
     floor_idx = int(np.argmin([r[1] for r in ref]))
     assert out["per_frame_min"] == [r[1] for r in ref]
@@ -453,7 +494,7 @@ def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
     fr = random_frame(g24, np.random.default_rng(11))
     eigenframe = _Eigenframe(fr, ctx24)
     for c in (-1.3, -0.8, -0.35):
-        cands = eigenframe.candidates(c)
+        cands = eigenframe.candidates([c])[0]
         assert [(cd.h_mean, cd.splits) for cd in cands] == \
                [(cd.h_mean, cd.splits) for cd in _ref_shape_candidates(fr, ctx24, c)]
         if not cands:
@@ -475,3 +516,65 @@ def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
             assert np.array_equal(cz["residuals"], _ref_codazzi(cand, ref_gamma, ctx24, fr),
                                   equal_nan=True)
             assert candidate_aggregate_residual(cand, ctx24, fr) == aggs[b]
+
+
+def _root_40_digits(alphas, splits, c_const, h0):
+    def f(h):
+        return sum(p * (h + mpmath.sqrt(h * h - 4 * (mpmath.mpf(a) - c_const))) / 2
+                   + m * (h - mpmath.sqrt(h * h - 4 * (mpmath.mpf(a) - c_const))) / 2
+                   for (p, m), a in zip(splits, alphas)) - h
+    with mpmath.workdps(40):
+        return float(mpmath.findroot(f, mpmath.mpf(h0)))
+
+
+def test_bisection_matches_brentq_oracle(g24, ctx24):
+    # the frame-wide bisection finds the same (C, split) candidates as scipy's
+    # brentq on each bracket alone, with H within 1e-10.  Where Tr S - H is so
+    # flat at the root that rounding moves both solvers by more than that, the
+    # bisected H must instead be within 1e-10 of the root taken to 40 digits
+    grid = np.arange(-2.0, 0.0 + 1e-12, 0.01)
+    n_cands, flat = 0, 0
+    for frame_seed in np.random.SeedSequence(0).spawn(6):
+        fr = random_frame(g24, np.random.default_rng(frame_seed))
+        eigenframe = _Eigenframe(fr, ctx24)
+        for c, cands in zip(grid, eigenframe.candidates(grid)):
+            ref = _ref_shape_candidates(fr, ctx24, float(c), root=_brentq_root)
+            assert [cd.splits for cd in cands] == [cd.splits for cd in ref]
+            n_cands += len(cands)
+            for cd, oracle in zip(cands, ref):
+                if abs(cd.h_mean - oracle.h_mean) > 1e-10:
+                    flat += 1
+                    exact = _root_40_digits(eigenframe.alphas, cd.splits, c, cd.h_mean)
+                    assert abs(cd.h_mean - exact) <= 1e-10
+    assert n_cands > 5000 and flat <= 5
+
+
+def test_frame_batch_equals_one_c_at_a_time(g24, ctx24):
+    fr = random_frame(g24, np.random.default_rng(13))
+    eigenframe = _Eigenframe(fr, ctx24)
+    batch = eigenframe.candidates(REF_GRID)
+    assert sum(map(len, batch)) > 0
+    for c, cands in zip(REF_GRID, batch):
+        alone = eigenframe.candidates([c])[0]
+        assert [(cd.c_const, cd.h_mean, cd.splits, cd.lambdas.tobytes()) for cd in cands] == \
+               [(cd.c_const, cd.h_mean, cd.splits, cd.lambdas.tobytes()) for cd in alone]
+
+
+def test_bisection_through_complex_roots_warns_nothing(g24, ctx24):
+    # without a center component the Jacobi eigenvalues are -1 and -1/4, of
+    # multiplicities 2 and 4, so the split with m+ = m- has Tr S - H = 2H.
+    # Just below C = -1/4, rho+- on -1/4 is complex for |H| < 2e-3, inside the
+    # grid bracket around H = 0 where that split changes sign
+    v = np.array([0.5, -0.3, 0.1, 0.7])
+    fr = make_frame(g24, v * np.sqrt(0.6) / np.linalg.norm(v), np.zeros(2), np.sqrt(0.4))
+    eigenframe = _Eigenframe(fr, ctx24)
+    c = -0.25 - 1e-6
+    balanced = ((1, 1), (2, 2))
+    assert np.allclose(eigenframe.alphas, [-1.0, -0.25]) and balanced in eigenframe.splits
+    f = _trace_gap(eigenframe.alphas, balanced, c)
+    near_zero = np.sort(eigenframe.hs[np.argsort(np.abs(eigenframe.hs))[:2]])
+    assert np.all(near_zero ** 2 > 4e-6) and f(near_zero[0]) < 0.0 < f(near_zero[1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cands = eigenframe.candidates([c])[0]
+    assert all(cd.invariant_residual() <= QUADRATIC_TOL for cd in cands)
