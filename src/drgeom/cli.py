@@ -17,6 +17,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
@@ -37,6 +38,8 @@ SCHEMA_VERSION = 1
 DEFAULT_DIMS = [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
 # the probe scans C over [-2, 0]; a step giving more values is refused
 MAX_C_VALUES = 20001
+# config keys that only ``verify`` reads; ``replay`` and ``probe`` refuse them
+VERIFY_ONLY_KEYS = ("dims", "tol", "exact")
 
 
 @dataclass
@@ -100,8 +103,9 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_config(path: str | None, overrides: dict) -> RunConfig:
-    """JSON file values, then explicit flags on top (flags win)."""
+def load_config(path: str | None, overrides: dict, refused: Iterable[str] = ()) -> RunConfig:
+    """JSON file values, then explicit flags on top (flags win); a valid
+    config that sets a key in ``refused`` is a ValueError naming the key."""
     data = {}
     if path:
         data = json.loads(Path(path).read_text())
@@ -117,6 +121,9 @@ def load_config(path: str | None, overrides: dict) -> RunConfig:
         raise ValueError(f"unknown config key(s) {unknown}")
     cfg = RunConfig(**data)
     cfg.validate()
+    ignored = sorted(set(data) & set(refused))
+    if ignored:
+        raise ValueError(f"config key(s) {ignored} are read only by 'verify'")
     return cfg
 
 
@@ -306,7 +313,8 @@ def probe(cfg: RunConfig) -> tuple[int, dict]:
 
 
 def summarize(paths: list[str], as_csv: bool = False) -> str:
-    """Aggregate residual ranges over one or more report files."""
+    """Aggregate residual ranges and the largest step runtime (from each
+    report's ``header.runtimes_s``) over one or more report files."""
     if not paths:
         raise ValueError("summarize needs at least one report file")
     rows: dict[str, dict] = {}
@@ -321,36 +329,39 @@ def summarize(paths: list[str], as_csv: bool = False) -> str:
                                "residual": s["residual"]} for s in rep["steps"])
             if not checks:
                 raise ValueError("no checks")
-        except (json.JSONDecodeError, OSError, ValueError, KeyError) as exc:
+            runtimes = data.get("header", {}).get("runtimes_s", {})
+        except (json.JSONDecodeError, OSError, ValueError, KeyError, AttributeError) as exc:
             skipped.append((p, str(exc)))
             continue
         for c in checks:
             row = rows.setdefault(c["id"], {"id": c["id"], "runs": 0, "fails": 0,
-                                            "min_residual": None, "max_residual": None})
+                                            "min_residual": None, "max_residual": None,
+                                            "max_runtime_s": None})
             row["runs"] += 1
             row["fails"] += int(c["verdict"] == "fail")
-            r = c.get("residual")
-            if r is not None:
-                row["min_residual"] = r if row["min_residual"] is None else min(row["min_residual"], r)
-                row["max_residual"] = r if row["max_residual"] is None else max(row["max_residual"], r)
+            for key, value, pick in (("min_residual", c.get("residual"), min),
+                                     ("max_residual", c.get("residual"), max),
+                                     ("max_runtime_s", runtimes.get(c["id"]), max)):
+                if value is not None:
+                    row[key] = value if row[key] is None else pick(row[key], value)
     if not rows:
         raise ValueError("no usable reports")
     ordered = [rows[k] for k in sorted(rows)]
     if as_csv:
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=["id", "runs", "fails",
-                                                 "min_residual", "max_residual"])
+        writer = csv.DictWriter(buf, fieldnames=list(ordered[0]))
         writer.writeheader()
         writer.writerows(ordered)
         out = buf.getvalue()
     else:
         width = max(len(r["id"]) for r in ordered)
-        lines = [f"{'check id':<{width}}  runs fails  min residual  max residual"]
+        lines = [f"{'check id':<{width}}  runs fails  min residual  max residual  max runtime s"]
         for r in ordered:
             mn = "-" if r["min_residual"] is None else f"{r['min_residual']:.3e}"
             mx = "-" if r["max_residual"] is None else f"{r['max_residual']:.3e}"
+            rt = "-" if r["max_runtime_s"] is None else f"{r['max_runtime_s']:.6f}"
             lines.append(f"{r['id']:<{width}}  {r['runs']:>4} {r['fails']:>5}  "
-                         f"{mn:>12}  {mx:>12}")
+                         f"{mn:>12}  {mx:>12}  {rt:>13}")
         out = "\n".join(lines) + "\n"
     for p, why in skipped:
         out += f"warning: skipped {p}: {why}\n"
@@ -387,7 +398,8 @@ def _config_from_args(args) -> RunConfig:
                  "jobs": getattr(args, "jobs", None)}
     if getattr(args, "dims", None) is not None:
         overrides["dims"] = _parse_dims(args.dims)
-    return load_config(args.config, overrides)
+    return load_config(args.config, overrides,
+                       refused=() if args.command == "verify" else VERIFY_ONLY_KEYS)
 
 
 def _emit(payload: dict, out: str | None):

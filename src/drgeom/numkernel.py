@@ -10,9 +10,10 @@ safe to map over parameter grids in parallel.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -164,6 +165,13 @@ class MPoly:
 
     Terms map exponent tuples (aligned with ``variables``) to nonzero
     Fractions.  All arithmetic is exact; instances are immutable.
+
+    Invariant: every instance has distinct variable names, every exponent
+    is a tuple of ints of length ``len(variables)``, and every stored
+    coefficient is a nonzero ``Fraction``.  ``MPoly(...)`` checks and
+    normalizes outside input; the arithmetic builds its results from
+    operands that already hold the invariant, so it goes through ``_new``,
+    which only drops the zero coefficients that cancellation leaves.
     """
 
     __slots__ = ("variables", "terms")
@@ -182,6 +190,15 @@ class MPoly:
                 cleaned[exp] = c
         self.variables = vs
         self.terms = cleaned
+
+    @classmethod
+    def _new(cls, vs: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]) -> MPoly:
+        """Trusted constructor: ``terms`` already has int-tuple exponents of
+        length ``len(vs)`` and Fraction values; only zeros are dropped."""
+        out = cls.__new__(cls)
+        out.variables = vs
+        out.terms = {e: c for e, c in terms.items() if c}
+        return out
 
     # -- construction -------------------------------------------------------
 
@@ -216,17 +233,12 @@ class MPoly:
     def embed(self, variables: Sequence[str]) -> MPoly:
         """Reinterpret in a larger (or reordered) variable ring."""
         vs = tuple(variables)
-        pos = {v: i for i, v in enumerate(vs)}
         for v in self.variables:
-            if v not in pos:
+            if v not in vs:
                 raise ValueError(f"target ring is missing variable {v!r}")
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in self.terms.items():
-            new = [0] * len(vs)
-            for v, e in zip(self.variables, exp):
-                new[pos[v]] = e
-            terms[tuple(new)] = terms.get(tuple(new), Fraction(0)) + c
-        return MPoly(vs, terms)
+        pos = [self.variables.index(v) if v in self.variables else None for v in vs]
+        return MPoly._new(vs, {tuple(0 if i is None else exp[i] for i in pos): c
+                               for exp, c in self.terms.items()})
 
     def _coerce(self, other) -> MPoly:
         if isinstance(other, MPoly):
@@ -238,13 +250,14 @@ class MPoly:
         vs, a, b = self._aligned(other)
         terms = dict(a.terms)
         for exp, c in b.terms.items():
-            terms[exp] = terms.get(exp, Fraction(0)) + c
-        return MPoly(vs, terms)
+            prev = terms.get(exp)
+            terms[exp] = c if prev is None else prev + c
+        return MPoly._new(vs, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly(self.variables, {e: -c for e, c in self.terms.items()})
+        return MPoly._new(self.variables, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> MPoly:
         return self + (-self._coerce(other))
@@ -259,8 +272,9 @@ class MPoly:
         for e1, c1 in a.terms.items():
             for e2, c2 in b.terms.items():
                 exp = tuple(x + y for x, y in zip(e1, e2))
-                terms[exp] = terms.get(exp, Fraction(0)) + c1 * c2
-        return MPoly(vs, terms)
+                prev = terms.get(exp)
+                terms[exp] = c1 * c2 if prev is None else prev + c1 * c2
+        return MPoly._new(vs, terms)
 
     __rmul__ = __mul__
 
@@ -278,7 +292,7 @@ class MPoly:
 
     def __truediv__(self, other) -> MPoly:
         c = _as_fraction(other)
-        return MPoly(self.variables, {e: v / c for e, v in self.terms.items()})
+        return MPoly._new(self.variables, {e: v / c for e, v in self.terms.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
@@ -318,13 +332,8 @@ class MPoly:
     def coeff_of(self, var: str, power: int) -> MPoly:
         """Coefficient of var**power, as a polynomial in the remaining ring."""
         i = self.variables.index(var)
-        terms = {}
-        for exp, c in self.terms.items():
-            if exp[i] == power:
-                e = list(exp)
-                e[i] = 0
-                terms[tuple(e)] = terms.get(tuple(e), Fraction(0)) + c
-        return MPoly(self.variables, terms)
+        return MPoly._new(self.variables, {exp[:i] + (0,) + exp[i + 1:]: c
+                                           for exp, c in self.terms.items() if exp[i] == power})
 
     def depends_on(self, var: str) -> bool:
         return self.degree(var) > 0
@@ -423,18 +432,11 @@ class NotSymmetricError(ValueError):
 
 def elementary_symmetric(variables: Sequence[MPoly]) -> list[MPoly]:
     """e_1..e_k of the given variable polynomials."""
-    k = len(variables)
-    elems: list[MPoly] = []
-    # dynamic programming over prod (1 + x_i t): coefficients of t^j
+    # coefficients of t^j in prod (1 + x_i t), one factor at a time
     coeffs = [MPoly.constant(1, variables[0].variables)]
     for x in variables:
-        new = coeffs + [MPoly.zero(x.variables)]
-        for j in range(len(coeffs), 0, -1):
-            new[j] = (coeffs[j] if j < len(coeffs) else MPoly.zero(x.variables)) + coeffs[j - 1] * x
-        coeffs = new
-    for j in range(1, k + 1):
-        elems.append(coeffs[j])
-    return elems
+        coeffs = [a + b * x for a, b in zip(coeffs + [0], [0] + coeffs)]
+    return coeffs[1:]
 
 
 def symmetric_eliminate(expr: MPoly, sym_vars: Sequence[str],
@@ -448,65 +450,63 @@ def symmetric_eliminate(expr: MPoly, sym_vars: Sequence[str],
     """
     sym_vars = tuple(sym_vars)
     k = len(sym_vars)
-    vs = tuple(expr.variables)
-    for v in sym_vars:
-        if v not in vs:
-            expr = expr.embed(list(vs) + [v])
-            vs = expr.variables
+    vs = expr.variables + tuple(v for v in sym_vars if v not in expr.variables)
+    expr = expr.embed(vs)
     idx = [vs.index(v) for v in sym_vars]
-    gens = []
-    for v in sym_vars:
-        exp = [0] * len(vs)
-        exp[vs.index(v)] = 1
-        gens.append(MPoly(vs, {tuple(exp): Fraction(1)}))
-    elems = elementary_symmetric(gens)
+    elems = elementary_symmetric(
+        [MPoly._new(vs, {tuple(int(j == i) for j in range(len(vs))): Fraction(1)}) for i in idx])
     values = [val if isinstance(val, MPoly) else MPoly.constant(_as_fraction(val), vs)
               for val in elem_values]
     if len(values) != k:
         raise ValueError(f"need {k} elementary symmetric values, got {len(values)}")
 
+    def key(e):  # negated: the heap's smallest key is the largest (symmetric exponents, e)
+        return tuple(-e[i] for i in idx), tuple(-x for x in e), e
+
+    # every term of work with a symmetric part has a key in the heap; a popped
+    # key whose term has since cancelled is skipped
+    heap = [key(e) for e in expr.terms if any(e[i] for i in idx)]
+    heapq.heapify(heap)
+    work = dict(expr.terms)
     result = MPoly.zero(vs)
-    work = expr
-    while True:
-        # pick the lex-largest monomial in the symmetric variables
-        cand = [(tuple(e[i] for i in idx), e) for e in work.terms if any(e[i] for i in idx)]
-        if not cand:
-            break
-        sym_exp, full_exp = max(cand)
+    # the products of e_j (generators, values) for each symmetric exponent
+    prods: dict[tuple[int, ...], tuple[MPoly, MPoly]] = {}
+    while heap:
+        full_exp = heapq.heappop(heap)[2]
+        c = work.get(full_exp)
+        if c is None:
+            continue
+        sym_exp = tuple(full_exp[i] for i in idx)
         if any(sym_exp[i] < sym_exp[i + 1] for i in range(k - 1)):
-            raise NotSymmetricError(work)
-        c = work.terms[full_exp]
-        rest_exp = tuple(0 if i in idx else e for i, e in enumerate(full_exp))
-        rest = MPoly(vs, {rest_exp: c})
-        sym_prod_gen = MPoly.constant(1, vs)
-        sym_prod_val = MPoly.constant(1, vs)
-        exps = list(sym_exp) + [0]
-        for j in range(k):
-            power = exps[j] - exps[j + 1]
-            if power:
-                sym_prod_gen = sym_prod_gen * elems[j] ** power
-                sym_prod_val = sym_prod_val * values[j] ** power
-        work = work - rest * sym_prod_gen
-        result = result + rest * sym_prod_val
-    result = result + work
-    for e in result.terms:
-        for i in idx:
-            if e[i]:
-                raise NotSymmetricError(result)
-    return _drop_vars(result, sym_vars)
-
-
-def _drop_vars(p: MPoly, names: Iterable[str]) -> MPoly:
-    names = set(names)
-    keep = [v for v in p.variables if v not in names]
-    pos = [p.variables.index(v) for v in keep]
-    terms = {}
-    for exp, c in p.terms.items():
-        for v in names:
-            if exp[p.variables.index(v)]:
-                raise ValueError(f"polynomial still depends on {v!r}")
-        terms[tuple(exp[i] for i in pos)] = c
-    return MPoly(keep, terms)
+            raise NotSymmetricError(MPoly._new(vs, work))
+        if sym_exp not in prods:
+            gen = val = MPoly.constant(1, vs)
+            for j, power in enumerate(a - b for a, b in zip(sym_exp, sym_exp[1:] + (0,))):
+                if power:
+                    gen = gen * elems[j] ** power
+                    val = val * values[j] ** power
+            prods[sym_exp] = gen, val
+        gen, val = prods[sym_exp]
+        rest = MPoly._new(vs, {tuple(0 if i in idx else e for i, e in enumerate(full_exp)): c})
+        # every term of rest * gen but the leading one (which cancels c x^full_exp)
+        # has smaller symmetric exponents
+        for e, d in (rest * gen).terms.items():
+            prev = work.get(e)
+            if prev is None:
+                work[e] = -d
+                if any(e[i] for i in idx):
+                    heapq.heappush(heap, key(e))
+            elif prev == d:
+                del work[e]
+            else:
+                work[e] = prev - d
+        result = result + rest * val
+    result = result + MPoly._new(vs, work)
+    if any(e[i] for e in result.terms for i in idx):
+        raise NotSymmetricError(result)
+    keep = [i for i, v in enumerate(result.variables) if v not in sym_vars]
+    return MPoly._new(tuple(result.variables[i] for i in keep),
+                      {tuple(e[i] for i in keep): c for e, c in result.terms.items()})
 
 
 def mpoly_resultant(a: MPoly, b: MPoly, var: str) -> MPoly:

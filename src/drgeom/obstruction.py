@@ -892,6 +892,8 @@ def psi_coprimality_samples() -> dict:
     t = MPoly.symbols("t")[0]
     phi, psi = phi_psi_polys()
     p_poly = t ** 3 + 3 * t ** 2 - MPoly.symbols("q")[0]
+    res_psi_poly = mpoly_resultant(p_poly, psi(t), "t")
+    res_phi_poly = mpoly_resultant(p_poly, phi(t), "t")
     samples = []
     ok = True
     for v in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
@@ -902,17 +904,11 @@ def psi_coprimality_samples() -> dict:
             q = 27 * v * v * y
             lam = 2 * s * (1 - v) / (2 - 3 * v)
             assign = {"q": q, "s": s, "v": v, "y": y, "lam": lam}
-            res_psi = _resultant_at(p_poly, psi(t), assign)
-            res_phi = _resultant_at(p_poly, phi(t), assign)
+            res_psi = res_psi_poly.evaluate(assign)
+            res_phi = res_phi_poly.evaluate(assign)
             ok &= res_psi != 0
             samples.append({"v": v, "s": s, "res_psi": res_psi, "res_phi": res_phi})
     return {"ok": ok, "samples": samples}
-
-
-def _resultant_at(a: MPoly, b: MPoly, assign: dict) -> Fraction:
-    res = mpoly_resultant(a, b, "t")
-    use = {k: v for k, v in assign.items() if k in res.variables}
-    return res.evaluate(use)
 
 
 def final_positivity_analysis(grid: int = 50) -> dict:

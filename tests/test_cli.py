@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import csv
+import io
 import json
 import os
 import subprocess
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom.cli import REPLAYS, RunConfig, load_config, main, run, summarize
+from drgeom.cli import REPLAYS, RunConfig, load_config, main, replay, run, summarize
 
 
 def test_config_validation_rejects_inadmissible_dims():
@@ -102,6 +104,28 @@ def test_verify_only_flags_are_rejected_elsewhere(capsys, command, flags):
     assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["replay", "no-v"], ["probe", "hypersurface"]])
+@pytest.mark.parametrize("data, named", [({"dims": [[7, 8]], "tol": 1e-30}, "['dims', 'tol']"),
+                                         ({"exact": True, "seed": 1}, "['exact']")])
+def test_verify_only_config_keys_are_rejected_elsewhere(tmp_path, capsys, command, data, named):
+    # replay and probe would ignore these file keys, as they have no such flags
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(data))
+    assert main(command + ["--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and f"config key(s) {named}" in err
+    assert "Traceback" not in err
+
+
+def test_verify_reads_the_verify_only_config_keys(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": [[2, 4]], "tol": 1e-8, "exact": False}))
+    out = tmp_path / "report.json"
+    assert main(["verify", "clifford", "--config", str(path), "--out", str(out)]) == 0
+    config = json.loads(out.read_text())["header"]["config"]
+    assert (config["dims"], config["tol"], config["exact"]) == ([[2, 4]], 1e-8, False)
+
+
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: st.lists(inner, max_size=3)
@@ -187,8 +211,11 @@ def test_summarize_single_report(tmp_path):
     p = tmp_path / "r.json"
     p.write_text(json.dumps(report))
     text = summarize([str(p)])
-    assert "clifford-relations(2,4)" in text
-    assert " 1 " in text or "1" in text
+    header, row = text.splitlines()
+    assert header.split()[-3:] == ["max", "runtime", "s"]
+    runtime = report["header"]["runtimes_s"]["clifford-relations(2,4)"]
+    assert row.split() == ["clifford-relations(2,4)", "1", "0",
+                           *[f"{report['checks'][0]['residual']:.3e}"] * 2, f"{runtime:.6f}"]
 
 
 def test_summarize_two_seeds_merges_ranges(tmp_path):
@@ -200,8 +227,22 @@ def test_summarize_two_seeds_merges_ranges(tmp_path):
         p.write_text(json.dumps(report))
         paths.append(str(p))
     text = summarize(paths, as_csv=True)
+    assert text.splitlines()[0] == "id,runs,fails,min_residual,max_residual,max_runtime_s"
     rows = [line for line in text.splitlines() if "jacobi-cross" in line]
     assert rows and ",2," in rows[0]
+    runtimes = [json.loads(Path(p).read_text())["header"]["runtimes_s"]["jacobi-cross-check(2,4)"]
+                for p in paths]
+    assert float(rows[0].split(",")[-1]) == max(runtimes)
+
+
+def test_summarize_reads_replay_step_runtimes(tmp_path):
+    _, payload = replay("no-v", RunConfig())
+    p = tmp_path / "no-v.json"
+    p.write_text(json.dumps(payload))
+    rows = {r["id"]: r for r in csv.DictReader(io.StringIO(summarize([str(p)], as_csv=True)))}
+    assert set(rows) == set(payload["header"]["runtimes_s"])
+    for step_id, runtime in payload["header"]["runtimes_s"].items():
+        assert float(rows[step_id]["max_runtime_s"]) == runtime
 
 
 def test_summarize_empty_errors():
@@ -216,8 +257,10 @@ def test_summarize_skips_malformed(tmp_path):
     good.write_text(json.dumps(report))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
-    text = summarize([str(good), str(bad)])
-    assert "warning: skipped" in text
+    not_a_report = tmp_path / "list.json"
+    not_a_report.write_text("[1, 2]")
+    text = summarize([str(good), str(bad), str(not_a_report)])
+    assert f"warning: skipped {bad}" in text and f"warning: skipped {not_a_report}" in text
 
 
 def test_main_summarize_roundtrip(tmp_path, capsys):

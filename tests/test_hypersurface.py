@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from drgeom import hypersurface
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
 from itertools import product
@@ -21,6 +22,7 @@ from drgeom.hypersurface import (H_BOUND, H_SAMPLES, QUADRATIC_TOL, ShapeCandida
                                  candidate_aggregate_residual,
                                  derived_gauss_residuals, gauss_map_derivatives,
                                  nomizu, probe_codazzi_floor, shape_candidates)
+from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
 
@@ -68,6 +70,42 @@ def test_candidates_alpha_equals_c_gives_zero_and_h_roots(g24, ctx24):
         lams = cand.lambdas[sel]
         for lam in lams:
             assert min(abs(lam), abs(lam - cand.h_mean)) < 1e-8
+
+
+def _made_up_eigenframe(monkeypatch, alphas, mults):
+    """An _Eigenframe built by its own constructor from a made-up normal
+    Jacobi spectrum: cluster k holds mults[k] coordinate vectors with the
+    eigenvalue alphas[k]."""
+    n = sum(mults)
+    ends = np.cumsum([0, *mults]).tolist()
+    dec = EigenDecomposition(np.repeat(np.asarray(alphas, dtype=float), mults), np.eye(n),
+                             tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])), 0.0)
+    monkeypatch.setattr(hypersurface, "normal_jacobi",
+                        lambda frame, ctx: (None, np.eye(n), None, dec))
+    return _Eigenframe(None, None)
+
+
+def test_candidates_keep_an_exact_grid_zero(monkeypatch):
+    # one eigenvalue of multiplicity 2 with alpha - C = h0^2 / 4: on the split
+    # (2, 0) the trace gap is sqrt(H^2 - h0^2), exactly 0 at H = h0 (and at
+    # -h0 if that is a grid point), positive at every other valid grid H and
+    # undefined between; so no bracket holds the root, only the grid zero
+    hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
+    h0 = hs[1700]
+    ef = _made_up_eigenframe(monkeypatch, [h0 ** 2 / 4], [2])
+    roots = [c.h_mean for c in ef.candidates([0.0])[0] if c.splits == ((2, 0),)]
+    assert h0 in roots and all(abs(h) == h0 for h in roots)
+
+
+def test_candidates_drop_a_root_within_1e_9_of_a_smaller_one(monkeypatch):
+    # alpha = C with multiplicity 2: on the split (1, 1) the trace gap
+    # rho+ + rho- - H is exactly 0 at every H, so each grid point is a root;
+    # on a grid with two points 5e-10 apart only the smaller one is kept
+    ef = _made_up_eigenframe(monkeypatch, [0.0], [2])
+    ef.hs = np.array([1.0, 1.0 + 5e-10, 2.0])
+    ef._fvals = np.empty((len(ef.hs), len(ef.splits)))
+    roots = [c.h_mean for c in ef.candidates([0.0])[0] if c.splits == ((1, 1),)]
+    assert roots == [1.0, 2.0]
 
 
 def test_no_z_forced_constants_solve_quadratics_exactly():

@@ -198,6 +198,82 @@ def test_mpoly_divexact():
     assert a.divexact(x + 1) is None
 
 
+_RING = ("x", "y", "z")
+
+
+@st.composite
+def _mpolys(draw):
+    """A polynomial over a random sub-ring of x, y, z, built by the public
+    constructor from terms that may hold zero coefficients."""
+    vs = draw(st.permutations(_RING))[:draw(st.integers(1, len(_RING)))]
+    terms = draw(st.dictionaries(st.tuples(*[st.integers(0, 2)] * len(vs)),
+                                 st.integers(-2, 2) | st.fractions(-2, 2, max_denominator=3),
+                                 max_size=5))
+    return MPoly(vs, terms)
+
+
+def _assert_clean(p: MPoly):
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    assert all(len(e) == len(p.variables) and all(type(x) is int for x in e)
+               for e in p.terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_mpolys(), b=_mpolys(), ring=st.permutations(_RING + ("w",)))
+def test_mpoly_results_keep_the_invariant(a, b, ring):
+    # a + (-a) and products with cancelling terms must drop every zero
+    for p in (a + b, a - b, a + (-a), a * b, (a + b) * (a - b), -a, a.embed(ring),
+              (a * b).embed(ring), a / Fraction(-3, 2), a.coeff_of(a.variables[0], 1)):
+        _assert_clean(p)
+        again = MPoly(p.variables, p.terms)
+        assert again == p and hash(again) == hash(p)
+
+
+def _to_sympy(p: MPoly):
+    return sum((sp.Rational(c.numerator, c.denominator)
+                * sp.Mul(*(sp.Symbol(v) ** e for v, e in zip(p.variables, exp)))
+                for exp, c in p.terms.items()), sp.Integer(0))
+
+
+# e1 and e2 of (ei, ej): polynomials over the parameter ring (ek, q), or rationals
+_EK, _Q = MPoly.symbols("ek q")
+_PAIR_VALUES = [(-3 - _EK, _EK ** 2 + 3 * _EK), (_Q, Fraction(2, 3) - _EK * _Q),
+                (Fraction(-1, 2), 5)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.dictionaries(st.tuples(*[st.integers(0, 2)] * 4), st.integers(-3, 3),
+                         min_size=1, max_size=6),
+       which=st.integers(0, len(_PAIR_VALUES) - 1),
+       skew=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)))
+def test_symmetric_eliminate_over_a_parameter_ring_matches_sympy(f, which, skew):
+    # expr = f(ei + ej, ei ej, ek, q): the terms of f with equal powers of
+    # (e1, e2) and different parameter parts tie in the symmetric exponent
+    ei, ej, ek, q = MPoly.symbols("ei ej ek q")
+    gens = (ei + ej, ei * ej, ek, q)
+    expr = MPoly.zero(ei.variables)
+    for exp, c in f.items():
+        term = MPoly.constant(c, ei.variables)
+        for g, e in zip(gens, exp):
+            term = term * g ** e
+        expr = expr + term
+    values = _PAIR_VALUES[which]
+    out = symmetric_eliminate(expr, ("ei", "ej"), values)
+    xi, xj = sp.symbols("ei ej")
+    sym, rem, _ = sp.polys.polyfuncs.symmetrize(_to_sympy(expr), xi, xj, formal=True)
+    vals = [_to_sympy(v) if isinstance(v, MPoly) else sp.Rational(v.numerator, v.denominator)
+            for v in values]
+    oracle = (sym + rem).subs({sp.Symbol("s1"): vals[0], sp.Symbol("s2"): vals[1]},
+                              simultaneous=True)
+    assert rem == 0
+    assert sp.expand(_to_sympy(out) - oracle) == 0
+    # one monomial without its mirror image makes the input non-symmetric
+    a, b, c = skew
+    if a != b and c:
+        with pytest.raises(NotSymmetricError):
+            symmetric_eliminate(expr + c * ei ** a * ej ** b * ek, ("ei", "ej"), values)
+
+
 def test_poly_reduce_single_step():
     t, q = MPoly.symbols("t q")
     p = t ** 3 + 3 * t ** 2 - q

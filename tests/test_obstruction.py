@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
@@ -322,6 +323,26 @@ def test_psi_coprimality():
     assert all(s["res_psi"] != 0 for s in out["samples"])
 
 
+def test_psi_coprimality_resultants_match_sympy():
+    # the two symbolic resultants, evaluated at a sample, equal sympy's
+    # resultants of the cubic and Psi/Phi specialized at that sample
+    t = sp.Symbol("t")
+    out = psi_coprimality_samples()
+    assert len(out["samples"]) == 15
+    for smp in out["samples"]:
+        v, s = (sp.Rational(smp[k].numerator, smp[k].denominator) for k in ("v", "s"))
+        y = 1 - s ** 2 - v
+        q = 27 * v ** 2 * y
+        lam = 2 * s * (1 - v) / (2 - 3 * v)
+        cubic = t ** 3 + 3 * t ** 2 - q
+        psi = (2 * t ** 2 + 6 * (y - 3 * s ** 2 + 4 * s * lam) * t
+               + 18 * v * (s ** 2 - 2 * s * lam - y))
+        phi = 3 * s * ((3 * v + 2) * t ** 2 + 6 * (v + 1) * t - (9 * v + 2 * q))
+        for key, poly in (("res_psi", psi), ("res_phi", phi)):
+            oracle = sp.Rational(sp.resultant(cubic, poly, t))
+            assert smp[key] == Fraction(int(oracle.p), int(oracle.q)), (smp["v"], smp["s"], key)
+
+
 def test_final_positivity_analysis():
     out = final_positivity_analysis()
     assert out["positive_on_open_region"]
@@ -340,6 +361,9 @@ def test_general_case_ledger_exact_passes():
         if s.id in ("product-identity-reduction", "cyclic-sum-vanishing",
                     "poly-coprimality", "final-positivity"):
             assert s.verdict == EXACT
+    # the smallest |Res_t(t^3 + 3t^2 - q, Psi)| over the 15 samples, pinned
+    assert rep.step("poly-coprimality").witness["min_abs_res_psi"] == \
+        "1530609129/1535312500000"
 
 
 def test_leading_coefficient_positivity_is_exact():
