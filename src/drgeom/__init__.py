@@ -2,9 +2,9 @@
 
 from .clifford import (CliffordModule, Octonion, build_module, is_symmetric_space,
                        j_from_octonions, j_op, max_center_dim)
-from .curvature import (CurvatureContext, jacobi_apply, nabla, ricci_heisenberg,
+from .curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
                         ricci_isotropy)
-from .dralgebra import DamekRicci, SolvVec, verify_heisenberg_identities
+from .dralgebra import DamekRicci, verify_heisenberg_identities
 from .hypersurface import (ShapeCandidate, codazzi_residual,
                            derived_gauss_residuals, nomizu, probe_codazzi_floor,
                            shape_candidates)

@@ -17,16 +17,15 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable
 
 import numpy as np
 
 from .clifford import (admissible, anticommutation_residual, build_module,
                        center_dim_bound)
-from .curvature import (CurvatureContext, jacobi_closed_batch, ricci_heisenberg,
+from .curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
                         ricci_isotropy)
 from .dralgebra import DamekRicci, verify_heisenberg_identities
-from .hypersurface import probe_codazzi_floor
+from .hypersurface import C_START, C_STEP, C_STOP, probe_c_grid, probe_codazzi_floor
 from .obstruction import (FAIL, LedgerReport, general_case_ledger,
                           replay_dimension_cases, replay_no_a, replay_no_v,
                           replay_no_z, replay_octonion_case,
@@ -38,8 +37,6 @@ SCHEMA_VERSION = 1
 DEFAULT_DIMS = [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
 # the probe scans C over [-2, 0]; a step giving more values is refused
 MAX_C_VALUES = 20001
-# config keys that only ``verify`` reads; ``replay`` and ``probe`` refuse them
-VERIFY_ONLY_KEYS = ("dims", "tol", "exact")
 
 
 @dataclass
@@ -51,7 +48,7 @@ class RunConfig:
     exact: bool = False
     samples: int = 200
     probe_frames: int = 100
-    c_grid_step: float = 0.01
+    c_grid_step: float = C_STEP
     jobs: int = 1
     out: str | None = None
 
@@ -77,11 +74,11 @@ class RunConfig:
             if isinstance(value, bool) or not isinstance(value, (int, float)) \
                     or not value > 0:
                 raise ValueError(f"{name} must be a number > 0, got {value!r}")
-        # the probe's C grid has ceil((2 + 1e-12) / c_grid_step) values
-        if self.c_grid_step * MAX_C_VALUES < 2.0 + 1e-12:
+        # the probe's C grid has ceil((C_STOP - C_START) / c_grid_step) values
+        if self.c_grid_step * MAX_C_VALUES < C_STOP - C_START:
             raise ValueError(f"c_grid_step must be large enough for at most {MAX_C_VALUES} "
                              f"C values on [-2, 0], got {self.c_grid_step!r} "
-                             f"({(2.0 + 1e-12) / self.c_grid_step:.3g} values)")
+                             f"({(C_STOP - C_START) / self.c_grid_step:.3g} values)")
         if not isinstance(self.exact, bool):
             raise ValueError(f"exact must be true or false, got {self.exact!r}")
         if not isinstance(self.suites, list):
@@ -103,9 +100,18 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_config(path: str | None, overrides: dict, refused: Iterable[str] = ()) -> RunConfig:
-    """JSON file values, then explicit flags on top (flags win); a valid
-    config that sets a key in ``refused`` is a ValueError naming the key."""
+# the config keys each command reads; ``verify`` reads them all
+COMMAND_KEYS = {
+    "verify": tuple(f.name for f in fields(RunConfig)),
+    "replay": ("seed", "out"),
+    "probe": ("seed", "probe_frames", "c_grid_step", "jobs", "out"),
+}
+
+
+def load_config(path: str | None, overrides: dict, command: str | None = None) -> RunConfig:
+    """JSON file values, then explicit flags on top (flags win).  With a
+    ``command``, a valid config that sets a key the command does not read
+    (``COMMAND_KEYS``) is a ValueError naming the keys and the command."""
     data = {}
     if path:
         data = json.loads(Path(path).read_text())
@@ -121,9 +127,9 @@ def load_config(path: str | None, overrides: dict, refused: Iterable[str] = ()) 
         raise ValueError(f"unknown config key(s) {unknown}")
     cfg = RunConfig(**data)
     cfg.validate()
-    ignored = sorted(set(data) & set(refused))
+    ignored = sorted(set(data) - set(COMMAND_KEYS[command])) if command else []
     if ignored:
-        raise ValueError(f"config key(s) {ignored} are read only by 'verify'")
+        raise ValueError(f"config key(s) {ignored} are not read by {command!r}")
     return cfg
 
 
@@ -171,7 +177,7 @@ def curvature_suite(cfg: RunConfig) -> LedgerReport:
         h = verify_heisenberg_identities(g, samples=cfg.samples, seed=cfg.seed)
         rep.record(f"heisenberg-identities({d_z},{d_v})", "bracket-identities",
                    h["passed"], exact=False, residual=h["max_residual"])
-        worst = _connection_axioms_residual(g, ctx, cfg.samples, rng)
+        worst = _connection_axioms_residual(g, cfg.samples, rng)
         rep.record(f"connection-axioms({d_z},{d_v})", "connection-axioms",
                    worst <= 1e-12, exact=False, residual=worst)
         worst = _jacobi_cross_residual(g, ctx, cfg.samples, rng)
@@ -186,12 +192,12 @@ def curvature_suite(cfg: RunConfig) -> LedgerReport:
     return rep
 
 
-def _connection_axioms_residual(g, ctx, samples, rng) -> float:
+def _connection_axioms_residual(g, samples, rng) -> float:
     worst = 0.0
     for _ in range(samples):
-        t1, t2, t3 = (g.random_vec(rng) for _ in range(3))
-        mc = (g.inner(ctx.nabla(t1, t2), t3) + g.inner(t2, ctx.nabla(t1, t3)))
-        tf = ctx.nabla(t1, t2).flat() - ctx.nabla(t2, t1).flat() - g.bracket(t1, t2).flat()
+        t1, t2, t3 = (rng.standard_normal(g.dim) for _ in range(3))
+        mc = (g.inner(nabla(g, t1, t2), t3) + g.inner(t2, nabla(g, t1, t3)))
+        tf = nabla(g, t1, t2) - nabla(g, t2, t1) - g.bracket(t1, t2)
         worst = max(worst, abs(mc), float(np.max(np.abs(tf))))
     return worst
 
@@ -229,7 +235,7 @@ def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
     rep = LedgerReport("hypersurface")
     g = DamekRicci.from_dims(2, 4)
     out = probe_codazzi_floor(g, CurvatureContext(g), n_frames=cfg.probe_frames,
-                              c_grid=np.arange(-2.0, 0.0 + 1e-12, cfg.c_grid_step),
+                              c_grid=probe_c_grid(cfg.c_grid_step),
                               seed=cfg.seed, jobs=cfg.jobs)
     rep.record("codazzi-floor(2,4)", "codazzi-floor", out["floor"] > 1e-6, exact=False,
                residual=out["floor"], candidates=out["candidates"], frames=out["frames"],
@@ -398,8 +404,7 @@ def _config_from_args(args) -> RunConfig:
                  "jobs": getattr(args, "jobs", None)}
     if getattr(args, "dims", None) is not None:
         overrides["dims"] = _parse_dims(args.dims)
-    return load_config(args.config, overrides,
-                       refused=() if args.command == "verify" else VERIFY_ONLY_KEYS)
+    return load_config(args.config, overrides, command=args.command)
 
 
 def _emit(payload: dict, out: str | None):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .dralgebra import DamekRicci, SolvVec, bracket_tensor
+from .dralgebra import DamekRicci, bracket_tensor
 
 
 class CurvatureContext:
@@ -31,30 +31,13 @@ class CurvatureContext:
         self.riemann_tensor = r3  # index: [a, b, c, out]
         self.ricci = np.einsum("abca->bc", r3)
 
-    # -- connection -----------------------------------------------------------
-
-    def nabla(self, t1: SolvVec, t2: SolvVec) -> SolvVec:
-        return nabla(self, t1, t2)
-
     def nabla_flat(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Covariant derivative along x of the left-invariant extension of w."""
         return np.einsum("a,b,abe->e", x, w, self.nabla_tensor)
 
-    # -- curvature ------------------------------------------------------------
-
-    def riemann(self, x: SolvVec, y: SolvVec, z: SolvVec) -> SolvVec:
-        out = np.einsum("a,b,c,abce->e", x.flat(), y.flat(), z.flat(), self.riemann_tensor)
-        return self.g.from_flat(out)
-
-    def riemann4(self, x, y, z, w) -> float:
-        flat = [t.flat() if isinstance(t, SolvVec) else np.asarray(t, float)
-                for t in (x, y, z, w)]
-        return float(np.einsum("a,b,c,e,abce->", *flat, self.riemann_tensor))
-
-    def jacobi(self, t: SolvVec | np.ndarray) -> np.ndarray:
+    def jacobi(self, t: np.ndarray) -> np.ndarray:
         """Matrix of Y -> R(Y, T) T, assembled from the curvature tensor."""
-        tf = t.flat() if isinstance(t, SolvVec) else np.asarray(t, float)
-        return np.einsum("b,c,abce->ea", tf, tf, self.riemann_tensor)
+        return np.einsum("b,c,abce->ea", t, t, self.riemann_tensor)
 
     def nabla_riemann(self, tk, x, y, z, w) -> float:
         """(nabla_{tk} R)(x, y, z, w) for left-invariant arguments.
@@ -63,57 +46,35 @@ class CurvatureContext:
         the covariant derivative is minus the sum of the four slot-wise
         substitutions of nabla_{tk}.
         """
-        flats = [t.flat() if isinstance(t, SolvVec) else np.asarray(t, float)
-                 for t in (x, y, z, w)]
-        tkf = tk.flat() if isinstance(tk, SolvVec) else np.asarray(tk, float)
         total = 0.0
         for slot in range(4):
-            args = list(flats)
-            args[slot] = self.nabla_flat(tkf, args[slot])
+            args = [x, y, z, w]
+            args[slot] = self.nabla_flat(tk, args[slot])
             total -= float(np.einsum("a,b,c,e,abce->", *args, self.riemann_tensor))
         return total
 
 
-def nabla(ctx_or_g, t1: SolvVec, t2: SolvVec) -> SolvVec:
-    """The left-invariant covariant derivative nabla_{t1} of t2's extension.
+def nabla(g: DamekRicci, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The left-invariant covariant derivative nabla_x of y's extension.
 
     Seven-term closed form; metric-compatible and torsion-free against the
     algebra bracket.  It is the reference for the Koszul-built
     ``CurvatureContext.nabla_tensor``.
     """
-    g = ctx_or_g.g if isinstance(ctx_or_g, CurvatureContext) else ctx_or_g
-    g._check(t1), g._check(t2)
-    v1, z1, s1 = t1.v, t1.z, t1.a
-    v2, z2, s2 = t2.v, t2.z, t2.a
+    x, y = g._check(x), g._check(y)
+    v1, z1 = x[g.sv], x[g.sz]
+    v2, z2, s2 = y[g.sv], y[g.sz], y[g.ia]
     v_out = -0.5 * (g.j_z(z2) @ v1) - 0.5 * (g.j_z(z1) @ v2) - 0.5 * s2 * v1
     z_out = -0.5 * g.bracket_vz(v2, v1) - s2 * z1
     a_out = 0.5 * float(v2 @ v1) + float(z2 @ z1)
-    return SolvVec(v_out, z_out, a_out)
-
-
-def jacobi_apply(g: DamekRicci, t1: SolvVec, t2: SolvVec) -> SolvVec:
-    """Closed-form Jacobi operator R_{t1} applied to t2."""
-    v, y, s = t1.v, t1.z, t1.a
-    u, x, r = t2.v, t2.z, t2.a
-    jy, jx = g.j_z(y), g.j_z(x)
-    jyv = jy @ v
-    n1sq = g.inner(t1, t1)
-    t1t2 = g.inner(t1, t2)
-    uv = float(u @ v)
-    xy = float(x @ y)
-    v_out = (0.75 * (jx @ jyv) + 0.75 * (g.j_z(g.bracket_vz(u, v)) @ v)
-             + 0.75 * r * jyv - 0.75 * s * (jx @ v) - 0.25 * n1sq * u
-             + (0.75 * xy + 0.25 * t1t2) * v)
-    z_out = (-0.75 * g.bracket_vz(u, jyv) + 0.75 * s * g.bracket_vz(u, v)
-             - (n1sq - 0.75 * float(v @ v)) * x + t1t2 * y)
-    a_out = (0.75 * float(u @ jyv) - r * (n1sq - 0.75 * float(v @ v))
-             + s * (t1t2 - 0.75 * uv))
-    return SolvVec(v_out, z_out, a_out)
+    return g.vec(v_out, z_out, a_out)
 
 
 def jacobi_closed_batch(g: DamekRicci, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:
-    """Vectorized closed-form R_{t1} t2 for batches of flat vectors."""
-    b = t1s.shape[0]
+    """The closed-form Jacobi operator R_{t1} t2, row by row over batches of vectors.
+
+    A single pair is ``jacobi_closed_batch(g, t1[None], t2[None])[0]``.
+    """
     v, y, s = t1s[:, g.sv], t1s[:, g.sz], t1s[:, g.ia]
     u, x, r = t2s[:, g.sv], t2s[:, g.sz], t2s[:, g.ia]
     gens = g.module.generators

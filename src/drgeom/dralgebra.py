@@ -1,40 +1,18 @@
 """The metric solvable Lie algebra s = v + z + R*A of a Damek-Ricci space.
 
-Vectors are stored as (v-part, z-part, a-scalar) with the orthogonal-sum
-inner product, A unit and orthogonal to the nilradical.  The bracket is
-[A, U] = U/2, [A, Z] = Z, <J_Z U, W> = <[U, W], Z>, and the K operator of
-a nonzero pair (V, Y) acts on the orthogonal complement of Y inside the
-center.  Everything is immutable and pure.
+Vectors are flat arrays of length d_v + d_z + 1 in the order (v, z, A),
+with the orthogonal-sum inner product, A unit and orthogonal to the
+nilradical.  The bracket is [A, U] = U/2, [A, Z] = Z, <J_Z U, W> =
+<[U, W], Z>, and the K operator of a nonzero pair (V, Y) acts on the
+orthogonal complement of Y inside the center.  Everything is pure.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .clifford import CliffordModule, build_module, is_symmetric_space, j_op
-from .numkernel import complete_basis
-
-
-@dataclass(frozen=True)
-class SolvVec:
-    """Element of s, split as v + z + a*A."""
-
-    v: np.ndarray
-    z: np.ndarray
-    a: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "v", np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "z", np.asarray(self.z, dtype=float))
-        object.__setattr__(self, "a", float(self.a))
-
-    def flat(self) -> np.ndarray:
-        return np.concatenate([self.v, self.z, [self.a]])
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.flat()))
+from .numkernel import CLUSTER_TOL, complete_basis
 
 
 def bracket_tensor(generators: np.ndarray) -> np.ndarray:
@@ -76,28 +54,17 @@ class DamekRicci:
     def __repr__(self):
         return f"DamekRicci(d_z={self.d_z}, d_v={self.d_v}, symmetric={self.symmetric})"
 
-    # -- vector plumbing ------------------------------------------------------
+    # -- flat vectors (v, z, A) ----------------------------------------------
 
-    def vec(self, v=None, z=None, a: float = 0.0) -> SolvVec:
-        return SolvVec(np.zeros(self.d_v) if v is None else v,
-                       np.zeros(self.d_z) if z is None else z, a)
-
-    def from_flat(self, x: np.ndarray) -> SolvVec:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"flat vector has shape {x.shape}, expected ({self.dim},)")
-        return SolvVec(x[self.sv], x[self.sz], x[self.ia])
-
-    def basis_vector(self, i: int) -> SolvVec:
-        e = np.zeros(self.dim)
-        e[i] = 1.0
-        return self.from_flat(e)
-
-    def a_vector(self) -> SolvVec:
-        return self.vec(a=1.0)
-
-    def random_vec(self, rng: np.random.Generator) -> SolvVec:
-        return self.from_flat(rng.standard_normal(self.dim))
+    def vec(self, v=None, z=None, a: float = 0.0) -> np.ndarray:
+        """The flat vector v + z + a*A."""
+        out = np.zeros(self.dim)
+        if v is not None:
+            out[self.sv] = v
+        if z is not None:
+            out[self.sz] = z
+        out[self.ia] = a
+        return out
 
     # -- algebra --------------------------------------------------------------
 
@@ -108,21 +75,24 @@ class DamekRicci:
         """[U, W] in the center: components <J_i U, W>."""
         return np.einsum("iab,b,a->i", self.module.generators, u, w)
 
-    def bracket(self, t1: SolvVec, t2: SolvVec) -> SolvVec:
+    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Lie bracket of s: [v1+z1+s1 A, v2+z2+s2 A]."""
-        self._check(t1), self._check(t2)
-        v = 0.5 * (t1.a * t2.v - t2.a * t1.v)
-        z = self.bracket_vz(t1.v, t2.v) + t1.a * t2.z - t2.a * t1.z
-        return SolvVec(v, z, 0.0)
+        x, y = self._check(x), self._check(y)
+        sv, sz, ia = self.sv, self.sz, self.ia
+        v = 0.5 * (x[ia] * y[sv] - y[ia] * x[sv])
+        z = self.bracket_vz(x[sv], y[sv]) + x[ia] * y[sz] - y[ia] * x[sz]
+        return self.vec(v, z)
 
-    def inner(self, t1: SolvVec, t2: SolvVec) -> float:
-        return float(t1.v @ t2.v + t1.z @ t2.z + t1.a * t2.a)
+    def inner(self, x: np.ndarray, y: np.ndarray) -> float:
+        x, y = self._check(x), self._check(y)
+        sv, sz, ia = self.sv, self.sz, self.ia
+        return float(x[sv] @ y[sv] + x[sz] @ y[sz] + x[ia] * y[ia])
 
-    def _check(self, t: SolvVec):
-        if t.v.shape != (self.d_v,) or t.z.shape != (self.d_z,):
-            raise ValueError(
-                f"vector parts have shapes {t.v.shape}/{t.z.shape}, expected "
-                f"({self.d_v},)/({self.d_z},)")
+    def _check(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim,):
+            raise ValueError(f"vector has shape {x.shape}, expected ({self.dim},)")
+        return x
 
     # -- K operator and its (-1) square eigenspace ----------------------------
 
@@ -161,8 +131,7 @@ class DamekRicci:
         vals, vecs = np.linalg.eigh(0.5 * (k2 + k2.T))
         return kmat, basis, vals, vecs
 
-    def k_square_minus1_space(self, v: np.ndarray, y: np.ndarray,
-                              cluster_tol: float = 1e-7) -> tuple[np.ndarray, dict]:
+    def k_square_minus1_space(self, v: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
         """(-1)-eigenspace of K^2 (columns in center coordinates) plus checks.
 
         The checks record the residual of J_X J_Y V = |Y| J_{KX} V on the basis, K-invariance,
@@ -170,7 +139,7 @@ class DamekRicci:
         """
         kmat, basis, vals, vecs = self.k_square_eigh(v, y)
         dist = np.abs(vals + 1.0)
-        kept = dist <= cluster_tol
+        kept = is_minus1(vals)
         cols = basis @ vecs[:, kept]
         kx = basis @ (kmat @ (basis.T @ cols))
         gens = self.module.generators
@@ -182,6 +151,11 @@ class DamekRicci:
                       "k_invariance": float(np.max(np.abs(kinv), initial=0.0)),
                       "even": d % 2 == 0, "gap": float(np.min(dist[~kept], initial=np.inf)),
                       "cluster_residual": float(np.max(dist[kept], initial=0.0))}
+
+
+def is_minus1(vals):
+    """Which K^2 eigenvalues count as -1: those within CLUSTER_TOL of it."""
+    return np.abs(vals + 1.0) <= CLUSTER_TOL
 
 
 def verify_heisenberg_identities(g: DamekRicci, samples: int = 64,

@@ -36,6 +36,9 @@ H_BOUND = 60.0
 H_SAMPLES = 2400
 # an eigenspace of larger multiplicity only gets the all-plus and all-minus splits
 MAX_ENUMERATION_DIM = 16
+# the probe scans C from C_START up to C_STOP (0 plus a margin, so 0 itself is
+# reached) in steps of C_STEP by default
+C_START, C_STOP, C_STEP = -2.0, 0.0 + 1e-12, 0.01
 
 
 def _rho(h, alphas: np.ndarray, c):
@@ -304,6 +307,11 @@ def _probe_frame(args) -> tuple[int, float, int, dict | None]:
     return fidx, float(best), n_candidates, best_info
 
 
+def probe_c_grid(step: float = C_STEP) -> np.ndarray:
+    """The probe's C values, np.arange(C_START, C_STOP, step)."""
+    return np.arange(C_START, C_STOP, step)
+
+
 def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
                         c_grid: np.ndarray | None = None, seed: int = 0,
                         jobs: int = 1) -> dict:
@@ -317,7 +325,7 @@ def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
     identical whether the grid is processed serially or by a worker pool.
     """
     if c_grid is None:
-        c_grid = np.arange(-2.0, 0.0 + 1e-12, 0.01)
+        c_grid = probe_c_grid()
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
     tasks = [(g, ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
     if jobs > 1:

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import Octonion, max_center_dim
-from .curvature import CurvatureContext, jacobi_apply, ricci_heisenberg
+from .curvature import CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg
 from .dralgebra import DamekRicci
 from .numkernel import (MPoly, levenberg_marquardt, mpoly_resultant, orthonormalize,
                         poly_reduce, symmetric_eliminate)
@@ -151,14 +151,14 @@ def replay_no_a(g: DamekRicci, ctx: CurvatureContext, samples: int = 12,
         vsq = rng.uniform(0.15, 0.85)
         v *= np.sqrt(vsq) / np.linalg.norm(v)
         y *= np.sqrt(1.0 - vsq) / np.linalg.norm(y)
-        xi = g.vec(v, y, 0.0).flat()
+        xi = g.vec(v, y)
         # SA: tangential part of -(V/2 + Y), from <nabla_T A, xi> = <-V/2 - Y, T>
-        w = g.vec(-0.5 * v, -y, 0.0).flat()
+        w = g.vec(-0.5 * v, -y)
         sa = w - (w @ xi) * xi
-        target = g.vec(0.5 * (y @ y) * v, -0.5 * vsq * y, 0.0).flat()
+        target = g.vec(0.5 * (y @ y) * v, -0.5 * vsq * y)
         worst_sa = max(worst_sa, float(np.max(np.abs(sa - target))))
         # C from the Gauss trace at A: <R_xi A, A> = C - |SA|^2
-        raa = float(jacobi_apply(g, g.from_flat(xi), g.a_vector()).a)
+        raa = float(jacobi_closed_batch(g, xi[None], g.vec(a=1.0)[None])[0, g.ia])
         c_val = raa + float(sa @ sa)
         worst_c = max(worst_c, abs(c_val - (-0.25 * (2.0 - vsq) ** 2)))
     rep.record("shape-of-a-formula", "shape-from-tangency",
@@ -175,13 +175,12 @@ def replay_no_a(g: DamekRicci, ctx: CurvatureContext, samples: int = 12,
         v /= np.linalg.norm(v)
         z = rng.standard_normal(g.d_z)
         z /= np.linalg.norm(z)
-        xi_vec = g.vec(v)
+        xi_vec, z_vec = g.vec(v), g.vec(z=z)
         # <nabla_T Z, xi> = <J_Z V/2, T> for all T: assemble the pairing vector
-        pair = np.array([g.inner(ctx.nabla(g.basis_vector(i), g.vec(z=z)), xi_vec)
-                         for i in range(g.dim)])
-        sz = g.vec(0.5 * (g.j_z(z) @ v)).flat()
+        pair = np.array([g.inner(nabla(g, e, z_vec), xi_vec) for e in np.eye(g.dim)])
+        sz = g.vec(0.5 * (g.j_z(z) @ v))
         worst_sz = max(worst_sz, float(np.max(np.abs(pair - sz))))
-        curv = g.inner(jacobi_apply(g, xi_vec, g.vec(z=z)), g.vec(z=z))
+        curv = g.inner(jacobi_closed_batch(g, xi_vec[None], z_vec[None])[0], z_vec)
         gauss = -float(sz @ sz) + (-0.25)  # H<SZ,Z> = 0, C = -1/4
         worst_gap = max(worst_gap, abs((gauss - curv) - (-0.25)))
     rep.record("center-direction-gap", "gauss-vs-curvature-clash",
@@ -257,17 +256,18 @@ def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
             z = rng.standard_normal(d_z)
             z /= np.linalg.norm(z)
             jzv = g.j_z(z) @ v
+            z_vec, jzv_vec = g.vec(z=z), g.vec(jzv)
             # forced: SZ = J_Z V/2 + sZ; S(J_Z V) recovered through the Gauss relation
-            s_z = g.vec(0.5 * jzv, sf * z, 0.0).flat()
-            r_z = jacobi_apply(g, xi, g.vec(z=z)).flat()
-            s_jzv = 2.0 * (-r_z + (hf - sf) * s_z + cf * g.vec(z=z).flat())
+            s_z = g.vec(0.5 * jzv, sf * z)
+            r_z = jacobi_closed_batch(g, xi[None], z_vec[None])[0]
+            s_jzv = 2.0 * (-r_z + (hf - sf) * s_z + cf * z_vec)
             # symmetric on span(Z, J_Z V)
-            sym = abs(float(s_z @ g.vec(jzv).flat()) - float(s_jzv @ g.vec(z=z).flat()))
+            sym = abs(float(s_z @ jzv_vec) - float(s_jzv @ z_vec))
             # eigenvector certificates
-            e1 = sf * g.vec(z=z).flat() + g.vec(jzv).flat()
+            e1 = sf * z_vec + jzv_vec
             se1 = sf * s_z + s_jzv
             r1 = float(np.max(np.abs(se1 - float(cst["rho_minus"]) * e1)))
-            e2 = vf * g.vec(z=z).flat() - sf * g.vec(jzv).flat()
+            e2 = vf * z_vec - sf * jzv_vec
             se2 = vf * s_z - sf * s_jzv
             r2 = float(np.max(np.abs(se2 - float(cst["rho_1"]) * e2)))
             worst = max(worst, sym, r1, r2)
@@ -1004,6 +1004,16 @@ def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
 # the annihilation identity on the commutant and the center involution
 # ---------------------------------------------------------------------------
 
+def _center_involution(frame: NormalFrame):
+    """Z (the first column of the (-1)-space of K^2), KZ, |Y| and
+    F_Z = J_Y J_Z J_{KZ} / (|Z|^2 |Y|)."""
+    g = frame.g
+    z = frame.z_minus1[:, 0]
+    kz = frame.k_apply(z)
+    ny = float(np.linalg.norm(frame.y))
+    return z, kz, ny, (g.j_z(frame.y) @ g.j_z(z) @ g.j_z(kz)) / (float(z @ z) * ny)
+
+
 def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
     """F_Z involution structure and the forced annihilation on the commutant.
 
@@ -1023,10 +1033,7 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
         frame = random_frame(g, rng)
         if frame.d_minus1 == 0:
             continue
-        z = frame.z_minus1[:, 0]
-        kz = frame.k_apply(z)
-        ny = float(np.linalg.norm(frame.y))
-        fz = (g.j_z(frame.y) @ g.j_z(z) @ g.j_z(kz)) / (float(z @ z) * ny)
+        z, kz, ny, fz = _center_involution(frame)
         sym_res = float(np.max(np.abs(fz - fz.T)))
         inv_res = float(np.max(np.abs(fz @ fz - np.eye(g.d_v))))
         vals = np.linalg.eigvalsh(0.5 * (fz + fz.T))
@@ -1060,9 +1067,8 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
         for _ in range(6):
             w = rng.standard_normal(g.d_v)
             jyw = g.j_z(frame.y) @ w
-            sw = g.vec(-0.5 * jyw + 0.5 * frame.s * w, 0.5 * g.bracket_vz(frame.v, w), 0.0)
-            sjyw = g.vec(0.5 * ysq * w + 0.5 * frame.s * jyw,
-                         0.5 * g.bracket_vz(frame.v, jyw), 0.0)
+            sw = g.vec(-0.5 * jyw + 0.5 * frame.s * w, 0.5 * g.bracket_vz(frame.v, w))
+            sjyw = g.vec(0.5 * ysq * w + 0.5 * frame.s * jyw, 0.5 * g.bracket_vz(frame.v, jyw))
             plusside = g.inner(sjyw, g.vec(w)) - 0.5 * ysq * float(w @ w)
             minusside = g.inner(sw, g.vec(jyw)) + 0.5 * ysq * float(w @ w)
             clash_res = max(clash_res, abs(plusside), abs(minusside))
@@ -1072,11 +1078,7 @@ def replay_p_space_annihilation(seed: int = 0) -> LedgerReport:
 
     # d_z = 3 with isomorphic summands: the involution collapses to the identity
     g3 = DamekRicci.from_dims(3, 4)
-    frame3 = random_frame(g3, rng)
-    z = frame3.z_minus1[:, 0]
-    kz = frame3.k_apply(z)
-    ny = float(np.linalg.norm(frame3.y))
-    fz3 = (g3.j_z(frame3.y) @ g3.j_z(z) @ g3.j_z(kz)) / (float(z @ z) * ny)
+    fz3 = _center_involution(random_frame(g3, rng))[3]
     id_res = min(float(np.max(np.abs(fz3 - np.eye(4)))),
                  float(np.max(np.abs(fz3 + np.eye(4)))))
     rep.record("involution-identity(3,4)", "center-involution",

@@ -17,9 +17,10 @@ from fractions import Fraction
 import numpy as np
 
 from .curvature import CurvatureContext
-from .dralgebra import DamekRicci
-from .numkernel import (EigenDecomposition, MPoly, certified_brackets, cluster_indices,
-                        complete_basis, eig_sym, orthonormalize, poly_eval_fraction)
+from .dralgebra import DamekRicci, is_minus1
+from .numkernel import (CLUSTER_TOL, EigenDecomposition, MPoly, certified_brackets,
+                        cluster_indices, complete_basis, eig_sym, orthonormalize,
+                        poly_eval_fraction)
 
 
 @dataclass(frozen=True)
@@ -74,30 +75,29 @@ class NormalFrame:
         return self.k_basis @ (self.k_matrix @ (self.k_basis.T @ z))
 
 
-def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float,
-               unit_tol: float = 1e-9, cluster_tol: float = 1e-7) -> NormalFrame:
+def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float) -> NormalFrame:
     """Build a NormalFrame, validating |xi| = 1 and deriving all subspaces."""
     v = np.asarray(v, dtype=float)
     y = np.asarray(y, dtype=float)
     norm = float(v @ v + y @ y + s * s)
-    if abs(norm - 1.0) > unit_tol:
-        raise ValueError(f"|xi|^2 = {norm} is not 1 within {unit_tol}")
-    xi = g.vec(v, y, s).flat()
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"|xi|^2 = {norm} is not 1 within 1e-09")
+    xi = g.vec(v, y, s)
     nv, ny = float(np.linalg.norm(v)), float(np.linalg.norm(y))
     jyv = g.j_z(y) @ v if ny > 0 else np.zeros(g.d_v)
 
     t0 = None
     if ny > 0 and nv > 0:
-        t0 = (g.vec(jyv, s * y, -(ny ** 2)).flat()) / ny
+        t0 = g.vec(jyv, s * y, -(ny ** 2)) / ny
     q_vec = None
     if nv > 0:
-        q_vec = (g.vec(s * v, None, -(nv ** 2)).flat()) / nv
+        q_vec = g.vec(s * v, None, -(nv ** 2)) / nv
 
-    cols = [g.vec(a=1.0).flat(), g.vec(v).flat()]
+    cols = [g.vec(a=1.0), g.vec(v)]
     if ny > 0:
-        cols.append(g.vec(z=y).flat())
+        cols.append(g.vec(z=y))
         if nv > 0:
-            cols.append(g.vec(jyv).flat())
+            cols.append(g.vec(jyv))
     s4 = orthonormalize(cols)
 
     # p = kernel of U -> ([U, V], [U, J_Y V]) via rank-revealing SVD;
@@ -117,13 +117,11 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float,
 
     if nv > 0 and ny > 0:
         k_matrix, k_basis, vals, vecs = g.k_square_eigh(v, y)
-        # the columns k_square_minus1_space(v, y, cluster_tol) returns
-        z_minus1 = k_basis @ vecs[:, np.abs(vals + 1.0) <= cluster_tol]
-        clusters = cluster_indices(list(vals), cluster_tol)
+        z_minus1 = k_basis @ vecs[:, is_minus1(vals)]
         mu_clusters = []
-        for c in clusters:
+        for c in cluster_indices(list(vals), CLUSTER_TOL):
             mu = float(np.mean(vals[list(c)]))
-            if abs(mu + 1.0) <= cluster_tol:
+            if is_minus1(mu):
                 continue
             mu_clusters.append((mu, k_basis @ vecs[:, list(c)]))
     else:
@@ -142,9 +140,8 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float,
                        mu_clusters=tuple(mu_clusters))
 
 
-def random_frame(g: DamekRicci, rng: np.random.Generator,
-                 min_component: float = 0.05) -> NormalFrame:
-    """Generic unit normal with all three components bounded away from zero."""
+def random_frame(g: DamekRicci, rng: np.random.Generator) -> NormalFrame:
+    """Generic unit normal whose three components each have squared norm >= 0.05."""
     while True:
         v = rng.standard_normal(g.d_v)
         y = rng.standard_normal(g.d_z)
@@ -152,7 +149,7 @@ def random_frame(g: DamekRicci, rng: np.random.Generator,
         x = np.concatenate([v, y, [s]])
         x /= np.linalg.norm(x)
         v, y, s = x[:g.d_v], x[g.d_v:-1], float(x[-1])
-        if min(v @ v, y @ y, s * s) >= min_component:
+        if min(v @ v, y @ y, s * s) >= 0.05:
             return make_frame(g, v, y, s)
 
 
@@ -230,9 +227,9 @@ def center_family_vector(frame: NormalFrame, z: np.ndarray, kind: str) -> np.nda
     arg = ny * kz - frame.s * z
     jv = g.j_z(arg) @ frame.v
     if kind == "minus1":
-        return g.vec(jv, (frame.vsq - 1.0) * z, 0.0).flat()
+        return g.vec(jv, (frame.vsq - 1.0) * z)
     if kind == "quarter":
-        return g.vec(jv, frame.vsq * z, 0.0).flat()
+        return g.vec(jv, frame.vsq * z)
     raise ValueError(f"unknown family kind {kind!r}")
 
 
@@ -247,7 +244,7 @@ def eigen_families(frame: NormalFrame) -> dict[str, tuple[float, list[np.ndarray
     """
     g = frame.g
     nv, ny, s = np.sqrt(frame.vsq), np.sqrt(frame.ysq), frame.s
-    p_vecs = [g.vec(frame.p_basis[:, i]).flat() for i in range(frame.d_p)]
+    p_vecs = [g.vec(frame.p_basis[:, i]) for i in range(frame.d_p)]
     if ny > 1e-13 and nv > 1e-13 and abs(s) > 1e-13:
         zs = [frame.z_minus1[:, i] for i in range(frame.d_minus1)]
         rest = orthonormalize([frame.s4[:, i] - frame.xi * (frame.xi @ frame.s4[:, i])
@@ -261,16 +258,14 @@ def eigen_families(frame: NormalFrame) -> dict[str, tuple[float, list[np.ndarray
                 "p_quarter": (-0.25, p_vecs)}
     if nv > 1e-13 and abs(s) > 1e-13:
         jzvs = [(z, g.j_z(z) @ frame.v) for z in np.eye(g.d_z)]
-        return {"line_minus1": (-1.0, [g.vec(jzv, s * z, 0.0).flat() for z, jzv in jzvs]),
-                "line_quarter": (-0.25, [g.vec(-s * jzv, frame.vsq * z, 0.0).flat()
-                                         for z, jzv in jzvs]),
+        return {"line_minus1": (-1.0, [g.vec(jzv, s * z) for z, jzv in jzvs]),
+                "line_quarter": (-0.25, [g.vec(-s * jzv, frame.vsq * z) for z, jzv in jzvs]),
                 "q_quarter": (-0.25, [frame.q_vec]),
                 "p_quarter": (-0.25, p_vecs)}
     return {}
 
 
-def psi_map(frame: NormalFrame, l: int, z: np.ndarray,
-            proj_tol: float = 1e-8) -> np.ndarray:
+def psi_map(frame: NormalFrame, l: int, z: np.ndarray) -> np.ndarray:
     """The homothety from a mu-eigenspace of K^2 onto the l-th cubic family.
 
     psi_l(Z) = eta_l nu_l Z + 3 nu_l J_Z J_Y V - 9 |V|^2 |Y| J_{KZ} V
@@ -282,7 +277,7 @@ def psi_map(frame: NormalFrame, l: int, z: np.ndarray,
     nz = np.linalg.norm(z)
     if nz == 0:
         return np.zeros(g.dim)
-    mu = _locate_mu(frame, z, proj_tol)
+    mu = _locate_mu(frame, z)
     eta = frame.cubic_roots(mu)["etas"][l]
     nu = eta + 3.0 * frame.vsq
     ny = float(np.linalg.norm(frame.y))
@@ -290,7 +285,7 @@ def psi_map(frame: NormalFrame, l: int, z: np.ndarray,
     kz = frame.k_apply(z)
     vec_v = (3.0 * nu * (g.j_z(z) @ jyv) - 9.0 * frame.vsq * ny * (g.j_z(kz) @ frame.v)
              - 3.0 * frame.s * eta * (g.j_z(z) @ frame.v))
-    return g.vec(vec_v, eta * nu * z, 0.0).flat()
+    return g.vec(vec_v, eta * nu * z)
 
 
 def psi_homothety_ratio(frame: NormalFrame, l: int, mu: float) -> float:
@@ -302,11 +297,11 @@ def psi_homothety_ratio(frame: NormalFrame, l: int, mu: float) -> float:
             + 9.0 * frame.s ** 2 * eta ** 2 * v + 54.0 * mu * nu * v ** 2 * y)
 
 
-def _locate_mu(frame: NormalFrame, z: np.ndarray, proj_tol: float):
+def _locate_mu(frame: NormalFrame, z: np.ndarray):
     nz = np.linalg.norm(z)
     for mu, basis in frame.mu_clusters:
         proj = basis @ (basis.T @ z)
-        if np.linalg.norm(z - proj) <= proj_tol * nz:
+        if np.linalg.norm(z - proj) <= 1e-8 * nz:
             return mu
     raise ValueError("Z does not lie in a single K^2 eigenspace away from -1")
 

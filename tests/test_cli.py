@@ -105,15 +105,24 @@ def test_verify_only_flags_are_rejected_elsewhere(capsys, command, flags):
 
 
 @pytest.mark.parametrize("command", [["replay", "no-v"], ["probe", "hypersurface"]])
-@pytest.mark.parametrize("data, named", [({"dims": [[7, 8]], "tol": 1e-30}, "['dims', 'tol']"),
-                                         ({"exact": True, "seed": 1}, "['exact']")])
+@pytest.mark.parametrize("data, named", [
+    ({"dims": [[7, 8]], "tol": 1e-30}, "['dims', 'tol']"),
+    ({"exact": True, "seed": 1}, "['exact']"),
+    ({"samples": 5, "suites": ["clifford"]}, "['samples', 'suites']"),
+    # named per command where the two commands read different keys
+    ({"samples": 5, "suites": ["clifford"], "probe_frames": 3, "c_grid_step": 0.5},
+     {"replay": "['c_grid_step', 'probe_frames', 'samples', 'suites']",
+      "probe": "['samples', 'suites']"})])
 def test_verify_only_config_keys_are_rejected_elsewhere(tmp_path, capsys, command, data, named):
-    # replay and probe would ignore these file keys, as they have no such flags
+    # replay and probe would ignore these file keys, so they refuse them
+    if isinstance(named, dict):
+        named = named[command[0]]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(data))
     assert main(command + ["--config", str(path)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and f"config key(s) {named}" in err
+    assert err.startswith("error: ")
+    assert f"config key(s) {named} are not read by '{command[0]}'" in err
     assert "Traceback" not in err
 
 

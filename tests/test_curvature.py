@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from drgeom.cli import DEFAULT_DIMS
-from drgeom.curvature import (CurvatureContext, jacobi_apply, nabla, ricci_heisenberg,
+from drgeom.curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
                               ricci_isotropy, subalgebra_closure_residuals)
 from drgeom.dralgebra import DamekRicci
 from drgeom.numkernel import orthonormalize
@@ -22,41 +22,61 @@ def ctx24(g24):
     return CurvatureContext(g24)
 
 
-def test_nabla_closed_form_values(g24, ctx24):
-    a = g24.a_vector()
-    assert np.allclose(nabla(ctx24, a, a).flat(), 0.0)
+def _riemann(ctx, x, y, z):
+    """R(x, y) z contracted from the curvature tensor."""
+    return np.einsum("a,b,c,abce->e", x, y, z, ctx.riemann_tensor)
+
+
+def _riemann4(ctx, x, y, z, w):
+    return float(np.einsum("a,b,c,e,abce->", x, y, z, w, ctx.riemann_tensor))
+
+
+def test_nabla_closed_form_values(g24):
+    a = g24.vec(a=1.0)
+    assert np.allclose(nabla(g24, a, a), 0.0)
     u = g24.vec(v=[2.0, 0.0, 0.0, 0.0])
-    assert np.allclose(nabla(ctx24, u, u).flat(), 2.0 * a.flat())
+    assert np.allclose(nabla(g24, u, u), 2.0 * a)
     z = g24.vec(z=[0.0, 3.0])
-    assert np.allclose(nabla(ctx24, z, z).flat(), 9.0 * a.flat())
+    assert np.allclose(nabla(g24, z, z), 9.0 * a)
 
 
-def test_nabla_metric_compatible_torsion_free(g24, ctx24):
+def test_nabla_metric_compatible_torsion_free(g24):
     rng = np.random.default_rng(0)
     for _ in range(200):
-        t1, t2, t3 = (g24.random_vec(rng) for _ in range(3))
-        mc = g24.inner(nabla(ctx24, t1, t2), t3) + g24.inner(t2, nabla(ctx24, t1, t3))
+        t1, t2, t3 = (rng.standard_normal(g24.dim) for _ in range(3))
+        mc = g24.inner(nabla(g24, t1, t2), t3) + g24.inner(t2, nabla(g24, t1, t3))
         assert abs(mc) < 1e-12
-        tf = (nabla(ctx24, t1, t2).flat() - nabla(ctx24, t2, t1).flat()
-              - g24.bracket(t1, t2).flat())
+        tf = nabla(g24, t1, t2) - nabla(g24, t2, t1) - g24.bracket(t1, t2)
         assert np.max(np.abs(tf)) < 1e-12
 
 
 def test_nabla_equals_koszul():
     # the context's tensors come from the generators by the Koszul formula;
-    # the seven-term nabla and the SolvVec bracket are the independent route
+    # the seven-term nabla and the block-wise bracket are the independent route
     for dims in DEFAULT_DIMS:
         g = DamekRicci.from_dims(*dims)
         ctx = CurvatureContext(g)
-        basis = [g.basis_vector(i) for i in range(g.dim)]
+        basis = np.eye(g.dim)
         for i, ei in enumerate(basis):
             for j, ej in enumerate(basis):
-                assert np.array_equal(ctx.bracket_tensor[i, j], g.bracket(ei, ej).flat())
-                assert np.array_equal(ctx.nabla_tensor[i, j], nabla(ctx, ei, ej).flat())
+                assert np.array_equal(ctx.bracket_tensor[i, j], g.bracket(ei, ej))
+                assert np.array_equal(ctx.nabla_tensor[i, j], nabla(g, ei, ej))
+
+
+@pytest.mark.parametrize("call", [lambda g, x: g.bracket(x, g.vec()),
+                                  lambda g, x: g.bracket(g.vec(), x),
+                                  lambda g, x: g.inner(x, g.vec()),
+                                  lambda g, x: g.inner(g.vec(), x),
+                                  lambda g, x: nabla(g, x, g.vec()),
+                                  lambda g, x: nabla(g, g.vec(), x)])
+@pytest.mark.parametrize("length", [6, 8])
+def test_wrong_length_vector_is_rejected(g24, call, length):
+    with pytest.raises(ValueError, match=r"vector has shape \(%d,\), expected \(7,\)" % length):
+        call(g24, np.ones(length))
 
 
 def test_jacobi_of_a_scales_blocks(g24, ctx24):
-    m = ctx24.jacobi(g24.a_vector().flat())
+    m = ctx24.jacobi(g24.vec(a=1.0))
     expect = np.diag([-0.25] * 4 + [-1.0] * 2 + [0.0])
     assert np.max(np.abs(m - expect)) < 1e-13
 
@@ -64,15 +84,15 @@ def test_jacobi_of_a_scales_blocks(g24, ctx24):
 def test_jacobi_annihilates_base_vector(g24, ctx24):
     rng = np.random.default_rng(1)
     for _ in range(50):
-        t = g24.random_vec(rng)
-        assert np.max(np.abs(ctx24.jacobi(t.flat()) @ t.flat())) < 1e-11 * max(
-            1.0, t.norm() ** 3)
+        t = rng.standard_normal(g24.dim)
+        assert np.max(np.abs(ctx24.jacobi(t) @ t)) < 1e-11 * max(
+            1.0, np.linalg.norm(t) ** 3)
 
 
 def test_jacobi_two_eigenvalues_along_v_a_normal(g24, ctx24):
     v = np.array([0.8, 0.0, 0.0, 0.0])
     xi = g24.vec(v, None, 0.6)
-    m = ctx24.jacobi(xi.flat())
+    m = ctx24.jacobi(xi)
     vals = np.linalg.eigvalsh(m)
     clusters = sorted(set(np.round(vals, 9)))
     assert np.allclose(clusters, [-1.0, -0.25, 0.0], atol=1e-11)
@@ -81,38 +101,39 @@ def test_jacobi_two_eigenvalues_along_v_a_normal(g24, ctx24):
 def test_riemann_antisymmetry_and_bianchi(g24, ctx24):
     rng = np.random.default_rng(2)
     for _ in range(60):
-        x, y, z = (g24.random_vec(rng) for _ in range(3))
-        assert np.max(np.abs(ctx24.riemann(x, x, z).flat())) < 1e-11
-        b1 = (ctx24.riemann(x, y, z).flat() + ctx24.riemann(y, z, x).flat()
-              + ctx24.riemann(z, x, y).flat())
+        x, y, z = (rng.standard_normal(g24.dim) for _ in range(3))
+        assert np.max(np.abs(_riemann(ctx24, x, x, z))) < 1e-11
+        b1 = (_riemann(ctx24, x, y, z) + _riemann(ctx24, y, z, x)
+              + _riemann(ctx24, z, x, y))
         assert np.max(np.abs(b1)) < 1e-11
 
 
 def test_riemann_matches_closed_jacobi(g24, ctx24):
     rng = np.random.default_rng(3)
     for _ in range(200):
-        x, y = g24.random_vec(rng), g24.random_vec(rng)
-        assembled = ctx24.riemann(y, x, x).flat()
-        closed = jacobi_apply(g24, x, y).flat()
-        assert np.max(np.abs(assembled - closed)) < 1e-11 * max(1.0, x.norm() ** 2 * y.norm())
+        x, y = rng.standard_normal(g24.dim), rng.standard_normal(g24.dim)
+        assembled = _riemann(ctx24, y, x, x)
+        closed = jacobi_closed_batch(g24, x[None], y[None])[0]
+        assert np.max(np.abs(assembled - closed)) < 1e-11 * max(
+            1.0, np.linalg.norm(x) ** 2 * np.linalg.norm(y))
 
 
 def test_riemann_pair_symmetry(g24, ctx24):
     rng = np.random.default_rng(4)
     for _ in range(60):
-        x, y, z, w = (g24.random_vec(rng) for _ in range(4))
-        assert abs(ctx24.riemann4(x, y, z, w) - ctx24.riemann4(z, w, x, y)) < 1e-11
+        x, y, z, w = (rng.standard_normal(g24.dim) for _ in range(4))
+        assert abs(_riemann4(ctx24, x, y, z, w) - _riemann4(ctx24, z, w, x, y)) < 1e-11
 
 
 def test_nabla_riemann_second_bianchi(g24, ctx24):
     rng = np.random.default_rng(5)
     for _ in range(40):
-        a, b, c, d, e = (g24.random_vec(rng) for _ in range(5))
+        a, b, c, d, e = (rng.standard_normal(g24.dim) for _ in range(5))
         total = (ctx24.nabla_riemann(a, b, c, d, e)
                  + ctx24.nabla_riemann(b, c, a, d, e)
                  + ctx24.nabla_riemann(c, a, b, d, e))
-        assert abs(total) < 1e-10 * max(1.0, a.norm() * b.norm() * c.norm()
-                                        * d.norm() * e.norm())
+        n = np.linalg.norm
+        assert abs(total) < 1e-10 * max(1.0, n(a) * n(b) * n(c) * n(d) * n(e))
 
 
 def test_nabla_riemann_vanishes_on_symmetric_ambient():
@@ -121,7 +142,7 @@ def test_nabla_riemann_vanishes_on_symmetric_ambient():
     rng = np.random.default_rng(6)
     worst = 0.0
     for _ in range(40):
-        args = [g.random_vec(rng) for _ in range(5)]
+        args = [rng.standard_normal(g.dim) for _ in range(5)]
         worst = max(worst, abs(ctx.nabla_riemann(*args)))
     assert worst < 1e-10
 
@@ -130,7 +151,7 @@ def test_nabla_riemann_nonzero_on_nonsymmetric(g24, ctx24):
     rng = np.random.default_rng(7)
     worst = 0.0
     for _ in range(40):
-        args = [g24.random_vec(rng) for _ in range(5)]
+        args = [rng.standard_normal(g24.dim) for _ in range(5)]
         worst = max(worst, abs(ctx24.nabla_riemann(*args)))
     assert worst > 1e-6
 
@@ -142,8 +163,7 @@ def test_nabla_riemann_vanishes_inside_core_subalgebra(g24, ctx24):
     v = rng.standard_normal(4)
     y = rng.standard_normal(2)
     jyv = g24.j_z(y) @ v
-    basis = orthonormalize([g24.a_vector().flat(), g24.vec(v).flat(),
-                            g24.vec(z=y).flat(), g24.vec(jyv).flat()])
+    basis = orthonormalize([g24.vec(a=1.0), g24.vec(v), g24.vec(z=y), g24.vec(jyv)])
     assert basis.shape[1] == 4
     res = subalgebra_closure_residuals(ctx24, basis)
     assert res["riemann_closure"] < 1e-10
@@ -164,9 +184,8 @@ def test_totally_geodesic_quaternionic_subalgebra():
     z = cols[:, 0]
     k, kb = g.k_operator(v, y)
     kz = kb @ (k @ (kb.T @ z))
-    vecs = [g.a_vector().flat(), g.vec(v).flat(), g.vec(z=y).flat(),
-            g.vec(g.j_z(y) @ v).flat(), g.vec(z=z).flat(), g.vec(z=kz).flat(),
-            g.vec(g.j_z(z) @ v).flat(), g.vec(g.j_z(kz) @ v).flat()]
+    vecs = [g.vec(a=1.0), g.vec(v), g.vec(z=y), g.vec(g.j_z(y) @ v), g.vec(z=z),
+            g.vec(z=kz), g.vec(g.j_z(z) @ v), g.vec(g.j_z(kz) @ v)]
     basis = orthonormalize(vecs)
     assert basis.shape[1] == 8
     res = subalgebra_closure_residuals(ctx, basis)
@@ -183,8 +202,7 @@ def test_duality_inside_symmetric_subalgebra():
     v = rng.standard_normal(4)
     y = rng.standard_normal(2)
     jyv = g.j_z(y) @ v
-    basis = orthonormalize([g.a_vector().flat(), g.vec(v).flat(),
-                            g.vec(z=y).flat(), g.vec(jyv).flat()])
+    basis = orthonormalize([g.vec(a=1.0), g.vec(v), g.vec(z=y), g.vec(jyv)])
     proj = basis @ basis.T
     for _ in range(20):
         t1 = basis @ rng.standard_normal(4)
@@ -245,7 +263,7 @@ def test_totally_geodesic_commutant_extension():
     p = fr.p_basis[:, 0]
     jyp = g.j_z(fr.y) @ p
     cols = [fr.s4[:, i] for i in range(fr.s4.shape[1])]
-    cols += [g.vec(p).flat(), g.vec(jyp).flat()]
+    cols += [g.vec(p), g.vec(jyp)]
     basis = orthonormalize(cols)
     assert basis.shape[1] == 6
     res = subalgebra_closure_residuals(ctx, basis)

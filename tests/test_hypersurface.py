@@ -21,7 +21,8 @@ from drgeom.hypersurface import (H_BOUND, H_SAMPLES, QUADRATIC_TOL, ShapeCandida
                                  codazzi_residual,
                                  candidate_aggregate_residual,
                                  derived_gauss_residuals, gauss_map_derivatives,
-                                 nomizu, probe_codazzi_floor, shape_candidates)
+                                 nomizu, probe_c_grid, probe_codazzi_floor,
+                                 shape_candidates)
 from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
@@ -156,7 +157,7 @@ def test_gauss_alpha_consistency(g24, ctx24):
 # ---------------------------------------------------------------------------
 
 def test_nomizu_at_a_matches_connection(g24, ctx24):
-    n = nomizu(ctx24, g24.a_vector().flat())
+    n = nomizu(ctx24, g24.vec(a=1.0))
     # nabla_T A = -(v-part)/2 - (z-part): block diagonal scaling
     expect = np.zeros((7, 7))
     expect[:4, :4] = -0.5 * np.eye(4)
@@ -181,8 +182,8 @@ def test_nomizu_transpose_formula_no_center(g24, ctx24):
     rng = np.random.default_rng(4)
     for _ in range(10):
         w = rng.standard_normal(4)
-        wf = g24.vec(w).flat()
-        expect = g24.vec(-0.5 * s * w, -0.5 * g24.bracket_vz(v, w), 0.0).flat()
+        wf = g24.vec(w)
+        expect = g24.vec(-0.5 * s * w, -0.5 * g24.bracket_vz(v, w), 0.0)
         assert np.max(np.abs(n.T @ wf - expect)) < 1e-12
 
 
@@ -276,8 +277,8 @@ def test_no_z_isotropy_pairing_reduction():
     for i in range(4):
         z = z_basis[:, i]
         jzv = g.j_z(z) @ v
-        vm.append(g.vec(jzv, s * z, 0.0).flat())
-        v1.append(g.vec(-s * jzv, float(cst["v"]) * z, 0.0).flat() / np.sqrt(float(cst["v"])))
+        vm.append(g.vec(jzv, s * z, 0.0))
+        v1.append(g.vec(-s * jzv, float(cst["v"]) * z, 0.0) / np.sqrt(float(cst["v"])))
     # choose p2 as a pair with nonzero J_Z pairing for Z = z_basis[:,0]
     jz0 = g.j_z(z_basis[:, 0])
     p_cols = fr.p_basis
@@ -288,8 +289,8 @@ def test_no_z_isotropy_pairing_reduction():
     p_j = p_cols[:, j_idx]
     p1 = [p_cols[:, i] for i in range(3) if i not in (k_idx, j_idx)]
     frame_cols = (vm + v1 + [fr.q_vec]
-                  + [g.vec(p).flat() for p in p1]
-                  + [g.vec(p_k).flat(), g.vec(p_j).flat()])
+                  + [g.vec(p) for p in p1]
+                  + [g.vec(p_k), g.vec(p_j)])
     basis = np.column_stack(frame_cols)
     assert np.max(np.abs(basis.T @ basis - np.eye(12))) < 1e-10
     rho_m, rho_1, rho_2 = (float(cst["rho_minus"]), float(cst["rho_1"]),
@@ -350,9 +351,9 @@ def test_nomizu_transpose_formula_full_frame():
     n = nomizu(ctx, fr.xi)
     for _ in range(10):
         w = rng.standard_normal(8)
-        wf = g.vec(w).flat()
+        wf = g.vec(w)
         expect = g.vec(0.5 * (g.j_z(fr.y) @ w) - 0.5 * fr.s * w,
-                       -0.5 * g.bracket_vz(fr.v, w), 0.0).flat()
+                       -0.5 * g.bracket_vz(fr.v, w), 0.0)
         assert np.max(np.abs(n.T @ wf - expect)) < 1e-12
 
 
@@ -491,7 +492,7 @@ def _ref_codazzi(cand, gamma, ctx, frame):
 
 
 def _ref_probe_frame(g, ctx, frame_seed, fidx, c_grid):
-    frame = random_frame(g, np.random.default_rng(frame_seed), 0.05)
+    frame = random_frame(g, np.random.default_rng(frame_seed))
     best, best_info, n_candidates = np.inf, None, 0
     for c in c_grid:
         for cand in _ref_shape_candidates(frame, ctx, float(c)):
@@ -508,7 +509,7 @@ def _ref_probe_frame(g, ctx, frame_seed, fidx, c_grid):
     return fidx, float(best), n_candidates, best_info
 
 
-REF_GRID = np.arange(-2.0, 0.0 + 1e-12, 0.05)  # 41 C values
+REF_GRID = probe_c_grid(0.05)  # 41 C values
 
 
 @pytest.mark.parametrize("seed", [2000, 12])
@@ -570,7 +571,7 @@ def test_bisection_matches_brentq_oracle(g24, ctx24):
     # brentq on each bracket alone, with H within 1e-10.  Where Tr S - H is so
     # flat at the root that rounding moves both solvers by more than that, the
     # bisected H must instead be within 1e-10 of the root taken to 40 digits
-    grid = np.arange(-2.0, 0.0 + 1e-12, 0.01)
+    grid = probe_c_grid()
     n_cands, flat = 0, 0
     for frame_seed in np.random.SeedSequence(0).spawn(6):
         fr = random_frame(g24, np.random.default_rng(frame_seed))

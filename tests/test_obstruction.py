@@ -180,7 +180,7 @@ def _listed_quarter_structure_bases(frame):
     lq = [rest[:, i] for i in range(rest.shape[1])]
     lq += [center_family_vector(frame, frame.z_minus1[:, i], "quarter")
            for i in range(frame.d_minus1)]
-    lq += [frame.g.vec(frame.p_basis[:, i]).flat() for i in range(frame.d_p)]
+    lq += [frame.g.vec(frame.p_basis[:, i]) for i in range(frame.d_p)]
     return orthonormalize(lm1), orthonormalize(lq)
 
 

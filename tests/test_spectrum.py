@@ -288,7 +288,7 @@ def test_xi_spectrum_no_center_case(gctx):
 
 def test_xi_spectrum_reference_tangent_a(gctx):
     g, ctx = gctx(2, 4)
-    jac = ctx.jacobi(g.a_vector().flat())
+    jac = ctx.jacobi(g.vec(a=1.0))
     vals = np.linalg.eigvalsh(jac)
     assert np.allclose(sorted(vals), [-1.0, -1.0] + [-0.25] * 4 + [0.0], atol=1e-12)
 
@@ -317,9 +317,9 @@ def test_xi_spectrum_subspace_decomposition(gctx):
     cols.append(fr.xi)
     lhs = np.column_stack(cols)
     rhs_cols = [fr.s4[:, i] for i in range(fr.s4.shape[1])]
-    rhs_cols += [g.vec(fr.p_basis[:, i]).flat() for i in range(fr.d_p)]
-    rhs_cols += [g.vec(z=fr.z_minus1[:, i]).flat() for i in range(fr.d_minus1)]
-    rhs_cols += [g.vec(fr.v_minus1[:, i]).flat() for i in range(fr.v_minus1.shape[1])]
+    rhs_cols += [g.vec(fr.p_basis[:, i]) for i in range(fr.d_p)]
+    rhs_cols += [g.vec(z=fr.z_minus1[:, i]) for i in range(fr.d_minus1)]
+    rhs_cols += [g.vec(fr.v_minus1[:, i]) for i in range(fr.v_minus1.shape[1])]
     rhs = np.column_stack(rhs_cols)
     assert lhs.shape[1] == rhs.shape[1]
     q, _ = np.linalg.qr(rhs)
