@@ -1,13 +1,11 @@
 """Damek-Ricci geometry engine and Einstein-hypersurface obstruction harness."""
 
-from .clifford import (CliffordModule, Octonion, build_module, is_symmetric_space,
-                       j_from_octonions, j_op, max_center_dim)
+from .clifford import (CliffordModule, Octonion, build_module, is_symmetric_space, j_op,
+                       max_center_dim)
 from .curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
                         ricci_isotropy)
 from .dralgebra import DamekRicci, verify_heisenberg_identities
-from .hypersurface import (ShapeCandidate, codazzi_residual,
-                           derived_gauss_residuals, nomizu, probe_codazzi_floor,
-                           shape_candidates)
+from .hypersurface import nomizu, probe_codazzi_floor
 from .numkernel import (EigenDecomposition, MPoly, eig_sym, poly_reduce,
                         rational_bisect, symmetric_eliminate)
 from .obstruction import (Check, LedgerReport, enumerate_dimension_cases,

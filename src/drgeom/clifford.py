@@ -103,15 +103,6 @@ def oct_left_mult_matrix(z: Octonion) -> np.ndarray:
     return np.column_stack([(z * Octonion.basis(i)).coords for i in range(8)])
 
 
-def j_from_octonions(z: Octonion, w: tuple[Octonion, Octonion],
-                     imag_tol: float = 1e-12) -> tuple[Octonion, Octonion]:
-    """The pair map (w1, w2) -> (z*w2, -conj(z)*w1) for purely imaginary z."""
-    if abs(z.real) > imag_tol:
-        raise ValueError(f"z must be purely imaginary, real part {z.real:.3e}")
-    w1, w2 = w
-    return (z * w2, -(z.conj() * w1))
-
-
 def max_center_dim(d_v: int) -> int:
     """Largest admissible center dimension for a module of dimension d_v.
 

@@ -20,7 +20,6 @@ and evaluates the Gauss/Codazzi residuals of each C's candidates as one batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
@@ -36,9 +35,8 @@ H_BOUND = 60.0
 H_SAMPLES = 2400
 # an eigenspace of larger multiplicity only gets the all-plus and all-minus splits
 MAX_ENUMERATION_DIM = 16
-# the probe scans C from C_START up to C_STOP (0 plus a margin, so 0 itself is
-# reached) in steps of C_STEP by default
-C_START, C_STOP, C_STEP = -2.0, 0.0 + 1e-12, 0.01
+# the probe scans C from C_START up to C_STOP in steps of C_STEP by default
+C_START, C_STOP, C_STEP = -2.0, 0.0, 0.01
 
 
 def _rho(h, alphas: np.ndarray, c):
@@ -47,28 +45,6 @@ def _rho(h, alphas: np.ndarray, c):
     disc = h ** 2 - 4.0 * (alphas - c)
     sq = np.sqrt(np.maximum(disc, 0.0))
     return 0.5 * (h + sq), 0.5 * (h - sq), disc
-
-
-@dataclass(frozen=True)
-class ShapeCandidate:
-    """Curvature-adapted S on xi-perp with per-eigenspace quadratic roots."""
-
-    c_const: float
-    h_mean: float
-    alphas: np.ndarray          # per eigenframe vector
-    lambdas: np.ndarray         # principal curvature per eigenframe vector
-    frame_basis: np.ndarray = field(repr=False)  # columns: eigenframe in ambient coords
-    splits: tuple = ()
-
-    @property
-    def n(self) -> int:
-        return self.lambdas.shape[0]
-
-    def invariant_residual(self) -> float:
-        """Max residual of S^2 - H S + (alpha - C) = 0 and Tr S = H."""
-        quad = self.lambdas ** 2 - self.h_mean * self.lambdas + (self.alphas - self.c_const)
-        tr = abs(float(np.sum(self.lambdas)) - self.h_mean)
-        return max(float(np.max(np.abs(quad))), tr)
 
 
 class _Eigenframe:
@@ -88,16 +64,26 @@ class _Eigenframe:
         # Tr S - H = [rho+ | rho- | H] @ weights, one column per split
         counts = np.array(self.splits, dtype=float)  # [split, cluster, (m+, m-)]
         self.weights = np.vstack([counts[:, :, 0].T, counts[:, :, 1].T, -np.ones(len(counts))])
+        # within an eigenspace the first m+ vectors take rho+: [split, vector]
+        self._cluster = np.repeat(np.arange(len(mults)), mults)
+        rank = np.arange(len(self._cluster)) - np.repeat(np.cumsum([0, *mults[:-1]]), mults)
+        self._plus = rank < counts[:, self._cluster, 0]
         self.hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
         self._fvals = np.empty((H_SAMPLES, len(self.splits)))
 
-    def candidates(self, c_values) -> list[list[ShapeCandidate]]:
-        """Self-consistent candidates for each C, in split order then by H.
+    def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Self-consistent candidates for each C, in split order then by H:
+        their mean curvatures H (k,), principal curvatures (k, n) on the
+        eigenframe X and split indices into ``splits`` (k,).
 
-        The H grid is scanned per C.  Then the sign changes of all C values
-        are bisected together until each bracket holds two adjacent floats (an
-        exact grid zero is a bracket of width 0), and the end where the trace
-        gap is <= 0 is the root.  Roots within 1e-9 of a smaller one are dropped.
+        On an eigenspace of Jacobi eigenvalue alpha and multiplicity m, S has
+        eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
+        split (m+, m-) is enumerated and H solves Tr S = H.  The H grid is
+        scanned per C.  Then the sign changes of all C values are bisected
+        together until each bracket holds two adjacent floats (an exact grid
+        zero is a bracket of width 0), and the end where the trace gap is <= 0
+        is the root.  Roots within 1e-9 of a smaller one are dropped, and so
+        are splits with complex roots.
         """
         hs, n_splits = self.hs, len(self.splits)
         c_values = np.asarray(c_values, dtype=float)
@@ -139,30 +125,16 @@ class _Eigenframe:
                     root_list[j] - root_list[kept[-1]] > 1e-9:
                 kept.append(j)
         (ci, si), h = np.divmod(keys[kept], n_splits), neg[kept]
-        rp, rm, disc = _rho(h[:, None], self.alphas, c_values[ci, None])
-        rho = np.stack([rp, rm], axis=2)  # [candidate, cluster, (+, -)]
-        out: list[list[ShapeCandidate]] = [[] for _ in c_values]
-        for j in np.flatnonzero(np.all(disc >= -1e-12, axis=1)):
-            splits = self.splits[si[j]]
-            cand = ShapeCandidate(float(c_values[ci[j]]), float(h[j]), self.vector_alphas,
-                                  np.repeat(rho[j].ravel(), np.ravel(splits)), self.x, splits)
-            if cand.invariant_residual() <= QUADRATIC_TOL:
-                out[ci[j]].append(cand)
-        return out
-
-
-def shape_candidates(frame: NormalFrame, ctx: CurvatureContext,
-                     c_const: float) -> list[ShapeCandidate]:
-    """Enumerate Einstein-compatible shape operators at one value of C.
-
-    For each eigenvalue alpha of the normal Jacobi operator with
-    multiplicity m, the restriction of S has eigenvalues among the roots
-    rho+- (H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every split (m+, m-) is
-    enumerated and H is solved from Tr S = H by bisecting grid brackets.
-    Splits with complex roots are discarded.  Within an eigenspace the
-    first m+ vectors of the deterministic cluster basis take the + root.
-    """
-    return _Eigenframe(frame, ctx).candidates([c_const])[0]
+        c = c_values[ci, None]
+        rp, rm, disc = _rho(h[:, None], self.alphas, c)
+        lam = np.where(self._plus[si], rp[:, self._cluster], rm[:, self._cluster])
+        # S^2 - H S + (alpha - C) = 0 and Tr S = H
+        quad = np.max(np.abs(lam ** 2 - h[:, None] * lam + (self.vector_alphas - c)), axis=1)
+        ok = np.all(disc >= -1e-12, axis=1) & \
+            (np.maximum(quad, np.abs(np.sum(lam, axis=1) - h)) <= QUADRATIC_TOL)
+        ci, h, lam, si = ci[ok], h[ok], lam[ok], si[ok]
+        ends = np.searchsorted(ci, np.arange(len(c_values) + 1))
+        return [(h[a:b], lam[a:b], si[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def specialized_codazzi_coefficient_identity() -> bool:
@@ -190,13 +162,6 @@ def nomizu(ctx: CurvatureContext, xi: np.ndarray) -> np.ndarray:
     return np.einsum("kje,j->ek", ctx.nabla_tensor, xi)
 
 
-def gauss_map_derivatives(cand: ShapeCandidate, ctx: CurvatureContext,
-                          xi: np.ndarray) -> np.ndarray:
-    """Columns: nabla_k xi + lambda_k X_k for the candidate eigenframe."""
-    nx = nomizu(ctx, xi)
-    return nx @ cand.frame_basis + cand.frame_basis * cand.lambdas[None, :]
-
-
 class _FrameTensors:
     """Contractions that depend only on the eigenframe X and the normal xi.
     Candidates enter only through N_xi X + X diag(lam), so the residuals of
@@ -218,7 +183,9 @@ class _FrameTensors:
         self.dalpha = alphas[None, None, :] - alphas[None, :, None]  # alpha_j - alpha_i
 
     def gauss(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """dG1[b, i, k] and Gamma[b, k, i, j]."""
+        """dG1[b, i, k] = <R_{X_i} xi, nabla_k xi + lam_k X_k>, zero on an Einstein
+        hypersurface with locally constant eigenvalues, and Gamma[b, k, i, j] from
+        the derived-Gauss relation where alpha_i != alpha_j (NaN elsewhere)."""
         b, n = lam.shape
         gm = self.nx + self.x * lam[:, None, :]
         rxij = np.matmul(self.t, gm).reshape(b, n, n, n)  # [b, j, i, k]
@@ -230,7 +197,9 @@ class _FrameTensors:
         return rxij[:, diag, diag, :], gamma
 
     def codazzi(self, lam: np.ndarray, gamma: np.ndarray):
-        """Residuals [b, k, i, j] (NaN where a needed Gamma is missing) and that mask."""
+        """Residuals [b, k, i, j] = R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k, i, j]
+        + (lam_k - lam_j) Gamma[i, k, j], NaN where a needed Gamma is missing, and
+        that mask."""
         li_lj = lam[:, None, :, None] - lam[:, None, None, :]
         lk_lj = lam[:, :, None, None] - lam[:, None, None, :]
         gamma_ikj = np.transpose(gamma, (0, 2, 1, 3))
@@ -248,44 +217,6 @@ class _FrameTensors:
         return np.maximum(np.max(np.abs(dg1), axis=(1, 2)), cz)
 
 
-def derived_gauss_residuals(cand: ShapeCandidate, ctx: CurvatureContext,
-                            frame: NormalFrame) -> dict:
-    """First-derivative Gauss data: the dG1 table and reconstructed Gammas.
-
-    dG1[i, k] = <R_{X_i} xi, nabla_k xi + lambda_k X_k>  (must vanish for an
-    Einstein hypersurface with locally constant eigenvalues).  Gamma[k,i,j]
-    solves the derived-Gauss relation on pairs with alpha_i != alpha_j and
-    is NaN where the relation is silent.
-    """
-    tensors = _FrameTensors(ctx, frame.xi, cand.frame_basis, cand.alphas)
-    dg1, gamma = tensors.gauss(cand.lambdas[None])
-    return {"dg1": dg1[0], "gamma": gamma[0], "dg1_max": float(np.max(np.abs(dg1)))}
-
-
-def codazzi_residual(cand: ShapeCandidate, gamma: np.ndarray,
-                     ctx: CurvatureContext, frame: NormalFrame) -> dict:
-    """Pointwise Codazzi combination on the candidate eigenframe.
-
-    residual[k,i,j] = R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k,i,j]
-                                           + (lam_k - lam_j) Gamma[i,k,j]
-    with eigenvalue derivatives set to zero.  A Gamma factor is only
-    required when its lambda coefficient is nonzero; triples needing an
-    unavailable Gamma are skipped and counted.
-    """
-    tensors = _FrameTensors(ctx, frame.xi, cand.frame_basis, cand.alphas)
-    res, needed_missing = tensors.codazzi(cand.lambdas[None], np.asarray(gamma)[None])
-    ok = ~np.isnan(res[0])
-    return {"residuals": res[0], "max": float(np.max(np.abs(res[0]), initial=0.0, where=ok)),
-            "evaluated": int(ok.sum()), "skipped": int(needed_missing.sum())}
-
-
-def candidate_aggregate_residual(cand: ShapeCandidate, ctx: CurvatureContext,
-                                 frame: NormalFrame) -> float:
-    """Max of the dG1 table and the Codazzi residuals for one candidate."""
-    tensors = _FrameTensors(ctx, frame.xi, cand.frame_basis, cand.alphas)
-    return float(tensors.aggregate(cand.lambdas[None])[0])
-
-
 def _probe_frame(args) -> tuple[int, float, int, dict | None]:
     """One frame: C-independent work once, then one batch per C (top-level
     with one tuple argument so a worker pool can dispatch it)."""
@@ -294,22 +225,24 @@ def _probe_frame(args) -> tuple[int, float, int, dict | None]:
     eigenframe = _Eigenframe(frame, ctx)
     tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
     best, best_info, n_candidates = np.inf, None, 0
-    for c, cands in zip(c_grid, eigenframe.candidates(c_grid)):
-        if not cands:
+    for c, (h, lam, si) in zip(c_grid, eigenframe.candidates(c_grid)):
+        if not h.size:
             continue
-        n_candidates += len(cands)
-        aggs = tensors.aggregate(np.stack([cand.lambdas for cand in cands]))
-        for cand, agg in zip(cands, aggs):
-            if agg < best:
-                best = agg
-                best_info = {"frame_index": fidx, "C": float(c),
-                             "H": cand.h_mean, "splits": cand.splits}
+        n_candidates += h.size
+        aggs = tensors.aggregate(lam)
+        j = int(np.argmin(aggs))  # the first of equal minima, as a strict < keeps
+        if aggs[j] < best:
+            best = aggs[j]
+            best_info = {"frame_index": fidx, "C": float(c),
+                         "H": float(h[j]), "splits": eigenframe.splits[si[j]]}
     return fidx, float(best), n_candidates, best_info
 
 
 def probe_c_grid(step: float = C_STEP) -> np.ndarray:
-    """The probe's C values, np.arange(C_START, C_STOP, step)."""
-    return np.arange(C_START, C_STOP, step)
+    """The probe's C values C_START + k * step for k = 0, 1, ..., up to
+    C_STOP, which is the last value when step divides the interval (the 1e-9
+    keeps it when the quotient rounds to just below an integer)."""
+    return C_START + step * np.arange(int((C_STOP - C_START) / step + 1e-9) + 1)
 
 
 def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,

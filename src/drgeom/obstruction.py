@@ -18,9 +18,11 @@ import numpy as np
 from .clifford import Octonion, max_center_dim
 from .curvature import CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg
 from .dralgebra import DamekRicci
+from .hypersurface import specialized_codazzi_coefficient_identity
 from .numkernel import (MPoly, levenberg_marquardt, mpoly_resultant, orthonormalize,
                         poly_reduce, symmetric_eliminate)
-from .spectrum import NormalFrame, eigen_families, f_cubic_roots, random_frame
+from .spectrum import (NormalFrame, eigen_families, eta_alpha_exact_identity, f_cubic_roots,
+                       random_frame)
 
 EXACT = "exact-pass"
 NUMERIC = "numeric-pass"
@@ -964,7 +966,9 @@ def final_positivity_analysis(grid: int = 50) -> dict:
 
 
 def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
-    """All exact steps of the general-position contradiction.
+    """All exact steps of the general-position contradiction, with the two
+    polynomial identities it uses: the eta = 4 alpha + 1 form of the Jacobi
+    cubic and the collapse of the symmetric-core Codazzi coefficient.
 
     Every step runs in rational arithmetic; ``exact=False`` keeps only the
     cheap ones (the positivity arguments, their grids and spot values).
@@ -986,6 +990,13 @@ def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
                    r4["ok"], exact=True,
                    n_samples=len(r4["samples"]),
                    min_abs_res_psi=str(min(abs(s["res_psi"]) for s in r4["samples"])))
+
+        rep.record("eta-alpha-identity", "normal-jacobi-spectrum",
+                   eta_alpha_exact_identity(), exact=True,
+                   identity="p(4a+1) = 64 (a+1) (a+1/4)^2 - q, p(t) = t^3 + 3 t^2 - q")
+        rep.record("codazzi-coefficient-collapse", "symmetric-core-codazzi",
+                   specialized_codazzi_coefficient_identity(), exact=True,
+                   identity="4 r (1/2 + (lj - li) lk + (lk - li) lj)")
 
     r2 = leading_coefficient_positivity()
     rep.record("leading-coefficient-positivity", "two-eigenvalue-shape-relation",

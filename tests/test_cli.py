@@ -12,11 +12,15 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom.cli import REPLAYS, RunConfig, load_config, main, replay, run, summarize
+from drgeom import cli
+from drgeom.cli import (DEFAULT_DIMS, REPLAYS, RunConfig, load_config, main, replay, run,
+                        summarize)
+from drgeom.curvature import CurvatureContext, koszul_connection
 
 
 def test_config_validation_rejects_inadmissible_dims():
@@ -197,6 +201,35 @@ def test_verify_obstruction_entries_are_the_registry_replays(timed_replays):
                       key=lambda c: c["id"])
     assert report["checks"] == expected
     assert list(report["header"]["runtimes_s"]) == [c["id"] for c in expected]
+
+
+def test_verify_numeric_suites_give_87_passing_checks():
+    # the count bench/workloads.py pins for its verify workload
+    status, report = run(RunConfig(suites=["clifford", "curvature", "spectrum", "obstruction"],
+                                   dims=list(DEFAULT_DIMS), exact=False))
+    assert status == 0
+    assert len(report["checks"]) == 87
+    assert all(c["verdict"] == "pass" for c in report["checks"])
+    axioms = [c for c in report["checks"] if c["id"].startswith("connection-axioms(")]
+    assert len(axioms) == len(DEFAULT_DIMS) and all(c["residual"] == 0.0 for c in axioms)
+
+
+@pytest.mark.parametrize("corrupt", ["transposed-slot", "wrong-bracket"])
+def test_connection_axioms_fail_on_a_wrong_connection_tensor(monkeypatch, corrupt):
+    # negative control: the check reads the context's own connection tensor
+    def wrong_context(g):
+        ctx = CurvatureContext(g)
+        if corrupt == "transposed-slot":
+            ctx.nabla_tensor = np.transpose(ctx.nabla_tensor, (1, 0, 2))
+        else:  # a metric connection whose torsion is not g.bracket
+            ctx.bracket_tensor = 2.0 * ctx.bracket_tensor
+            ctx.nabla_tensor = koszul_connection(ctx.bracket_tensor)
+        return ctx
+
+    monkeypatch.setattr(cli, "CurvatureContext", wrong_context)
+    rep = cli.curvature_suite(RunConfig(dims=[(2, 4)], samples=5))
+    step = rep.step("connection-axioms(2,4)")
+    assert step.verdict == "fail" and step.residual > 1e-12
 
 
 def test_report_step_runtimes_add_up_within_wall_time(timed_replays):

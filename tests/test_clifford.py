@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgeom.clifford import (Octonion, admissible, anticommutation_residual,
-                             build_module, is_symmetric_space, j_from_octonions,
-                             j_op, max_center_dim, oct_left_mult_matrix)
+                             build_module, is_symmetric_space, j_op, max_center_dim,
+                             oct_left_mult_matrix)
 
 ADMISSIBLE = [(d_z, d_v) for d_v in (2, 4, 8, 16)
               for d_z in range(1, max_center_dim(d_v) + 1)]
@@ -156,6 +156,15 @@ def test_octonion_not_associative():
                 if np.max(np.abs(((a * b) * c - a * (b * c)).coords)) > 0.5:
                     found = True
     assert found
+
+
+def j_from_octonions(z: Octonion, w: tuple[Octonion, Octonion],
+                     imag_tol: float = 1e-12) -> tuple[Octonion, Octonion]:
+    """The pair map (w1, w2) -> (z*w2, -conj(z)*w1) for purely imaginary z."""
+    if abs(z.real) > imag_tol:
+        raise ValueError(f"z must be purely imaginary, real part {z.real:.3e}")
+    w1, w2 = w
+    return (z * w2, -(z.conj() * w1))
 
 
 def test_j_from_octonions_basis_example():

@@ -7,7 +7,7 @@ import pytest
 
 from drgeom.cli import DEFAULT_DIMS
 from drgeom.curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
-                              ricci_isotropy, subalgebra_closure_residuals)
+                              ricci_isotropy)
 from drgeom.dralgebra import DamekRicci
 from drgeom.numkernel import orthonormalize
 
@@ -29,6 +29,36 @@ def _riemann(ctx, x, y, z):
 
 def _riemann4(ctx, x, y, z, w):
     return float(np.einsum("a,b,c,e,abce->", x, y, z, w, ctx.riemann_tensor))
+
+
+def subalgebra_closure_residuals(ctx: CurvatureContext, basis: np.ndarray) -> dict:
+    """How far a subspace is from being curvature- and connection-closed.
+
+    ``basis`` holds orthonormal columns spanning the candidate subalgebra.
+    Returns max projection residuals of R(h,h)h, nabla_h h, and the largest
+    |(nabla_h R)(h,h,h,h)| component.
+    """
+    q = basis
+    proj = q @ q.T
+    k = q.shape[1]
+    r_res = 0.0
+    n_res = 0.0
+    dr_res = 0.0
+    for i in range(k):
+        for j in range(k):
+            nb = ctx.nabla_flat(q[:, i], q[:, j])
+            n_res = max(n_res, float(np.max(np.abs(nb - proj @ nb))))
+            for l in range(k):
+                rv = np.einsum("a,b,c,abce->e", q[:, i], q[:, j], q[:, l],
+                               ctx.riemann_tensor)
+                r_res = max(r_res, float(np.max(np.abs(rv - proj @ rv))))
+    rng = np.random.default_rng(12345)
+    for _ in range(60):
+        c = rng.standard_normal((5, k))
+        vs = [q @ ci for ci in c]
+        dr_res = max(dr_res, abs(ctx.nabla_riemann(*vs)))
+    return {"riemann_closure": r_res, "nabla_closure": n_res,
+            "nabla_riemann_inside": dr_res}
 
 
 def test_nabla_closed_form_values(g24):

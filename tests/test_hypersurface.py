@@ -1,8 +1,14 @@
-"""Shape candidates, Nomizu operator, derived-Gauss and Codazzi residuals."""
+"""Shape candidates, Nomizu operator, derived-Gauss and Codazzi residuals.
+
+The probe's candidates are arrays from ``_Eigenframe.candidates`` and its
+residuals rows of ``_FrameTensors``; the per-candidate reference below
+rebuilds both one candidate at a time.
+"""
 
 from __future__ import annotations
 
 import warnings
+from dataclasses import dataclass
 from fractions import Fraction
 
 import mpmath
@@ -16,13 +22,9 @@ from itertools import product
 
 from scipy.optimize import brentq
 
-from drgeom.hypersurface import (H_BOUND, H_SAMPLES, QUADRATIC_TOL, ShapeCandidate,
-                                 _Eigenframe, _FrameTensors, _probe_frame,
-                                 codazzi_residual,
-                                 candidate_aggregate_residual,
-                                 derived_gauss_residuals, gauss_map_derivatives,
-                                 nomizu, probe_c_grid, probe_codazzi_floor,
-                                 shape_candidates)
+from drgeom.hypersurface import (H_BOUND, H_SAMPLES, QUADRATIC_TOL, _Eigenframe,
+                                 _FrameTensors, _probe_frame, nomizu, probe_c_grid,
+                                 probe_codazzi_floor)
 from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
@@ -38,6 +40,22 @@ def ctx24(g24):
     return CurvatureContext(g24)
 
 
+def _invariant_residual(c, h, lam, alphas) -> float:
+    """Max residual of S^2 - H S + (alpha - C) = 0 and Tr S = H."""
+    quad = lam ** 2 - h * lam + (alphas - c)
+    return max(float(np.max(np.abs(quad))), abs(float(np.sum(lam)) - h))
+
+
+def _first_candidate(fr, ctx, c):
+    """The eigenframe, its tensors and the first candidate's (1, n) principal
+    curvatures at C, or a skip when C has no candidate."""
+    ef = _Eigenframe(fr, ctx)
+    _, lam, _ = ef.candidates([c])[0]
+    if not len(lam):
+        pytest.skip("no candidate at this C")
+    return ef, _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas), lam[:1]
+
+
 # ---------------------------------------------------------------------------
 # candidate enumeration
 # ---------------------------------------------------------------------------
@@ -45,15 +63,17 @@ def ctx24(g24):
 def test_candidates_satisfy_invariants(g24, ctx24):
     rng = np.random.default_rng(0)
     fr = random_frame(g24, rng)
+    ef = _Eigenframe(fr, ctx24)
     found = 0
     for c in np.arange(-1.5, -0.2, 0.17):
-        for cand in shape_candidates(fr, ctx24, float(c)):
+        h, lam, _ = ef.candidates([float(c)])[0]
+        for hb, lb in zip(h, lam):
             found += 1
-            assert cand.invariant_residual() <= 1e-10
+            assert _invariant_residual(c, hb, lb, ef.vector_alphas) <= 1e-10
             # curvature-adapted: the eigenframe diagonalizes the Jacobi operator
             jac = ctx24.jacobi(fr.xi)
-            jj = cand.frame_basis.T @ jac @ cand.frame_basis
-            assert np.max(np.abs(jj - np.diag(cand.alphas))) < 1e-9
+            jj = ef.x.T @ jac @ ef.x
+            assert np.max(np.abs(jj - np.diag(ef.vector_alphas))) < 1e-9
     assert found > 0
 
 
@@ -66,11 +86,11 @@ def test_candidates_alpha_equals_c_gives_zero_and_h_roots(g24, ctx24):
     perp = complete_basis(g24.dim, fr.xi[:, None])
     vals = np.linalg.eigvalsh(perp.T @ jac @ perp)
     c_val = float(vals[0])
-    for cand in shape_candidates(fr, ctx24, c_val):
-        sel = np.abs(cand.alphas - c_val) < 1e-9
-        lams = cand.lambdas[sel]
-        for lam in lams:
-            assert min(abs(lam), abs(lam - cand.h_mean)) < 1e-8
+    ef = _Eigenframe(fr, ctx24)
+    h, lam, _ = ef.candidates([c_val])[0]
+    for hb, lb in zip(h, lam):
+        for lk in lb[np.abs(ef.vector_alphas - c_val) < 1e-9]:
+            assert min(abs(lk), abs(lk - hb)) < 1e-8
 
 
 def _made_up_eigenframe(monkeypatch, alphas, mults):
@@ -94,7 +114,8 @@ def test_candidates_keep_an_exact_grid_zero(monkeypatch):
     hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
     h0 = hs[1700]
     ef = _made_up_eigenframe(monkeypatch, [h0 ** 2 / 4], [2])
-    roots = [c.h_mean for c in ef.candidates([0.0])[0] if c.splits == ((2, 0),)]
+    h, _, si = ef.candidates([0.0])[0]
+    roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((2, 0),)]
     assert h0 in roots and all(abs(h) == h0 for h in roots)
 
 
@@ -105,7 +126,8 @@ def test_candidates_drop_a_root_within_1e_9_of_a_smaller_one(monkeypatch):
     ef = _made_up_eigenframe(monkeypatch, [0.0], [2])
     ef.hs = np.array([1.0, 1.0 + 5e-10, 2.0])
     ef._fvals = np.empty((len(ef.hs), len(ef.splits)))
-    roots = [c.h_mean for c in ef.candidates([0.0])[0] if c.splits == ((1, 1),)]
+    h, _, si = ef.candidates([0.0])[0]
+    roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((1, 1),)]
     assert roots == [1.0, 2.0]
 
 
@@ -130,16 +152,19 @@ def test_no_z_forced_trace_never_consistent(g24, ctx24):
     cst = no_z_candidate_constants(s)
     v = np.array([1.0, 0, 0, 0]) * np.sqrt(float(cst["v"]))
     fr = make_frame(g24, v, np.zeros(2), float(s))
-    cands = shape_candidates(fr, ctx24, float(cst["C"]))
+    ef = _Eigenframe(fr, ctx24)
+    c = float(cst["C"])
+    h, lam, _ = ef.candidates([c])[0]
     rho_m, rho_1 = float(cst["rho_minus"]), float(cst["rho_1"])
-    for cand in cands:
-        assert cand.invariant_residual() <= 1e-10  # self-consistent by contract
-        minus_space = np.abs(cand.alphas + 1.0) < 1e-9
-        forced_minus = np.all(np.abs(cand.lambdas[minus_space] - rho_m) < 1e-8)
-        n_rho1 = int(np.sum(np.abs(cand.lambdas[~minus_space] - rho_1) < 1e-8))
+    minus_space = np.abs(ef.vector_alphas + 1.0) < 1e-9
+    for hb, lb in zip(h, lam):
+        # self-consistent by contract
+        assert _invariant_residual(c, hb, lb, ef.vector_alphas) <= 1e-10
+        forced_minus = np.all(np.abs(lb[minus_space] - rho_m) < 1e-8)
+        n_rho1 = int(np.sum(np.abs(lb[~minus_space] - rho_1) < 1e-8))
         # the forced pattern: rho_minus on all of L(-1) and rho_1 on the
         # center family plus Q (at least d_z + 1 copies)
-        assert not (abs(cand.h_mean - float(cst["H"])) < 1e-8 and forced_minus
+        assert not (abs(hb - float(cst["H"])) < 1e-8 and forced_minus
                     and n_rho1 >= g24.d_z + 1)
 
 
@@ -147,9 +172,11 @@ def test_gauss_alpha_consistency(g24, ctx24):
     # alpha_i = -lam_i^2 + H lam_i + C on the candidate's own eigenframe
     rng = np.random.default_rng(2)
     fr = random_frame(g24, rng)
-    for cand in shape_candidates(fr, ctx24, -0.7):
-        recon = -cand.lambdas ** 2 + cand.h_mean * cand.lambdas + cand.c_const
-        assert np.max(np.abs(recon - cand.alphas)) < 1e-10
+    ef = _Eigenframe(fr, ctx24)
+    h, lam, _ = ef.candidates([-0.7])[0]
+    for hb, lb in zip(h, lam):
+        recon = -lb ** 2 + hb * lb - 0.7
+        assert np.max(np.abs(recon - ef.vector_alphas)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -190,14 +217,12 @@ def test_nomizu_transpose_formula_no_center(g24, ctx24):
 def test_gauss_map_derivative_wiring(g24, ctx24):
     rng = np.random.default_rng(5)
     fr = random_frame(g24, rng)
-    cands = shape_candidates(fr, ctx24, -0.8)
-    if not cands:
-        pytest.skip("no candidate at this C")
-    cand = cands[0]
-    gm = gauss_map_derivatives(cand, ctx24, fr.xi)
-    for k in range(cand.n):
-        xk = cand.frame_basis[:, k]
-        direct = ctx24.nabla_flat(xk, fr.xi) + cand.lambdas[k] * xk
+    ef, tensors, lam = _first_candidate(fr, ctx24, -0.8)
+    # the Gauss-map derivatives nabla_k xi + lambda_k X_k, as gauss() forms them
+    gm = tensors.nx + tensors.x * lam
+    for k in range(lam.shape[1]):
+        xk = ef.x[:, k]
+        direct = ctx24.nabla_flat(xk, fr.xi) + lam[0, k] * xk
         assert np.max(np.abs(gm[:, k] - direct)) < 1e-12
 
 
@@ -213,13 +238,13 @@ def test_horosphere_codazzi_exact(g24, ctx24):
     basis[:n, :n] = np.eye(n)
     lam = np.array([0.5] * g24.d_v + [1.0] * g24.d_z)
     al = np.array([-0.25] * g24.d_v + [-1.0] * g24.d_z)
-    cand = ShapeCandidate(0.0, float(lam.sum()), al, lam, basis)
     gamma = np.einsum("ak,bi,abe,ej->kij", basis, basis, ctx24.nabla_tensor,
                       basis, optimize=True)
     fr = make_frame(g24, np.zeros(4), np.zeros(2), 1.0)
-    out = codazzi_residual(cand, gamma, ctx24, fr)
-    assert out["max"] < 1e-13
-    assert out["skipped"] == 0
+    tensors = _FrameTensors(ctx24, fr.xi, basis, al)
+    res, skipped = tensors.codazzi(lam[None], gamma[None])
+    assert np.max(np.abs(res), initial=0.0, where=~np.isnan(res)) < 1e-13
+    assert skipped.sum() == 0
 
 
 def test_quarter_space_dg1_vanishes_inside_core(g24, ctx24):
@@ -227,24 +252,18 @@ def test_quarter_space_dg1_vanishes_inside_core(g24, ctx24):
     # derivative: R_T xi is proportional to xi there
     rng = np.random.default_rng(6)
     fr = random_frame(g24, rng)
-    cands = shape_candidates(fr, ctx24, -0.75)
-    if not cands:
-        pytest.skip("no candidate at this C")
-    cand = cands[0]
-    out = derived_gauss_residuals(cand, ctx24, fr)
-    quarter = np.abs(cand.alphas + 0.25) < 1e-9
-    sub = out["dg1"][quarter, :]
+    ef, tensors, lam = _first_candidate(fr, ctx24, -0.75)
+    dg1 = tensors.gauss(lam)[0][0]
+    quarter = np.abs(ef.vector_alphas + 0.25) < 1e-9
+    sub = dg1[quarter, :]
     assert np.max(np.abs(sub)) < 1e-10
 
 
 def test_gamma_antisymmetry(g24, ctx24):
     rng = np.random.default_rng(7)
     fr = random_frame(g24, rng)
-    cands = shape_candidates(fr, ctx24, -0.6)
-    if not cands:
-        pytest.skip("no candidate at this C")
-    out = derived_gauss_residuals(cands[0], ctx24, fr)
-    gam = out["gamma"]
+    _, tensors, lam = _first_candidate(fr, ctx24, -0.6)
+    gam = tensors.gauss(lam)[1][0]
     n = gam.shape[0]
     for k in range(n):
         for i in range(n):
@@ -297,24 +316,24 @@ def test_no_z_isotropy_pairing_reduction():
                            float(cst["rho_2"]))
     lams = np.array([rho_m] * 4 + [rho_1] * 6 + [rho_2] * 2)
     alphas = np.array([-1.0] * 4 + [-0.25] * 8)
-    cand = ShapeCandidate(float(cst["C"]), float(cst["H"]), alphas, lams, basis)
+    c_const, h_mean = float(cst["C"]), float(cst["H"])
     # the quadratic relation holds exactly on the forced data; the trace
     # relation cannot (the multiplicity obstruction), so check them apart
-    quad = lams ** 2 - cand.h_mean * lams + (alphas - cand.c_const)
+    quad = lams ** 2 - h_mean * lams + (alphas - c_const)
     assert np.max(np.abs(quad)) < 1e-12
-    assert abs(float(lams.sum()) - cand.h_mean) > 1.0
+    assert abs(float(lams.sum()) - h_mean) > 1.0
 
-    out = derived_gauss_residuals(cand, ctx, fr)
+    tensors = _FrameTensors(ctx, fr.xi, basis, alphas)
+    _, gammas = tensors.gauss(lams[None])
     # Gauss-map derivative on P = X_10 (first V_2 vector)
-    gm = gauss_map_derivatives(cand, ctx, fr.xi)
+    gm = tensors.nx + tensors.x * lams
     k_pos, i_pos, j_pos = 10, 0, 11
     expect_gm = (1 - 3 * s * s) / (2 * s) * basis[:, k_pos]
     assert np.max(np.abs(gm[:, k_pos] - expect_gm)) < 1e-12
     pairing = float((jz0 @ p_k) @ p_j)
-    gamma = out["gamma"][k_pos, i_pos, j_pos]
+    gamma = gammas[0, k_pos, i_pos, j_pos]
     assert abs(gamma - (2 * s * s - 1) / (2 * s) * pairing) < 1e-10
-    cz = codazzi_residual(cand, out["gamma"], ctx, fr)
-    res = cz["residuals"][k_pos, i_pos, j_pos]
+    res = tensors.codazzi(lams[None], gammas)[0][0, k_pos, i_pos, j_pos]
     expect = 0.5 * (1 - 3 * s * s) * pairing
     assert abs(res - expect) < 1e-10
     assert abs(res) > 1e-3  # the obstruction is visible
@@ -331,10 +350,8 @@ def test_probe_floor_smoke(g24, ctx24):
 def test_candidate_aggregate_positive(g24, ctx24):
     rng = np.random.default_rng(9)
     fr = random_frame(g24, rng)
-    cands = shape_candidates(fr, ctx24, -0.9)
-    if not cands:
-        pytest.skip("no candidate at this C")
-    assert candidate_aggregate_residual(cands[0], ctx24, fr) > 1e-6
+    _, tensors, lam = _first_candidate(fr, ctx24, -0.9)
+    assert tensors.aggregate(lam)[0] > 1e-6
 
 
 def test_specialized_codazzi_coefficient_identity():
@@ -365,9 +382,37 @@ def test_probe_serial_parallel_agree(g24, ctx24):
     assert a["floor"] == b["floor"]
 
 
+def test_probe_c_grid_is_exact():
+    # the default grid holds -1/4 and ends at 0 exactly, with no drift
+    grid = probe_c_grid()
+    assert len(grid) == 201 and grid[0] == -2.0 and grid[-1] == 0.0
+    assert -0.25 in grid.tolist()
+    assert np.array_equal(grid, -2.0 + 0.01 * np.arange(201))
+    assert [len(probe_c_grid(step)) for step in (0.01, 0.05, 0.03)] == [201, 41, 67]
+
+
 # ---------------------------------------------------------------------------
 # reference: the per-C, per-candidate probe the batched one replaces
 # ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class _RefCandidate:
+    """One candidate S on xi-perp, as the per-candidate reference holds it."""
+
+    c_const: float
+    h_mean: float
+    alphas: np.ndarray       # per eigenframe vector
+    lambdas: np.ndarray      # principal curvature per eigenframe vector
+    frame_basis: np.ndarray  # columns: eigenframe in ambient coords
+    splits: tuple = ()
+
+    @property
+    def n(self) -> int:
+        return self.lambdas.shape[0]
+
+    def invariant_residual(self) -> float:
+        return _invariant_residual(self.c_const, self.h_mean, self.lambdas, self.alphas)
+
 
 def _ref_eigenspace_data(frame, ctx, cluster_tol=1e-7):
     from drgeom.numkernel import complete_basis, eig_sym
@@ -453,8 +498,8 @@ def _ref_shape_candidates(frame, ctx, c_const, root=_bisect_to_adjacent_floats):
                 cols.append(basis)
             if not ok:
                 continue
-            cand = ShapeCandidate(c_const, h, np.array(al), np.array(lam),
-                                  np.hstack(cols), splits)
+            cand = _RefCandidate(c_const, h, np.array(al), np.array(lam),
+                                 np.hstack(cols), splits)
             if cand.invariant_residual() <= QUADRATIC_TOL:
                 out.append(cand)
     return out
@@ -529,32 +574,41 @@ def test_probe_matches_per_candidate_reference(g24, ctx24, seed):
     assert out["floor_info"] == ref[floor_idx][3]
 
 
+def _rows(eigenframe, cands):
+    """(H, split) per candidate of one C, as plain floats and tuples."""
+    h, _, si = cands
+    return [(hb, eigenframe.splits[s]) for hb, s in zip(h.tolist(), si)]
+
+
 def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
+    # a batch of one row, the batch row and the per-candidate reference agree
     fr = random_frame(g24, np.random.default_rng(11))
     eigenframe = _Eigenframe(fr, ctx24)
+    tensors = _FrameTensors(ctx24, fr.xi, eigenframe.x, eigenframe.vector_alphas)
     for c in (-1.3, -0.8, -0.35):
         cands = eigenframe.candidates([c])[0]
-        assert [(cd.h_mean, cd.splits) for cd in cands] == \
+        assert _rows(eigenframe, cands) == \
                [(cd.h_mean, cd.splits) for cd in _ref_shape_candidates(fr, ctx24, c)]
-        if not cands:
+        h, lam, si = cands
+        if not len(h):
             continue
-        lam = np.stack([cd.lambdas for cd in cands])
-        tensors = _FrameTensors(ctx24, fr.xi, eigenframe.x, eigenframe.vector_alphas)
         dg1, gamma = tensors.gauss(lam)
         res, _ = tensors.codazzi(lam, gamma)
         aggs = tensors.aggregate(lam)
-        for b, cand in enumerate(cands):
-            dg = derived_gauss_residuals(cand, ctx24, fr)
-            cz = codazzi_residual(cand, dg["gamma"], ctx24, fr)
+        for b in range(len(h)):
+            cand = _RefCandidate(c, float(h[b]), eigenframe.vector_alphas, lam[b],
+                                 eigenframe.x, eigenframe.splits[si[b]])
+            one_dg1, one_gamma = tensors.gauss(lam[b:b + 1])
+            one_res, _ = tensors.codazzi(lam[b:b + 1], one_gamma)
             ref_dg1, ref_gamma = _ref_derived_gauss(cand, ctx24, fr)
-            assert np.array_equal(dg["dg1"], dg1[b])
-            assert np.array_equal(dg["dg1"], ref_dg1)
-            assert np.array_equal(dg["gamma"], gamma[b], equal_nan=True)
-            assert np.array_equal(dg["gamma"], ref_gamma, equal_nan=True)
-            assert np.array_equal(cz["residuals"], res[b], equal_nan=True)
-            assert np.array_equal(cz["residuals"], _ref_codazzi(cand, ref_gamma, ctx24, fr),
+            assert np.array_equal(one_dg1[0], dg1[b])
+            assert np.array_equal(one_dg1[0], ref_dg1)
+            assert np.array_equal(one_gamma[0], gamma[b], equal_nan=True)
+            assert np.array_equal(one_gamma[0], ref_gamma, equal_nan=True)
+            assert np.array_equal(one_res[0], res[b], equal_nan=True)
+            assert np.array_equal(one_res[0], _ref_codazzi(cand, ref_gamma, ctx24, fr),
                                   equal_nan=True)
-            assert candidate_aggregate_residual(cand, ctx24, fr) == aggs[b]
+            assert tensors.aggregate(lam[b:b + 1])[0] == aggs[b]
 
 
 def _root_40_digits(alphas, splits, c_const, h0):
@@ -578,13 +632,14 @@ def test_bisection_matches_brentq_oracle(g24, ctx24):
         eigenframe = _Eigenframe(fr, ctx24)
         for c, cands in zip(grid, eigenframe.candidates(grid)):
             ref = _ref_shape_candidates(fr, ctx24, float(c), root=_brentq_root)
-            assert [cd.splits for cd in cands] == [cd.splits for cd in ref]
-            n_cands += len(cands)
-            for cd, oracle in zip(cands, ref):
-                if abs(cd.h_mean - oracle.h_mean) > 1e-10:
+            rows = _rows(eigenframe, cands)
+            assert [splits for _, splits in rows] == [cd.splits for cd in ref]
+            n_cands += len(rows)
+            for (h, splits), oracle in zip(rows, ref):
+                if abs(h - oracle.h_mean) > 1e-10:
                     flat += 1
-                    exact = _root_40_digits(eigenframe.alphas, cd.splits, c, cd.h_mean)
-                    assert abs(cd.h_mean - exact) <= 1e-10
+                    exact = _root_40_digits(eigenframe.alphas, splits, c, h)
+                    assert abs(h - exact) <= 1e-10
     assert n_cands > 5000 and flat <= 5
 
 
@@ -592,11 +647,14 @@ def test_frame_batch_equals_one_c_at_a_time(g24, ctx24):
     fr = random_frame(g24, np.random.default_rng(13))
     eigenframe = _Eigenframe(fr, ctx24)
     batch = eigenframe.candidates(REF_GRID)
-    assert sum(map(len, batch)) > 0
+    assert sum(len(h) for h, _, _ in batch) > 0
+
+    def rows(c, cands):
+        return [(c, hb, eigenframe.splits[s], lb.tobytes()) for hb, lb, s in zip(*cands)]
+
     for c, cands in zip(REF_GRID, batch):
         alone = eigenframe.candidates([c])[0]
-        assert [(cd.c_const, cd.h_mean, cd.splits, cd.lambdas.tobytes()) for cd in cands] == \
-               [(cd.c_const, cd.h_mean, cd.splits, cd.lambdas.tobytes()) for cd in alone]
+        assert rows(c, cands) == rows(c, alone)
 
 
 def test_bisection_through_complex_roots_warns_nothing(g24, ctx24):
@@ -615,5 +673,6 @@ def test_bisection_through_complex_roots_warns_nothing(g24, ctx24):
     assert np.all(near_zero ** 2 > 4e-6) and f(near_zero[0]) < 0.0 < f(near_zero[1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        cands = eigenframe.candidates([c])[0]
-    assert all(cd.invariant_residual() <= QUADRATIC_TOL for cd in cands)
+        h, lam, _ = eigenframe.candidates([c])[0]
+    assert all(_invariant_residual(c, hb, lb, eigenframe.vector_alphas) <= QUADRATIC_TOL
+               for hb, lb in zip(h, lam))

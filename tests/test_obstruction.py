@@ -359,8 +359,14 @@ def test_general_case_ledger_exact_passes():
     assert rep.passed
     for s in rep.steps:
         if s.id in ("product-identity-reduction", "cyclic-sum-vanishing",
-                    "poly-coprimality", "final-positivity"):
+                    "poly-coprimality", "final-positivity", "eta-alpha-identity",
+                    "codazzi-coefficient-collapse"):
             assert s.verdict == EXACT
+    # the two identities run only with the exact steps
+    assert rep.step("eta-alpha-identity").verdict == EXACT
+    assert rep.step("codazzi-coefficient-collapse").verdict == EXACT
+    cheap = {s.id for s in general_case_ledger(exact=False).steps}
+    assert not cheap & {"eta-alpha-identity", "codazzi-coefficient-collapse"}
     # the smallest |Res_t(t^3 + 3t^2 - q, Psi)| over the 15 samples, pinned
     assert rep.step("poly-coprimality").witness["min_abs_res_psi"] == \
         "1530609129/1535312500000"
