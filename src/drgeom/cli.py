@@ -24,7 +24,8 @@ from .clifford import (admissible, anticommutation_residual, build_module,
                        center_dim_bound)
 from .curvature import CurvatureContext, jacobi_closed_batch, ricci_heisenberg, ricci_isotropy
 from .dralgebra import DamekRicci, verify_heisenberg_identities
-from .hypersurface import C_START, C_STEP, C_STOP, probe_c_grid, probe_codazzi_floor
+from .hypersurface import (C_START, C_STEP, C_STOP, horosphere_residual, probe_c_grid,
+                           probe_codazzi_floor)
 from .obstruction import (FAIL, LedgerReport, general_case_ledger,
                           replay_dimension_cases, replay_no_a, replay_no_v,
                           replay_no_z, replay_octonion_case,
@@ -185,7 +186,7 @@ def curvature_suite(cfg: RunConfig) -> LedgerReport:
         mean, std = ricci_isotropy(ctx, samples=max(cfg.samples, 100), seed=cfg.seed)
         rep.record(f"einstein-isotropy({d_z},{d_v})", "einstein-isotropy",
                    std <= 1e-10, exact=False, residual=std, einstein_constant=mean)
-        nil = ricci_heisenberg(g.module)
+        nil = ricci_heisenberg(g.module.generators)
         rep.record(f"nilpotent-ricci-split({d_z},{d_v})", "nilpotent-non-einstein",
                    nil["sign_split"], exact=False, residual=nil["offdiag"])
     return rep
@@ -232,15 +233,19 @@ def spectrum_suite(cfg: RunConfig) -> LedgerReport:
 
 
 def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
-    """The (2,4) probe and its one check, shared by ``probe`` and the suite."""
+    """The (2,4) probe, its floor check and a positive control, for ``probe`` and the suite."""
     rep = LedgerReport("hypersurface")
     g = DamekRicci.from_dims(2, 4)
-    out = probe_codazzi_floor(g, CurvatureContext(g), n_frames=cfg.probe_frames,
+    ctx = CurvatureContext(g)
+    out = probe_codazzi_floor(g, ctx, n_frames=cfg.probe_frames,
                               c_grid=probe_c_grid(cfg.c_grid_step),
                               seed=cfg.seed, jobs=cfg.jobs)
     rep.record("codazzi-floor(2,4)", "codazzi-floor", out["floor"] > 1e-6, exact=False,
                residual=out["floor"], candidates=out["candidates"], frames=out["frames"],
                box=out["box"])
+    control = horosphere_residual(ctx)
+    rep.record("codazzi-positive-control(2,4)", "codazzi-floor", control <= 1e-12,
+               exact=False, residual=control)
     return out, rep
 
 

@@ -3,10 +3,8 @@
 The connection tensor comes from the bracket tensor by the Koszul formula,
 and the full curvature tensor from the connection; the closed seven-term
 connection and the closed-form Jacobi operator are the independent
-cross-checks.  The covariant derivative of the curvature uses that scalar
-curvature components of left-invariant fields are constant.  The same
-Koszul path on the v + z block gives the curvature of the nilpotent part
-alone (the Ricci sign-split witness).
+cross-checks.  The same Koszul path on the v + z block gives the curvature
+of the nilpotent part alone (the Ricci sign-split witness).
 """
 
 from __future__ import annotations
@@ -31,27 +29,9 @@ class CurvatureContext:
         self.riemann_tensor = r3  # index: [a, b, c, out]
         self.ricci = np.einsum("abca->bc", r3)
 
-    def nabla_flat(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Covariant derivative along x of the left-invariant extension of w."""
-        return np.einsum("a,b,abe->e", x, w, self.nabla_tensor)
-
     def jacobi(self, t: np.ndarray) -> np.ndarray:
         """Matrix of Y -> R(Y, T) T, assembled from the curvature tensor."""
         return np.einsum("b,c,abce->ea", t, t, self.riemann_tensor)
-
-    def nabla_riemann(self, tk, x, y, z, w) -> float:
-        """(nabla_{tk} R)(x, y, z, w) for left-invariant arguments.
-
-        The scalar R(x, y, z, w) is constant for left-invariant fields, so
-        the covariant derivative is minus the sum of the four slot-wise
-        substitutions of nabla_{tk}.
-        """
-        total = 0.0
-        for slot in range(4):
-            args = [x, y, z, w]
-            args[slot] = self.nabla_flat(tk, args[slot])
-            total -= float(np.einsum("a,b,c,e,abce->", *args, self.riemann_tensor))
-        return total
 
 
 def nabla(g: DamekRicci, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -129,18 +109,15 @@ def curvature_from_connection(nabla_tensor: np.ndarray,
             - np.einsum("abd,dce->abce", bracket_tensor, nb))
 
 
-def ricci_heisenberg(module_or_generators) -> dict:
+def ricci_heisenberg(generators: np.ndarray) -> dict:
     """Ricci spectrum of the nilpotent (generalized Heisenberg) group itself.
 
-    Reuses the Koszul path on the two-step algebra v + z (the v + z block of
-    ``bracket_tensor``); returns the Ricci eigenvalues restricted to each
-    block and the sign split that witnesses the non-Einstein property (zero
-    generators give the flat abelian control case).
+    Reuses the Koszul path on the two-step algebra v + z of the module
+    ``generators`` (the v + z block of ``bracket_tensor``); returns the Ricci
+    eigenvalues restricted to each block and the sign split that witnesses the
+    non-Einstein property (zero generators give the flat abelian control case).
     """
-    if hasattr(module_or_generators, "generators"):
-        gens = module_or_generators.generators
-    else:
-        gens = np.asarray(module_or_generators, dtype=float)
+    gens = np.asarray(generators, dtype=float)
     d_z, d_v, _ = gens.shape
     bracket = bracket_tensor(gens)[:-1, :-1, :-1]
     nb = koszul_connection(bracket)

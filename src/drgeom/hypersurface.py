@@ -217,6 +217,14 @@ class _FrameTensors:
         return np.maximum(np.max(np.abs(dg1), axis=(1, 2)), cz)
 
 
+def horosphere_residual(ctx: CurvatureContext) -> float:
+    """The probe's residual on the horosphere normal to A (S = 1/2 on v and 1 on z, Jacobi
+    eigenvalues -S^2): 0 on this hypersurface, the positive control of the probe's floor."""
+    lam = np.repeat([0.5, 1.0], [ctx.g.d_v, ctx.g.d_z])
+    tensors = _FrameTensors(ctx, ctx.g.vec(a=1.0), np.eye(ctx.g.dim)[:, :-1], -lam * lam)
+    return float(tensors.aggregate(lam[None])[0])
+
+
 def _probe_frame(args) -> tuple[int, float, int, dict | None]:
     """One frame: C-independent work once, then one batch per C (top-level
     with one tuple argument so a worker pool can dispatch it)."""

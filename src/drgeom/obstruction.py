@@ -112,7 +112,7 @@ def _jsonable(obj):
 def replay_no_v(g: DamekRicci) -> LedgerReport:
     """Nilpotent-leaf obstruction: Ricci of the Heisenberg-type group splits sign."""
     rep = LedgerReport(f"no-v-component({g.d_z},{g.d_v})")
-    res = ricci_heisenberg(g.module)
+    res = ricci_heisenberg(g.module.generators)
     rep.record("nilpotent-ricci-split", "nilpotent-non-einstein",
                res["sign_split"], exact=False, residual=res["offdiag"],
                eigs_v=[float(x) for x in res["eigs_v"]],
@@ -581,9 +581,9 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     rep.record("squaring-chains", "cubic-root-chain", sq["ok"], exact=True)
 
     if run_minimization:
-        floor = _compat_residual_floor(gs, seed)
-        rep.record("residual-floor-minimization", "quarter-compat",
-                   floor > 1e-2, exact=False, residual=floor, seed=seed, method="cayley-lm")
+        floor, witness = _compat_residual_floor(gs, seed)
+        rep.record("residual-floor-minimization", "quarter-compat", floor > 1e-2,
+                   exact=False, residual=floor, seed=seed, method="cayley-lm", **witness)
     return rep
 
 
@@ -712,26 +712,36 @@ def _compat_model(gmat: np.ndarray, split: int, signs):
     return model
 
 
-def _compat_residual_floor(gs: list[np.ndarray], seed: int, restarts: int = 24) -> float:
+# the restarts' sign patterns of lam_i: not all principal curvatures on the -1 space coincide
+# (the argument's standing assumption), so only mixed patterns are admissible
+MIXED_SIGNS = [(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+
+
+def _compat_residual_floor(gs: list[np.ndarray], seed: int) -> tuple[float, dict]:
     """Residual floor of the compatibility equation at (5,8): evidence, not a certificate.
 
-    Levenberg-Marquardt minimizes the Frobenius norm of the ``_compat_model`` residual from
-    each restart; the floor, the smallest max-norm residual at the optima, is an upper bound on
-    the least residual over the basins the restarts reach, not a lower bound.
+    Sizes are the largest spectral norm of the three blocks.  At ``split`` 0 or n, S' = tau I,
+    block i is c_i G_i (c_+ = 1 - s, c_- = 1 + 3s/a^2, s real, a > 0) and the restart's value is
+    the infimum min(m_+, m_-), m_+- the largest |G_i| of sign +-1; ``boundary_value`` is the
+    least.  Others take the Levenberg-Marquardt optimum of the Frobenius norm, the best
+    ``margin`` above it.  The floor, the least of all, is an upper bound on the least residual.
     """
     rng = np.random.default_rng(seed)
     gmat, n = np.stack(gs), gs[0].shape[0]
-    mixed = [(1, 1, -1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
-    best = np.inf
-    for _ in range(restarts):
+    norms = np.linalg.norm(gmat, 2, axis=(1, 2))
+    scalar, interior = [np.inf], [np.inf]
+    for _ in range(24):
         split = rng.integers(0, n + 1)
-        # standing assumption of the argument: not all principal curvatures
-        # on the -1 space coincide, so only mixed sign patterns are admissible
-        signs = mixed[rng.integers(0, len(mixed))]
+        signs = MIXED_SIGNS[rng.integers(0, len(MIXED_SIGNS))]
         x0 = np.concatenate([rng.normal(0, 1, 2), rng.normal(0, 0.7, n * (n - 1) // 2)])
-        best = min(best, float(np.max(np.abs(
-            levenberg_marquardt(_compat_model(gmat, split, signs), x0)[1]))))
-    return best
+        if split in (0, n):
+            plus = np.array(signs) > 0
+            scalar.append(float(min(norms[plus].max(), norms[~plus].max())))
+        else:
+            r = levenberg_marquardt(_compat_model(gmat, split, signs), x0)[1]
+            interior.append(float(np.max(np.linalg.norm(r.reshape(-1, n, n), 2, axis=(1, 2)))))
+    boundary, best = min(scalar), min(interior)
+    return min(boundary, best), {"boundary_value": boundary, "margin": best - boundary}
 
 
 # ---------------------------------------------------------------------------

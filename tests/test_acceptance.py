@@ -135,7 +135,7 @@ def test_criterion_05_nilpotent_sign_split(contexts):
     ok = True
     for dims in MODULES:
         g, _ = contexts[dims]
-        ok &= ricci_heisenberg(g.module)["sign_split"]
+        ok &= ricci_heisenberg(g.module.generators)["sign_split"]
     _record(5, ok, f"Ricci sign split on all {len(MODULES)} modules")
     assert ok
 

@@ -334,8 +334,9 @@ def test_probe_subcommand_smoke(tmp_path):
     assert box == {"c_min": -2.0, "c_max": pytest.approx(0.0, abs=1e-12), "c_values": 6,
                    "h_bound": 60.0, "h_samples": 2400}
     _, report = run(load_config(str(cfg_file), {"suites": ["hypersurface"]}))
-    check, = report["checks"]
+    check, control = report["checks"]
     assert check["id"] == "codazzi-floor(2,4)" and check["witness"]["box"] == box
+    assert control["id"] == "codazzi-positive-control(2,4)" and control["residual"] == 0.0
 
 
 def test_cli_import_loads_no_scipy():

@@ -23,8 +23,8 @@ from itertools import product
 from scipy.optimize import brentq
 
 from drgeom.hypersurface import (H_BOUND, H_SAMPLES, QUADRATIC_TOL, _Eigenframe,
-                                 _FrameTensors, _probe_frame, nomizu, probe_c_grid,
-                                 probe_codazzi_floor)
+                                 _FrameTensors, _probe_frame, horosphere_residual, nomizu,
+                                 probe_c_grid, probe_codazzi_floor)
 from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
@@ -222,7 +222,7 @@ def test_gauss_map_derivative_wiring(g24, ctx24):
     gm = tensors.nx + tensors.x * lam
     for k in range(lam.shape[1]):
         xk = ef.x[:, k]
-        direct = ctx24.nabla_flat(xk, fr.xi) + lam[0, k] * xk
+        direct = np.einsum("a,b,abe->e", xk, fr.xi, ctx24.nabla_tensor) + lam[0, k] * xk
         assert np.max(np.abs(gm[:, k] - direct)) < 1e-12
 
 
@@ -245,6 +245,22 @@ def test_horosphere_codazzi_exact(g24, ctx24):
     res, skipped = tensors.codazzi(lam[None], gamma[None])
     assert np.max(np.abs(res), initial=0.0, where=~np.isnan(res)) < 1e-13
     assert skipped.sum() == 0
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 4), (5, 8), (8, 16)])
+def test_horosphere_residual_is_zero(dims):
+    assert horosphere_residual(CurvatureContext(DamekRicci.from_dims(*dims))) == 0.0
+
+
+def test_horosphere_control_vanishes_only_at_its_shape_operator(g24, ctx24):
+    # the probe's positive control is zero at S = diag(1/2 on v, 1 on z), and
+    # not zero once the v block, the z block or both move or swap
+    lam = np.repeat([0.5, 1.0], [g24.d_v, g24.d_z])
+    tensors = _FrameTensors(ctx24, g24.vec(a=1.0), np.eye(g24.dim)[:, :-1], -lam * lam)
+    assert tensors.aggregate(lam[None])[0] == horosphere_residual(ctx24) == 0.0
+    on_v = np.repeat([1.0, 0.0], [g24.d_v, g24.d_z])
+    wrong = np.stack([lam + 0.1 * on_v, lam + 0.1 * (1 - on_v), 1.1 * lam, lam[::-1]])
+    assert np.all(tensors.aggregate(wrong) > 1e-2)
 
 
 def test_quarter_space_dg1_vanishes_inside_core(g24, ctx24):

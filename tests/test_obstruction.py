@@ -14,10 +14,11 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from drgeom import obstruction
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from drgeom.numkernel import MPoly, orthonormalize
-from drgeom.obstruction import (EXACT, FAIL, _compat_model,
+from drgeom.numkernel import MPoly, levenberg_marquardt, orthonormalize
+from drgeom.obstruction import (EXACT, FAIL, MIXED_SIGNS, _compat_model,
                                 _compat_residual_floor, _linear_sign, _SWord,
                                 curvature_complex_structures,
                                 cyclic_sum_vanishing,
@@ -207,7 +208,29 @@ def test_replay_quarter_minimization_floor_other_seeds(seed):
     step = replay_quarter_eigenspace_jcompat(seed=seed).step("residual-floor-minimization")
     assert step.verdict != FAIL
     assert step.residual > 1e-2
-    assert step.witness == {"seed": seed, "method": "cayley-lm"}
+    # every G_i is orthogonal, so the scalar-branch infimum is 1 in the spectral norm,
+    # and the best interior optimum lies about 0.3136 above it
+    assert step.witness == {"seed": seed, "method": "cayley-lm",
+                            "boundary_value": step.residual,
+                            "margin": pytest.approx(0.31362, abs=1e-5)}
+    assert step.residual == pytest.approx(1.0, abs=1e-12)
+
+
+def test_quarter_floor_model_calls_stay_bounded(monkeypatch):
+    # the scalar-split restarts are closed form: only the interior ones call the model
+    splits = []
+
+    def counting_model(gmat, split, signs):
+        model = _compat_model(gmat, split, signs)
+
+        def counted(x):
+            splits.append(split)
+            return model(x)
+        return counted
+    monkeypatch.setattr(obstruction, "_compat_model", counting_model)
+    replay_quarter_eigenspace_jcompat(seed=0)
+    assert 0 < len(splits) < 2000
+    assert all(0 < s < 4 for s in splits)
 
 
 def _compat_reference(gmat, split, signs, x):
@@ -255,6 +278,91 @@ def _quarter_structures(seed):
                                         *quarter_structure_bases(frame))
 
 
+BLOCK_NORMS = {"spectral": lambda m: np.linalg.norm(m, 2, axis=(-2, -1)),
+               "max-entry": lambda m: np.max(np.abs(m), axis=(-2, -1))}
+
+
+def _scalar_point(split, a, s):
+    # (H, u) with a = u + sqrt(u^2 + 3), s = (H - u) a at split 0; split 4 mirrors u -> -u
+    u = (a * a - 3.0) / (2.0 * a)
+    return u + s / a, (u if split == 0 else -u)
+
+
+def _scalar_infimum(gmat, signs, norm):
+    # min(m_+, m_-): the largest block norm among the G_i of each sign
+    m, plus = BLOCK_NORMS[norm](gmat), np.array(signs) > 0
+    return min(m[plus].max(), m[~plus].max())
+
+
+@pytest.mark.parametrize("split", [0, 4])
+def test_scalar_split_residual_is_a_multiple_of_each_structure(split):
+    gmat = np.stack(_quarter_structures(0))
+    rng = np.random.default_rng(split)
+    for signs in MIXED_SIGNS:
+        model = _compat_model(gmat, split, signs)
+        for a, s in zip(np.exp(rng.normal(0, 1.5, 4)), rng.normal(0, 2, 4)):
+            h, u = _scalar_point(split, a, s)
+            # S' = tau I at K = 0 exactly; the Cayley chart keeps Q orthogonal up to rounding
+            r, jac = model(np.concatenate([[h, u], np.zeros(6)]))
+            assert np.all(jac[:, 2:] == 0.0)
+            jac_k = model(np.concatenate([[h, u], rng.normal(0, 0.7, 6)]))[1]
+            assert np.max(np.abs(jac_k[:, 2:])) <= 1e-13 * max(1.0, h * h)
+            coef = np.where(np.array(signs) > 0, 1.0 - s, 1.0 + 3.0 * s / a ** 2)
+            assert np.allclose(r.reshape(3, 4, 4), coef[:, None, None] * gmat,
+                               rtol=0, atol=1e-12 * max(1.0, h * h))
+
+
+@pytest.mark.parametrize("norm", sorted(BLOCK_NORMS))
+def test_scalar_split_never_beats_its_closed_form(norm):
+    gmat = np.stack(_quarter_structures(0))
+    rng = np.random.default_rng(7)
+    ratios = []
+    for split, signs in itertools.product((0, 4), MIXED_SIGNS):
+        model = _compat_model(gmat, split, signs)
+        bound = _scalar_infimum(gmat, signs, norm)
+        # heavy tails: log-normal a and Cauchy s put |H| up to about 1e5 and crowd s = 1
+        for a, s in zip(np.exp(rng.normal(0, 3, 250).clip(-7, 7)), rng.standard_cauchy(250)):
+            r = model(np.concatenate([_scalar_point(split, a, s), rng.normal(0, 0.7, 6)]))[0]
+            ratios.append(np.max(BLOCK_NORMS[norm](r.reshape(3, 4, 4))) / bound)
+        # s = 1 (a -> oo) zeroes c_+ and s = -a^2/3 (a -> 0) zeroes c_-: the residual
+        # falls to m_- and m_+ from above, and the lesser limit is the infimum
+        limits = []
+        for path in ([(a, 1.0) for a in (1e1, 1e2, 1e3)],
+                     [(a, -a * a / 3.0) for a in (1e-1, 1e-2, 1e-3)]):
+            vals = [np.max(BLOCK_NORMS[norm](model(np.concatenate(
+                [_scalar_point(split, a, s), np.zeros(6)]))[0].reshape(3, 4, 4))) for a, s in path]
+            assert vals[0] > vals[1] > vals[2] >= bound * (1 - 1e-12)
+            limits.append(vals[2])
+        assert min(limits) == pytest.approx(bound, rel=1e-5)
+    assert len(ratios) == 3000 and min(ratios) >= 1 - 1e-12
+
+
+def test_scalar_restart_lm_ends_above_the_closed_form():
+    # seed 0's first restart has split 4: run Levenberg-Marquardt on it to its budget
+    gmat, rng = np.stack(_quarter_structures(0)), np.random.default_rng(0)
+    split, signs = rng.integers(0, 5), MIXED_SIGNS[rng.integers(0, 6)]
+    x0 = np.concatenate([rng.normal(0, 1, 2), rng.normal(0, 0.7, 6)])
+    assert split == 4
+    r = levenberg_marquardt(_compat_model(gmat, split, signs), x0)[1].reshape(3, 4, 4)
+    for norm in BLOCK_NORMS:
+        assert np.max(BLOCK_NORMS[norm](r)) >= _scalar_infimum(gmat, signs, norm)
+
+
+def test_floor_scalar_restarts_take_the_closed_form():
+    # scaled structures have block norms 1, 1/2 and 2, so min(m_+, m_-) depends on the
+    # sign pattern; replay the restarts' draws to find the scalar-split ones
+    gs = [m * c for m, c in zip(_quarter_structures(0), (1.0, 0.5, 2.0))]
+    rng, expect = np.random.default_rng(0), []
+    for _ in range(24):
+        split, signs = rng.integers(0, 5), MIXED_SIGNS[rng.integers(0, 6)]
+        rng.normal(0, 1, 2), rng.normal(0, 0.7, 6)  # x0
+        if split in (0, 4):
+            expect.append(_scalar_infimum(np.stack(gs), signs, "spectral"))
+    floor, witness = _compat_residual_floor(gs, 0)
+    assert len(set(expect)) > 1 and witness["boundary_value"] == min(expect)
+    assert floor == min(witness["boundary_value"], witness["boundary_value"] + witness["margin"])
+
+
 def test_compat_residual_floor_reproducible_bit_for_bit(tmp_path):
     first = _compat_residual_floor(_quarter_structures(1), 1)
     # the second call runs in a fresh process, whose heap layout differs
@@ -267,7 +375,10 @@ def test_compat_residual_floor_reproducible_bit_for_bit(tmp_path):
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = {s["id"]: s for s in json.loads(out.read_text())["replays"][0]["steps"]}
-    assert steps["residual-floor-minimization"]["residual"].hex() == first.hex()
+    step = steps["residual-floor-minimization"]
+    assert step["residual"].hex() == first[0].hex()
+    for key in ("boundary_value", "margin"):
+        assert step["witness"][key].hex() == first[1][key].hex()
 
 
 # ---------------------------------------------------------------------------
