@@ -13,13 +13,17 @@ probe a necessary-condition test: a nonzero residual is obstruction
 evidence, never a false negative for existence.
 
 The probe computes the C-independent data once per frame (the Jacobi
-eigendata, the shared eigenframe X and its curvature contractions); then it
-bisects the trace equation's brackets for all splits and C values at once
-and evaluates the Gauss/Codazzi residuals of each C's candidates as one batch.
+eigendata, the shared eigenframe X and its curvature contractions).  Then it
+scans the trace equation on the 1200 points of its antisymmetric H grid with
+H >= 0, gets the other half by mirroring each split, bisects the brackets for
+all splits and C values at once, and evaluates the Gauss/Codazzi residuals of
+each C's candidates as one batch.
 """
 
 from __future__ import annotations
 
+import sys
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -39,12 +43,15 @@ MAX_ENUMERATION_DIM = 16
 C_START, C_STOP, C_STEP = -2.0, 0.0, 0.01
 
 
-def _rho(h, alphas: np.ndarray, c):
-    """rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2 with the square root of the
-    discriminant clipped at 0, and the discriminant itself."""
-    disc = h ** 2 - 4.0 * (alphas - c)
-    sq = np.sqrt(np.maximum(disc, 0.0))
-    return 0.5 * (h + sq), 0.5 * (h - sq), disc
+def _small_root(h, alphas: np.ndarray, c) -> np.ndarray:
+    """rho-(H) for H >= 0 as 2(alpha - C)/(H + sqrt(disc)), which does not cancel at
+    large H, where disc = H^2 - 4(alpha - C) > 0, and H/2 (also at H = alpha - C = 0)
+    where disc <= 0."""
+    a = alphas - c
+    disc = h ** 2 - 4.0 * a
+    t = np.broadcast_to(0.5 * h, disc.shape).copy()
+    np.divide(2.0 * a, h + np.sqrt(np.maximum(disc, 0.0)), out=t, where=disc > 0.0)
+    return t
 
 
 class _Eigenframe:
@@ -61,15 +68,19 @@ class _Eigenframe:
         split_ranges = [[(m, 0), (0, m)] if m > MAX_ENUMERATION_DIM
                         else [(p, m - p) for p in range(m + 1)] for m in mults]
         self.splits = list(product(*split_ranges))
-        # Tr S - H = [rho+ | rho- | H] @ weights, one column per split
+        # the mirror split swaps m+ and m- in every eigenspace
+        index = {s: i for i, s in enumerate(self.splits)}
+        self._mirror = np.array([index[tuple((m, p) for p, m in s)] for s in self.splits])
+        # rho+ = H - rho-, so Tr S - H = [H | rho-] @ coef, one column per split
         counts = np.array(self.splits, dtype=float)  # [split, cluster, (m+, m-)]
-        self.weights = np.vstack([counts[:, :, 0].T, counts[:, :, 1].T, -np.ones(len(counts))])
+        self._coef = np.vstack([counts[:, :, 0].sum(axis=1) - 1.0,
+                                (counts[:, :, 1] - counts[:, :, 0]).T])
         # within an eigenspace the first m+ vectors take rho+: [split, vector]
         self._cluster = np.repeat(np.arange(len(mults)), mults)
         rank = np.arange(len(self._cluster)) - np.repeat(np.cumsum([0, *mults[:-1]]), mults)
         self._plus = rank < counts[:, self._cluster, 0]
-        self.hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
-        self._fvals = np.empty((H_SAMPLES, len(self.splits)))
+        half = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
+        self.hs = np.concatenate([-half[::-1], half])  # exactly antisymmetric
 
     def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Self-consistent candidates for each C, in split order then by H:
@@ -78,30 +89,35 @@ class _Eigenframe:
 
         On an eigenspace of Jacobi eigenvalue alpha and multiplicity m, S has
         eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
-        split (m+, m-) is enumerated and H solves Tr S = H.  The H grid is
-        scanned per C.  Then the sign changes of all C values are bisected
-        together until each bracket holds two adjacent floats (an exact grid
-        zero is a bracket of width 0), and the end where the trace gap is <= 0
-        is the root.  Roots within 1e-9 of a smaller one are dropped, and so
-        are splits with complex roots.
+        split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
+        minus the mirror split's at H, so per C only the grid points with
+        H >= 0 are scanned, and the pair of grid points around 0.  Then the sign
+        changes of all C values are bisected together until each bracket holds
+        two adjacent floats (an exact grid zero is a bracket of width 0).  The
+        end where the trace gap is <= 0 is the root, and minus the other end is
+        the mirror split's root.  Roots within 1e-9 of a smaller one are
+        dropped, and so are splits with complex roots.
         """
-        hs, n_splits = self.hs, len(self.splits)
+        half = self.hs[len(self.hs) // 2:]
+        half_sq, n_splits, mirror = half ** 2, len(self.splits), self._mirror
         c_values = np.asarray(c_values, dtype=float)
         keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
         for ci, c in enumerate(c_values):
-            rp, rm, disc = _rho(hs[:, None], self.alphas, c)
-            valid = np.all(disc >= 0.0, axis=1)[:, None]
-            # the trace gap, in a buffer reused across C, rounds differently from a
-            # per-split scan; only its signs and exact zeros are used
-            fvals = np.matmul(np.hstack([rp, rm, hs[:, None]]), self.weights, out=self._fvals)
-            below, above = valid & (fvals < 0.0), valid & (fvals > 0.0)
-            for mask, di_neg, di_pos in ((valid & (fvals == 0.0), 0, 0),
+            # every discriminant grows with H >= 0, so the rows where all are >= 0 are a tail
+            hv = half[np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c)):]
+            # only the signs and exact zeros of the trace gap are used
+            t = _small_root(hv[:, None], self.alphas, c)
+            fvals = np.hstack([hv[:, None], t]) @ self._coef
+            if hv.size == half.size:  # add -half[0]: minus the mirror split's gap at half[0]
+                hv, fvals = np.concatenate([-hv[:1], hv]), np.vstack([-fvals[0, mirror], fvals])
+            below, above = fvals < 0.0, fvals > 0.0
+            for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),
                                          (below[:-1] & above[1:], 0, 1),
                                          (above[:-1] & below[1:], 1, 0)):
                 i, si = np.divmod(np.flatnonzero(mask), n_splits)
                 keys.append(ci * n_splits + si)
-                neg.append(hs[i + di_neg])
-                pos.append(hs[i + di_pos])
+                neg.append(hv[i + di_neg])
+                pos.append(hv[i + di_pos])
         keys, neg, pos = np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
         live = np.flatnonzero(neg != pos)
         while live.size:
@@ -109,25 +125,35 @@ class _Eigenframe:
             mid = 0.5 * (a + b)
             moving = (mid != a) & (mid != b)
             live, a, b, mid = live[moving], a[moving], b[moving], mid[moving]
-            # Tr S - H at mid, summed eigenspace by eigenspace
-            rp, rm, _ = _rho(mid[:, None], self.alphas, c_values[keys[live] // n_splits, None])
-            w, n_alpha, gap = self.weights[:, keys[live] % n_splits], len(self.alphas), 0.0
-            for k in range(n_alpha):
-                gap = gap + (w[k] * rp[:, k] + w[n_alpha + k] * rm[:, k])
-            gap = gap - mid
+            # Tr S - H at mid < 0 is minus the mirror split's at -mid; it is summed
+            # eigenspace by eigenspace after the H term
+            h, si, flip = np.abs(mid), keys[live] % n_splits, mid < 0.0
+            t = _small_root(h[:, None], self.alphas, c_values[keys[live] // n_splits, None])
+            w = self._coef[:, np.where(flip, mirror[si], si)]
+            gap = w[0] * h
+            for k in range(len(self.alphas)):
+                gap = gap + w[k + 1] * t[:, k]
+            gap = np.where(flip, -gap, gap)
             neg[live] = np.where(gap <= 0.0, mid, a)
             pos[live] = np.where(gap >= 0.0, mid, b)
+        # each root's mirror image is a root of the mirror split (a duplicate
+        # from the two brackets around H = 0 is dropped below)
+        ci, si = np.divmod(keys, n_splits)
+        keys = np.concatenate([keys, ci * n_splits + mirror[si]])
+        roots = np.concatenate([neg, -pos])
 
         kept: list[int] = []
-        key_list, root_list = keys.tolist(), neg.tolist()
-        for j in np.lexsort((neg, keys)).tolist():
+        key_list, root_list = keys.tolist(), roots.tolist()
+        for j in np.lexsort((roots, keys)).tolist():
             if not kept or key_list[j] != key_list[kept[-1]] or \
                     root_list[j] - root_list[kept[-1]] > 1e-9:
                 kept.append(j)
-        (ci, si), h = np.divmod(keys[kept], n_splits), neg[kept]
+        (ci, si), h = np.divmod(keys[kept], n_splits), roots[kept]
         c = c_values[ci, None]
-        rp, rm, disc = _rho(h[:, None], self.alphas, c)
-        lam = np.where(self._plus[si], rp[:, self._cluster], rm[:, self._cluster])
+        # rho+- = (H +- sqrt(disc))/2 with the square root clipped at 0
+        disc = h[:, None] ** 2 - 4.0 * (self.alphas - c)
+        sq = np.sqrt(np.maximum(disc, 0.0))[:, self._cluster]
+        lam = 0.5 * (h[:, None] + np.where(self._plus[si], sq, -sq))
         # S^2 - H S + (alpha - C) = 0 and Tr S = H
         quad = np.max(np.abs(lam ** 2 - h[:, None] * lam + (self.vector_alphas - c)), axis=1)
         ok = np.all(disc >= -1e-12, axis=1) & \
@@ -253,6 +279,15 @@ def probe_c_grid(step: float = C_STEP) -> np.ndarray:
     return C_START + step * np.arange(int((C_STOP - C_START) / step + 1e-9) + 1)
 
 
+def _progress(results, total: int):
+    """Pass the frame results through, writing one line per frame to stderr."""
+    start = time.perf_counter()
+    for done, result in enumerate(results, 1):
+        print(f"probe: {done}/{total} frames done, {time.perf_counter() - start:.2f} s",
+              file=sys.stderr, flush=True)
+        yield result
+
+
 def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
                         c_grid: np.ndarray | None = None, seed: int = 0,
                         jobs: int = 1) -> dict:
@@ -264,6 +299,7 @@ def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
     the sampled frames and C values, whose region ``box`` names.
     Frames get independent seeds spawned from ``seed``, so the result is
     identical whether the grid is processed serially or by a worker pool.
+    One progress line per finished frame goes to stderr.
     """
     if c_grid is None:
         c_grid = probe_c_grid()
@@ -272,9 +308,9 @@ def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
     if jobs > 1:
         from multiprocessing import Pool
         with Pool(jobs) as pool:
-            results = pool.map(_probe_frame, tasks)
+            results = list(_progress(pool.imap(_probe_frame, tasks), n_frames))
     else:
-        results = [_probe_frame(t) for t in tasks]
+        results = list(_progress(map(_probe_frame, tasks), n_frames))
     per_frame = [r[1] for r in results]
     n_candidates = sum(r[2] for r in results)
     floor_idx = int(np.argmin(per_frame))

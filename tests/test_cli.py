@@ -394,3 +394,25 @@ def test_replay_no_z_under_python_optimize(tmp_path):
     scan = {s["id"]: s for s in rep["steps"]}["trace-identity-scan"]
     assert scan["verdict"] == "exact-pass"
     assert scan["witness"]["violations"] == []
+
+
+def test_probe_pool_under_python_optimize(tmp_path):
+    # a two-worker probe under -O: both hypersurface checks pass (exit 0), one
+    # progress line per frame, and the payload of a serial run
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    payloads = {}
+    for jobs in ("2", "1"):
+        out = tmp_path / f"probe-{jobs}.json"
+        proc = subprocess.run([sys.executable, "-O", "-m", "drgeom.cli", "probe",
+                               "hypersurface", "--frames", "2", "--jobs", jobs,
+                               "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        progress = [line for line in proc.stderr.splitlines() if line.startswith("probe: ")]
+        assert [line.split(",")[0] for line in progress] == \
+               ["probe: 1/2 frames done", "probe: 2/2 frames done"]
+        payloads[jobs] = json.loads(out.read_text())
+        del payloads[jobs]["header"]
+    assert payloads["2"]["probe"]["floor"] > 1e-6
+    assert payloads["2"] == payloads["1"]

@@ -7,6 +7,7 @@ rebuilds both one candidate at a time.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -106,29 +107,54 @@ def _made_up_eigenframe(monkeypatch, alphas, mults):
     return _Eigenframe(None, None)
 
 
+def test_h_grid_is_antisymmetric(monkeypatch):
+    # the scan mirrors H >= 0 onto H < 0, which needs -H on the grid for every H
+    hs = _made_up_eigenframe(monkeypatch, [0.0], [1]).hs
+    assert hs.size == H_SAMPLES and hs[-1] == H_BOUND
+    assert np.array_equal(hs, -hs[::-1])
+    assert np.array_equal(hs[H_SAMPLES // 2:],
+                          np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:])
+
+
 def test_candidates_keep_an_exact_grid_zero(monkeypatch):
     # one eigenvalue of multiplicity 2 with alpha - C = h0^2 / 4: on the split
-    # (2, 0) the trace gap is sqrt(H^2 - h0^2), exactly 0 at H = h0 (and at
-    # -h0 if that is a grid point), positive at every other valid grid H and
-    # undefined between; so no bracket holds the root, only the grid zero
-    hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
-    h0 = hs[1700]
+    # (2, 0) the trace gap is sqrt(H^2 - h0^2), exactly 0 at H = h0 and at
+    # -h0, positive at every other valid grid H and undefined between; so no
+    # bracket holds the root, only the grid zero
+    h0 = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:][500]
     ef = _made_up_eigenframe(monkeypatch, [h0 ** 2 / 4], [2])
+    assert h0 in ef.hs.tolist() and -h0 in ef.hs.tolist()
     h, _, si = ef.candidates([0.0])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((2, 0),)]
     assert h0 in roots and all(abs(h) == h0 for h in roots)
+    assert roots == [-h0, h0]
 
 
 def test_candidates_drop_a_root_within_1e_9_of_a_smaller_one(monkeypatch):
     # alpha = C with multiplicity 2: on the split (1, 1) the trace gap
     # rho+ + rho- - H is exactly 0 at every H, so each grid point is a root;
-    # on a grid with two points 5e-10 apart only the smaller one is kept
+    # of two grid points 5e-10 apart only the smaller one is kept, on either
+    # half of the grid
     ef = _made_up_eigenframe(monkeypatch, [0.0], [2])
-    ef.hs = np.array([1.0, 1.0 + 5e-10, 2.0])
-    ef._fvals = np.empty((len(ef.hs), len(ef.splits)))
+    ef.hs = np.array([-2.0, -1.0 - 5e-10, -1.0, 1.0, 1.0 + 5e-10, 2.0])
     h, _, si = ef.candidates([0.0])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((1, 1),)]
-    assert roots == [1.0, 2.0]
+    assert [r for r in roots if r > 0.0] == [1.0, 2.0]
+    assert roots == [-2.0, -1.0 - 5e-10, 1.0, 2.0]
+
+
+def test_straddle_bisection_through_h_zero_with_alpha_equal_c(monkeypatch):
+    # alpha = C = 0 with multiplicity 4: rho- is min(H, 0), so the split (2, 2)
+    # has Tr S - H = H, and its only bracket is the pair of grid points around
+    # 0.  Its first midpoint is H = 0, where the discriminant is 0 and the small
+    # root's quotient would be 0/0
+    ef = _made_up_eigenframe(monkeypatch, [0.0], [4])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h, lam, si = ef.candidates([0.0])[0]
+    assert not np.isnan(h).any() and not np.isnan(lam).any()
+    roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((2, 2),)]
+    assert roots == [0.0]
 
 
 def test_no_z_forced_constants_solve_quadratics_exactly():
@@ -442,14 +468,24 @@ def _ref_eigenspace_data(frame, ctx, cluster_tol=1e-7):
 
 
 def _trace_gap(alphas, splits, c_const):
-    """Tr S - H as a scalar function of H, with a negative discriminant clipped to 0."""
+    """Tr S - H as a scalar function of H, written with the small root of each
+    quadratic x^2 - H x + (alpha - C): (P - 1) H + sum (m - p) rho- for H >= 0
+    and (M - 1) H + sum (p - m) rho+ for H < 0, where P and M are the total
+    plus and minus counts, rho-+ is 2(alpha - C)/(H +- sqrt(disc)) with
+    disc = H^2 - 4(alpha - C) > 0, and H/2 where disc <= 0."""
+    n_plus, n_minus = (sum(col) for col in zip(*splits))
+
     def f(h):
-        total = 0.0
+        up = h >= 0.0
+        total = ((n_plus if up else n_minus) - 1) * h
         for (p, m), alpha in zip(splits, alphas):
-            d = h * h - 4.0 * (alpha - c_const)
-            r = np.sqrt(max(d, 0.0))
-            total += p * 0.5 * (h + r) + m * 0.5 * (h - r)
-        return total - h
+            a = alpha - c_const
+            d = h * h - 4.0 * a
+            small = 0.5 * h
+            if d > 0.0:
+                small = 2.0 * a / (h + math.sqrt(d) if up else h - math.sqrt(d))
+            total += ((m - p) if up else (p - m)) * small
+        return total
     return f
 
 
@@ -480,21 +516,26 @@ def _dedupe(xs, tol=1e-9):
 
 
 def _ref_shape_candidates(frame, ctx, c_const, root=_bisect_to_adjacent_floats):
-    """Eigendata recomputed for this C, one trace scan and one scalar root
-    search per split and bracket."""
+    """Eigendata recomputed for this C, one trace scan of the whole H grid and
+    one scalar root search per split and bracket."""
     alphas, mults, bases = _ref_eigenspace_data(frame, ctx)
     split_ranges = [[(p, m - p) for p in range(m + 1)] for m in mults]
     out = []
-    hs = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)
-    disc = hs[:, None] ** 2 - 4.0 * (np.asarray(alphas)[None, :] - c_const)
+    half = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
+    hs = np.concatenate([-half[::-1], half])
+    a = np.asarray(alphas)[None, :] - c_const
+    disc = hs[:, None] ** 2 - 4.0 * a
     valid = np.all(disc >= 0.0, axis=1)
     sq = np.sqrt(np.maximum(disc, 0.0))
-    rp = 0.5 * (hs[:, None] + sq)
-    rm = 0.5 * (hs[:, None] - sq)
+    # the small root of each quadratic, as _trace_gap writes it
+    up = hs[:, None] >= 0.0
+    small = np.divide(2.0 * a, np.where(up, hs[:, None] + sq, hs[:, None] - sq),
+                      out=np.repeat(0.5 * hs[:, None], len(alphas), axis=1), where=disc > 0.0)
     for splits in product(*split_ranges):
         plus = np.array([p for p, _ in splits], dtype=float)
         minus = np.array([m for _, m in splits], dtype=float)
-        fvals = rp @ plus + rm @ minus - hs
+        lead = np.where(up[:, 0], plus.sum() - 1.0, minus.sum() - 1.0)
+        fvals = lead * hs + np.where(up[:, 0], 1.0, -1.0) * (small @ (minus - plus))
         cross = valid[:-1] & valid[1:] & (fvals[:-1] * fvals[1:] < 0.0)
         roots = [float(hs[i]) for i in np.nonzero(valid & (fvals == 0.0))[0]]
         f = _trace_gap(alphas, splits, c_const)
@@ -657,6 +698,19 @@ def test_bisection_matches_brentq_oracle(g24, ctx24):
                     exact = _root_40_digits(eigenframe.alphas, splits, c, h)
                     assert abs(h - exact) <= 1e-10
     assert n_cands > 5000 and flat <= 5
+
+
+def test_flat_root_within_1e_11_of_40_digit_root(g24, ctx24):
+    # Tr S - H has slope 5e-7 at this root near H = -41.3; written with
+    # rho-+ = (H -+ sqrt(disc))/2 it cancels to multiples of 7.1e-15 there,
+    # which put the root 1.7e-9 off
+    fr = random_frame(g24, np.random.default_rng(3))
+    eigenframe = _Eigenframe(fr, ctx24)
+    splits, c = ((1, 0), (1, 0), (0, 1), (2, 0), (1, 0)), -0.52
+    h, _, si = eigenframe.candidates([c])[0]
+    roots = [hb for hb, s in zip(h.tolist(), si) if eigenframe.splits[s] == splits]
+    assert len(roots) == 1 and abs(roots[0] + 41.2997) < 1e-4
+    assert abs(roots[0] - _root_40_digits(eigenframe.alphas, splits, c, roots[0])) <= 1e-11
 
 
 def test_frame_batch_equals_one_c_at_a_time(g24, ctx24):
