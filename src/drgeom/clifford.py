@@ -177,11 +177,11 @@ class CliffordModule:
     generators: np.ndarray = field(repr=False)
     iso_flags: tuple[int, ...] = ()
 
-    def validate(self, tol: float = ANTICOMM_TOL) -> float:
-        """Max residual of the anticommutation table; raises if over tol."""
+    def validate(self) -> float:
+        """Max residual of the anticommutation table; raises if over ANTICOMM_TOL."""
         res = anticommutation_residual(self.generators)
-        if res > tol:
-            raise ValueError(f"anticommutation residual {res:.3e} exceeds {tol:.3e}")
+        if res > ANTICOMM_TOL:
+            raise ValueError(f"anticommutation residual {res:.3e} exceeds {ANTICOMM_TOL:.3e}")
         return res
 
 
@@ -239,7 +239,7 @@ def j_op(module: CliffordModule, z: np.ndarray) -> np.ndarray:
     return np.einsum("i,iab->ab", z, module.generators)
 
 
-def is_symmetric_space(module: CliffordModule, tol: float = 1e-9) -> bool:
+def is_symmetric_space(module: CliffordModule) -> bool:
     """Whether the Damek-Ricci space over this module is symmetric.
 
     True exactly for d_z = 1, (d_z, d_v) = (7, 8), and d_z = 3 with all
@@ -253,5 +253,5 @@ def is_symmetric_space(module: CliffordModule, tol: float = 1e-9) -> bool:
         vol = module.generators[0] @ module.generators[1] @ module.generators[2]
         eye = np.eye(module.d_v)
         return min(float(np.max(np.abs(vol - eye))),
-                   float(np.max(np.abs(vol + eye)))) <= tol
+                   float(np.max(np.abs(vol + eye)))) <= 1e-9
     return False

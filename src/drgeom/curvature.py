@@ -81,14 +81,11 @@ def jacobi_closed_batch(g: DamekRicci, t1s: np.ndarray, t2s: np.ndarray) -> np.n
     return np.concatenate([v_out, z_out, a_out[:, None]], axis=1)
 
 
-def ricci_isotropy(ctx: CurvatureContext, samples: int = 1000,
-                   seed: int = 0) -> tuple[float, float]:
-    """(mean, stdev) of Ric(T, T)/|T|^2 over random unit vectors."""
-    rng = np.random.default_rng(seed)
-    t = rng.standard_normal((samples, ctx.g.dim))
-    t /= np.linalg.norm(t, axis=1, keepdims=True)
-    vals = np.einsum("bi,ij,bj->b", t, ctx.ricci, t)
-    return float(np.mean(vals)), float(np.std(vals))
+def ricci_isotropy(ctx: CurvatureContext) -> tuple[float, float]:
+    """(c, max |Ric - c I|) with c = tr(Ric)/n: the Einstein constant and the
+    distance from Ric = c I, entry by entry on the orthonormal basis."""
+    c = float(np.trace(ctx.ricci)) / ctx.g.dim
+    return c, float(np.max(np.abs(ctx.ricci - c * np.eye(ctx.g.dim))))
 
 
 def koszul_connection(bracket_tensor: np.ndarray) -> np.ndarray:

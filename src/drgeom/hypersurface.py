@@ -254,8 +254,8 @@ def horosphere_residual(ctx: CurvatureContext) -> float:
 def _probe_frame(args) -> tuple[int, float, int, dict | None]:
     """One frame: C-independent work once, then one batch per C (top-level
     with one tuple argument so a worker pool can dispatch it)."""
-    g, ctx, frame_seed, fidx, c_grid = args
-    frame = random_frame(g, np.random.default_rng(frame_seed))
+    ctx, frame_seed, fidx, c_grid = args
+    frame = random_frame(ctx.g, np.random.default_rng(frame_seed))
     eigenframe = _Eigenframe(frame, ctx)
     tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
     best, best_info, n_candidates = np.inf, None, 0
@@ -288,7 +288,7 @@ def _progress(results, total: int):
         yield result
 
 
-def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
+def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100,
                         c_grid: np.ndarray | None = None, seed: int = 0,
                         jobs: int = 1) -> dict:
     """Minimum aggregate residual over random frames, the C grid and splits.
@@ -304,7 +304,7 @@ def probe_codazzi_floor(g, ctx: CurvatureContext, n_frames: int = 100,
     if c_grid is None:
         c_grid = probe_c_grid()
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
-    tasks = [(g, ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
+    tasks = [(ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
     if jobs > 1:
         from multiprocessing import Pool
         with Pool(jobs) as pool:

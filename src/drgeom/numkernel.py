@@ -47,11 +47,11 @@ class EigenDecomposition:
         return self.vectors[:, list(self.clusters[k])]
 
 
-def cluster_indices(values: Sequence[float], tol: float) -> tuple[tuple[int, ...], ...]:
-    """Group indices of sorted values into chains with consecutive gap <= tol."""
+def cluster_indices(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:
+    """Group indices of sorted values into chains with consecutive gap <= CLUSTER_TOL."""
     clusters: list[list[int]] = []
     for i, x in enumerate(values):
-        if clusters and abs(x - values[clusters[-1][-1]]) <= tol:
+        if clusters and abs(x - values[clusters[-1][-1]]) <= CLUSTER_TOL:
             clusters[-1].append(i)
         else:
             clusters.append([i])
@@ -89,21 +89,21 @@ def complete_basis(n: int, cols: np.ndarray) -> np.ndarray:
     return orthonormalize(np.eye(n), basis=cols.T, limit=n - cols.shape[1])
 
 
-def eig_sym(m: np.ndarray, sym_tol: float = SYM_TOL,
-            cluster_tol: float = CLUSTER_TOL) -> EigenDecomposition:
-    """Spectral decomposition of a symmetric matrix, rejecting asymmetry."""
+def eig_sym(m: np.ndarray) -> EigenDecomposition:
+    """Spectral decomposition of a symmetric matrix, rejecting an asymmetry
+    above SYM_TOL; eigenvalues chain into clusters by ``cluster_indices``."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size:
         asym = float(np.max(np.abs(m - m.T)))
-        if asym > sym_tol:
-            raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} > {sym_tol:.3e}")
+        if asym > SYM_TOL:
+            raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} > {SYM_TOL:.3e}")
     if m.size == 0:
         return EigenDecomposition(np.zeros(0), np.zeros((0, 0)), (), 0.0)
     m = 0.5 * (m + m.T)
     vals, vecs = np.linalg.eigh(m)
-    clusters = cluster_indices(list(vals), cluster_tol)
+    clusters = cluster_indices(list(vals))
     cols = []
     for c in clusters:
         block = vecs[:, list(c)]

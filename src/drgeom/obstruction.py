@@ -129,8 +129,7 @@ def replay_no_v(g: DamekRicci) -> LedgerReport:
 # special case: no A-component
 # ---------------------------------------------------------------------------
 
-def replay_no_a(g: DamekRicci, ctx: CurvatureContext, samples: int = 12,
-                seed: int = 0) -> LedgerReport:
+def replay_no_a(ctx: CurvatureContext, samples: int = 12, seed: int = 0) -> LedgerReport:
     """The s = 0 chain: forced shape data clashes with the curvature value.
 
     With xi = V + Y the shape operator must send A to |Y|^2 V/2 - |V|^2 Y/2,
@@ -138,6 +137,7 @@ def replay_no_a(g: DamekRicci, ctx: CurvatureContext, samples: int = 12,
     direction gives the exact gap -1/4 between the Gauss and curvature
     values of <R_xi Z, Z>.
     """
+    g = ctx.g
     rep = LedgerReport(f"no-a-component({g.d_z},{g.d_v})")
     rng = np.random.default_rng(seed)
 
@@ -389,10 +389,10 @@ def replay_octonion_case(n_samples: int = 20, seed: int = 0) -> LedgerReport:
     return rep
 
 
-def _octonion_check_admissible(v: np.ndarray, tol: float = 1e-9):
+def _octonion_check_admissible(v: np.ndarray):
     v1, v2 = v[:8], v[8:]
-    if abs(np.linalg.norm(v1) - np.linalg.norm(v2)) > tol or abs(v1 @ v2) > tol \
-            or np.linalg.norm(v1) < tol:
+    if abs(np.linalg.norm(v1) - np.linalg.norm(v2)) > 1e-9 or abs(v1 @ v2) > 1e-9 \
+            or np.linalg.norm(v1) < 1e-9:
         raise ValueError("V must split into equal-norm orthogonal octonion halves")
 
 
@@ -975,7 +975,7 @@ def final_positivity_analysis(grid: int = 50) -> dict:
             "spot_half_quarter": spot, "spot_ok": spot == Fraction(7, 4)}
 
 
-def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
+def general_case_ledger(exact: bool = True) -> LedgerReport:
     """All exact steps of the general-position contradiction, with the two
     polynomial identities it uses: the eta = 4 alpha + 1 form of the Jacobi
     cubic and the collapse of the symmetric-core Codazzi coefficient.
@@ -1013,7 +1013,7 @@ def general_case_ledger(exact: bool = True, grid: int = 50) -> LedgerReport:
                r2["ok"], exact=True, factor_signs=r2["factor_signs"], spot=r2["spot"],
                hypothesis=r2["hypothesis"])
 
-    r5 = final_positivity_analysis(grid)
+    r5 = final_positivity_analysis()
     rep.record("final-positivity", "final-positivity",
                r5["positive_on_open_region"] and r5["spot_ok"], exact=True,
                closure_min=r5["closure_min"], grid_min=r5["grid_min"],

@@ -18,9 +18,8 @@ import numpy as np
 
 from .curvature import CurvatureContext
 from .dralgebra import DamekRicci, is_minus1
-from .numkernel import (CLUSTER_TOL, EigenDecomposition, MPoly, certified_brackets,
-                        cluster_indices, complete_basis, eig_sym, orthonormalize,
-                        poly_eval_fraction)
+from .numkernel import (EigenDecomposition, MPoly, certified_brackets, cluster_indices,
+                        complete_basis, eig_sym, orthonormalize, poly_eval_fraction)
 
 
 @dataclass(frozen=True)
@@ -119,7 +118,7 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float) -> NormalF
         k_matrix, k_basis, vals, vecs = g.k_square_eigh(v, y)
         z_minus1 = k_basis @ vecs[:, is_minus1(vals)]
         mu_clusters = []
-        for c in cluster_indices(list(vals), CLUSTER_TOL):
+        for c in cluster_indices(list(vals)):
             mu = float(np.mean(vals[list(c)]))
             if is_minus1(mu):
                 continue

@@ -123,11 +123,11 @@ def test_criterion_04_einstein_isotropy(contexts):
     values = {}
     for dims in MODULES:
         _, ctx = contexts[dims]
-        mean, std = ricci_isotropy(ctx, samples=1000, seed=4)
-        worst = max(worst, std)
-        values[dims] = round(mean, 9)
+        c, off = ricci_isotropy(ctx)
+        worst = max(worst, off)
+        values[dims] = round(c, 9)
     ok = worst <= 1e-10
-    _record(4, ok, f"max stdev of Ricci ratio {worst:.2e}; constants {values}")
+    _record(4, ok, f"max |Ric - c I| {worst:.2e}; constants {values}")
     assert ok
 
 
@@ -270,9 +270,8 @@ def test_criterion_11_no_z_trace_scan():
 @pytest.mark.slow
 def test_criterion_12_hypersurface_probe(contexts):
     t0 = time.perf_counter()
-    g, ctx = contexts[(2, 4)]
-    out = probe_codazzi_floor(g, ctx, n_frames=100,
-                              c_grid=probe_c_grid(), seed=12)
+    _, ctx = contexts[(2, 4)]
+    out = probe_codazzi_floor(ctx, n_frames=100, c_grid=probe_c_grid(), seed=12)
     elapsed = time.perf_counter() - t0
     ok = out["floor"] > 1e-6 and elapsed < 600.0
     _record(12, ok, f"floor {out['floor']:.3e} over {out['candidates']} candidates, "

@@ -31,10 +31,10 @@ def test_config_validation_rejects_inadmissible_dims():
 
 def test_config_file_and_flag_precedence(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"seed": 5, "dims": [[2, 4]], "tol": 1e-8}))
-    cfg = load_config(str(path), {"seed": 9, "tol": None})
+    path.write_text(json.dumps({"seed": 5, "dims": [[2, 4]], "probe_frames": 7}))
+    cfg = load_config(str(path), {"seed": 9, "probe_frames": None})
     assert cfg.seed == 9          # flag wins
-    assert cfg.tol == 1e-8        # file value kept
+    assert cfg.probe_frames == 7  # file value kept
     assert cfg.dims == [(2, 4)]
 
 
@@ -78,16 +78,31 @@ def test_front_door_rejects_bad_flags(capsys, argv, expect):
 
 
 @pytest.mark.parametrize("field, value", [("c_grid_step", 0), ("c_grid_step", -0.1),
-                                          ("c_grid_step", "0.1"), ("samples", 0),
-                                          ("samples", "a"), ("jobs", 0),
+                                          ("c_grid_step", "0.1"), ("c_grid_step", 1e-300),
+                                          ("c_grid_step", float("inf")), ("jobs", 0),
                                           ("dims", [2]), ("dims", [[2]]),
-                                          ("seed", "x"), ("tol", -1),
-                                          ("c_grid_step", 1e-300)])
+                                          ("seed", "x")])
 def test_front_door_rejects_bad_config_numbers(tmp_path, capsys, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({field: value}))
     assert main(["probe", "hypersurface", "--config", str(path)]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["tol", "samples"])
+def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
+    # the spectrum bound and the sample counts are fixed in the code
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({key: 1}))
+    assert main(["verify", "spectrum", "--config", str(path)]) == 2
+    assert f"unknown config key(s) ['{key}']" in capsys.readouterr().err
+
+
+def test_verify_rejects_the_tol_flag(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "spectrum", "--tol", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
 
 
 def test_config_bounds_the_c_grid():
@@ -110,13 +125,13 @@ def test_verify_only_flags_are_rejected_elsewhere(capsys, command, flags):
 
 @pytest.mark.parametrize("command", [["replay", "no-v"], ["probe", "hypersurface"]])
 @pytest.mark.parametrize("data, named", [
-    ({"dims": [[7, 8]], "tol": 1e-30}, "['dims', 'tol']"),
+    ({"dims": [[7, 8]]}, "['dims']"),
     ({"exact": True, "seed": 1}, "['exact']"),
-    ({"samples": 5, "suites": ["clifford"]}, "['samples', 'suites']"),
+    ({"suites": ["clifford"]}, "['suites']"),
     # named per command where the two commands read different keys
-    ({"samples": 5, "suites": ["clifford"], "probe_frames": 3, "c_grid_step": 0.5},
-     {"replay": "['c_grid_step', 'probe_frames', 'samples', 'suites']",
-      "probe": "['samples', 'suites']"})])
+    ({"suites": ["clifford"], "probe_frames": 3, "c_grid_step": 0.5},
+     {"replay": "['c_grid_step', 'probe_frames', 'suites']",
+      "probe": "['suites']"})])
 def test_verify_only_config_keys_are_rejected_elsewhere(tmp_path, capsys, command, data, named):
     # replay and probe would ignore these file keys, so they refuse them
     if isinstance(named, dict):
@@ -132,11 +147,11 @@ def test_verify_only_config_keys_are_rejected_elsewhere(tmp_path, capsys, comman
 
 def test_verify_reads_the_verify_only_config_keys(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"dims": [[2, 4]], "tol": 1e-8, "exact": False}))
+    path.write_text(json.dumps({"dims": [[2, 4]], "exact": False}))
     out = tmp_path / "report.json"
     assert main(["verify", "clifford", "--config", str(path), "--out", str(out)]) == 0
     config = json.loads(out.read_text())["header"]["config"]
-    assert (config["dims"], config["tol"], config["exact"]) == ([[2, 4]], 1e-8, False)
+    assert (config["dims"], config["exact"]) == ([[2, 4]], False)
 
 
 _JSON = st.recursive(
@@ -148,8 +163,8 @@ _JSON = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(data=st.dictionaries(
-    st.sampled_from(["dims", "suites", "seed", "tol", "exact", "samples",
-                     "probe_frames", "c_grid_step", "jobs", "out", "frames"]),
+    st.sampled_from(["dims", "suites", "seed", "exact", "probe_frames", "c_grid_step",
+                     "jobs", "out", "frames"]),
     _JSON | st.lists(st.lists(st.integers(-2, 40), max_size=3), max_size=3),
     max_size=4))
 def test_load_config_returns_valid_config_or_raises_value_error(tmp_path_factory, data):
@@ -227,7 +242,7 @@ def test_connection_axioms_fail_on_a_wrong_connection_tensor(monkeypatch, corrup
         return ctx
 
     monkeypatch.setattr(cli, "CurvatureContext", wrong_context)
-    rep = cli.curvature_suite(RunConfig(dims=[(2, 4)], samples=5))
+    rep = cli.curvature_suite(RunConfig(dims=[(2, 4)]))
     step = rep.step("connection-axioms(2,4)")
     assert step.verdict == "fail" and step.residual > 1e-12
 
@@ -240,8 +255,7 @@ def test_report_step_runtimes_add_up_within_wall_time(timed_replays):
 
 
 def test_report_determinism(tmp_path):
-    cfg = RunConfig(dims=[(2, 4)], suites=["clifford", "curvature"], seed=3,
-                    samples=50)
+    cfg = RunConfig(dims=[(2, 4)], suites=["clifford", "curvature"], seed=3)
     _, r1 = run(cfg)
     _, r2 = run(cfg)
     assert json.dumps(r1["checks"]) == json.dumps(r2["checks"])
@@ -263,7 +277,7 @@ def test_summarize_single_report(tmp_path):
 def test_summarize_two_seeds_merges_ranges(tmp_path):
     paths = []
     for seed in (0, 1):
-        cfg = RunConfig(dims=[(2, 4)], suites=["curvature"], seed=seed, samples=40)
+        cfg = RunConfig(dims=[(2, 4)], suites=["curvature"], seed=seed)
         _, report = run(cfg)
         p = tmp_path / f"r{seed}.json"
         p.write_text(json.dumps(report))
@@ -337,6 +351,14 @@ def test_probe_subcommand_smoke(tmp_path):
     check, control = report["checks"]
     assert check["id"] == "codazzi-floor(2,4)" and check["witness"]["box"] == box
     assert control["id"] == "codazzi-positive-control(2,4)" and control["residual"] == 0.0
+
+
+def test_codazzi_floor_fails_without_candidates(monkeypatch):
+    # at C = -1e6 no H in the box solves the trace equation, so the floor is inf
+    monkeypatch.setattr(cli, "probe_c_grid", lambda step: np.array([-1e6]))
+    step = cli.hypersurface_suite(RunConfig(probe_frames=1)).step("codazzi-floor(2,4)")
+    assert step.witness["candidates"] == 0 and step.residual == np.inf
+    assert step.verdict == "fail"
 
 
 def test_cli_import_loads_no_scipy():

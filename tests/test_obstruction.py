@@ -56,18 +56,18 @@ def test_replay_no_v(dims):
     assert rep.step("abelian-control-flat").verdict != FAIL
 
 
-def test_replay_no_a(g24, ctx24):
-    rep = replay_no_a(g24, ctx24, samples=16, seed=0)
+def test_replay_no_a(ctx24):
+    rep = replay_no_a(ctx24, samples=16, seed=0)
     assert rep.passed
     assert rep.step("einstein-difference-formula").residual < 1e-10
     assert rep.step("center-direction-gap").witness["gap"] == -0.25
     assert rep.step("center-direction-gap").residual < 1e-12
 
 
-def test_replay_no_a_rotation_invariance(g24, ctx24):
+def test_replay_no_a_rotation_invariance(ctx24):
     # the clash is isotropic in V: different seeds rotate V, same verdicts
-    r1 = replay_no_a(g24, ctx24, samples=10, seed=1)
-    r2 = replay_no_a(g24, ctx24, samples=10, seed=2)
+    r1 = replay_no_a(ctx24, samples=10, seed=1)
+    r2 = replay_no_a(ctx24, samples=10, seed=2)
     assert r1.passed and r2.passed
 
 
