@@ -931,7 +931,9 @@ def final_positivity_analysis(grid: int = 50) -> dict:
     The minimum over the closure is 0, attained only at (v, y) = (2/3, 1/3)
     where s = 0, so the expression is strictly positive on the admissible
     open region.  The grid minimum over the default interior simplex grid
-    and the spot value at (1/2, 1/4) are returned exactly.
+    (in integers: the expression has integer coefficients and degree 2, so
+    grid^2 times it is an integer at grid points) and the spot value at
+    (1/2, 1/4) are returned exactly.
     """
     v, y = MPoly.symbols("v y")
     gexpr = 2 * v ** 2 + (2 - v) ** 2 + 8 * y * (1 - 3 * v)
@@ -955,15 +957,16 @@ def final_positivity_analysis(grid: int = 50) -> dict:
                 geval(Fraction(0), Fraction(1))]
     closure_min = min(edge_y0, edge_v0, edge_diag, *vertices)
 
-    grid_min = None
-    argmin = None
-    for i in range(1, grid):          # s^2 = i / grid
-        for j in range(1, grid - i):  # v = j / grid, y = 1 - s^2 - v
-            vv_ = Fraction(j, grid)
-            yy_ = 1 - Fraction(i, grid) - vv_
-            val = geval(vv_, yy_)
-            if grid_min is None or val < grid_min:
-                grid_min, argmin = val, (Fraction(i, grid), vv_, yy_)
+    # s^2 = i / grid, v = j / grid, y = k / grid with k = grid - i - j: the
+    # integer grid^2 g(j/grid, k/grid); its first minimum in (i, j) order
+    scaled = [(int(c), ev, ey, grid ** (2 - ev - ey)) for (ev, ey), c in gexpr.terms.items()]
+    best = min(((sum(c * j ** ev * (grid - i - j) ** ey * s for c, ev, ey, s in scaled), i, j)
+                for i in range(1, grid) for j in range(1, grid - i)), default=None)
+    grid_min = argmin = None
+    if best is not None:
+        val, i, j = best
+        grid_min, argmin = Fraction(val, grid ** 2), tuple(
+            Fraction(x, grid) for x in (i, j, grid - i - j))
     spot = geval(Fraction(1, 2), Fraction(1, 4))
     return {"interior_critical_points": interior_ok,
             "edge_min_y0": edge_y0, "edge_min_v0": edge_v0,

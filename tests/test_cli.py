@@ -247,6 +247,20 @@ def test_connection_axioms_fail_on_a_wrong_connection_tensor(monkeypatch, corrup
     assert step.verdict == "fail" and step.residual > 1e-12
 
 
+def test_jacobi_cross_check_fails_on_a_flipped_curvature_component(monkeypatch):
+    # negative control: the assembled side reads the context's curvature tensor
+    def wrong_context(g):
+        ctx = CurvatureContext(g)
+        ctx.riemann_tensor[tuple(np.argwhere(ctx.riemann_tensor)[0])] *= -1.0
+        return ctx
+
+    monkeypatch.setattr(cli, "CurvatureContext", wrong_context)
+    rep = cli.curvature_suite(RunConfig(dims=[(5, 8), (8, 16)]))
+    for dims in ("(5,8)", "(8,16)"):
+        step = rep.step(f"jacobi-cross-check{dims}")
+        assert step.verdict == "fail" and step.residual > 1e-10
+
+
 def test_report_step_runtimes_add_up_within_wall_time(timed_replays):
     for rep, wall in timed_replays:
         runtimes = [s.runtime_s for s in rep.steps]

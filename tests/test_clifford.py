@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from drgeom.clifford import (Octonion, admissible, anticommutation_residual,
                              build_module, is_symmetric_space, j_op, max_center_dim,
                              oct_left_mult_matrix)
+from test_curvature import assert_curvature_matches_reference
 
 ADMISSIBLE = [(d_z, d_v) for d_v in (2, 4, 8, 16)
               for d_z in range(1, max_center_dim(d_v) + 1)]
@@ -57,6 +58,7 @@ def test_build_module_any_iso_flags_validates_and_is_skew(data):
     assert mod.iso_flags == flags
     assert mod.validate() <= 1e-12
     assert np.array_equal(mod.generators, -np.transpose(mod.generators, (0, 2, 1)))
+    assert_curvature_matches_reference(mod.generators)
 
 
 def test_build_module_rejects_excess_center():

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from drgeom.cli import DEFAULT_DIMS
-from drgeom.clifford import CliffordModule
-from drgeom.curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
-                              ricci_isotropy)
-from drgeom.dralgebra import DamekRicci
+from drgeom.clifford import CliffordModule, admissible, build_module
+from drgeom.curvature import (CurvatureContext, curvature_from_connection, jacobi_closed_batch,
+                              koszul_connection, nabla, ricci_heisenberg, ricci_isotropy)
+from drgeom.dralgebra import DamekRicci, bracket_tensor
 from drgeom.numkernel import orthonormalize
 
 
@@ -21,6 +21,37 @@ def g24():
 @pytest.fixture(scope="module")
 def ctx24(g24):
     return CurvatureContext(g24)
+
+
+def curvature_reference(nabla_tensor, bracket):
+    """R(e_a, e_b) e_c as three plain einsums, the reference for the BLAS products."""
+    nb = nabla_tensor
+    return (np.einsum("bcd,ade->abce", nb, nb)
+            - np.einsum("acd,bde->abce", nb, nb)
+            - np.einsum("abd,dce->abce", bracket, nb))
+
+
+def assert_curvature_matches_reference(generators):
+    """Bit-identical on the full bracket and on its v + z block."""
+    full = bracket_tensor(generators)
+    for bracket in (full, full[:-1, :-1, :-1]):
+        nb = koszul_connection(bracket)
+        assert np.array_equal(curvature_from_connection(nb, bracket),
+                              curvature_reference(nb, bracket))
+
+
+@pytest.mark.parametrize("d_z,d_v", [(d_z, d_v) for d_v in range(1, 33)
+                                     for d_z in range(1, 10) if admissible(d_z, d_v)])
+def test_curvature_from_connection_equals_the_einsum_reference(d_z, d_v):
+    assert_curvature_matches_reference(build_module(d_z, d_v).generators)
+
+
+@pytest.mark.parametrize("dims", DEFAULT_DIMS)
+def test_context_curvature_equals_the_einsum_reference(dims):
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    ref = curvature_reference(ctx.nabla_tensor, ctx.bracket_tensor)
+    assert np.array_equal(ctx.riemann_tensor, ref)
+    assert np.array_equal(ctx.ricci, np.einsum("abca->bc", ref))
 
 
 def _riemann(ctx, x, y, z):

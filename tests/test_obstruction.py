@@ -465,6 +465,28 @@ def test_final_positivity_analysis():
     assert out["grid_min"] == Fraction(79, 500)
 
 
+def _fraction_grid_min(grid: int):
+    """The grid minimum as one Fraction evaluation per point, in the same order."""
+    v, y = MPoly.symbols("v y")
+    gexpr = 2 * v ** 2 + (2 - v) ** 2 + 8 * y * (1 - 3 * v)
+    grid_min = None
+    argmin = None
+    for i in range(1, grid):          # s^2 = i / grid
+        for j in range(1, grid - i):  # v = j / grid, y = 1 - s^2 - v
+            vv_ = Fraction(j, grid)
+            yy_ = 1 - Fraction(i, grid) - vv_
+            val = gexpr.evaluate({"v": vv_, "y": yy_})
+            if grid_min is None or val < grid_min:
+                grid_min, argmin = val, (Fraction(i, grid), vv_, yy_)
+    return grid_min, argmin
+
+
+@pytest.mark.parametrize("grid", [3, 7, 10, 50])
+def test_final_positivity_grid_equals_the_fraction_loop(grid):
+    out = final_positivity_analysis(grid)
+    assert (out["grid_min"], out["grid_argmin"]) == _fraction_grid_min(grid)
+
+
 def test_general_case_ledger_exact_passes():
     rep = general_case_ledger(exact=True)
     assert rep.passed
