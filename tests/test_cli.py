@@ -261,6 +261,17 @@ def test_jacobi_cross_check_fails_on_a_flipped_curvature_component(monkeypatch):
         assert step.verdict == "fail" and step.residual > 1e-10
 
 
+def test_module_samples_do_not_depend_on_the_other_dims():
+    # each module draws from its own (seed, d_z, d_v) stream
+    residuals = []
+    for dims in ([(8, 16)], [(2, 4), (8, 16)]):
+        _, rep = run(RunConfig(dims=dims, suites=["curvature", "spectrum"]))
+        checks = {c["id"]: c["residual"] for c in rep["checks"]}
+        residuals.append((checks["jacobi-cross-check(8,16)"],
+                          checks["normal-jacobi-spectrum(8,16)"]))
+    assert residuals[0] == residuals[1]
+
+
 def test_report_step_runtimes_add_up_within_wall_time(timed_replays):
     for rep, wall in timed_replays:
         runtimes = [s.runtime_s for s in rep.steps]
