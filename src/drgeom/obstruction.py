@@ -965,8 +965,8 @@ def final_positivity_analysis(grid: int = 50) -> dict:
     grid_min = argmin = None
     if best is not None:
         val, i, j = best
-        grid_min, argmin = Fraction(val, grid ** 2), tuple(
-            Fraction(x, grid) for x in (i, j, grid - i - j))
+        grid_min = Fraction(val, grid ** 2)
+        argmin = (Fraction(i, grid), Fraction(j, grid), Fraction(grid - i - j, grid))
     spot = geval(Fraction(1, 2), Fraction(1, 4))
     return {"interior_critical_points": interior_ok,
             "edge_min_y0": edge_y0, "edge_min_v0": edge_v0,

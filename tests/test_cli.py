@@ -443,6 +443,20 @@ def test_replay_no_z_under_python_optimize(tmp_path):
     assert scan["witness"]["violations"] == []
 
 
+def test_verify_curvature_under_python_optimize(tmp_path):
+    # every curvature check survives -O and reads as it does in process
+    out = tmp_path / "curvature.json"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-m", "drgeom.cli", "verify", "curvature",
+                           "--dims", "5:8,8:16", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _, report = run(RunConfig(dims=[(5, 8), (8, 16)], suites=["curvature"]))
+    assert len(report["checks"]) == 10
+    assert json.loads(out.read_text())["checks"] == json.loads(json.dumps(report["checks"]))
+
+
 def test_probe_pool_under_python_optimize(tmp_path):
     # a two-worker probe under -O: both hypersurface checks pass (exit 0), one
     # progress line per frame, and the payload of a serial run
