@@ -931,9 +931,8 @@ def final_positivity_analysis(grid: int = 50) -> dict:
     The minimum over the closure is 0, attained only at (v, y) = (2/3, 1/3)
     where s = 0, so the expression is strictly positive on the admissible
     open region.  The grid minimum over the default interior simplex grid
-    (in integers: the expression has integer coefficients and degree 2, so
-    grid^2 times it is an integer at grid points) and the spot value at
-    (1/2, 1/4) are returned exactly.
+    (found in integers: grid^2 times the expression is one at grid points)
+    and the spot value at (1/2, 1/4) are returned exactly.
     """
     v, y = MPoly.symbols("v y")
     gexpr = 2 * v ** 2 + (2 - v) ** 2 + 8 * y * (1 - 3 * v)
@@ -957,13 +956,12 @@ def final_positivity_analysis(grid: int = 50) -> dict:
                 geval(Fraction(0), Fraction(1))]
     closure_min = min(edge_y0, edge_v0, edge_diag, *vertices)
 
-    # s^2 = i / grid, v = j / grid, y = k / grid with k = grid - i - j: the
-    # integer grid^2 g(j/grid, k/grid); its first minimum in (i, j) order
+    # s^2 = i/grid, v = j/grid, y = k/grid: grid^2 g is an integer polynomial in (j, k)
     scaled = [(int(c), ev, ey, grid ** (2 - ev - ey)) for (ev, ey), c in gexpr.terms.items()]
     best = min(((sum(c * j ** ev * (grid - i - j) ** ey * s for c, ev, ey, s in scaled), i, j)
                 for i in range(1, grid) for j in range(1, grid - i)), default=None)
     grid_min = argmin = None
-    if best is not None:
+    if best is not None:  # the first minimum in (i, j) order, as the grid is walked
         val, i, j = best
         grid_min = Fraction(val, grid ** 2)
         argmin = (Fraction(i, grid), Fraction(j, grid), Fraction(grid - i - j, grid))
