@@ -109,7 +109,7 @@ def curvature_from_connection(nabla_tensor: np.ndarray,
     """
     nb, n = nabla_tensor, nabla_tensor.shape[0]
     r = np.matmul(nb[None], nb[:, None])
-    r -= r.transpose(1, 0, 2, 3).copy()
+    r -= r.transpose(1, 0, 2, 3)  # numpy buffers the overlapping operand
     r -= np.matmul(bracket_tensor, nb.reshape(n, n * n)).reshape(n, n, n, n)
     return r
 
