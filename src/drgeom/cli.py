@@ -161,28 +161,44 @@ def clifford_suite(cfg: RunConfig) -> LedgerReport:
     return rep
 
 
-def curvature_suite(cfg: RunConfig) -> LedgerReport:
-    rep = LedgerReport("curvature")
+def module_suites(cfg: RunConfig, names: list[str]) -> tuple[LedgerReport, dict[str, float]]:
+    """The per-module suites ``names`` in one report: each module's algebra and
+    curvature context is built once, shared by the suites, and dropped before
+    the next module.  Each build's time goes under ``setup(d_z,d_v)``."""
+    rep = LedgerReport("+".join(names))
+    setup = {}
     for d_z, d_v in cfg.dims:
         g = DamekRicci.from_dims(d_z, d_v)
         ctx = CurvatureContext(g)
-        h = verify_heisenberg_identities(g)
-        rep.record(f"heisenberg-identities({d_z},{d_v})", "bracket-identities",
-                   h["passed"], exact=False, residual=h["max_residual"])
-        worst = _connection_axioms_residual(ctx)
-        rep.record(f"connection-axioms({d_z},{d_v})", "connection-axioms",
-                   worst <= 1e-12, exact=False, residual=worst)
-        # each module draws from its own stream, whatever the other dims
-        worst = _jacobi_cross_residual(ctx, np.random.default_rng((cfg.seed, d_z, d_v)))
-        rep.record(f"jacobi-cross-check({d_z},{d_v})", "jacobi-closed-form",
-                   worst <= 1e-10, exact=False, residual=worst)
-        c, worst = ricci_isotropy(ctx)
-        rep.record(f"einstein-isotropy({d_z},{d_v})", "einstein-isotropy",
-                   worst <= 1e-10, exact=False, residual=worst, einstein_constant=c)
-        nil = ricci_heisenberg(g.module.generators)
-        rep.record(f"nilpotent-ricci-split({d_z},{d_v})", "nilpotent-non-einstein",
-                   nil["sign_split"], exact=False, residual=nil["offdiag"])
-    return rep
+        setup[f"setup({d_z},{d_v})"] = rep.lap()
+        for name in names:
+            MODULE_CHECKS[name](rep, cfg, g, ctx)
+        del g, ctx  # before the next build, so one context is alive at a time
+    return rep, setup
+
+
+def curvature_suite(cfg: RunConfig) -> LedgerReport:
+    return module_suites(cfg, ["curvature"])[0]
+
+
+def _curvature_checks(rep: LedgerReport, cfg: RunConfig, g: DamekRicci, ctx):
+    d_z, d_v = g.d_z, g.d_v
+    h = verify_heisenberg_identities(g)
+    rep.record(f"heisenberg-identities({d_z},{d_v})", "bracket-identities",
+               h["passed"], exact=False, residual=h["max_residual"])
+    worst = _connection_axioms_residual(ctx)
+    rep.record(f"connection-axioms({d_z},{d_v})", "connection-axioms",
+               worst <= 1e-12, exact=False, residual=worst)
+    # each module draws from its own stream, whatever the other dims
+    worst = _jacobi_cross_residual(ctx, np.random.default_rng((cfg.seed, d_z, d_v)))
+    rep.record(f"jacobi-cross-check({d_z},{d_v})", "jacobi-closed-form",
+               worst <= 1e-10, exact=False, residual=worst)
+    c, worst = ricci_isotropy(ctx)
+    rep.record(f"einstein-isotropy({d_z},{d_v})", "einstein-isotropy",
+               worst <= 1e-10, exact=False, residual=worst, einstein_constant=c)
+    nil = ricci_heisenberg(g.module.generators)
+    rep.record(f"nilpotent-ricci-split({d_z},{d_v})", "nilpotent-non-einstein",
+               nil["sign_split"], exact=False, residual=nil["offdiag"])
 
 
 def _connection_axioms_residual(ctx) -> float:
@@ -211,22 +227,21 @@ def _jacobi_cross_residual(ctx, rng) -> float:
 
 
 def spectrum_suite(cfg: RunConfig) -> LedgerReport:
-    rep = LedgerReport("spectrum")
-    for d_z, d_v in cfg.dims:
-        g = DamekRicci.from_dims(d_z, d_v)
-        ctx = CurvatureContext(g)
-        rng = np.random.default_rng((cfg.seed, d_z, d_v))  # the module's own stream
-        worst_match = 0.0
-        worst_cert = 0.0
-        for _ in range(3):
-            spec = xi_spectrum(random_frame(g, rng), ctx)
-            worst_match = max(worst_match, spec.match_residual)
-            if spec.certificate_residuals:
-                worst_cert = max(worst_cert, max(spec.certificate_residuals.values()))
-        worst = max(worst_match, worst_cert)
-        rep.record(f"normal-jacobi-spectrum({d_z},{d_v})", "normal-jacobi-spectrum",
-                   worst <= 1e-9, exact=False, residual=worst)
-    return rep
+    return module_suites(cfg, ["spectrum"])[0]
+
+
+def _spectrum_checks(rep: LedgerReport, cfg: RunConfig, g: DamekRicci, ctx):
+    rng = np.random.default_rng((cfg.seed, g.d_z, g.d_v))  # the module's own stream
+    worst_match = 0.0
+    worst_cert = 0.0
+    for _ in range(3):
+        spec = xi_spectrum(random_frame(g, rng), ctx)
+        worst_match = max(worst_match, spec.match_residual)
+        if spec.certificate_residuals:
+            worst_cert = max(worst_cert, max(spec.certificate_residuals.values()))
+    worst = max(worst_match, worst_cert)
+    rep.record(f"normal-jacobi-spectrum({g.d_z},{g.d_v})", "normal-jacobi-spectrum",
+               worst <= 1e-9, exact=False, residual=worst)
 
 
 def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
@@ -268,6 +283,8 @@ SUITE_RUNNERS = {
     "obstruction": obstruction_suite,
 }
 SUITES = (*SUITE_RUNNERS, "all")
+# the suites that ``run`` runs module by module through ``module_suites``
+MODULE_CHECKS = {"curvature": _curvature_checks, "spectrum": _spectrum_checks}
 
 
 # ---------------------------------------------------------------------------
@@ -283,8 +300,13 @@ def _header(cfg: RunConfig, runtimes: dict[str, float]) -> dict:
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
     suites = list(SUITE_RUNNERS) if "all" in cfg.suites else cfg.suites
-    steps = sorted((s for name in suites for s in SUITE_RUNNERS[name](cfg).steps),
-                   key=lambda s: s.id)
+    reports = [SUITE_RUNNERS[name](cfg) for name in suites if name not in MODULE_CHECKS]
+    per_module = [name for name in suites if name in MODULE_CHECKS]
+    setup = {}
+    if per_module:
+        rep, setup = module_suites(cfg, per_module)
+        reports.append(rep)
+    steps = sorted((s for rep in reports for s in rep.steps), key=lambda s: s.id)
     checks = []
     for s in steps:
         entry = {**s.to_json(), "verdict": "pass" if s.verdict != FAIL else "fail"}
@@ -292,7 +314,7 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
             del entry["witness"]
         checks.append(entry)
     report = {"schema_version": SCHEMA_VERSION,
-              "header": _header(cfg, {s.id: s.runtime_s for s in steps}),
+              "header": _header(cfg, {**setup, **{s.id: s.runtime_s for s in steps}}),
               "checks": checks}
     failed = [c for c in checks if c["verdict"] == "fail"]
     return (1 if failed else 0), report

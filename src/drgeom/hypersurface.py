@@ -61,7 +61,7 @@ class _Eigenframe:
 
     def __init__(self, frame: NormalFrame, ctx: CurvatureContext):
         _, perp, _, dec = normal_jacobi(frame, ctx)
-        self.alphas = np.array([float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters])
+        self.alphas = np.array(dec.cluster_values())
         mults = [len(c) for c in dec.clusters]
         self.x = np.hstack([perp @ dec.cluster_basis(k) for k in range(len(mults))])
         self.vector_alphas = np.repeat(self.alphas, mults)

@@ -19,8 +19,8 @@ from .clifford import Octonion, max_center_dim
 from .curvature import CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg
 from .dralgebra import DamekRicci
 from .hypersurface import specialized_codazzi_coefficient_identity
-from .numkernel import (MPoly, levenberg_marquardt, mpoly_resultant, orthonormalize,
-                        poly_reduce, symmetric_eliminate)
+from .numkernel import (MPoly, levenberg_marquardt, orthonormalize, poly_reduce,
+                        symmetric_eliminate)
 from .spectrum import (NormalFrame, eigen_families, eta_alpha_exact_identity, f_cubic_roots,
                        random_frame)
 
@@ -52,8 +52,9 @@ class LedgerReport:
     """Checks in the order recorded, timed by one lap clock.
 
     The clock starts when the report is created and each recorded check is
-    charged the time since the previous one, so the step runtimes add up to
-    the report's wall time from creation to its last check.
+    charged the time since the previous one (or since a ``lap`` taken in
+    between), so the step runtimes and those laps add up to the report's
+    wall time from creation to its last check.
     """
 
     name: str
@@ -61,9 +62,11 @@ class LedgerReport:
     _last: float = field(init=False, default=0.0, repr=False, compare=False)
 
     def __post_init__(self):
-        self._lap()
+        self.lap()
 
-    def _lap(self) -> float:
+    def lap(self) -> float:
+        """The seconds since the previous check (or the report's creation),
+        restarting the clock; work timed this way is charged to no check."""
         now = time.perf_counter()
         elapsed, self._last = now - self._last, now
         return elapsed
@@ -71,7 +74,7 @@ class LedgerReport:
     def record(self, step_id: str, anchor: str, ok: bool, exact: bool,
                residual: float | None = None, **witness):
         verdict = (EXACT if exact else NUMERIC) if ok else FAIL
-        self.steps.append(Check(step_id, anchor, verdict, residual, witness, self._lap()))
+        self.steps.append(Check(step_id, anchor, verdict, residual, witness, self.lap()))
 
     @property
     def passed(self) -> bool:
@@ -855,25 +858,31 @@ def phi_psi_polys():
     return phi, psi
 
 
+# the power sums p0, p1, p2 of the roots of the center cubic p(t) = t^3 + 3t^2 - q
+CENTER_POWER_SUMS = (3, -3, 9)
+
+
 def cyclic_sum_vanishing() -> dict:
     """The cyclic obstruction sum vanishes exactly on the forced locus.
 
     The cyclic sum of (eta_j - eta_k)(eta_k - eta_i) Psi(eta_i) Psi(eta_j)
-    Phi(eta_k) is symmetric; eliminating the roots through e1 = -3, e2 = 0,
-    e3 = q and substituting q = 27 v^2 y, y = 1 - s^2 - v and
-    lam = 2s(1-v)/(2-3v) (denominator-cleared) gives exactly zero.  The
-    divisibility by (q-4)(s(3v-2) lam + 2 s^2 (1-v)) is attempted in the
-    constrained ring and reported.
+    Phi(eta_k) over the roots of the center cubic p(t) = t^3 + 3t^2 - q is a
+    trace.  In the term with last root c, (b - c)(c - a) = -p'(c), and the
+    other roots enter Psi(a) Psi(b) only through a + b = -3 - c and
+    ab = c^2 + 3c.  So the sum is sum_c F(c) for one polynomial F(t); with
+    F = r0 + r1 t + r2 t^2 mod p it is 3 r0 - 3 r1 + 9 r2 (``sum``).
+    Substituting q = 27 v^2 y, y = 1 - s^2 - v and lam = 2s(1-v)/(2-3v)
+    (denominator-cleared) gives exactly zero.  The divisibility by
+    (q-4)(s(3v-2) lam + 2 s^2 (1-v)) is attempted in the constrained ring and
+    reported.
     """
-    e1, e2, e3 = MPoly.symbols("e1 e2 e3")
     phi, psi = phi_psi_polys()
-
-    def term(a, b, c):
-        return (b - c) * (c - a) * psi(a) * psi(b) * phi(c)
-
-    cs = term(e1, e2, e3) + term(e2, e3, e1) + term(e3, e1, e2)
-    q = MPoly.symbols("q")[0]
-    f_elim = symmetric_eliminate(cs, ("e1", "e2", "e3"), [-3, 0, q])
+    t, q = MPoly.symbols("t q")
+    ea, eb = MPoly.symbols("ea eb")
+    psi_pair = symmetric_eliminate(psi(ea) * psi(eb), ("ea", "eb"), [-3 - t, t * t + 3 * t])
+    red = poly_reduce(-(3 * t * t + 6 * t) * psi_pair * phi(t), "t", t ** 3 + 3 * t ** 2 - q)
+    f_elim = sum((CENTER_POWER_SUMS[k] * red.coeff_of("t", k) for k in range(3)),
+                 MPoly.zero(red.variables))
 
     s, v, y = MPoly.symbols("s v y")
     f_sub = f_elim.substitute("q", 27 * v ** 2 * y).substitute("y", 1 - s ** 2 - v)
@@ -889,23 +898,34 @@ def cyclic_sum_vanishing() -> dict:
     locus = ((27 * v ** 2 * (1 - s ** 2 - v) - 4)
              * (s * (3 * v - 2) * lam + 2 * s ** 2 * (1 - v)))
     quotient = f_sub.divexact(locus)
-    return {"ok": vanishes, "lam_degree": deg,
+    return {"ok": vanishes, "lam_degree": deg, "sum": f_elim,
             "divisible_by_locus": quotient is not None,
             "relations_used": ["q = 27 v^2 y", "y = 1 - s^2 - v",
                                "lam = 2s(1-v)/(2-3v)"]}
 
 
+def center_cubic_norm(g: list[Fraction], q: Fraction) -> Fraction:
+    """prod g(r) over the roots r of p(t) = t^3 + 3t^2 - q, g = [g0, g1, g2]:
+    the determinant of multiplication by g on Q[t]/(p), whose columns are g,
+    t g and t^2 g mod p.  As p is monic this is the resultant Res(p, g)."""
+    a = list(g)
+    b = [q * a[2], a[0], a[1] - 3 * a[2]]  # times t, as t^3 = q - 3t^2
+    c = [q * b[2], b[0], b[1] - 3 * b[2]]
+    return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+            + a[2] * (b[0] * c[1] - b[1] * c[0]))
+
+
 def psi_coprimality_samples() -> dict:
     """Resultants of Psi (and Phi) with the center cubic at exact samples.
 
+    At each sample Psi and Phi are specialized first; then Res(p, g) is the
+    norm ``center_cubic_norm``, the product of g over the roots of the cubic.
     Nonzero resultants certify that Psi cannot vanish at a root of the
     cubic, so the commuting branch's coefficient operator is invertible.
     """
     t = MPoly.symbols("t")[0]
     phi, psi = phi_psi_polys()
-    p_poly = t ** 3 + 3 * t ** 2 - MPoly.symbols("q")[0]
-    res_psi_poly = mpoly_resultant(p_poly, psi(t), "t")
-    res_phi_poly = mpoly_resultant(p_poly, phi(t), "t")
+    psi_c, phi_c = ([g.coeff_of("t", k) for k in range(3)] for g in (psi(t), phi(t)))
     samples = []
     ok = True
     for v in (Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), Fraction(7, 10)):
@@ -916,8 +936,8 @@ def psi_coprimality_samples() -> dict:
             q = 27 * v * v * y
             lam = 2 * s * (1 - v) / (2 - 3 * v)
             assign = {"q": q, "s": s, "v": v, "y": y, "lam": lam}
-            res_psi = res_psi_poly.evaluate(assign)
-            res_phi = res_phi_poly.evaluate(assign)
+            res_psi = center_cubic_norm([c.evaluate(assign) for c in psi_c], q)
+            res_phi = center_cubic_norm([c.evaluate(assign) for c in phi_c], q)
             ok &= res_psi != 0
             samples.append({"v": v, "s": s, "res_psi": res_psi, "res_phi": res_phi})
     return {"ok": ok, "samples": samples}

@@ -272,6 +272,28 @@ def test_module_samples_do_not_depend_on_the_other_dims():
     assert residuals[0] == residuals[1]
 
 
+def test_run_builds_each_module_context_once(monkeypatch):
+    # curvature and spectrum share one (g, ctx) per module; its build is timed
+    # under setup(d_z,d_v), not charged to the first check
+    builds = []
+
+    def counting_context(g):
+        builds.append((g.d_z, g.d_v))
+        time.sleep(0.1 if (g.d_z, g.d_v) == (1, 2) else 0.0)  # a slow build
+        return CurvatureContext(g)
+
+    monkeypatch.setattr(cli, "CurvatureContext", counting_context)
+    _, report = run(RunConfig(dims=list(DEFAULT_DIMS), suites=["curvature", "spectrum"]))
+    assert builds == list(DEFAULT_DIMS)
+    runtimes = report["header"]["runtimes_s"]
+    setup = [f"setup({d_z},{d_v})" for d_z, d_v in DEFAULT_DIMS]
+    assert list(runtimes)[:len(setup)] == setup
+    assert list(runtimes)[len(setup):] == [c["id"] for c in report["checks"]]
+    assert runtimes["setup(1,2)"] >= 0.1 > runtimes["heisenberg-identities(1,2)"]
+    _, clifford_only = run(RunConfig(dims=[(2, 4)], suites=["clifford"]))
+    assert list(clifford_only["header"]["runtimes_s"]) == ["clifford-relations(2,4)"]
+
+
 def test_report_step_runtimes_add_up_within_wall_time(timed_replays):
     for rep, wall in timed_replays:
         runtimes = [s.runtime_s for s in rep.steps]

@@ -15,9 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgeom.numkernel import (MPoly, NotSymmetricError, certified_brackets,
-                              cluster_indices, complete_basis, eig_sym, mpoly_resultant,
-                              orthonormalize, poly_eval_fraction, poly_reduce,
-                              rational_bisect, symmetric_eliminate)
+                              cluster_indices, complete_basis, eig_sym, orthonormalize,
+                              poly_eval_fraction, poly_reduce, rational_bisect,
+                              symmetric_eliminate)
+from sylvester import mpoly_resultant
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from drgeom import obstruction
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from drgeom.numkernel import MPoly, levenberg_marquardt, orthonormalize
+from drgeom.numkernel import MPoly, levenberg_marquardt, orthonormalize, symmetric_eliminate
 from drgeom.obstruction import (EXACT, FAIL, MIXED_SIGNS, _compat_model,
                                 _compat_residual_floor, _linear_sign, _SWord,
-                                curvature_complex_structures,
+                                center_cubic_norm, curvature_complex_structures,
                                 cyclic_sum_vanishing,
                                 enumerate_dimension_cases,
                                 final_positivity_analysis, general_case_ledger,
@@ -32,6 +34,7 @@ from drgeom.obstruction import (EXACT, FAIL, MIXED_SIGNS, _compat_model,
                                 replay_p_space_annihilation,
                                 replay_quarter_eigenspace_jcompat)
 from drgeom.spectrum import center_family_vector, random_frame
+from sylvester import mpoly_resultant
 
 
 @pytest.fixture(scope="module")
@@ -454,6 +457,73 @@ def test_psi_coprimality_resultants_match_sympy():
             assert smp[key] == Fraction(int(oracle.p), int(oracle.q)), (smp["v"], smp["s"], key)
 
 
+@pytest.fixture(scope="module")
+def cyclic_sum_by_elimination():
+    """The reference route: the cyclic sum expanded in e1, e2, e3 and rewritten
+    through the elementary symmetric functions of the cubic's roots."""
+    e1, e2, e3 = MPoly.symbols("e1 e2 e3")
+    phi, psi = obstruction.phi_psi_polys()
+
+    def term(a, b, c):
+        return (b - c) * (c - a) * psi(a) * psi(b) * phi(c)
+
+    cs = term(e1, e2, e3) + term(e2, e3, e1) + term(e3, e1, e2)
+    return symmetric_eliminate(cs, ("e1", "e2", "e3"), [-3, 0, MPoly.symbols("q")[0]])
+
+
+def test_cyclic_sum_trace_equals_the_elementary_symmetric_route(cyclic_sum_by_elimination):
+    assert cyclic_sum_vanishing()["sum"] == cyclic_sum_by_elimination
+
+
+def test_cyclic_sum_trace_fails_the_oracle_with_a_wrong_power_sum(
+        monkeypatch, cyclic_sum_by_elimination):
+    # negative control: p2 = e1^2 - 2 e2 = 9, not 3
+    monkeypatch.setattr(obstruction, "CENTER_POWER_SUMS", (3, -3, 3))
+    assert cyclic_sum_vanishing()["sum"] != cyclic_sum_by_elimination
+
+
+@pytest.mark.parametrize("power", [0, 1, 2])
+def test_cyclic_sum_does_not_vanish_with_one_phi_coefficient_changed(monkeypatch, power):
+    # negative control: one coefficient of Phi moves by s, so the sum no
+    # longer vanishes on the locus
+    phi, psi = obstruction.phi_psi_polys()
+    s = MPoly.symbols("s")[0]
+    monkeypatch.setattr(obstruction, "phi_psi_polys",
+                        lambda: (lambda at: phi(at) + s * at ** power, psi))
+    assert not cyclic_sum_vanishing()["ok"]
+
+
+def test_center_cubic_norm_is_the_sylvester_resultant_at_the_samples():
+    t, q = MPoly.symbols("t q")
+    phi, psi = obstruction.phi_psi_polys()
+    cubic = t ** 3 + 3 * t ** 2 - q
+    oracles = {"res_psi": mpoly_resultant(cubic, psi(t), "t"),
+               "res_phi": mpoly_resultant(cubic, phi(t), "t")}
+    samples = psi_coprimality_samples()["samples"]
+    assert len(samples) == 15
+    for smp in samples:
+        v, s = smp["v"], smp["s"]
+        y = 1 - s * s - v
+        assign = {"q": 27 * v * v * y, "s": s, "v": v, "y": y,
+                  "lam": 2 * s * (1 - v) / (2 - 3 * v)}
+        for key, oracle in oracles.items():
+            assert smp[key] == oracle.evaluate(assign), (v, s, key)
+
+
+_RATIONALS = st.fractions(-20, 20, max_denominator=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=_RATIONALS, g=st.lists(_RATIONALS, min_size=3, max_size=3))
+@example(q=Fraction(4), g=[Fraction(1), Fraction(-2), Fraction(0)])  # degree 1
+@example(q=Fraction(-1, 3), g=[Fraction(5, 2), Fraction(0), Fraction(0)])  # a constant
+@example(q=Fraction(0), g=[Fraction(0)] * 3)  # p has the double root 0, g = 0
+def test_center_cubic_norm_is_the_sylvester_resultant(q, g):
+    t = MPoly.symbols("t")[0]
+    oracle = mpoly_resultant(t ** 3 + 3 * t ** 2 - q, g[0] + g[1] * t + g[2] * t * t, "t")
+    assert center_cubic_norm(g, q) == oracle.evaluate({})
+
+
 def test_final_positivity_analysis():
     out = final_positivity_analysis()
     assert out["positive_on_open_region"]
@@ -503,6 +573,12 @@ def test_general_case_ledger_exact_passes():
     # the smallest |Res_t(t^3 + 3t^2 - q, Psi)| over the 15 samples, pinned
     assert rep.step("poly-coprimality").witness["min_abs_res_psi"] == \
         "1530609129/1535312500000"
+
+
+def test_general_case_ledger_payload_is_pinned():
+    # every witness is rational, so the payload text is the same on every platform
+    pinned = (Path(__file__).parent / "data" / "general_case_ledger.json").read_text()
+    assert json.dumps(general_case_ledger().to_json(), indent=2) + "\n" == pinned
 
 
 def test_leading_coefficient_positivity_is_exact():
