@@ -6,8 +6,7 @@ from .curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heis
                         ricci_isotropy)
 from .dralgebra import DamekRicci, verify_heisenberg_identities
 from .hypersurface import nomizu, probe_codazzi_floor
-from .numkernel import (EigenDecomposition, MPoly, eig_sym, poly_reduce,
-                        rational_bisect, symmetric_eliminate)
+from .numkernel import EigenDecomposition, MPoly, eig_sym, poly_reduce, rational_bisect
 from .obstruction import (Check, LedgerReport, enumerate_dimension_cases,
                           general_case_ledger, replay_dimension_cases, replay_no_a,
                           replay_no_v, replay_no_z, replay_octonion_case,

@@ -56,11 +56,14 @@ class RunConfig:
                 for d in self.dims):
             raise ValueError(f"dims must be a list of [d_z, d_v] integer pairs, "
                              f"got {self.dims!r}")
-        for d_z, d_v in self.dims:
+        for k, (d_z, d_v) in enumerate(self.dims):
             if not admissible(d_z, d_v):
                 raise ValueError(
                     f"inadmissible dimensions (d_z, d_v) = ({d_z}, {d_v}): the admissible "
                     f"bound for d_v = {d_v} is 1 <= d_z <= {center_dim_bound(d_v)}")
+            # a repeated pair would repeat its check ids and share their runtime keys
+            if (d_z, d_v) in self.dims[:k]:
+                raise ValueError(f"dims repeats the pair (d_z, d_v) = ({d_z}, {d_v})")
         if not _is_int(self.seed) or self.seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {self.seed!r}")
         for name in ("probe_frames", "jobs"):

@@ -149,17 +149,14 @@ def _irreducible_generators(d_z: int) -> np.ndarray:
     if 4 <= d_z <= 7:
         return _octonion_left_mults()[:d_z].copy()
     if d_z == 8:
-        # octonion pairs: J_z (w1, w2) = (z w2, -z* w1), z running over all of O
-        gens = []
-        for i in range(8):
-            z = Octonion.basis(i)
-            top = oct_left_mult_matrix(z)
-            bot = -oct_left_mult_matrix(z.conj())
-            g = np.zeros((16, 16))
-            g[:8, 8:] = top
-            g[8:, :8] = bot
-            gens.append(g)
-        return np.stack(gens)
+        # octonion pairs: J_z (w1, w2) = (z w2, -z* w1), z running over the basis of O;
+        # L(e_0) = I and L(e_i*) = -L(e_i) for i >= 1, written 0.0 - L to keep the
+        # +0.0 zeros of the product matrix L(e_i*)
+        eye = np.eye(8)[None]
+        gens = np.zeros((8, 16, 16))
+        gens[:, :8, 8:] = np.concatenate([eye, _octonion_left_mults()])
+        gens[:, 8:, :8] = -np.concatenate([eye, 0.0 - _octonion_left_mults()])
+        return gens
     raise ValueError(f"no irreducible construction for d_z = {d_z}")
 
 

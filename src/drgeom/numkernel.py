@@ -3,14 +3,12 @@
 Two independent layers live here: a thin symmetric-eigensolver wrapper with
 deterministic eigenvalue clustering (and a least-squares solver), and a sparse
 multivariate polynomial over exact rationals (arbitrary-precision, no floating
-point) supporting reduction modulo a univariate relation and symmetric-function
-elimination.  Everything is immutable after construction and safe to map
-over parameter grids in parallel.
+point) supporting reduction modulo a relation monic in one variable.  Everything
+is immutable after construction and safe to map over parameter grids in parallel.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -402,8 +400,10 @@ class MPoly:
 def poly_reduce(a: MPoly, var: str, modulus: MPoly) -> MPoly:
     """Reduce ``a`` modulo a relation monic in ``var`` (exact long division).
 
-    The result has degree in ``var`` strictly below deg(modulus) and is
-    congruent to ``a`` modulo the relation.
+    The result has degree in ``var`` strictly below d = deg(modulus) and is
+    congruent to ``a`` modulo the relation.  ``a`` is split into its
+    coefficients by degree in ``var``; from the top degree down, each var^k
+    with k >= d is replaced by var^(k-d) times the tail var^d - modulus.
     """
     vs, a, modulus = a._aligned(modulus)
     d = modulus.degree(var)
@@ -413,100 +413,13 @@ def poly_reduce(a: MPoly, var: str, modulus: MPoly) -> MPoly:
     if not lead == MPoly.constant(1, vs):
         raise ValueError(f"modulus is not monic in {var!r}: leading coefficient {lead!r}")
     i = vs.index(var)
-    tvar = MPoly(vs, {tuple(1 if j == i else 0 for j in range(len(vs))): Fraction(1)})
-    rem = a
-    while rem.degree(var) >= d:
-        k = rem.degree(var)
-        c = rem.coeff_of(var, k)
-        rem = rem - c * tvar ** (k - d) * modulus
-    return rem
-
-
-class NotSymmetricError(ValueError):
-    """Raised when an expression is not symmetric in the requested variables."""
-
-    def __init__(self, residue: MPoly):
-        self.residue = residue
-        super().__init__(f"non-symmetric residue: {residue!r}")
-
-
-def elementary_symmetric(variables: Sequence[MPoly]) -> list[MPoly]:
-    """e_1..e_k of the given variable polynomials."""
-    # coefficients of t^j in prod (1 + x_i t), one factor at a time
-    coeffs = [MPoly.constant(1, variables[0].variables)]
-    for x in variables:
-        coeffs = [a + b * x for a, b in zip(coeffs + [0], [0] + coeffs)]
-    return coeffs[1:]
-
-
-def symmetric_eliminate(expr: MPoly, sym_vars: Sequence[str],
-                        elem_values: Sequence) -> MPoly:
-    """Rewrite a polynomial symmetric in ``sym_vars`` via elementary symmetric
-    functions and substitute their values, removing the variables entirely.
-
-    ``elem_values`` supplies e_1..e_k (rationals or polynomials in the other
-    variables).  Non-symmetric input raises NotSymmetricError carrying the
-    offending residue.
-    """
-    sym_vars = tuple(sym_vars)
-    k = len(sym_vars)
-    vs = expr.variables + tuple(v for v in sym_vars if v not in expr.variables)
-    expr = expr.embed(vs)
-    idx = [vs.index(v) for v in sym_vars]
-    elems = elementary_symmetric(
-        [MPoly._new(vs, {tuple(int(j == i) for j in range(len(vs))): Fraction(1)}) for i in idx])
-    values = [val if isinstance(val, MPoly) else MPoly.constant(_as_fraction(val), vs)
-              for val in elem_values]
-    if len(values) != k:
-        raise ValueError(f"need {k} elementary symmetric values, got {len(values)}")
-
-    def key(e):  # negated: the heap's smallest key is the largest (symmetric exponents, e)
-        return tuple(-e[i] for i in idx), tuple(-x for x in e), e
-
-    # every term of work with a symmetric part has a key in the heap; a popped
-    # key whose term has since cancelled is skipped
-    heap = [key(e) for e in expr.terms if any(e[i] for i in idx)]
-    heapq.heapify(heap)
-    work = dict(expr.terms)
-    result = MPoly.zero(vs)
-    # the products of e_j (generators, values) for each symmetric exponent
-    prods: dict[tuple[int, ...], tuple[MPoly, MPoly]] = {}
-    while heap:
-        full_exp = heapq.heappop(heap)[2]
-        c = work.get(full_exp)
-        if c is None:
-            continue
-        sym_exp = tuple(full_exp[i] for i in idx)
-        if any(sym_exp[i] < sym_exp[i + 1] for i in range(k - 1)):
-            raise NotSymmetricError(MPoly._new(vs, work))
-        if sym_exp not in prods:
-            gen = val = MPoly.constant(1, vs)
-            for j, power in enumerate(a - b for a, b in zip(sym_exp, sym_exp[1:] + (0,))):
-                if power:
-                    gen = gen * elems[j] ** power
-                    val = val * values[j] ** power
-            prods[sym_exp] = gen, val
-        gen, val = prods[sym_exp]
-        rest = MPoly._new(vs, {tuple(0 if i in idx else e for i, e in enumerate(full_exp)): c})
-        # every term of rest * gen but the leading one (which cancels c x^full_exp)
-        # has smaller symmetric exponents
-        for e, d in (rest * gen).terms.items():
-            prev = work.get(e)
-            if prev is None:
-                work[e] = -d
-                if any(e[i] for i in idx):
-                    heapq.heappush(heap, key(e))
-            elif prev == d:
-                del work[e]
-            else:
-                work[e] = prev - d
-        result = result + rest * val
-    result = result + MPoly._new(vs, work)
-    if any(e[i] for e in result.terms for i in idx):
-        raise NotSymmetricError(result)
-    keep = [i for i, v in enumerate(result.variables) if v not in sym_vars]
-    return MPoly._new(tuple(result.variables[i] for i in keep),
-                      {tuple(e[i] for i in keep): c for e, c in result.terms.items()})
+    rem = [a.coeff_of(var, k) for k in range(a.degree(var) + 1)]
+    tail = [-modulus.coeff_of(var, j) for j in range(d)]
+    for k in range(len(rem) - 1, d - 1, -1):
+        for j, c in enumerate(tail):
+            rem[k - d + j] = rem[k - d + j] + rem[k] * c
+    return MPoly._new(vs, {e[:i] + (k,) + e[i + 1:]: c for k, p in enumerate(rem[:d])
+                           for e, c in p.terms.items()})
 
 
 # ---------------------------------------------------------------------------

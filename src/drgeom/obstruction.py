@@ -19,8 +19,7 @@ from .clifford import Octonion, max_center_dim
 from .curvature import CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg
 from .dralgebra import DamekRicci
 from .hypersurface import specialized_codazzi_coefficient_identity
-from .numkernel import (MPoly, levenberg_marquardt, orthonormalize, poly_reduce,
-                        symmetric_eliminate)
+from .numkernel import MPoly, levenberg_marquardt, orthonormalize, poly_reduce
 from .spectrum import (NormalFrame, eigen_families, eta_alpha_exact_identity, f_cubic_roots,
                        random_frame)
 
@@ -774,6 +773,28 @@ def m_coefficients() -> dict[str, MPoly]:
     return {"m1": m1, "m2": m2, "m3": m3, "m4": m4}
 
 
+def _other_roots(expr: MPoly, x: str, y: str, t: str) -> MPoly:
+    """``expr``, symmetric in the two roots x, y of the center cubic other
+    than t, rewritten in t alone.
+
+    The pair has x + y = -3 - t and xy = t^2 + 3t, so y = -3 - t - x and
+    x^2 + (3 + t) x + t(t + 3) = 0.  After that substitution and reduction
+    x and y leave the ring; the other variables keep their order.  A
+    nonzero x-coefficient left over means ``expr`` is not symmetric in the
+    pair: ValueError.
+    """
+    vs = expr.variables + tuple(n for n in (x, y, t) if n not in expr.variables)
+    syms = dict(zip(vs, MPoly.symbols(" ".join(vs))))
+    xs, ts = syms[x], syms[t]
+    red = poly_reduce(expr.embed(vs).substitute(y, -3 - ts - xs), x,
+                      xs ** 2 + (3 + ts) * xs + ts * (ts + 3))
+    if red.depends_on(x):
+        raise ValueError(f"not symmetric in {x}, {y}: {x}-coefficient {red.coeff_of(x, 1)!r}")
+    keep = [i for i, n in enumerate(vs) if n not in (x, y)]
+    return MPoly([vs[i] for i in keep],
+                 {tuple(e[i] for i in keep): c for e, c in red.terms.items()})
+
+
 def product_identity_reduction() -> dict:
     """m2 m3 - m1 m4 reduced to the quadratic with the printed leading term.
 
@@ -781,16 +802,14 @@ def product_identity_reduction() -> dict:
     sigma2 -> eta_k(eta_k + 3)), rewriting |Y|^2 through the unit-normal
     relation and reducing modulo the center cubic, the product combination
     factors exactly as 54 q v w (A2 eta_k^2 + A1 eta_k + A0) with
-    A2 = q(1 - 3v) + 9(1 + 5v)(1 - v).
+    A2 = q(1 - 3v) + 9(1 + 5v)(1 - v).  The cubic has no w, so its
+    reduction keeps the degree in w below 2.
     """
     ei, ej, ek, q, s, v, w, lam = _coefficient_ring()
     ms = m_coefficients()
     e_poly = ms["m2"] * ms["m3"] - ms["m1"] * ms["m4"]
-    elim = symmetric_eliminate(e_poly, ("ei", "ej"),
-                               [-3 - ek, ek * ek + 3 * ek])
-    elim = poly_reduce(elim, "w", w ** 2 - (1 - s ** 2 - v))
+    elim = poly_reduce(_other_roots(e_poly, "ei", "ej", "ek"), "w", w ** 2 - (1 - s ** 2 - v))
     red = poly_reduce(elim, "ek", ek ** 3 + 3 * ek ** 2 - q)
-    red = poly_reduce(red, "w", w ** 2 - (1 - s ** 2 - v))
     factor = 54 * q * v * w
     a2_target = q * (1 - 3 * v) + 9 * (1 + 5 * v) * (1 - v)
     coeffs = [red.coeff_of("ek", k) for k in range(3)]
@@ -879,7 +898,7 @@ def cyclic_sum_vanishing() -> dict:
     phi, psi = phi_psi_polys()
     t, q = MPoly.symbols("t q")
     ea, eb = MPoly.symbols("ea eb")
-    psi_pair = symmetric_eliminate(psi(ea) * psi(eb), ("ea", "eb"), [-3 - t, t * t + 3 * t])
+    psi_pair = _other_roots(psi(ea) * psi(eb), "ea", "eb", "t")
     red = poly_reduce(-(3 * t * t + 6 * t) * psi_pair * phi(t), "t", t ** 3 + 3 * t ** 2 - q)
     f_elim = sum((CENTER_POWER_SUMS[k] * red.coeff_of("t", k) for k in range(3)),
                  MPoly.zero(red.variables))

@@ -62,6 +62,20 @@ def test_verify_rejects_bad_dims(capsys):
     assert "admissible bound" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config", [None, {"dims": [[2, 4], [5, 8], [2, 4]]}])
+def test_verify_rejects_a_repeated_dims_pair(tmp_path, capsys, config):
+    # a repeated pair would emit its checks twice under the same ids
+    argv = ["verify", "curvature", "--dims", "2:4,5:8,2:4"]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv = ["verify", "curvature", "--config", str(path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "dims repeats the pair (d_z, d_v) = (2, 4)" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("argv, expect", [
     (["verify", "clifford", "--dims", "2"], "bad --dims item '2': expected d_z:d_v"),
     (["verify", "clifford", "--dims", "a:b"], "bad --dims item 'a:b': expected d_z:d_v"),
@@ -463,6 +477,19 @@ def test_replay_no_z_under_python_optimize(tmp_path):
     scan = {s["id"]: s for s in rep["steps"]}["trace-identity-scan"]
     assert scan["verdict"] == "exact-pass"
     assert scan["witness"]["violations"] == []
+
+
+def test_replay_general_ledger_under_python_optimize(tmp_path):
+    # the exact ledger, with its root-pair symmetry guard, reads as pinned under -O
+    out = tmp_path / "general-ledger.json"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-m", "drgeom.cli", "replay", "general-ledger",
+                           "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    pinned = json.loads((Path(__file__).parent / "data" / "general_case_ledger.json").read_text())
+    assert json.loads(out.read_text())["replays"][0] == pinned
 
 
 def test_verify_curvature_under_python_optimize(tmp_path):

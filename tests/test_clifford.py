@@ -93,6 +93,17 @@ def test_octonion_pair_model_matches_pair_formula():
         assert np.max(np.abs(got - expect)) < 1e-14
 
 
+def test_octonion_pair_generators_are_the_product_loop_bytes():
+    # reference: each generator from two Octonion-product matrices, L(z) and L(z*);
+    # the bytes also fix the sign of every zero
+    ref = np.zeros((8, 16, 16))
+    for i in range(8):
+        z = Octonion.basis(i)
+        ref[i, :8, 8:] = oct_left_mult_matrix(z)
+        ref[i, 8:, :8] = -oct_left_mult_matrix(z.conj())
+    assert build_module(8, 16).generators.tobytes() == ref.tobytes()
+
+
 def test_j_op_zero_and_unit():
     mod = build_module(2, 4)
     assert np.allclose(j_op(mod, np.zeros(2)), 0.0)

@@ -14,10 +14,11 @@ import sympy as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom.numkernel import (MPoly, NotSymmetricError, certified_brackets,
-                              cluster_indices, complete_basis, eig_sym, orthonormalize,
-                              poly_eval_fraction, poly_reduce, rational_bisect,
-                              symmetric_eliminate)
+from drgeom.numkernel import (MPoly, certified_brackets, cluster_indices, complete_basis,
+                              eig_sym, orthonormalize, poly_eval_fraction, poly_reduce,
+                              rational_bisect)
+from drgeom.obstruction import _other_roots
+from elimination import NotSymmetricError, symmetric_eliminate
 from sylvester import mpoly_resultant
 
 
@@ -249,7 +250,8 @@ _PAIR_VALUES = [(-3 - _EK, _EK ** 2 + 3 * _EK), (_Q, Fraction(2, 3) - _EK * _Q),
        skew=st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(-3, 3)))
 def test_symmetric_eliminate_over_a_parameter_ring_matches_sympy(f, which, skew):
     # expr = f(ei + ej, ei ej, ek, q): the terms of f with equal powers of
-    # (e1, e2) and different parameter parts tie in the symmetric exponent
+    # (e1, e2) and different parameter parts tie in the symmetric exponent.
+    # On the center-cubic pair (which = 0) the ledger's _other_roots must agree
     ei, ej, ek, q = MPoly.symbols("ei ej ek q")
     gens = (ei + ej, ei * ej, ek, q)
     expr = MPoly.zero(ei.variables)
@@ -268,11 +270,16 @@ def test_symmetric_eliminate_over_a_parameter_ring_matches_sympy(f, which, skew)
                               simultaneous=True)
     assert rem == 0
     assert sp.expand(_to_sympy(out) - oracle) == 0
+    if which == 0:
+        assert _other_roots(expr, "ei", "ej", "ek") == out
     # one monomial without its mirror image makes the input non-symmetric
     a, b, c = skew
     if a != b and c:
         with pytest.raises(NotSymmetricError):
             symmetric_eliminate(expr + c * ei ** a * ej ** b * ek, ("ei", "ej"), values)
+        if which == 0:
+            with pytest.raises(ValueError, match="not symmetric in ei, ej"):
+                _other_roots(expr + c * ei ** a * ej ** b * ek, "ei", "ej", "ek")
 
 
 def test_poly_reduce_single_step():
@@ -316,8 +323,25 @@ def test_poly_reduce_idempotent(terms):
     assert poly_reduce(once, "t", p) == once
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 2)), st.integers(-4, 4),
+                         min_size=1, max_size=8),
+       tail=st.lists(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=3))
+def test_poly_reduce_matches_sympy_rem(a, tail):
+    # the monic modulus t^d + sum_j (c_j + c'_j q) t^j of degree d = len(tail) in 1..3
+    t, q = MPoly.symbols("t q")
+    zero = MPoly.zero(t.variables)
+    modulus = t ** len(tail) + sum(((c0 + c1 * q) * t ** j for j, (c0, c1) in enumerate(tail)),
+                                   zero)
+    poly = sum((c * t ** i * q ** k for (i, k), c in a.items()), zero)
+    out = poly_reduce(poly, "t", modulus)
+    assert out.degree("t") < len(tail)
+    oracle = sp.rem(_to_sympy(poly), _to_sympy(modulus), sp.Symbol("t"))
+    assert sp.expand(_to_sympy(out) - oracle) == 0
+
+
 # ---------------------------------------------------------------------------
-# symmetric elimination
+# symmetric elimination (the oracle in tests/elimination.py)
 # ---------------------------------------------------------------------------
 
 def _etas():

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from drgeom import obstruction
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from drgeom.numkernel import MPoly, levenberg_marquardt, orthonormalize, symmetric_eliminate
+from drgeom.numkernel import MPoly, levenberg_marquardt, orthonormalize
 from drgeom.obstruction import (EXACT, FAIL, MIXED_SIGNS, _compat_model,
                                 _compat_residual_floor, _linear_sign, _SWord,
                                 center_cubic_norm, curvature_complex_structures,
@@ -34,6 +34,7 @@ from drgeom.obstruction import (EXACT, FAIL, MIXED_SIGNS, _compat_model,
                                 replay_p_space_annihilation,
                                 replay_quarter_eigenspace_jcompat)
 from drgeom.spectrum import center_family_vector, random_frame
+from elimination import symmetric_eliminate
 from sylvester import mpoly_resultant
 
 
