@@ -70,6 +70,11 @@ class RunConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        # the probe starts its worker processes all at once
+        cpus = os.cpu_count() or 1
+        if self.jobs > cpus:
+            raise ValueError(f"jobs must be at most os.cpu_count() = {cpus}, "
+                             f"got {self.jobs}")
         step = self.c_grid_step
         if isinstance(step, bool) or not isinstance(step, (int, float)) \
                 or not (step > 0 and np.isfinite(step)):
@@ -211,7 +216,7 @@ def _connection_axioms_residual(ctx) -> float:
     vectors, and by uniqueness N is then the Levi-Civita connection."""
     g, n = ctx.g, ctx.nabla_tensor
     basis = np.eye(g.dim)
-    brackets = np.array([[g.bracket(x, y) for y in basis] for x in basis])
+    brackets = g.bracket(basis[:, None], basis[None, :])  # [e_a, e_b] at [a, b]
     compat = n + np.transpose(n, (0, 2, 1))
     torsion = n - np.transpose(n, (1, 0, 2)) - brackets
     return float(max(np.max(np.abs(compat)), np.max(np.abs(torsion))))

@@ -72,26 +72,30 @@ class DamekRicci:
         return j_op(self.module, z)
 
     def bracket_vz(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """[U, W] in the center: components <J_i U, W>."""
-        return np.einsum("iab,b,a->i", self.module.generators, u, w)
+        """[U, W] in the center: components <J_i U, W>, broadcast over leading axes."""
+        return np.einsum("iab,...b,...a->...i", self.module.generators, u, w)
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Lie bracket of s: [v1+z1+s1 A, v2+z2+s2 A]."""
-        x, y = self._check(x), self._check(y)
+        """Lie bracket of s: [v1+z1+s1 A, v2+z2+s2 A], broadcast over leading axes."""
+        x, y = self._check(x, stacked=True), self._check(y, stacked=True)
         sv, sz, ia = self.sv, self.sz, self.ia
-        v = 0.5 * (x[ia] * y[sv] - y[ia] * x[sv])
-        z = self.bracket_vz(x[sv], y[sv]) + x[ia] * y[sz] - y[ia] * x[sz]
-        return self.vec(v, z)
+        xa, ya = x[..., ia, None], y[..., ia, None]
+        out = np.zeros(np.broadcast_shapes(x.shape, y.shape))
+        out[..., sv] = 0.5 * (xa * y[..., sv] - ya * x[..., sv])
+        out[..., sz] = self.bracket_vz(x[..., sv], y[..., sv]) + xa * y[..., sz] - ya * x[..., sz]
+        return out
 
     def inner(self, x: np.ndarray, y: np.ndarray) -> float:
         x, y = self._check(x), self._check(y)
         sv, sz, ia = self.sv, self.sz, self.ia
         return float(x[sv] @ y[sv] + x[sz] @ y[sz] + x[ia] * y[ia])
 
-    def _check(self, x) -> np.ndarray:
+    def _check(self, x, stacked: bool = False) -> np.ndarray:
+        """``x`` as floats: one vector, or with ``stacked`` any stack of them."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ValueError(f"vector has shape {x.shape}, expected ({self.dim},)")
+        if (x.shape[-1:] if stacked else x.shape) != (self.dim,):
+            raise ValueError(f"vector has shape {x.shape}, expected ({self.dim},)"
+                             + (" in the last axis" if stacked else ""))
         return x
 
     # -- K operator and its (-1) square eigenspace ----------------------------

@@ -305,9 +305,10 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100,
         c_grid = probe_c_grid()
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
     tasks = [(ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
-    if jobs > 1:
+    workers = min(jobs, n_frames)
+    if workers > 1:
         from multiprocessing import Pool
-        with Pool(jobs) as pool:
+        with Pool(workers) as pool:
             results = list(_progress(pool.imap(_probe_frame, tasks), n_frames))
     else:
         results = list(_progress(map(_probe_frame, tasks), n_frames))

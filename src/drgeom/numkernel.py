@@ -117,28 +117,56 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(vals, vecs, clusters, residual)
 
 
-def levenberg_marquardt(model, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x, r) at a least-squares local minimum of r from ``model(x) = (r, J)``, in plain numpy.
+_MAX_DAMP = np.finfo(float).max / 10.0  # one more tenfold growth would overflow
 
-    Steps solve [J; sqrt(mu) I] dx = [-r; 0]; mu starts at 1e-3 max |J e_k|^2 and shrinks or
-    grows tenfold as |r|^2 falls or not.  Stops on a relative change of |r|^2 or x within
-    1e-12, or after MINPACK's budget of 100 len(x) model calls.
+
+def levenberg_marquardt(model, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x, r) at least-squares local minima of B problems run in lockstep, in plain numpy.
+
+    ``x0`` is (B, p); ``model(x, rows) = (r, J)`` evaluates problems ``rows`` at the rows of x,
+    r (len(rows), m) and J (len(rows), m, p), so each round is one call on the live problems.
+    Each runs exactly as it would alone: steps solve [J; sqrt(mu) I] dx = [-r; 0]; mu starts
+    at 1e-3 max |J e_k|^2 and shrinks or grows tenfold as |r|^2 falls or not.  A problem stops
+    on a relative change of |r|^2 or x within 1e-12, when mu would pass _MAX_DAMP (every step
+    is rejected at a stationary point), or after its own budget of 100 p model calls (MINPACK's).
     """
-    r, jm = model(x)
-    cost, damp, eye = r @ r, 1e-3 * np.max(np.sum(jm * jm, axis=0)), np.eye(x.size)
-    for _ in range(100 * x.size - 1):
-        step = np.linalg.lstsq(np.vstack([jm, np.sqrt(damp) * eye]),
-                               np.concatenate([-r, np.zeros(x.size)]))[0]
-        r_new, jm_new = model(x + step)
-        trial = r_new @ r_new
-        if not trial < cost:  # also rejects a NaN residual
-            damp *= 10.0
-            continue
-        stop = cost - trial <= 1e-12 * cost or np.linalg.norm(step) <= 1e-12 * np.linalg.norm(x)
-        x, r, jm, cost, damp = x + step, r_new, jm_new, trial, damp / 10.0
-        if stop:
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2 or not len(x0):
+        raise ValueError(f"x0 has shape {x0.shape}, expected (problems >= 1, parameters)")
+    p = x0.shape[1]
+    eye, zeros, live = np.eye(p), np.zeros(p), np.arange(len(x0))
+    x, (r, jm) = list(x0), _rows_of(model, x0, live)
+    cost, damp = [rb @ rb for rb in r], [1e-3 * np.max(np.sum(jb * jb, axis=0)) for jb in jm]
+    for _ in range(100 * p - 1):
+        steps = [np.linalg.lstsq(np.vstack([jm[b], np.sqrt(damp[b]) * eye]),
+                                 np.concatenate([-r[b], zeros]))[0] for b in live]
+        trial_x = np.stack([x[b] + step for b, step in zip(live, steps)])
+        going = []
+        for b, step, xb, rb, jb in zip(live, steps, trial_x, *_rows_of(model, trial_x, live)):
+            trial = rb @ rb
+            if not trial < cost[b]:  # also rejects a NaN residual
+                if damp[b] <= _MAX_DAMP:
+                    damp[b] *= 10.0
+                    going.append(b)
+                continue
+            stop = (cost[b] - trial <= 1e-12 * cost[b]
+                    or np.linalg.norm(step) <= 1e-12 * np.linalg.norm(x[b]))
+            x[b], r[b], jm[b], cost[b], damp[b] = xb, rb, jb, trial, damp[b] / 10.0
+            if not stop:
+                going.append(b)
+        live = np.array(going, dtype=int)
+        if not going:
             break
-    return x, r
+    return np.stack(x), np.stack(r)
+
+
+def _rows_of(model, x: np.ndarray, rows: np.ndarray) -> tuple[list, list]:
+    """``model(x, rows)`` as per-problem lists of r and J, one entry per row asked."""
+    r, jm = model(x, rows)
+    if len(r) != len(rows) or len(jm) != len(rows):
+        raise ValueError(f"model returned {len(r)} residual and {len(jm)} Jacobian rows "
+                         f"for {len(rows)} problems")
+    return list(r), list(jm)
 
 
 # ---------------------------------------------------------------------------

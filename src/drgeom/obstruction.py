@@ -683,34 +683,46 @@ def _squaring_chains_exact() -> dict:
     return {"ok": c1.is_zero and c2_ok and expand_ok and leftover_ok}
 
 
-def _compat_model(gmat: np.ndarray, split: int, signs):
-    """x = (H, u, K) -> (r, J): the compatibility residual on a Cayley chart, its Jacobian.
+def _compat_model(gmat: np.ndarray, splits, signs):
+    """(x, rows) -> (r, J): the compatibility residual on a Cayley chart and its Jacobian.
 
-    Q = (I - K)^-1 (I + K) (K skew, x[2:] above the diagonal), S' = Q diag(H/2 +- u/2) Q^T (+
-    on the first ``split``), C = (u^2 - H^2 - 1)/4 (discriminants u^2 and u^2 + 3, no penalty),
-    lam_i = (H + signs_i sqrt(u^2 + 3))/2; r stacks G_i + 4 S'G_iS' - 2 lam_i (G_iS' + S'G_i).
+    Row b of x = (H, u, K) is a point of problem ``rows[b]``, which has split ``splits[rows[b]]``
+    and sign pattern ``signs[rows[b]]``.  Q = (I - K)^-1 (I + K) (K skew, x[2:] above the
+    diagonal), S' = Q diag(H/2 +- u/2) Q^T (+ on the first split), C = (u^2 - H^2 - 1)/4
+    (discriminants u^2 and u^2 + 3, no penalty), lam_i = (H + signs_i sqrt(u^2 + 3))/2; r
+    stacks G_i + 4 S'G_iS' - 2 lam_i (G_iS' + S'G_i).  Each row gets the same numpy ops as a
+    lone problem, with a leading batch axis, so a row's bits do not depend on its batch.
     """
     n = gmat.shape[1]
     eye, tri = np.eye(n), np.triu_indices(n, 1)
     dks = np.einsum("ki,kj->kij", eye[tri[0]], eye[tri[1]])
     dks -= dks.transpose(0, 2, 1)
-    scales = np.array([np.full(n, 0.5), np.where(np.arange(n) < split, 0.5, -0.5)])[:, None]
-    signs = np.asarray(signs, dtype=float)[:, None, None]
+    halves = np.where(np.arange(n) < np.asarray(splits)[:, None], 0.5, -0.5)
+    all_scales = np.stack([np.full_like(halves, 0.5), halves], axis=1)[:, :, None]
+    all_signs = np.asarray(signs, dtype=float)[:, :, None, None]
 
-    def model(x):
-        kmat = np.einsum("k,kij->ij", x[2:], dks)
+    def model(x, rows):
+        scales, signs = all_scales[rows], all_signs[rows]
+        kmat = np.zeros((len(x), n, n))
+        kmat[:, tri[0], tri[1]], kmat[:, tri[1], tri[0]] = x[:, 2:], -x[:, 2:]
         inv = np.linalg.inv(eye - kmat)
         q = inv @ (eye + kmat)
-        diag = x[:2] @ scales[:, 0]
-        s = (q * diag) @ q.T
-        root = np.sqrt(x[1] * x[1] + 3.0)
-        lam = 0.5 * (x[0] + signs * root)
-        gs, sg = gmat @ s, s @ gmat
-        dq = (inv @ dks @ (eye + q) * diag) @ q.T  # dQ D Q^T, dQ = (I - K)^-1 dK (I + Q)
-        ds = np.concatenate([q * scales @ q.T, dq + dq.transpose(0, 2, 1)])[:, None]
-        dm = 4.0 * (ds @ gs + sg @ ds) - 2.0 * lam * (gmat @ ds + ds @ gmat)
-        dm[:2] -= (gs + sg) * np.stack([np.ones_like(signs), x[1] / root * signs])  # 2 dlam/d(H, u)
-        return (gmat + 4.0 * sg @ s - 2.0 * lam * (gs + sg)).ravel(), dm.reshape(len(x), -1).T
+        qt = q.transpose(0, 2, 1)
+        diag = (0.5 * x[:, :1] + x[:, 1:2] * halves[rows])[:, None]  # D = diag(H/2 +- u/2)
+        s = (q * diag) @ qt
+        root = np.sqrt(x[:, 1] * x[:, 1] + 3.0)[:, None, None, None]
+        lam = 0.5 * (x[:, 0, None, None, None] + signs * root)
+        gs, sg = gmat @ s[:, None], s[:, None] @ gmat
+        # dQ D Q^T, dQ = (I - K)^-1 dK (I + Q)
+        dq = (inv[:, None] @ dks @ (eye + q)[:, None] * diag[:, None]) @ qt[:, None]
+        ds = np.concatenate([q[:, None] * scales @ qt[:, None],
+                             dq + dq.transpose(0, 1, 3, 2)], axis=1)[:, :, None]
+        dm = 4.0 * (ds @ gs[:, None] + sg[:, None] @ ds) \
+            - 2.0 * lam[:, None] * (gmat @ ds + ds @ gmat)
+        dlam = np.stack([np.ones_like(signs), x[:, 1, None, None, None] / root * signs], axis=1)
+        dm[:, :2] -= (gs + sg)[:, None] * dlam  # 2 dlam/d(H, u)
+        r = gmat + 4.0 * sg @ s[:, None] - 2.0 * lam * (gs + sg)
+        return r.reshape(len(x), -1), dm.reshape(len(x), x.shape[1], -1).transpose(0, 2, 1)
     return model
 
 
@@ -725,23 +737,28 @@ def _compat_residual_floor(gs: list[np.ndarray], seed: int) -> tuple[float, dict
     Sizes are the largest spectral norm of the three blocks.  At ``split`` 0 or n, S' = tau I,
     block i is c_i G_i (c_+ = 1 - s, c_- = 1 + 3s/a^2, s real, a > 0) and the restart's value is
     the infimum min(m_+, m_-), m_+- the largest |G_i| of sign +-1; ``boundary_value`` is the
-    least.  Others take the Levenberg-Marquardt optimum of the Frobenius norm, the best
-    ``margin`` above it.  The floor, the least of all, is an upper bound on the least residual.
+    least.  The others take the Levenberg-Marquardt optimum of the Frobenius norm, the best
+    ``margin`` above it; they run in lockstep, each exactly as it would alone.  The floor, the
+    least of all, is an upper bound on the least residual.
     """
     rng = np.random.default_rng(seed)
     gmat, n = np.stack(gs), gs[0].shape[0]
     norms = np.linalg.norm(gmat, 2, axis=(1, 2))
+    # (split, signs, x0) of every restart, in the rng's order
+    draws = [(rng.integers(0, n + 1), MIXED_SIGNS[rng.integers(0, len(MIXED_SIGNS))],
+              np.concatenate([rng.normal(0, 1, 2), rng.normal(0, 0.7, n * (n - 1) // 2)]))
+             for _ in range(24)]
     scalar, interior = [np.inf], [np.inf]
-    for _ in range(24):
-        split = rng.integers(0, n + 1)
-        signs = MIXED_SIGNS[rng.integers(0, len(MIXED_SIGNS))]
-        x0 = np.concatenate([rng.normal(0, 1, 2), rng.normal(0, 0.7, n * (n - 1) // 2)])
+    for split, signs, _ in draws:
         if split in (0, n):
             plus = np.array(signs) > 0
             scalar.append(float(min(norms[plus].max(), norms[~plus].max())))
-        else:
-            r = levenberg_marquardt(_compat_model(gmat, split, signs), x0)[1]
-            interior.append(float(np.max(np.linalg.norm(r.reshape(-1, n, n), 2, axis=(1, 2)))))
+    inner = [d for d in draws if 0 < d[0] < n]
+    if inner:
+        splits, signs, x0 = zip(*inner)
+        r = levenberg_marquardt(_compat_model(gmat, splits, signs), np.stack(x0))[1]
+        interior += [float(np.max(np.linalg.norm(rb.reshape(-1, n, n), 2, axis=(1, 2))))
+                     for rb in r]
     boundary, best = min(scalar), min(interior)
     return min(boundary, best), {"boundary_value": boundary, "margin": best - boundary}
 

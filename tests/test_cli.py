@@ -6,6 +6,7 @@ import ast
 import csv
 import io
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -21,6 +22,8 @@ from drgeom import cli
 from drgeom.cli import (DEFAULT_DIMS, REPLAYS, RunConfig, load_config, main, replay, run,
                         summarize)
 from drgeom.curvature import CurvatureContext, koszul_connection
+from drgeom.dralgebra import DamekRicci
+from drgeom.hypersurface import probe_codazzi_floor
 
 
 def test_config_validation_rejects_inadmissible_dims():
@@ -101,6 +104,50 @@ def test_front_door_rejects_bad_config_numbers(tmp_path, capsys, field, value):
     path.write_text(json.dumps({field: value}))
     assert main(["probe", "hypersurface", "--config", str(path)]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+def _refuse_pools(monkeypatch):
+    # the probe imports Pool from multiprocessing when it needs one
+    def refuse(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+    monkeypatch.setattr(multiprocessing, "Pool", refuse)
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_probe_rejects_more_jobs_than_cpus(tmp_path, capsys, monkeypatch, source):
+    _refuse_pools(monkeypatch)
+    jobs = os.cpu_count() + 1
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"jobs": jobs}))
+    argv = ["--jobs", str(jobs)] if source == "flag" else ["--config", str(path)]
+    assert main(["probe", "hypersurface", *argv]) == 2
+    err = capsys.readouterr().err
+    assert f"jobs must be at most os.cpu_count() = {os.cpu_count()}, got {jobs}" in err
+    assert "Traceback" not in err
+
+
+def test_probe_starts_at_most_one_worker_per_frame(monkeypatch):
+    started = []
+
+    class CountingPool:
+        def __init__(self, workers):
+            started.append(workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, func, tasks):
+            return map(func, tasks)  # in this process: no worker starts
+    ctx = CurvatureContext(DamekRicci.from_dims(2, 4))
+    grid = np.array([-0.25])
+    _refuse_pools(monkeypatch)
+    one = probe_codazzi_floor(ctx, n_frames=1, c_grid=grid, jobs=5)
+    monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
+    two = probe_codazzi_floor(ctx, n_frames=2, c_grid=grid, jobs=5)
+    assert started == [2] and one["frames"] == 1 and two["frames"] == 2
 
 
 @pytest.mark.parametrize("key", ["tol", "samples"])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -155,6 +157,29 @@ def test_nabla_equals_koszul():
 def test_wrong_length_vector_is_rejected(g24, call, length):
     with pytest.raises(ValueError, match=r"vector has shape \(%d,\), expected \(7,\)" % length):
         call(g24, np.ones(length))
+
+
+@pytest.mark.parametrize("slot", [0, 1])
+def test_stacked_bracket_rejects_a_wrong_last_axis(g24, slot):
+    args = [np.ones((3, 7)), np.ones((3, 7))]
+    args[slot] = np.ones((3, 6))
+    with pytest.raises(ValueError, match=r"shape \(3, 6\), expected \(7,\) in the last axis"):
+        g24.bracket(*args)
+    args[slot] = np.float64(1.0)
+    with pytest.raises(ValueError, match=r"shape \(\), expected \(7,\)"):
+        g24.bracket(*args)
+
+
+def test_stacked_bracket_equals_the_pairwise_brackets(g24):
+    rng = np.random.default_rng(4)
+    xs, ys = rng.standard_normal((2, 5, 7))
+    # x against every y: the leading axes broadcast
+    table = g24.bracket(xs[:, None], ys[None, :])
+    assert table.shape == (5, 5, 7)
+    for i, j in itertools.product(range(5), repeat=2):
+        assert np.allclose(table[i, j], g24.bracket(xs[i], ys[j]), rtol=0, atol=1e-13)
+    assert np.allclose(g24.bracket_vz(xs[:, :4], ys[:, :4]),
+                       [g24.bracket_vz(x[:4], y[:4]) for x, y in zip(xs, ys)], rtol=0, atol=1e-13)
 
 
 def test_jacobi_of_a_scales_blocks(g24, ctx24):

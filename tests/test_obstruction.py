@@ -221,20 +221,27 @@ def test_replay_quarter_minimization_floor_other_seeds(seed):
 
 
 def test_quarter_floor_model_calls_stay_bounded(monkeypatch):
-    # the scalar-split restarts are closed form: only the interior ones call the model
+    # the scalar-split restarts are closed form: only the interior ones call the model;
+    # count the problems each batched call evaluates, one split per row
     splits = []
 
-    def counting_model(gmat, split, signs):
-        model = _compat_model(gmat, split, signs)
+    def counting_model(gmat, problem_splits, signs):
+        model = _compat_model(gmat, problem_splits, signs)
 
-        def counted(x):
-            splits.append(split)
-            return model(x)
+        def counted(x, rows):
+            splits.extend(problem_splits[b] for b in rows)
+            return model(x, rows)
         return counted
     monkeypatch.setattr(obstruction, "_compat_model", counting_model)
     replay_quarter_eigenspace_jcompat(seed=0)
     assert 0 < len(splits) < 2000
     assert all(0 < s < 4 for s in splits)
+
+
+def _lone_model(gmat, split, signs):
+    # one problem through the batched model: x[None] in, row 0 out
+    model = _compat_model(gmat, [split], [signs])
+    return lambda x: tuple(out[0] for out in model(x[None], [0]))
 
 
 def _compat_reference(gmat, split, signs, x):
@@ -263,7 +270,7 @@ def test_compat_model_jacobian_matches_central_differences(split):
     gmat = rng.standard_normal((3, 4, 4))
     step = 1e-6
     for signs in [p for p in itertools.product((1, -1), repeat=3) if len(set(p)) == 2]:
-        model = _compat_model(gmat, split, signs)
+        model = _lone_model(gmat, split, signs)
         for _ in range(3):
             x = np.concatenate([rng.normal(0, 1, 2), rng.normal(0, 0.7, 6)])
             r, jac = model(x)
@@ -303,7 +310,7 @@ def test_scalar_split_residual_is_a_multiple_of_each_structure(split):
     gmat = np.stack(_quarter_structures(0))
     rng = np.random.default_rng(split)
     for signs in MIXED_SIGNS:
-        model = _compat_model(gmat, split, signs)
+        model = _lone_model(gmat, split, signs)
         for a, s in zip(np.exp(rng.normal(0, 1.5, 4)), rng.normal(0, 2, 4)):
             h, u = _scalar_point(split, a, s)
             # S' = tau I at K = 0 exactly; the Cayley chart keeps Q orthogonal up to rounding
@@ -322,7 +329,7 @@ def test_scalar_split_never_beats_its_closed_form(norm):
     rng = np.random.default_rng(7)
     ratios = []
     for split, signs in itertools.product((0, 4), MIXED_SIGNS):
-        model = _compat_model(gmat, split, signs)
+        model = _lone_model(gmat, split, signs)
         bound = _scalar_infimum(gmat, signs, norm)
         # heavy tails: log-normal a and Cauchy s put |H| up to about 1e5 and crowd s = 1
         for a, s in zip(np.exp(rng.normal(0, 3, 250).clip(-7, 7)), rng.standard_cauchy(250)):
@@ -347,7 +354,8 @@ def test_scalar_restart_lm_ends_above_the_closed_form():
     split, signs = rng.integers(0, 5), MIXED_SIGNS[rng.integers(0, 6)]
     x0 = np.concatenate([rng.normal(0, 1, 2), rng.normal(0, 0.7, 6)])
     assert split == 4
-    r = levenberg_marquardt(_compat_model(gmat, split, signs), x0)[1].reshape(3, 4, 4)
+    r = levenberg_marquardt(_compat_model(gmat, [split], [signs]), x0[None])[1][0]
+    r = r.reshape(3, 4, 4)
     for norm in BLOCK_NORMS:
         assert np.max(BLOCK_NORMS[norm](r)) >= _scalar_infimum(gmat, signs, norm)
 
@@ -367,15 +375,17 @@ def test_floor_scalar_restarts_take_the_closed_form():
     assert floor == min(witness["boundary_value"], witness["boundary_value"] + witness["margin"])
 
 
-def test_compat_residual_floor_reproducible_bit_for_bit(tmp_path):
+@pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "optimize"])
+def test_compat_residual_floor_reproducible_bit_for_bit(tmp_path, flags):
     first = _compat_residual_floor(_quarter_structures(1), 1)
-    # the second call runs in a fresh process, whose heap layout differs
+    # the second call runs in a fresh process, whose heap layout differs; under -O every
+    # guard of the lockstep solver still runs, because none of them is an assert
     root = Path(__file__).resolve().parents[1]
     out = tmp_path / "quarter.json"
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-m", "drgeom.cli", "replay", "quarter-jcompat",
-                           "--seed", "1", "--out", str(out)],
+    proc = subprocess.run([sys.executable, *flags, "-m", "drgeom.cli", "replay",
+                           "quarter-jcompat", "--seed", "1", "--out", str(out)],
                           env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     steps = {s["id"]: s for s in json.loads(out.read_text())["replays"][0]["steps"]}
@@ -383,6 +393,62 @@ def test_compat_residual_floor_reproducible_bit_for_bit(tmp_path):
     assert step["residual"].hex() == first[0].hex()
     for key in ("boundary_value", "margin"):
         assert step["witness"][key].hex() == first[1][key].hex()
+
+
+QUARTER_FLOOR_BITS = json.loads(
+    (Path(__file__).parent / "data" / "quarter_floor_bits.json").read_text())["seeds"]
+
+
+@pytest.mark.parametrize("pinned", QUARTER_FLOOR_BITS, ids=lambda p: f"seed{p['seed']}")
+def test_compat_residual_floor_keeps_its_pinned_bits(pinned):
+    floor, witness = _compat_residual_floor(_quarter_structures(pinned["seed"]), pinned["seed"])
+    assert (floor.hex(), witness["margin"].hex()) == (pinned["floor"], pinned["margin"])
+
+
+_unit = st.floats(-2.0, 2.0, allow_nan=False)
+
+
+@settings(max_examples=15, deadline=None)
+@given(gmat=st.lists(_unit, min_size=48, max_size=48),
+       problems=st.lists(st.tuples(st.integers(0, 4), st.sampled_from(MIXED_SIGNS),
+                                   st.lists(_unit, min_size=8, max_size=8)),
+                         min_size=1, max_size=4))
+def test_lockstep_levenberg_marquardt_equals_lone_runs_bit_for_bit(gmat, problems):
+    gmat = np.reshape(gmat, (3, 4, 4))
+    splits, signs, x0 = zip(*problems)
+    x0 = np.array(x0)
+    xs, rs = levenberg_marquardt(_compat_model(gmat, splits, signs), x0)
+    assert xs.shape == (len(problems), 8) and rs.shape == (len(problems), 48)
+    for b, (split, sign, _) in enumerate(problems):
+        x1, r1 = levenberg_marquardt(_compat_model(gmat, [split], [sign]), x0[b][None])
+        assert xs[b].tobytes() == x1[0].tobytes()
+        assert rs[b].tobytes() == r1[0].tobytes()
+
+
+def test_levenberg_marquardt_stops_at_an_exact_zero_residual():
+    # with only G_3[3, 3] nonzero a start at 0 reaches r = 0 exactly; every later step is
+    # rejected, and the damping grew until it overflowed and lstsq raised on the NaN step
+    gmat = np.zeros((3, 4, 4))
+    gmat[2, 3, 3] = 1.0
+    model, calls = _compat_model(gmat, [0], [(1, 1, -1)]), []
+
+    def counted(x, rows):
+        calls.append(len(rows))
+        return model(x, rows)
+    x, r = levenberg_marquardt(counted, np.zeros((1, 8)))
+    assert np.all(np.isfinite(x)) and np.all(r == 0.0)
+    assert len(calls) < 800
+
+
+def test_levenberg_marquardt_rejects_a_flat_or_empty_start_and_a_short_model():
+    model = _compat_model(np.stack(_quarter_structures(0)), [1, 2], MIXED_SIGNS[:2])
+    x0 = np.zeros((2, 8))
+    for flat in (x0[0], x0[:0]):
+        with pytest.raises(ValueError, match=r"x0 has shape \(\d?,? ?8,?\)"):
+            levenberg_marquardt(model, flat)
+    with pytest.raises(ValueError, match="model returned 1 residual and 1 Jacobian rows "
+                                         "for 2 problems"):
+        levenberg_marquardt(lambda x, rows: tuple(a[:1] for a in model(x, rows)), x0)
 
 
 # ---------------------------------------------------------------------------
