@@ -20,12 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .clifford import (admissible, anticommutation_residual, build_module,
-                       center_dim_bound)
+from .clifford import admissible, anticommutation_residual, center_dim_bound
 from .curvature import CurvatureContext, jacobi_closed_batch, ricci_heisenberg, ricci_isotropy
 from .dralgebra import DamekRicci, verify_heisenberg_identities
-from .hypersurface import (C_START, C_STEP, C_STOP, horosphere_residual, probe_c_grid,
-                           probe_codazzi_floor)
+from .hypersurface import horosphere_residual, probe_c_grid, probe_codazzi_floor
 from .obstruction import (FAIL, LedgerReport, general_case_ledger,
                           replay_dimension_cases, replay_no_a, replay_no_v,
                           replay_no_z, replay_octonion_case,
@@ -35,8 +33,6 @@ from .spectrum import random_frame, xi_spectrum
 
 SCHEMA_VERSION = 1
 DEFAULT_DIMS = [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
-# the probe scans C over [-2, 0]; a step giving more values is refused
-MAX_C_VALUES = 20001
 
 
 @dataclass
@@ -46,15 +42,14 @@ class RunConfig:
     seed: int = 0
     exact: bool = False
     probe_frames: int = 100
-    c_grid_step: float = C_STEP
     jobs: int = 1
     out: str | None = None
 
     def validate(self):
-        if not isinstance(self.dims, list) or not all(
+        if not isinstance(self.dims, list) or not self.dims or not all(
                 isinstance(d, tuple) and len(d) == 2 and all(map(_is_int, d))
                 for d in self.dims):
-            raise ValueError(f"dims must be a list of [d_z, d_v] integer pairs, "
+            raise ValueError(f"dims must be a non-empty list of [d_z, d_v] integer pairs, "
                              f"got {self.dims!r}")
         for k, (d_z, d_v) in enumerate(self.dims):
             if not admissible(d_z, d_v):
@@ -75,19 +70,10 @@ class RunConfig:
         if self.jobs > cpus:
             raise ValueError(f"jobs must be at most os.cpu_count() = {cpus}, "
                              f"got {self.jobs}")
-        step = self.c_grid_step
-        if isinstance(step, bool) or not isinstance(step, (int, float)) \
-                or not (step > 0 and np.isfinite(step)):
-            raise ValueError(f"c_grid_step must be a finite number > 0, got {step!r}")
-        # the probe's C grid has floor((C_STOP - C_START) / c_grid_step) + 1 values
-        if step * MAX_C_VALUES <= C_STOP - C_START:
-            raise ValueError(f"c_grid_step must be large enough for at most {MAX_C_VALUES} "
-                             f"C values on [-2, 0], got {step!r} "
-                             f"({(C_STOP - C_START) / step:.3g} values)")
         if not isinstance(self.exact, bool):
             raise ValueError(f"exact must be true or false, got {self.exact!r}")
-        if not isinstance(self.suites, list):
-            raise ValueError(f"suites must be a list, got {self.suites!r}")
+        if not isinstance(self.suites, list) or not self.suites:
+            raise ValueError(f"suites must be a non-empty list, got {self.suites!r}")
         for s in self.suites:
             if s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}; choose from {SUITES}")
@@ -109,7 +95,7 @@ def _is_int(value) -> bool:
 COMMAND_KEYS = {
     "verify": tuple(f.name for f in fields(RunConfig)),
     "replay": ("seed", "out"),
-    "probe": ("seed", "probe_frames", "c_grid_step", "jobs", "out"),
+    "probe": ("seed", "probe_frames", "jobs", "out"),
 }
 
 
@@ -139,7 +125,8 @@ def load_config(path: str | None, overrides: dict, command: str | None = None) -
 
 
 # ---------------------------------------------------------------------------
-# replays and suites: each returns one LedgerReport
+# replays and suites: a replay or a suite returns one LedgerReport, and a
+# per-module check records into the report it is given
 # ---------------------------------------------------------------------------
 
 # replay id -> (cfg, full) -> LedgerReport; ``full`` adds the minimization
@@ -160,24 +147,17 @@ REPLAYS = {
 REPLAY_STEPS = tuple(REPLAYS)
 
 
-def clifford_suite(cfg: RunConfig) -> LedgerReport:
-    rep = LedgerReport("clifford")
-    for d_z, d_v in cfg.dims:
-        res = anticommutation_residual(build_module(d_z, d_v).generators)
-        rep.record(f"clifford-relations({d_z},{d_v})", "clifford-anticommutation",
-                   res <= 1e-12, exact=False, residual=res)
-    return rep
-
-
 def module_suites(cfg: RunConfig, names: list[str]) -> tuple[LedgerReport, dict[str, float]]:
-    """The per-module suites ``names`` in one report: each module's algebra and
-    curvature context is built once, shared by the suites, and dropped before
-    the next module.  Each build's time goes under ``setup(d_z,d_v)``."""
+    """The per-module suites ``names`` in one report: each module's algebra,
+    and its curvature context if a suite other than ``clifford`` needs one,
+    is built once, shared by the suites, and dropped before the next module.
+    Each build's time goes under ``setup(d_z,d_v)``."""
     rep = LedgerReport("+".join(names))
     setup = {}
+    needs_context = any(name != "clifford" for name in names)
     for d_z, d_v in cfg.dims:
         g = DamekRicci.from_dims(d_z, d_v)
-        ctx = CurvatureContext(g)
+        ctx = CurvatureContext(g) if needs_context else None
         setup[f"setup({d_z},{d_v})"] = rep.lap()
         for name in names:
             MODULE_CHECKS[name](rep, cfg, g, ctx)
@@ -185,8 +165,10 @@ def module_suites(cfg: RunConfig, names: list[str]) -> tuple[LedgerReport, dict[
     return rep, setup
 
 
-def curvature_suite(cfg: RunConfig) -> LedgerReport:
-    return module_suites(cfg, ["curvature"])[0]
+def _clifford_checks(rep: LedgerReport, cfg: RunConfig, g: DamekRicci, ctx):
+    res = anticommutation_residual(g.module.generators)
+    rep.record(f"clifford-relations({g.d_z},{g.d_v})", "clifford-anticommutation",
+               res <= 1e-12, exact=False, residual=res)
 
 
 def _curvature_checks(rep: LedgerReport, cfg: RunConfig, g: DamekRicci, ctx):
@@ -234,10 +216,6 @@ def _jacobi_cross_residual(ctx, rng) -> float:
     return float(np.max(np.abs(closed - assembled)))
 
 
-def spectrum_suite(cfg: RunConfig) -> LedgerReport:
-    return module_suites(cfg, ["spectrum"])[0]
-
-
 def _spectrum_checks(rep: LedgerReport, cfg: RunConfig, g: DamekRicci, ctx):
     rng = np.random.default_rng((cfg.seed, g.d_z, g.d_v))  # the module's own stream
     worst_match = 0.0
@@ -256,8 +234,7 @@ def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
     """The (2,4) probe, its floor check and a positive control, for ``probe`` and the suite."""
     rep = LedgerReport("hypersurface")
     ctx = CurvatureContext(DamekRicci.from_dims(2, 4))
-    out = probe_codazzi_floor(ctx, n_frames=cfg.probe_frames,
-                              c_grid=probe_c_grid(cfg.c_grid_step),
+    out = probe_codazzi_floor(ctx, n_frames=cfg.probe_frames, c_grid=probe_c_grid(),
                               seed=cfg.seed, jobs=cfg.jobs)
     rep.record("codazzi-floor(2,4)", "codazzi-floor",
                out["candidates"] >= 1 and out["floor"] > 1e-6, exact=False,
@@ -267,10 +244,6 @@ def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
     rep.record("codazzi-positive-control(2,4)", "codazzi-floor", control <= 1e-12,
                exact=False, residual=control)
     return out, rep
-
-
-def hypersurface_suite(cfg: RunConfig) -> LedgerReport:
-    return _codazzi_probe(cfg)[1]
 
 
 def obstruction_suite(cfg: RunConfig) -> LedgerReport:
@@ -283,16 +256,13 @@ def obstruction_suite(cfg: RunConfig) -> LedgerReport:
     return rep
 
 
-SUITE_RUNNERS = {
-    "clifford": clifford_suite,
-    "curvature": curvature_suite,
-    "spectrum": spectrum_suite,
-    "hypersurface": hypersurface_suite,
-    "obstruction": obstruction_suite,
-}
-SUITES = (*SUITE_RUNNERS, "all")
-# the suites that ``run`` runs module by module through ``module_suites``
-MODULE_CHECKS = {"curvature": _curvature_checks, "spectrum": _spectrum_checks}
+# each suite is in one table: the per-module checks, which ``run`` runs module
+# by module through ``module_suites``, or the suites that take the config alone
+MODULE_CHECKS = {"clifford": _clifford_checks, "curvature": _curvature_checks,
+                 "spectrum": _spectrum_checks}
+RUN_SUITES = {"hypersurface": lambda cfg: _codazzi_probe(cfg)[1],
+              "obstruction": obstruction_suite}
+SUITES = (*MODULE_CHECKS, *RUN_SUITES, "all")
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +277,8 @@ def _header(cfg: RunConfig, runtimes: dict[str, float]) -> dict:
 
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
-    suites = list(SUITE_RUNNERS) if "all" in cfg.suites else cfg.suites
-    reports = [SUITE_RUNNERS[name](cfg) for name in suites if name not in MODULE_CHECKS]
+    suites = SUITES[:-1] if "all" in cfg.suites else cfg.suites
+    reports = [RUN_SUITES[name](cfg) for name in suites if name in RUN_SUITES]
     per_module = [name for name in suites if name in MODULE_CHECKS]
     setup = {}
     if per_module:

@@ -17,7 +17,6 @@ import numpy as np
 
 SYM_TOL = 1e-12
 CLUSTER_TOL = 1e-7
-RANK_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------

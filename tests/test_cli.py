@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom import cli
-from drgeom.cli import (DEFAULT_DIMS, REPLAYS, RunConfig, load_config, main, replay, run,
-                        summarize)
+from drgeom import cli, clifford, dralgebra
+from drgeom.cli import (DEFAULT_DIMS, REPLAYS, RunConfig, load_config, main, module_suites,
+                        replay, run, summarize)
+from drgeom.clifford import build_module
 from drgeom.curvature import CurvatureContext, koszul_connection
 from drgeom.dralgebra import DamekRicci
 from drgeom.hypersurface import probe_codazzi_floor
@@ -94,16 +95,32 @@ def test_front_door_rejects_bad_flags(capsys, argv, expect):
     assert expect in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("field, value", [("c_grid_step", 0), ("c_grid_step", -0.1),
-                                          ("c_grid_step", "0.1"), ("c_grid_step", 1e-300),
-                                          ("c_grid_step", float("inf")), ("jobs", 0),
-                                          ("dims", [2]), ("dims", [[2]]),
+@pytest.mark.parametrize("field, value", [("jobs", 0), ("dims", [2]), ("dims", [[2]]),
                                           ("seed", "x")])
 def test_front_door_rejects_bad_config_numbers(tmp_path, capsys, field, value):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({field: value}))
     assert main(["probe", "hypersurface", "--config", str(path)]) == 2
     assert f"{field} must be" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["curvature", "all"])
+def test_verify_rejects_empty_dims(tmp_path, capsys, suite):
+    # an empty dims would pass with no per-module check at all
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"dims": []}))
+    assert main(["verify", suite, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "dims must be a non-empty list of [d_z, d_v] integer pairs, got []" in err
+    assert "Traceback" not in err
+
+
+def test_load_config_rejects_empty_suites(tmp_path):
+    # verify's suite argument overrides the file, so load_config is the door
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suites": []}))
+    with pytest.raises(ValueError, match=r"suites must be a non-empty list, got \[\]"):
+        load_config(str(path), {}, command="verify")
 
 
 def _refuse_pools(monkeypatch):
@@ -150,9 +167,9 @@ def test_probe_starts_at_most_one_worker_per_frame(monkeypatch):
     assert started == [2] and one["frames"] == 1 and two["frames"] == 2
 
 
-@pytest.mark.parametrize("key", ["tol", "samples"])
+@pytest.mark.parametrize("key", ["tol", "samples", "c_grid_step"])
 def test_removed_config_keys_are_unknown(tmp_path, capsys, key):
-    # the spectrum bound and the sample counts are fixed in the code
+    # the spectrum bound, the sample counts and the probe's C grid are fixed in the code
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({key: 1}))
     assert main(["verify", "spectrum", "--config", str(path)]) == 2
@@ -164,13 +181,6 @@ def test_verify_rejects_the_tol_flag(capsys):
         main(["verify", "spectrum", "--tol", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tol 1" in capsys.readouterr().err
-
-
-def test_config_bounds_the_c_grid():
-    # 1e-4 gives the largest allowed grid, 20,001 values on [-2, 0]
-    assert load_config(None, {"c_grid_step": 1e-4}).c_grid_step == 1e-4
-    with pytest.raises(ValueError, match="c_grid_step must be large enough for at most 20001 C values"):
-        load_config(None, {"c_grid_step": 1e-6})
 
 
 @pytest.mark.parametrize("command", [["replay", "no-z"],
@@ -190,8 +200,8 @@ def test_verify_only_flags_are_rejected_elsewhere(capsys, command, flags):
     ({"exact": True, "seed": 1}, "['exact']"),
     ({"suites": ["clifford"]}, "['suites']"),
     # named per command where the two commands read different keys
-    ({"suites": ["clifford"], "probe_frames": 3, "c_grid_step": 0.5},
-     {"replay": "['c_grid_step', 'probe_frames', 'suites']",
+    ({"suites": ["clifford"], "probe_frames": 3},
+     {"replay": "['probe_frames', 'suites']",
       "probe": "['suites']"})])
 def test_verify_only_config_keys_are_rejected_elsewhere(tmp_path, capsys, command, data, named):
     # replay and probe would ignore these file keys, so they refuse them
@@ -303,7 +313,7 @@ def test_connection_axioms_fail_on_a_wrong_connection_tensor(monkeypatch, corrup
         return ctx
 
     monkeypatch.setattr(cli, "CurvatureContext", wrong_context)
-    rep = cli.curvature_suite(RunConfig(dims=[(2, 4)]))
+    rep, _ = module_suites(RunConfig(dims=[(2, 4)]), ["curvature"])
     step = rep.step("connection-axioms(2,4)")
     assert step.verdict == "fail" and step.residual > 1e-12
 
@@ -316,7 +326,7 @@ def test_jacobi_cross_check_fails_on_a_flipped_curvature_component(monkeypatch):
         return ctx
 
     monkeypatch.setattr(cli, "CurvatureContext", wrong_context)
-    rep = cli.curvature_suite(RunConfig(dims=[(5, 8), (8, 16)]))
+    rep, _ = module_suites(RunConfig(dims=[(5, 8), (8, 16)]), ["curvature"])
     for dims in ("(5,8)", "(8,16)"):
         step = rep.step(f"jacobi-cross-check{dims}")
         assert step.verdict == "fail" and step.residual > 1e-10
@@ -352,7 +362,48 @@ def test_run_builds_each_module_context_once(monkeypatch):
     assert list(runtimes)[len(setup):] == [c["id"] for c in report["checks"]]
     assert runtimes["setup(1,2)"] >= 0.1 > runtimes["heisenberg-identities(1,2)"]
     _, clifford_only = run(RunConfig(dims=[(2, 4)], suites=["clifford"]))
-    assert list(clifford_only["header"]["runtimes_s"]) == ["clifford-relations(2,4)"]
+    assert list(clifford_only["header"]["runtimes_s"]) == ["setup(2,4)",
+                                                          "clifford-relations(2,4)"]
+
+
+def test_verify_builds_each_module_once(monkeypatch):
+    # clifford, curvature and spectrum share one module loop, so one build per module
+    builds = []
+
+    def counting_build(d_z, d_v, iso_flags=None):
+        builds.append((d_z, d_v))
+        return build_module(d_z, d_v, iso_flags)
+
+    for module in (clifford, dralgebra, cli):  # wherever drgeom imported it
+        if hasattr(module, "build_module"):
+            monkeypatch.setattr(module, "build_module", counting_build)
+    status, _ = run(RunConfig(dims=list(DEFAULT_DIMS),
+                              suites=["clifford", "curvature", "spectrum"]))
+    assert status == 0 and builds == list(DEFAULT_DIMS)
+
+
+def test_verify_clifford_builds_no_curvature_context(monkeypatch):
+    def refuse(g):
+        raise AssertionError("a CurvatureContext was built")
+
+    monkeypatch.setattr(cli, "CurvatureContext", refuse)
+    status, report = run(RunConfig(dims=list(DEFAULT_DIMS), suites=["clifford"]))
+    assert status == 0
+    setup = [f"setup({d_z},{d_v})" for d_z, d_v in DEFAULT_DIMS]
+    assert list(report["header"]["runtimes_s"]) == setup + [c["id"] for c in report["checks"]]
+    assert [c["id"] for c in report["checks"]] == sorted(
+        f"clifford-relations({d_z},{d_v})" for d_z, d_v in DEFAULT_DIMS)
+
+
+def test_verify_bench_checks_are_pinned():
+    # the bench verify config at seed 7000, check for check and bit for bit
+    pinned = json.loads((Path(__file__).parent / "data" / "verify_bench_checks.json").read_text())
+    config = pinned["config"]
+    status, report = run(RunConfig(seed=config["seed"], suites=config["suites"],
+                                   dims=[tuple(d) for d in config["dims"]],
+                                   exact=config["exact"]))
+    assert status == 0
+    assert json.loads(json.dumps(report["checks"])) == pinned["checks"]
 
 
 def test_report_step_runtimes_add_up_within_wall_time(timed_replays):
@@ -444,7 +495,7 @@ def test_config_rejects_unwritable_output():
 
 def test_probe_subcommand_smoke(tmp_path):
     cfg_file = tmp_path / "cfg.json"
-    cfg_file.write_text(json.dumps({"c_grid_step": 0.4, "probe_frames": 2}))
+    cfg_file.write_text(json.dumps({"probe_frames": 2}))
     out = tmp_path / "probe.json"
     status = main(["probe", "hypersurface", "--config", str(cfg_file),
                    "--out", str(out)])
@@ -453,7 +504,7 @@ def test_probe_subcommand_smoke(tmp_path):
     assert payload["probe"]["floor"] > 1e-6
     assert payload["probe"]["frames"] == 2
     box = payload["probe"]["box"]
-    assert box == {"c_min": -2.0, "c_max": pytest.approx(0.0, abs=1e-12), "c_values": 6,
+    assert box == {"c_min": -2.0, "c_max": pytest.approx(0.0, abs=1e-12), "c_values": 201,
                    "h_bound": 60.0, "h_samples": 2400}
     _, report = run(load_config(str(cfg_file), {"suites": ["hypersurface"]}))
     check, control = report["checks"]
@@ -463,10 +514,11 @@ def test_probe_subcommand_smoke(tmp_path):
 
 def test_codazzi_floor_fails_without_candidates(monkeypatch):
     # at C = -1e6 no H in the box solves the trace equation, so the floor is inf
-    monkeypatch.setattr(cli, "probe_c_grid", lambda step: np.array([-1e6]))
-    step = cli.hypersurface_suite(RunConfig(probe_frames=1)).step("codazzi-floor(2,4)")
-    assert step.witness["candidates"] == 0 and step.residual == np.inf
-    assert step.verdict == "fail"
+    monkeypatch.setattr(cli, "probe_c_grid", lambda: np.array([-1e6]))
+    status, report = run(RunConfig(probe_frames=1, suites=["hypersurface"]))
+    check = {c["id"]: c for c in report["checks"]}["codazzi-floor(2,4)"]
+    assert check["witness"]["candidates"] == 0 and check["residual"] == np.inf
+    assert check["verdict"] == "fail" and status == 1
 
 
 def test_cli_import_loads_no_scipy():
