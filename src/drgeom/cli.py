@@ -74,9 +74,12 @@ class RunConfig:
             raise ValueError(f"exact must be true or false, got {self.exact!r}")
         if not isinstance(self.suites, list) or not self.suites:
             raise ValueError(f"suites must be a non-empty list, got {self.suites!r}")
-        for s in self.suites:
+        for k, s in enumerate(self.suites):
             if s not in SUITES:
                 raise ValueError(f"unknown suite {s!r}; choose from {SUITES}")
+            # a repeated suite would repeat its check ids and share their runtime keys
+            if s in self.suites[:k]:
+                raise ValueError(f"suites repeats the suite {s!r}")
         if self.out is not None:
             if not isinstance(self.out, str):
                 raise ValueError(f"out must be a path, got {self.out!r}")
@@ -91,9 +94,10 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-# the config keys each command reads; ``verify`` reads them all
+# the config file keys each command reads; ``verify`` reads all but ``suites``,
+# which its positional argument sets
 COMMAND_KEYS = {
-    "verify": tuple(f.name for f in fields(RunConfig)),
+    "verify": tuple(f.name for f in fields(RunConfig) if f.name != "suites"),
     "replay": ("seed", "out"),
     "probe": ("seed", "probe_frames", "jobs", "out"),
 }
@@ -101,7 +105,7 @@ COMMAND_KEYS = {
 
 def load_config(path: str | None, overrides: dict, command: str | None = None) -> RunConfig:
     """JSON file values, then explicit flags on top (flags win).  With a
-    ``command``, a valid config that sets a key the command does not read
+    ``command``, a valid config whose file sets a key the command does not read
     (``COMMAND_KEYS``) is a ValueError naming the keys and the command."""
     data = {}
     if path:
@@ -110,6 +114,7 @@ def load_config(path: str | None, overrides: dict, command: str | None = None) -
             raise ValueError(f"config file {path} must hold a JSON object")
         if isinstance(data.get("dims"), list):
             data["dims"] = [tuple(d) if isinstance(d, list) else d for d in data["dims"]]
+    file_keys = set(data)
     for key, value in overrides.items():
         if value is not None:
             data[key] = value
@@ -118,9 +123,10 @@ def load_config(path: str | None, overrides: dict, command: str | None = None) -
         raise ValueError(f"unknown config key(s) {unknown}")
     cfg = RunConfig(**data)
     cfg.validate()
-    ignored = sorted(set(data) - set(COMMAND_KEYS[command])) if command else []
+    ignored = sorted(file_keys - set(COMMAND_KEYS[command])) if command else []
     if ignored:
-        raise ValueError(f"config key(s) {ignored} are not read by {command!r}")
+        note = " (its positional argument sets the suites)" if command == "verify" else ""
+        raise ValueError(f"config key(s) {ignored} are not read by {command!r}{note}")
     return cfg
 
 

@@ -14,10 +14,11 @@ evidence, never a false negative for existence.
 
 The probe computes the C-independent data once per frame (the Jacobi
 eigendata, the shared eigenframe X and its curvature contractions).  Then it
-scans the trace equation on the 1200 points of its antisymmetric H grid with
-H >= 0, gets the other half by mirroring each split, bisects the brackets for
-all splits and C values at once, and evaluates the Gauss/Codazzi residuals of
-each C's candidates as one batch.
+scans the trace equation on its antisymmetric H grid for H >= 0, only up to
+the point from which every split's trace gap has a proven sign, gets the
+other half by mirroring each split, bisects the brackets for all splits and
+C values at once, and evaluates the Gauss/Codazzi residuals of each C's
+candidates as one batch.
 """
 
 from __future__ import annotations
@@ -82,6 +83,24 @@ class _Eigenframe:
         half = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
         self.hs = np.concatenate([-half[::-1], half])  # exactly antisymmetric
 
+    def _cutoff(self, half_sq: np.ndarray, c: float) -> int:
+        """The first row of the H >= 0 grid from which on every split's trace gap has
+        a proven nonzero sign (the grid's length where none is proven).  Where all
+        disc >= 0, rho- = a/H + e with a = alpha - C and 0 <= e <= 4a^2/H^3, so with
+        a split's coefficients P - 1 and d = m - p, H (Tr S - H) = (P - 1) H^2 + D1 + r
+        with D1 = sum d a and |r| <= D2/H^2, D2 = 4 sum |d| a^2.  The sign is
+        sign(P - 1) once H^2 exceeds the positive root u of |P - 1| u^2 - |D1| u - D2,
+        and for P = 1 it is sign(D1) once H^2 > D2/|D1|."""
+        a, lead, d = self.alphas - c, np.abs(self._coef[0]), self._coef[1:]
+        d1, d2, flat = np.abs(a @ d), 4.0 * (a * a) @ np.abs(d), lead == 0.0
+        # the 1e-3 margin and the 1e-6 floor on |D1| keep the bound's slack (>= 1e-3 of
+        # the leading term, >= 1e-9 for P = 1) far above the gap's rounding (~1e-15)
+        if np.any(d1[flat] < 1e-6):
+            return half_sq.size
+        tilted = (d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2))[~flat] / (2.0 * lead[~flat])
+        u = max(tilted.max(initial=0.0), (d2[flat] / d1[flat]).max(initial=0.0))
+        return int(np.searchsorted(half_sq, 1.001 * u, side="right"))
+
     def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Self-consistent candidates for each C, in split order then by H:
         their mean curvatures H (k,), principal curvatures (k, n) on the
@@ -91,9 +110,10 @@ class _Eigenframe:
         eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
         split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
         minus the mirror split's at H, so per C only the grid points with
-        H >= 0 are scanned, and the pair of grid points around 0.  Then the sign
-        changes of all C values are bisected together until each bracket holds
-        two adjacent floats (an exact grid zero is a bracket of width 0).  The
+        H >= 0 up to the ``_cutoff`` row (past it no sign changes) and the pair
+        of grid points around 0 are scanned.  Then the sign changes of all C
+        values are bisected together until each bracket holds two adjacent
+        floats (an exact grid zero is a bracket of width 0).  The
         end where the trace gap is <= 0 is the root, and minus the other end is
         the mirror split's root.  Roots within 1e-9 of a smaller one are
         dropped, and so are splits with complex roots.
@@ -104,11 +124,12 @@ class _Eigenframe:
         keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
         for ci, c in enumerate(c_values):
             # every discriminant grows with H >= 0, so the rows where all are >= 0 are a tail
-            hv = half[np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c)):]
+            lo = np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c))
+            hv = half[lo:self._cutoff(half_sq, c) + 1]
             # only the signs and exact zeros of the trace gap are used
             t = _small_root(hv[:, None], self.alphas, c)
             fvals = np.hstack([hv[:, None], t]) @ self._coef
-            if hv.size == half.size:  # add -half[0]: minus the mirror split's gap at half[0]
+            if lo == 0:  # add -half[0]: minus the mirror split's gap at half[0]
                 hv, fvals = np.concatenate([-hv[:1], hv]), np.vstack([-fvals[0, mirror], fvals])
             below, above = fvals < 0.0, fvals > 0.0
             for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from drgeom import cli, clifford, dralgebra
 from drgeom.cli import (DEFAULT_DIMS, REPLAYS, RunConfig, load_config, main, module_suites,
-                        replay, run, summarize)
+                        probe, replay, run, summarize)
 from drgeom.clifford import build_module
 from drgeom.curvature import CurvatureContext, koszul_connection
 from drgeom.dralgebra import DamekRicci
@@ -116,11 +116,38 @@ def test_verify_rejects_empty_dims(tmp_path, capsys, suite):
 
 
 def test_load_config_rejects_empty_suites(tmp_path):
-    # verify's suite argument overrides the file, so load_config is the door
+    # verify's suite argument sets the suites, so load_config is the door
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"suites": []}))
     with pytest.raises(ValueError, match=r"suites must be a non-empty list, got \[\]"):
         load_config(str(path), {}, command="verify")
+
+
+def test_verify_refuses_a_config_file_that_sets_suites(tmp_path, capsys):
+    # the positional suite would silently win over the file's suites
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suites": ["curvature"], "dims": [[2, 4]]}))
+    assert main(["verify", "clifford", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert ("config key(s) ['suites'] are not read by 'verify' "
+            "(its positional argument sets the suites)") in err
+    assert "Traceback" not in err
+    # callers of load_config without a command keep setting the suites
+    assert load_config(str(path), {}).suites == ["curvature"]
+
+
+@pytest.mark.parametrize("suites", [["clifford", "clifford"], ["all", "spectrum", "all"]])
+def test_config_refuses_a_repeated_suite(tmp_path, capsys, suites):
+    # a repeated suite would repeat its check ids under one runtime key
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"suites": suites, "dims": [[2, 4]]}))
+    with pytest.raises(ValueError, match=f"suites repeats the suite '{suites[0]}'"):
+        load_config(str(path), {})
+    with pytest.raises(ValueError, match=f"suites repeats the suite '{suites[0]}'"):
+        RunConfig(dims=[(2, 4)], suites=suites).validate()
+    path.write_text(json.dumps({"dims": [[2, 4]]}))
+    with pytest.raises(ValueError, match="suites repeats"):
+        load_config(str(path), {"suites": suites}, command="verify")
 
 
 def _refuse_pools(monkeypatch):
@@ -404,6 +431,15 @@ def test_verify_bench_checks_are_pinned():
                                    exact=config["exact"]))
     assert status == 0
     assert json.loads(json.dumps(report["checks"])) == pinned["checks"]
+
+
+def test_probe_bench_payload_is_pinned():
+    # the bench probe config at seed 7000, the payload bit for bit
+    pinned = json.loads((Path(__file__).parent / "data" / "probe_bench_payload.json").read_text())
+    config = pinned["config"]
+    status, report = probe(load_config(None, {**config, "jobs": 1}))
+    assert status == 0
+    assert json.loads(json.dumps(report["probe"])) == pinned["probe"]
 
 
 def test_report_step_runtimes_add_up_within_wall_time(timed_replays):

@@ -15,6 +15,8 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from drgeom import hypersurface
 from drgeom.curvature import CurvatureContext
@@ -518,7 +520,12 @@ def _dedupe(xs, tol=1e-9):
 def _ref_shape_candidates(frame, ctx, c_const, root=_bisect_to_adjacent_floats):
     """Eigendata recomputed for this C, one trace scan of the whole H grid and
     one scalar root search per split and bracket."""
-    alphas, mults, bases = _ref_eigenspace_data(frame, ctx)
+    return _ref_spectrum_candidates(*_ref_eigenspace_data(frame, ctx), c_const, root)
+
+
+def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adjacent_floats):
+    """The candidates of a Jacobi spectrum: eigenvalues ``alphas`` of
+    multiplicities ``mults`` on the eigenspace bases ``bases``."""
     split_ranges = [[(p, m - p) for p in range(m + 1)] for m in mults]
     out = []
     half = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
@@ -746,3 +753,70 @@ def test_bisection_through_complex_roots_warns_nothing(g24, ctx24):
         h, lam, _ = eigenframe.candidates([c])[0]
     assert all(_invariant_residual(c, hb, lb, eigenframe.vector_alphas) <= QUADRATIC_TOL
                for hb, lb in zip(h, lam))
+
+
+# ---------------------------------------------------------------------------
+# the scan's cutoff: past it no split's trace gap changes sign or is 0
+# ---------------------------------------------------------------------------
+
+_HALF = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
+_H0 = float(_HALF[20])  # alpha - C = _H0^2 / 4 puts every disc at 0 on this grid row
+
+
+@settings(max_examples=30, deadline=None)
+@given(spectrum=st.lists(st.tuples(st.floats(-1.0, 0.0), st.integers(1, 3)),
+                         min_size=1, max_size=3),
+       c=st.floats(-2.0, 0.0))
+# alpha = C: P = 1 and D1 = 0 on the split (1, 1), whose gap is 0 at every H
+@example(spectrum=[(0.0, 2)], c=0.0)
+# D1 = 2 (1/4) - 1/2 = 0 with d != 0 on the split ((0, 2), (1, 0)), where P = 1
+@example(spectrum=[(-0.5, 2), (-0.25, 1)], c=-0.75)
+# an exact grid zero of the split (2, 0) on the first scanned row
+@example(spectrum=[(0.0, 2)], c=-_H0 ** 2 / 4)
+# the only roots lie between the last two scanned rows
+@example(spectrum=[(-0.259, 3)], c=-0.276)
+# every disc > 0 from H = 0 on, and the split ((1, 1), (1, 1)) has Tr S - H = H,
+# whose root only the pair of grid points around 0 brackets
+@example(spectrum=[(-1.0, 2), (-0.5, 2)], c=-0.25)
+def test_cut_scan_equals_full_grid_scan(spectrum, c):
+    # the oracle scans every grid row with the same arithmetic; the per-split
+    # reference finds the same roots, each within 1e-9 (it bisects H < 0 by
+    # itself where the scan mirrors H > 0, so a root may differ by an ulp)
+    alphas, mults = [a for a, _ in spectrum], [m for _, m in spectrum]
+    with pytest.MonkeyPatch.context() as mp:
+        ef = _made_up_eigenframe(mp, alphas, mults)
+    cut = ef.candidates([c])[0]
+    ef._cutoff = lambda half_sq, c: half_sq.size
+    full = ef.candidates([c])[0]
+    assert all(np.array_equal(x, y) for x, y in zip(cut, full))
+    ends = np.cumsum([0, *mults])
+    bases = [np.eye(ends[-1])[:, a:b] for a, b in zip(ends, ends[1:])]
+    ref = _ref_spectrum_candidates(ef.alphas.tolist(), mults, bases, c)
+    assert [ef.splits[s] for s in cut[2]] == [cd.splits for cd in ref]
+    assert np.allclose(cut[0], [cd.h_mean for cd in ref], rtol=0.0, atol=1e-9)
+
+
+def test_cutoff_scans_the_whole_grid_only_where_no_sign_is_proven(monkeypatch):
+    half_sq = _HALF ** 2
+    ef = _made_up_eigenframe(monkeypatch, [-0.5, -0.25], [2, 1])
+    assert ef._cutoff(half_sq, -0.75) == _HALF.size  # D1 = 0 for a split with P = 1
+    assert ef._cutoff(half_sq, -0.7) < _HALF.size // 10
+    ef = _made_up_eigenframe(monkeypatch, [-1.0, -0.5], [2, 2])
+    assert ef._cutoff(half_sq, -0.25) < _HALF.size // 10  # scanned from H = 0 on
+
+
+@settings(max_examples=100, deadline=None)
+@given(h=st.floats(1e-3, H_BOUND), q=st.floats(-1.0, 1.0))
+def test_small_root_is_a_over_h_plus_a_bounded_excess(h, q):
+    # rho-(H) = a/H + e with 0 <= e <= 4a^2/H^3 wherever disc = H^2 - 4a >= 0,
+    # exactly, and for the float rho- up to rounding
+    a = q * min(2.0, h * h / 4.0)
+    assume(Fraction(h) ** 2 >= 4 * Fraction(a))
+    with mpmath.workdps(50):
+        hm, am = mpmath.mpf(h), mpmath.mpf(a)
+        e = 2 * am / (hm + mpmath.sqrt(hm * hm - 4 * am)) - am / hm
+        assert 0 <= e <= 4 * am * am / hm ** 3
+    e = Fraction(float(hypersurface._small_root(h, np.array([a]), 0.0)[0])) - \
+        Fraction(a) / Fraction(h)
+    tol = Fraction(16 * np.finfo(float).eps * (abs(a) / h + h))
+    assert -tol <= e <= 4 * Fraction(a) ** 2 / Fraction(h) ** 3 + tol
