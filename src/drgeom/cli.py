@@ -236,10 +236,12 @@ def _spectrum_checks(rep: LedgerReport, cfg: RunConfig, g: DamekRicci, ctx):
                worst <= 1e-9, exact=False, residual=worst)
 
 
-def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
-    """The (2,4) probe, its floor check and a positive control, for ``probe`` and the suite."""
+def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport, dict[str, float]]:
+    """The (2,4) probe, its floor check and a positive control, for ``probe`` and the
+    suite.  The context build's time goes under ``setup(2,4)``."""
     rep = LedgerReport("hypersurface")
     ctx = CurvatureContext(DamekRicci.from_dims(2, 4))
+    setup = {"setup(2,4)": rep.lap()}
     out = probe_codazzi_floor(ctx, n_frames=cfg.probe_frames, c_grid=probe_c_grid(),
                               seed=cfg.seed, jobs=cfg.jobs)
     rep.record("codazzi-floor(2,4)", "codazzi-floor",
@@ -249,24 +251,26 @@ def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport]:
     control = horosphere_residual(ctx)
     rep.record("codazzi-positive-control(2,4)", "codazzi-floor", control <= 1e-12,
                exact=False, residual=control)
-    return out, rep
+    return out, rep, setup
 
 
-def obstruction_suite(cfg: RunConfig) -> LedgerReport:
-    """Every replay, its steps named ``<report>:<step>`` and without witnesses."""
+def obstruction_suite(cfg: RunConfig) -> tuple[LedgerReport, dict[str, float]]:
+    """Every replay, its steps named ``<report>:<step>`` and without witnesses;
+    the replays build what they need inside their steps, so no setup times."""
     rep = LedgerReport("obstruction")
     for replay_fn in REPLAYS.values():
         ledger = replay_fn(cfg, cfg.exact)
         rep.steps += [replace(s, id=f"{ledger.name}:{s.id}", witness={})
                       for s in ledger.steps]
-    return rep
+    return rep, {}
 
 
 # each suite is in one table: the per-module checks, which ``run`` runs module
 # by module through ``module_suites``, or the suites that take the config alone
+# and return their report and setup times
 MODULE_CHECKS = {"clifford": _clifford_checks, "curvature": _curvature_checks,
                  "spectrum": _spectrum_checks}
-RUN_SUITES = {"hypersurface": lambda cfg: _codazzi_probe(cfg)[1],
+RUN_SUITES = {"hypersurface": lambda cfg: _codazzi_probe(cfg)[1:],
               "obstruction": obstruction_suite}
 SUITES = (*MODULE_CHECKS, *RUN_SUITES, "all")
 
@@ -284,12 +288,14 @@ def _header(cfg: RunConfig, runtimes: dict[str, float]) -> dict:
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
     suites = SUITES[:-1] if "all" in cfg.suites else cfg.suites
-    reports = [RUN_SUITES[name](cfg) for name in suites if name in RUN_SUITES]
     per_module = [name for name in suites if name in MODULE_CHECKS]
-    setup = {}
+    runs = [RUN_SUITES[name](cfg) for name in suites if name in RUN_SUITES]
     if per_module:
-        rep, setup = module_suites(cfg, per_module)
-        reports.append(rep)
+        runs.append(module_suites(cfg, per_module))
+    reports, setup = [rep for rep, _ in runs], {}
+    for _, builds in runs:  # the probe's (2,4) build adds to the module's
+        for key, seconds in builds.items():
+            setup[key] = setup.get(key, 0.0) + seconds
     steps = sorted((s for rep in reports for s in rep.steps), key=lambda s: s.id)
     checks = []
     for s in steps:
@@ -318,9 +324,9 @@ def replay(step: str, cfg: RunConfig) -> tuple[int, dict]:
 
 
 def probe(cfg: RunConfig) -> tuple[int, dict]:
-    out, rep = _codazzi_probe(cfg)
+    out, rep, setup = _codazzi_probe(cfg)
     payload = {"schema_version": SCHEMA_VERSION,
-               "header": _header(cfg, {s.id: s.runtime_s for s in rep.steps}),
+               "header": _header(cfg, {**setup, **{s.id: s.runtime_s for s in rep.steps}}),
                "probe": {"floor": out["floor"], "floor_info": out["floor_info"],
                          "candidates": out["candidates"], "frames": out["frames"],
                          "box": out["box"], "per_frame_min": out["per_frame_min"]}}

@@ -16,9 +16,11 @@ The probe computes the C-independent data once per frame (the Jacobi
 eigendata, the shared eigenframe X and its curvature contractions).  Then it
 scans the trace equation on its antisymmetric H grid for H >= 0, only up to
 the point from which every split's trace gap has a proven sign, gets the
-other half by mirroring each split, bisects the brackets for all splits and
-C values at once, and evaluates the Gauss/Codazzi residuals of each C's
-candidates as one batch.
+other half by mirroring each split, and bisects the brackets for all splits
+and C values at once.  The Gauss/Codazzi residuals are evaluated in full only
+for the candidates that a cheap lower bound (the residual on a few sentinel
+Codazzi components) cannot rule out as the frame's minimum, in blocks of rows
+in bound order.
 """
 
 from __future__ import annotations
@@ -42,6 +44,8 @@ H_SAMPLES = 2400
 MAX_ENUMERATION_DIM = 16
 # the probe scans C from C_START up to C_STOP in steps of C_STEP by default
 C_START, C_STOP, C_STEP = -2.0, 0.0, 0.01
+# a probe frame evaluates its candidates' full residuals BLOCK rows at a time
+BLOCK = 32
 
 
 def _small_root(h, alphas: np.ndarray, c) -> np.ndarray:
@@ -83,23 +87,27 @@ class _Eigenframe:
         half = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
         self.hs = np.concatenate([-half[::-1], half])  # exactly antisymmetric
 
-    def _cutoff(self, half_sq: np.ndarray, c: float) -> int:
-        """The first row of the H >= 0 grid from which on every split's trace gap has
-        a proven nonzero sign (the grid's length where none is proven).  Where all
-        disc >= 0, rho- = a/H + e with a = alpha - C and 0 <= e <= 4a^2/H^3, so with
+    def _cutoffs(self, half_sq: np.ndarray, c_values: np.ndarray) -> np.ndarray:
+        """Per C, the first row of the H >= 0 grid from which on every split's trace
+        gap has a proven nonzero sign (the grid's length where none is proven).  Where
+        all disc >= 0, rho- = a/H + e with a = alpha - C and 0 <= e <= 4a^2/H^3, so with
         a split's coefficients P - 1 and d = m - p, H (Tr S - H) = (P - 1) H^2 + D1 + r
         with D1 = sum d a and |r| <= D2/H^2, D2 = 4 sum |d| a^2.  The sign is
         sign(P - 1) once H^2 exceeds the positive root u of |P - 1| u^2 - |D1| u - D2,
         and for P = 1 it is sign(D1) once H^2 > D2/|D1|."""
-        a, lead, d = self.alphas - c, np.abs(self._coef[0]), self._coef[1:]
-        d1, d2, flat = np.abs(a @ d), 4.0 * (a * a) @ np.abs(d), lead == 0.0
+        a, lead, d = self.alphas - c_values[:, None], np.abs(self._coef[0]), self._coef[1:]
+        # a stack of (1, k) @ (k, splits) products rounds each C as that C alone would
+        d1 = np.abs(np.matmul(a[:, None, :], d)[:, 0])
+        d2 = 4.0 * np.matmul((a * a)[:, None, :], np.abs(d))[:, 0]
+        flat = lead == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tilted = (d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2))[:, ~flat] / (2.0 * lead[~flat])
+            u = np.maximum(tilted.max(axis=1, initial=0.0),
+                           (d2[:, flat] / d1[:, flat]).max(axis=1, initial=0.0))
         # the 1e-3 margin and the 1e-6 floor on |D1| keep the bound's slack (>= 1e-3 of
         # the leading term, >= 1e-9 for P = 1) far above the gap's rounding (~1e-15)
-        if np.any(d1[flat] < 1e-6):
-            return half_sq.size
-        tilted = (d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2))[~flat] / (2.0 * lead[~flat])
-        u = max(tilted.max(initial=0.0), (d2[flat] / d1[flat]).max(initial=0.0))
-        return int(np.searchsorted(half_sq, 1.001 * u, side="right"))
+        return np.where(np.any(d1[:, flat] < 1e-6, axis=1), half_sq.size,
+                        np.searchsorted(half_sq, 1.001 * u, side="right"))
 
     def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Self-consistent candidates for each C, in split order then by H:
@@ -110,7 +118,7 @@ class _Eigenframe:
         eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
         split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
         minus the mirror split's at H, so per C only the grid points with
-        H >= 0 up to the ``_cutoff`` row (past it no sign changes) and the pair
+        H >= 0 up to the ``_cutoffs`` row (past it no sign changes) and the pair
         of grid points around 0 are scanned.  Then the sign changes of all C
         values are bisected together until each bracket holds two adjacent
         floats (an exact grid zero is a bracket of width 0).  The
@@ -122,10 +130,11 @@ class _Eigenframe:
         half_sq, n_splits, mirror = half ** 2, len(self.splits), self._mirror
         c_values = np.asarray(c_values, dtype=float)
         keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
-        for ci, c in enumerate(c_values):
-            # every discriminant grows with H >= 0, so the rows where all are >= 0 are a tail
-            lo = np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c))
-            hv = half[lo:self._cutoff(half_sq, c) + 1]
+        # every discriminant grows with H >= 0, so the rows where all are >= 0 are a tail
+        los = np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c_values)).tolist()
+        ends = (self._cutoffs(half_sq, c_values) + 1).tolist()
+        for ci, (c, lo, end) in enumerate(zip(c_values.tolist(), los, ends)):
+            hv = half[lo:end]
             # only the signs and exact zeros of the trace gap are used
             t = _small_root(hv[:, None], self.alphas, c)
             fvals = np.hstack([hv[:, None], t]) @ self._coef
@@ -209,6 +218,17 @@ def nomizu(ctx: CurvatureContext, xi: np.ndarray) -> np.ndarray:
     return np.einsum("kje,j->ek", ctx.nabla_tensor, xi)
 
 
+def _codazzi_terms(rkij, li_lj, lk_lj, gamma_kij, gamma_ikj):
+    """rkij - (lam_i - lam_j) Gamma[k, i, j] + (lam_k - lam_j) Gamma[i, k, j] without
+    the terms whose lambda difference is below 1e-12, NaN where a Gamma that a kept
+    term needs is missing (NaN), and that mask."""
+    term1 = np.where(np.abs(li_lj) < 1e-12, 0.0, li_lj * gamma_kij)
+    term2 = np.where(np.abs(lk_lj) < 1e-12, 0.0, lk_lj * gamma_ikj)
+    needed_missing = ((np.abs(li_lj) >= 1e-12) & np.isnan(gamma_kij)) | \
+                     ((np.abs(lk_lj) >= 1e-12) & np.isnan(gamma_ikj))
+    return np.where(needed_missing, np.nan, rkij - term1 + term2), needed_missing
+
+
 class _FrameTensors:
     """Contractions that depend only on the eigenframe X and the normal xi.
     Candidates enter only through N_xi X + X diag(lam), so the residuals of
@@ -247,14 +267,9 @@ class _FrameTensors:
         """Residuals [b, k, i, j] = R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k, i, j]
         + (lam_k - lam_j) Gamma[i, k, j], NaN where a needed Gamma is missing, and
         that mask."""
-        li_lj = lam[:, None, :, None] - lam[:, None, None, :]
-        lk_lj = lam[:, :, None, None] - lam[:, None, None, :]
-        gamma_ikj = np.transpose(gamma, (0, 2, 1, 3))
-        term1 = np.where(np.abs(li_lj) < 1e-12, 0.0, li_lj * gamma)
-        term2 = np.where(np.abs(lk_lj) < 1e-12, 0.0, lk_lj * gamma_ikj)
-        needed_missing = ((np.abs(li_lj) >= 1e-12) & np.isnan(gamma)) | \
-                         ((np.abs(lk_lj) >= 1e-12) & np.isnan(gamma_ikj))
-        return np.where(needed_missing, np.nan, self.rkij - term1 + term2), needed_missing
+        return _codazzi_terms(self.rkij, lam[:, None, :, None] - lam[:, None, None, :],
+                              lam[:, :, None, None] - lam[:, None, None, :],
+                              gamma, np.transpose(gamma, (0, 2, 1, 3)))
 
     def aggregate(self, lam: np.ndarray) -> np.ndarray:
         """Max of |dG1| and of the evaluated |Codazzi| residuals, per row."""
@@ -262,6 +277,34 @@ class _FrameTensors:
         res = np.abs(self.codazzi(lam, gamma)[0])
         cz = np.max(res, axis=(1, 2, 3), initial=0.0, where=~np.isnan(res))
         return np.maximum(np.max(np.abs(dg1), axis=(1, 2)), cz)
+
+    def sentinels(self, lam: np.ndarray) -> np.ndarray:
+        """The flat [k, i, j] indices of each row's largest evaluated |Codazzi|
+        residual, each index once, in increasing order."""
+        b, n = lam.shape
+        res = np.abs(self.codazzi(lam, self.gauss(lam)[1])[0]).reshape(b, -1)
+        top = np.argmax(np.where(np.isnan(res), -1.0, res), axis=1)
+        return np.flatnonzero(np.bincount(top, minlength=n ** 3))
+
+    def codazzi_bound(self, lam: np.ndarray, triples: np.ndarray) -> np.ndarray:
+        """Max of |Codazzi| per row over the components ``triples`` (flat [k, i, j]
+        indices), skipping those ``codazzi`` skips: a lower bound of ``aggregate``
+        up to rounding.  The numerator of Gamma[k, i, j] is t_sym[(j, i)] . (N_xi X_k
+        + lam_k X_k) = p + q lam_k, so a component costs O(1) per row, not a product."""
+        n = lam.shape[1]
+        k, i, j = np.unravel_index(triples, (n, n, n))
+        t_sym = self.t_sym.reshape(n, n, -1)  # [j, i, :]
+
+        def gamma(a, b):  # Gamma[a, b, j] per row and triple, NaN where alpha_b = alpha_j
+            p = np.sum(t_sym[j, b] * self.nx[:, a].T, axis=1)
+            q = np.sum(t_sym[j, b] * self.x[:, a].T, axis=1)
+            dal = self.dalpha[0, b, j]
+            dal = np.where(np.abs(dal) < 1e-9, np.nan, dal)
+            return (p + q * lam[:, a]) / dal + self.nab[a, b, j]
+
+        res, skipped = _codazzi_terms(self.rkij[k, i, j], lam[:, i] - lam[:, j],
+                                      lam[:, k] - lam[:, j], gamma(k, i), gamma(i, k))
+        return np.max(np.abs(res), axis=1, initial=0.0, where=~skipped)
 
 
 def horosphere_residual(ctx: CurvatureContext) -> float:
@@ -272,25 +315,39 @@ def horosphere_residual(ctx: CurvatureContext) -> float:
     return float(tensors.aggregate(lam[None])[0])
 
 
-def _probe_frame(args) -> tuple[int, float, int, dict | None]:
-    """One frame: C-independent work once, then one batch per C (top-level
-    with one tuple argument so a worker pool can dispatch it)."""
+def _probe_frame(args) -> tuple[int, float, int, dict | None, int]:
+    """One frame: C-independent work once, then the candidates of every C in
+    (C, candidate) order.  The largest Codazzi components of BLOCK spread-out
+    candidates are sentinels, whose residuals bound every aggregate from below.
+    Blocks of BLOCK candidates in bound order are evaluated in full until the
+    next bound exceeds the best so far (with a margin for rounding), so every
+    candidate at the minimum is evaluated and the first of them wins, as a
+    strict < would pick it.  Also returns how many candidates were evaluated
+    (top-level with one tuple argument so a worker pool can dispatch it)."""
     ctx, frame_seed, fidx, c_grid = args
     frame = random_frame(ctx.g, np.random.default_rng(frame_seed))
     eigenframe = _Eigenframe(frame, ctx)
     tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
-    best, best_info, n_candidates = np.inf, None, 0
-    for c, (h, lam, si) in zip(c_grid, eigenframe.candidates(c_grid)):
-        if not h.size:
-            continue
-        n_candidates += h.size
-        aggs = tensors.aggregate(lam)
-        j = int(np.argmin(aggs))  # the first of equal minima, as a strict < keeps
-        if aggs[j] < best:
-            best = aggs[j]
-            best_info = {"frame_index": fidx, "C": float(c),
-                         "H": float(h[j]), "splits": eigenframe.splits[si[j]]}
-    return fidx, float(best), n_candidates, best_info
+    per_c = eigenframe.candidates(c_grid)
+    ci = np.repeat(np.arange(len(c_grid)), [len(h) for h, _, _ in per_c])
+    h, lam, si = (np.concatenate(part) for part in zip(*per_c))
+    if not h.size:
+        return fidx, float(np.inf), 0, None, 0
+    sample = np.arange(0, h.size, -(-h.size // BLOCK))
+    bound = tensors.codazzi_bound(lam, tensors.sentinels(lam[sample]))
+    order = np.argsort(bound, kind="stable")
+    aggs, best = np.full(h.size, np.inf), np.inf
+    for start in range(0, h.size, BLOCK):
+        # 1e-9 covers the bound's rounding, and 1e-12 a best of exactly 0
+        if bound[order[start]] > best * (1.0 + 1e-9) + 1e-12:
+            break
+        rows = order[start:start + BLOCK]
+        aggs[rows] = tensors.aggregate(lam[rows])
+        best = min(best, aggs[rows].min())
+    j = int(np.argmin(aggs))  # the first of equal minima in (C, candidate) order
+    info = {"frame_index": fidx, "C": float(c_grid[ci[j]]), "H": float(h[j]),
+            "splits": eigenframe.splits[si[j]]}
+    return fidx, float(aggs[j]), h.size, info, int(np.count_nonzero(np.isfinite(aggs)))
 
 
 def probe_c_grid(step: float = C_STEP) -> np.ndarray:
@@ -301,11 +358,12 @@ def probe_c_grid(step: float = C_STEP) -> np.ndarray:
 
 
 def _progress(results, total: int):
-    """Pass the frame results through, writing one line per frame to stderr."""
+    """Pass the frame results through, writing one line per frame to stderr with
+    how many of its candidates were evaluated in full."""
     start = time.perf_counter()
     for done, result in enumerate(results, 1):
-        print(f"probe: {done}/{total} frames done, {time.perf_counter() - start:.2f} s",
-              file=sys.stderr, flush=True)
+        print(f"probe: {done}/{total} frames done, {time.perf_counter() - start:.2f} s, "
+              f"{result[4]}/{result[2]} evaluated", file=sys.stderr, flush=True)
         yield result
 
 

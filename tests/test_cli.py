@@ -393,6 +393,27 @@ def test_run_builds_each_module_context_once(monkeypatch):
                                                           "clifford-relations(2,4)"]
 
 
+def test_probe_times_the_context_build_under_setup(monkeypatch):
+    # codazzi-floor(2,4) times the probe alone; the (2,4) build goes under
+    # setup(2,4), and in verify it adds to the module's own build
+    def slow_context(g):
+        time.sleep(0.2)
+        return CurvatureContext(g)
+
+    monkeypatch.setattr(cli, "CurvatureContext", slow_context)
+    monkeypatch.setattr(cli, "probe_c_grid", lambda: np.array([-0.5]))
+    _, report = probe(RunConfig(probe_frames=1))
+    runtimes = report["header"]["runtimes_s"]
+    assert list(runtimes) == ["setup(2,4)", "codazzi-floor(2,4)",
+                              "codazzi-positive-control(2,4)"]
+    assert runtimes["setup(2,4)"] >= 0.2 > runtimes["codazzi-floor(2,4)"]
+    _, report = run(RunConfig(dims=[(2, 4)], probe_frames=1,
+                              suites=["hypersurface", "curvature"]))
+    runtimes = report["header"]["runtimes_s"]
+    assert list(runtimes)[0] == "setup(2,4)" and runtimes["setup(2,4)"] >= 0.4
+    assert runtimes["codazzi-floor(2,4)"] < 0.2
+
+
 def test_verify_builds_each_module_once(monkeypatch):
     # clifford, curvature and spectrum share one module loop, so one build per module
     builds = []

@@ -8,6 +8,7 @@ rebuilds both one candidate at a time.
 from __future__ import annotations
 
 import math
+import re
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,12 +26,13 @@ from itertools import product
 
 from scipy.optimize import brentq
 
-from drgeom.hypersurface import (H_BOUND, H_SAMPLES, QUADRATIC_TOL, _Eigenframe,
+from drgeom.hypersurface import (BLOCK, H_BOUND, H_SAMPLES, QUADRATIC_TOL, _Eigenframe,
                                  _FrameTensors, _probe_frame, horosphere_residual, nomizu,
                                  probe_c_grid, probe_codazzi_floor)
 from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
+from per_c_probe import cutoff, per_c_probe_frame
 
 
 @pytest.fixture(scope="module")
@@ -426,6 +428,15 @@ def test_probe_serial_parallel_agree(ctx24):
     assert a["floor"] == b["floor"]
 
 
+def test_probe_progress_counts_the_evaluated_candidates(ctx24, capsys):
+    out = probe_codazzi_floor(ctx24, n_frames=2, seed=4)
+    lines = capsys.readouterr().err.splitlines()
+    counts = [re.fullmatch(rf"probe: {k}/2 frames done, \d+\.\d\d s, (\d+)/(\d+) evaluated",
+                           line).groups() for k, line in enumerate(lines, 1)]
+    assert len(counts) == 2 and sum(int(n) for _, n in counts) == out["candidates"]
+    assert all(0 < int(done) < int(n) for done, n in counts)
+
+
 def test_probe_c_grid_is_exact():
     # the default grid holds -1/4 and ends at 0 exactly, with no drift
     grid = probe_c_grid()
@@ -629,13 +640,125 @@ def test_probe_matches_per_candidate_reference(g24, ctx24, seed):
     ref = [_ref_probe_frame(g24, ctx24, frame_seeds[i], i, REF_GRID)
            for i in range(n_frames)]
     for i in range(n_frames):
-        assert _probe_frame((ctx24, frame_seeds[i], i, REF_GRID)) == ref[i]
+        assert _probe_frame((ctx24, frame_seeds[i], i, REF_GRID))[:4] == ref[i]
     out = probe_codazzi_floor(ctx24, n_frames=n_frames, c_grid=REF_GRID, seed=seed)
     floor_idx = int(np.argmin([r[1] for r in ref]))
     assert out["per_frame_min"] == [r[1] for r in ref]
     assert out["candidates"] == sum(r[2] for r in ref)
     assert out["floor"] == ref[floor_idx][1]
     assert out["floor_info"] == ref[floor_idx][3]
+
+
+# ---------------------------------------------------------------------------
+# the bounded search against the frame minimum of one aggregate batch per C
+# ---------------------------------------------------------------------------
+
+# 11 C values where (7,16) has at most about 100 candidates per C: a per-C
+# batch of several hundred (7,16) rows would hold hundreds of MB per temporary
+GRID_11 = -0.6 + 0.02 * np.arange(11)
+
+
+@pytest.mark.parametrize("dims, seed, n_frames, c_grid", [
+    ((2, 4), 0, 3, None), ((2, 4), 12, 3, None), ((2, 4), 47, 2, None),
+    ((2, 4), 53, 2, None), ((5, 8), 12, 2, GRID_11), ((6, 8), 12, 2, GRID_11),
+    ((7, 16), 12, 2, GRID_11)])
+def test_probe_frame_equals_per_c_oracle(dims, seed, n_frames, c_grid):
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    c_grid = probe_c_grid() if c_grid is None else c_grid
+    pruned = 0
+    for i, frame_seed in enumerate(np.random.SeedSequence(seed).spawn(n_frames)):
+        *found, evaluated = _probe_frame((ctx, frame_seed, i, c_grid))
+        assert found == list(per_c_probe_frame(ctx, frame_seed, i, c_grid))
+        assert evaluated <= found[2]
+        pruned += found[2] - evaluated
+    assert pruned > 0  # the bound ruled some candidates out
+
+
+@pytest.mark.parametrize("weaken", ["zero", "noisy"])
+def test_probe_frame_with_a_weaker_bound_finds_the_same_minimum(monkeypatch, ctx24, weaken):
+    # a weaker lower bound costs evaluations, never the result: at 0 every candidate
+    # is evaluated, and scaled by random factors in [0.2, 1] the search goes on past
+    # the first block until the bound rules the rest out
+    bound, rng = _FrameTensors.codazzi_bound, np.random.default_rng(0)
+    weaker = {"zero": lambda self, lam, triples: np.zeros(len(lam)),
+              "noisy": lambda self, lam, triples:
+                  bound(self, lam, triples) * rng.uniform(0.2, 1.0, len(lam))}[weaken]
+    monkeypatch.setattr(_FrameTensors, "codazzi_bound", weaker)
+    grid = probe_c_grid()
+    for i, frame_seed in enumerate(np.random.SeedSequence(12).spawn(2)):
+        *found, evaluated = _probe_frame((ctx24, frame_seed, i, grid))
+        assert found == list(per_c_probe_frame(ctx24, frame_seed, i, grid))
+        assert BLOCK < evaluated <= found[2]
+        assert (evaluated == found[2]) == (weaken == "zero")
+
+
+# the (2,4) horosphere's principal curvatures, 1/2 on v and 1 on z, and the same
+# with one on v moved: alpha_i = alpha_j with lam_i != lam_j, whose components
+# the residual skips, so the aggregate of both is exactly 0
+_HORO = [0.5, 0.5, 0.5, 0.5, 1.0, 1.0]
+_BLIND = [0.5, 0.5, 0.5, 0.6, 1.0, 1.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(frame_seed=st.none() | st.integers(0, 2 ** 16),
+       rows=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
+                     min_size=1, max_size=6),
+       triples=st.lists(st.integers(0, 6 ** 3 - 1), max_size=30))
+@example(frame_seed=None, rows=[_HORO], triples=[])
+@example(frame_seed=None, rows=[_BLIND, _HORO], triples=[])
+@example(frame_seed=None, rows=[[0.6, 0.6, 0.6, 0.6, 1.0, 1.0]], triples=[])  # 0.02
+def test_codazzi_bound_is_at_most_the_aggregate(g24, ctx24, frame_seed, rows, triples):
+    # on the horosphere normal to A (frame_seed None) or a random (2,4) frame, any
+    # principal curvatures and any components, besides the rows' own sentinels
+    if frame_seed is None:
+        lam = np.repeat([0.5, 1.0], [g24.d_v, g24.d_z])
+        tensors = _FrameTensors(ctx24, g24.vec(a=1.0), np.eye(g24.dim)[:, :-1], -lam * lam)
+    else:
+        fr = random_frame(g24, np.random.default_rng(frame_seed))
+        ef = _Eigenframe(fr, ctx24)
+        tensors = _FrameTensors(ctx24, fr.xi, ef.x, ef.vector_alphas)
+    lam = np.array(rows)
+    sentinels = tensors.sentinels(lam)
+    bound = tensors.codazzi_bound(lam, np.concatenate([sentinels, triples]).astype(int))
+    aggs = tensors.aggregate(lam)
+    assert np.all(bound <= aggs * (1.0 + 1e-9) + 1e-12)
+    for row, agg, low in zip(rows, aggs, bound):
+        if frame_seed is None and row in (_HORO, _BLIND):
+            assert agg == 0.0 and low <= 1e-12
+
+
+def test_codazzi_bound_over_every_component_is_the_codazzi_max(g24, ctx24):
+    # the bound computes each component as ``codazzi`` does, up to rounding, and
+    # skips the same ones; its sentinels are where each row's largest one sits
+    fr = random_frame(g24, np.random.default_rng(5))
+    ef = _Eigenframe(fr, ctx24)
+    tensors = _FrameTensors(ctx24, fr.xi, ef.x, ef.vector_alphas)
+    lam = np.concatenate([part for _, part, _ in ef.candidates([-1.1, -0.6, -0.25])])
+    res = np.abs(tensors.codazzi(lam, tensors.gauss(lam)[1])[0]).reshape(len(lam), -1)
+    assert np.isnan(res).any()  # some components are skipped
+    cz = np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
+    bound = tensors.codazzi_bound(lam, np.arange(res.shape[1]))
+    assert np.allclose(bound, cz, rtol=1e-12, atol=1e-14)
+    sentinels = tensors.sentinels(lam)
+    assert np.array_equal(sentinels, np.sort(sentinels))
+    assert np.allclose(tensors.codazzi_bound(lam, sentinels), cz, rtol=1e-12, atol=1e-14)
+
+
+def test_probe_frame_keeps_the_first_of_tied_minima(monkeypatch, ctx24):
+    # every candidate ties, and the bound puts them in reverse (C, candidate)
+    # order; the first candidate of the first C with any still wins
+    monkeypatch.setattr(_FrameTensors, "aggregate", lambda self, lam: np.ones(len(lam)))
+    monkeypatch.setattr(_FrameTensors, "codazzi_bound",
+                        lambda self, lam, triples: -np.arange(len(lam), dtype=float))
+    frame_seed = np.random.SeedSequence(3).spawn(1)[0]
+    grid = np.array([-1e6, -0.9, -0.5])  # nothing at -1e6
+    fidx, best, n, info, evaluated = _probe_frame((ctx24, frame_seed, 0, grid))
+    ef = _Eigenframe(random_frame(ctx24.g, np.random.default_rng(frame_seed)), ctx24)
+    per_c = ef.candidates(grid)
+    h, _, si = per_c[1]
+    assert not per_c[0][0].size and h.size and n == evaluated == sum(p[0].size for p in per_c)
+    assert best == 1.0
+    assert info == {"frame_index": 0, "C": -0.9, "H": float(h[0]), "splits": ef.splits[si[0]]}
 
 
 def _rows(eigenframe, cands):
@@ -763,21 +886,26 @@ _HALF = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
 _H0 = float(_HALF[20])  # alpha - C = _H0^2 / 4 puts every disc at 0 on this grid row
 
 
+def _spectra(test):
+    """Made-up Jacobi spectra (alpha, multiplicity) and a C, with the cases below."""
+    test = given(spectrum=st.lists(st.tuples(st.floats(-1.0, 0.0), st.integers(1, 3)),
+                                   min_size=1, max_size=3),
+                 c=st.floats(-2.0, 0.0))(test)
+    # alpha = C: P = 1 and D1 = 0 on the split (1, 1), whose gap is 0 at every H
+    test = example(spectrum=[(0.0, 2)], c=0.0)(test)
+    # D1 = 2 (1/4) - 1/2 = 0 with d != 0 on the split ((0, 2), (1, 0)), where P = 1
+    test = example(spectrum=[(-0.5, 2), (-0.25, 1)], c=-0.75)(test)
+    # an exact grid zero of the split (2, 0) on the first scanned row
+    test = example(spectrum=[(0.0, 2)], c=-_H0 ** 2 / 4)(test)
+    # the only roots lie between the last two scanned rows
+    test = example(spectrum=[(-0.259, 3)], c=-0.276)(test)
+    # every disc > 0 from H = 0 on, and the split ((1, 1), (1, 1)) has Tr S - H = H,
+    # whose root only the pair of grid points around 0 brackets
+    return example(spectrum=[(-1.0, 2), (-0.5, 2)], c=-0.25)(test)
+
+
 @settings(max_examples=30, deadline=None)
-@given(spectrum=st.lists(st.tuples(st.floats(-1.0, 0.0), st.integers(1, 3)),
-                         min_size=1, max_size=3),
-       c=st.floats(-2.0, 0.0))
-# alpha = C: P = 1 and D1 = 0 on the split (1, 1), whose gap is 0 at every H
-@example(spectrum=[(0.0, 2)], c=0.0)
-# D1 = 2 (1/4) - 1/2 = 0 with d != 0 on the split ((0, 2), (1, 0)), where P = 1
-@example(spectrum=[(-0.5, 2), (-0.25, 1)], c=-0.75)
-# an exact grid zero of the split (2, 0) on the first scanned row
-@example(spectrum=[(0.0, 2)], c=-_H0 ** 2 / 4)
-# the only roots lie between the last two scanned rows
-@example(spectrum=[(-0.259, 3)], c=-0.276)
-# every disc > 0 from H = 0 on, and the split ((1, 1), (1, 1)) has Tr S - H = H,
-# whose root only the pair of grid points around 0 brackets
-@example(spectrum=[(-1.0, 2), (-0.5, 2)], c=-0.25)
+@_spectra
 def test_cut_scan_equals_full_grid_scan(spectrum, c):
     # the oracle scans every grid row with the same arithmetic; the per-split
     # reference finds the same roots, each within 1e-9 (it bisects H < 0 by
@@ -786,7 +914,7 @@ def test_cut_scan_equals_full_grid_scan(spectrum, c):
     with pytest.MonkeyPatch.context() as mp:
         ef = _made_up_eigenframe(mp, alphas, mults)
     cut = ef.candidates([c])[0]
-    ef._cutoff = lambda half_sq, c: half_sq.size
+    ef._cutoffs = lambda half_sq, c_values: np.full(len(c_values), half_sq.size)
     full = ef.candidates([c])[0]
     assert all(np.array_equal(x, y) for x, y in zip(cut, full))
     ends = np.cumsum([0, *mults])
@@ -799,10 +927,25 @@ def test_cut_scan_equals_full_grid_scan(spectrum, c):
 def test_cutoff_scans_the_whole_grid_only_where_no_sign_is_proven(monkeypatch):
     half_sq = _HALF ** 2
     ef = _made_up_eigenframe(monkeypatch, [-0.5, -0.25], [2, 1])
-    assert ef._cutoff(half_sq, -0.75) == _HALF.size  # D1 = 0 for a split with P = 1
-    assert ef._cutoff(half_sq, -0.7) < _HALF.size // 10
+    full, cut = ef._cutoffs(half_sq, np.array([-0.75, -0.7]))
+    assert full == _HALF.size  # D1 = 0 for a split with P = 1
+    assert cut < _HALF.size // 10
     ef = _made_up_eigenframe(monkeypatch, [-1.0, -0.5], [2, 2])
-    assert ef._cutoff(half_sq, -0.25) < _HALF.size // 10  # scanned from H = 0 on
+    assert ef._cutoffs(half_sq, np.array([-0.25]))[0] < _HALF.size // 10  # from H = 0 on
+
+
+@settings(max_examples=30, deadline=None)
+@_spectra
+def test_cutoffs_equal_the_cutoff_of_each_c_alone(spectrum, c):
+    alphas, mults = [a for a, _ in spectrum], [m for _, m in spectrum]
+    with pytest.MonkeyPatch.context() as mp:
+        ef = _made_up_eigenframe(mp, alphas, mults)
+    half_sq = _HALF ** 2
+    c_values = np.concatenate([[c], ef.alphas, probe_c_grid(0.1)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cuts = ef._cutoffs(half_sq, c_values)
+    assert cuts.tolist() == [cutoff(ef, half_sq, cv) for cv in c_values]
 
 
 @settings(max_examples=100, deadline=None)
