@@ -1,7 +1,6 @@
 """Damek-Ricci geometry engine and Einstein-hypersurface obstruction harness."""
 
-from .clifford import (CliffordModule, Octonion, build_module, is_symmetric_space, j_op,
-                       max_center_dim)
+from .clifford import CliffordModule, build_module, is_symmetric_space, j_op, max_center_dim
 from .curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
                         ricci_isotropy)
 from .dralgebra import DamekRicci, verify_heisenberg_identities

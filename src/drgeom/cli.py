@@ -333,6 +333,11 @@ def probe(cfg: RunConfig) -> tuple[int, dict]:
     return (0 if rep.passed else 1), payload
 
 
+def _number_or_null(x) -> bool:
+    """Whether a report value is null or a number, so that min and max can take it."""
+    return x is None or isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def summarize(paths: list[str], as_csv: bool = False) -> str:
     """Aggregate residual ranges and the largest step runtime (from each
     report's ``header.runtimes_s``) over one or more report files."""
@@ -351,7 +356,13 @@ def summarize(paths: list[str], as_csv: bool = False) -> str:
             if not checks:
                 raise ValueError("no checks")
             runtimes = data.get("header", {}).get("runtimes_s", {})
-        except (json.JSONDecodeError, OSError, ValueError, KeyError, AttributeError) as exc:
+            if not isinstance(runtimes, dict) or not all(map(_number_or_null, runtimes.values())):
+                raise ValueError("header.runtimes_s is not an object of numbers")
+            if not all(isinstance(c, dict) and isinstance(c.get("id"), str) and "verdict" in c
+                       and _number_or_null(c.get("residual")) for c in checks):
+                raise ValueError("a check is not an object with an id, a verdict and a residual")
+        except (json.JSONDecodeError, OSError, ValueError, KeyError, AttributeError,
+                TypeError) as exc:
             skipped.append((p, str(exc)))
             continue
         for c in checks:

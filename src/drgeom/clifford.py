@@ -3,10 +3,9 @@
 Builds families of skew-orthogonal generators J_1..J_{d_z} on R^{d_v} with
 J_i J_j + J_j J_i = -2 delta_ij, from which the generalized Heisenberg
 bracket is assembled.  Irreducible pieces come from complex, quaternion and
-octonion left multiplication; reducible modules are direct sums.  The
-octonion arithmetic (Cayley-Dickson over the quaternions, one fixed sign
-convention) is exposed because the largest admissible module is most
-naturally described by octonion pairs.
+octonion left multiplication, all read from one table that doubles R three
+times by Cayley-Dickson (one fixed sign convention); the largest module is
+built from octonion pairs.  Reducible modules are direct sums.
 """
 
 from __future__ import annotations
@@ -17,91 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 ANTICOMM_TOL = 1e-12
-
-# quaternion left multiplication on basis (1, i, j, k)
-_QL_I = np.array([[0., -1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, 1, 0]])
-_QL_J = np.array([[0., 0, -1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, -1, 0, 0]])
-_QL_K = np.array([[0., 0, 0, -1], [0, 0, -1, 0], [0, 1, 0, 0], [1, 0, 0, 0]])
-
-
-def quaternion_mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    a0, a1, a2, a3 = a
-    b0, b1, b2, b3 = b
-    return np.array([
-        a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
-        a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
-        a0 * b2 - a1 * b3 + a2 * b0 + a3 * b1,
-        a0 * b3 + a1 * b2 - a2 * b1 + a3 * b0,
-    ])
-
-
-def quaternion_conj(a: np.ndarray) -> np.ndarray:
-    return np.array([a[0], -a[1], -a[2], -a[3]])
-
-
-@dataclass(frozen=True)
-class Octonion:
-    """Octonion in the basis (1, e1..e7), Cayley-Dickson pair of quaternions.
-
-    The product convention is (a, b)(c, d) = (ac - d*b, da + bc*).
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coords, dtype=float)
-        if c.shape != (8,):
-            raise ValueError(f"octonion needs 8 coordinates, got shape {c.shape}")
-        object.__setattr__(self, "coords", c)
-
-    @classmethod
-    def basis(cls, i: int) -> Octonion:
-        c = np.zeros(8)
-        c[i] = 1.0
-        return cls(c)
-
-    @classmethod
-    def zero(cls) -> Octonion:
-        return cls(np.zeros(8))
-
-    def __add__(self, other: Octonion) -> Octonion:
-        return Octonion(self.coords + other.coords)
-
-    def __sub__(self, other: Octonion) -> Octonion:
-        return Octonion(self.coords - other.coords)
-
-    def __neg__(self) -> Octonion:
-        return Octonion(-self.coords)
-
-    def __mul__(self, other):
-        if isinstance(other, Octonion):
-            a, b = self.coords[:4], self.coords[4:]
-            c, d = other.coords[:4], other.coords[4:]
-            first = quaternion_mul(a, c) - quaternion_mul(quaternion_conj(d), b)
-            second = quaternion_mul(d, a) + quaternion_mul(b, quaternion_conj(c))
-            return Octonion(np.concatenate([first, second]))
-        return Octonion(self.coords * float(other))
-
-    def __rmul__(self, other) -> Octonion:
-        return Octonion(self.coords * float(other))
-
-    def conj(self) -> Octonion:
-        c = -self.coords.copy()
-        c[0] = self.coords[0]
-        return Octonion(c)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coords))
-
-    @property
-    def real(self) -> float:
-        return float(self.coords[0])
-
-
-def oct_left_mult_matrix(z: Octonion) -> np.ndarray:
-    """Matrix of w -> z*w on R^8."""
-    return np.column_stack([(z * Octonion.basis(i)).coords for i in range(8)])
-
 
 def max_center_dim(d_v: int) -> int:
     """Largest admissible center dimension for a module of dimension d_v.
@@ -135,27 +49,48 @@ def admissible(d_z: int, d_v: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _octonion_left_mults() -> np.ndarray:
-    return np.stack([oct_left_mult_matrix(Octonion.basis(i)) for i in range(1, 8)])
+def division_algebra_mults() -> dict[int, np.ndarray]:
+    """Left multiplications by the basis of C, H and O, keyed by dimension.
+
+    ``division_algebra_mults()[n][i]`` is the read-only matrix of w -> e_i w
+    on R^n.  Each algebra doubles the last by Cayley-Dickson, (a, b)(c, d) =
+    (ac - d*b, da + bc*).  With K the conjugation and L_i, R_i the left and
+    right multiplications by e_i, the doubled ones are L(e_i, 0) =
+    [[L_i, 0], [0, R_i]], L(0, e_i) = [[0, -R_i K], [L_i K, 0]],
+    R(e_i, 0) = [[R_i, 0], [0, R(e_i*)]] and R(0, e_i) = [[0, -L(e_i*)], [L_i, 0]].
+    """
+    left = right = np.ones((1, 1, 1))
+    conj = np.ones(1)  # the diagonal of K
+    out = {}
+    for _ in range(3):
+        z, k = np.zeros_like(left), conj[:, None, None]  # M(e_i*) = conj_i M(e_i)
+        # + 0.0 turns the -0.0 of every negated zero into +0.0
+        left, right = (np.concatenate([np.block([[left, z], [z, right]]),
+                                       np.block([[z, -right * conj], [left * conj, z]])]) + 0.0,
+                       np.concatenate([np.block([[right, z], [z, k * right]]),
+                                       np.block([[z, -k * left], [left, z]])]) + 0.0)
+        conj = np.concatenate([conj, -np.ones_like(conj)])
+        left.setflags(write=False)
+        out[len(conj)] = left
+    return out
 
 
 def _irreducible_generators(d_z: int) -> np.ndarray:
     """Generators of the minimal-dimension irreducible module for d_z <= 8."""
+    mults = division_algebra_mults()
     if d_z == 1:
-        return np.array([[[0., -1.], [1., 0.]]])
+        return mults[2][1:]
     if d_z in (2, 3):
-        gens = [_QL_I, _QL_J, _QL_K][:d_z]
-        return np.stack(gens)
+        return mults[4][1:1 + d_z]
     if 4 <= d_z <= 7:
-        return _octonion_left_mults()[:d_z].copy()
+        return mults[8][1:1 + d_z]
     if d_z == 8:
         # octonion pairs: J_z (w1, w2) = (z w2, -z* w1), z running over the basis of O;
-        # L(e_0) = I and L(e_i*) = -L(e_i) for i >= 1, written 0.0 - L to keep the
-        # +0.0 zeros of the product matrix L(e_i*)
-        eye = np.eye(8)[None]
+        # L(e_i*) = -L(e_i) for i >= 1, written 0.0 - L to keep the +0.0 zeros of
+        # the product matrix L(e_i*)
         gens = np.zeros((8, 16, 16))
-        gens[:, :8, 8:] = np.concatenate([eye, _octonion_left_mults()])
-        gens[:, 8:, :8] = -np.concatenate([eye, 0.0 - _octonion_left_mults()])
+        gens[:, :8, 8:] = mults[8]
+        gens[:, 8:, :8] = -np.concatenate([mults[8][:1], 0.0 - mults[8][1:]])
         return gens
     raise ValueError(f"no irreducible construction for d_z = {d_z}")
 

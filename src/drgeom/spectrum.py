@@ -37,7 +37,6 @@ class NormalFrame:
     s4: np.ndarray = field(repr=False, default=None)
     p_basis: np.ndarray = field(repr=False, default=None)
     z_minus1: np.ndarray = field(repr=False, default=None)
-    v_minus1: np.ndarray = field(repr=False, default=None)
     k_matrix: np.ndarray = field(repr=False, default=None)
     k_basis: np.ndarray = field(repr=False, default=None)
     mu_clusters: tuple = ()
@@ -129,12 +128,8 @@ def make_frame(g: DamekRicci, v: np.ndarray, y: np.ndarray, s: float) -> NormalF
         z_minus1 = np.zeros((g.d_z, 0))
         mu_clusters = []
 
-    v_minus1 = (orthonormalize([g.j_z(z_minus1[:, i]) @ v
-                                for i in range(z_minus1.shape[1])])
-                if z_minus1.shape[1] else np.zeros((g.d_v, 0)))
-
     return NormalFrame(g, v, y, float(s), xi=xi, t0=t0, q_vec=q_vec, s4=s4,
-                       p_basis=p_basis, z_minus1=z_minus1, v_minus1=v_minus1,
+                       p_basis=p_basis, z_minus1=z_minus1,
                        k_matrix=k_matrix, k_basis=k_basis,
                        mu_clusters=tuple(mu_clusters))
 

@@ -531,8 +531,21 @@ def test_summarize_skips_malformed(tmp_path):
     bad.write_text("{not json")
     not_a_report = tmp_path / "list.json"
     not_a_report.write_text("[1, 2]")
-    text = summarize([str(good), str(bad), str(not_a_report)])
-    assert f"warning: skipped {bad}" in text and f"warning: skipped {not_a_report}" in text
+    # a string residual next to the good file's numeric one for the same check
+    check = report["checks"][0]
+    malformed = {"no_id.json": {"checks": [{"verdict": "pass", "residual": 0.0}]},
+                 "not_an_object.json": {"checks": [1]},
+                 "runtimes_list.json": {**report, "header": {"runtimes_s": [1.0]}},
+                 "string_residual.json": {"checks": [{**check, "residual": "small"}]}}
+    paths = [good, bad, not_a_report]
+    for name, data in malformed.items():
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps(data))
+    text = summarize([str(p) for p in paths])
+    for p in paths[1:]:
+        assert f"warning: skipped {p}" in text
+    assert text == summarize([str(good)]) + "".join(
+        line + "\n" for line in text.splitlines() if line.startswith("warning: skipped"))
 
 
 def test_main_summarize_roundtrip(tmp_path, capsys):
@@ -578,12 +591,13 @@ def test_codazzi_floor_fails_without_candidates(monkeypatch):
     assert check["verdict"] == "fail" and status == 1
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy is a test-only oracle; every drgeom command starts without it
+@pytest.mark.parametrize("package", ["scipy", "sympy"])
+def test_cli_import_loads_no_test_only_package(package):
+    # scipy and sympy are test-only oracles; every drgeom command starts without them
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run([sys.executable, "-c", "import sys, drgeom.cli; "
-                           "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+    proc = subprocess.run([sys.executable, "-c", "import sys, drgeom.cli; print(sorted("
+                           f"m for m in sys.modules if m.split('.')[0] == {package!r}))"],
                           env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"

@@ -1,4 +1,5 @@
-"""Clifford module construction, octonion arithmetic, admissibility."""
+"""Clifford module construction, the division-algebra table against the octonion
+oracle, admissibility."""
 
 from __future__ import annotations
 
@@ -7,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom.clifford import (Octonion, admissible, anticommutation_residual,
-                             build_module, is_symmetric_space, j_op, max_center_dim,
-                             oct_left_mult_matrix)
+from drgeom.clifford import (admissible, anticommutation_residual, build_module,
+                             division_algebra_mults, is_symmetric_space, j_op, max_center_dim)
+from octonion import QL_I, QL_J, QL_K, Octonion, oct_left_mult_matrix, quaternion_mul
 from test_curvature import assert_curvature_matches_reference
 
 ADMISSIBLE = [(d_z, d_v) for d_v in (2, 4, 8, 16)
@@ -93,15 +94,47 @@ def test_octonion_pair_model_matches_pair_formula():
         assert np.max(np.abs(got - expect)) < 1e-14
 
 
-def test_octonion_pair_generators_are_the_product_loop_bytes():
-    # reference: each generator from two Octonion-product matrices, L(z) and L(z*);
+def product_loop_generators(d_z: int) -> np.ndarray:
+    """The irreducible module's generators from the oracle's products alone.
+
+    d_z <= 7 takes L(e_1..e_{d_z}) on C, H or O, the first 2, 4 or 8
+    coordinates of the octonions; d_z = 8 takes the octonion pairs, each
+    generator from two product matrices, L(z) and L(z*).
+    """
+    if d_z == 8:
+        ref = np.zeros((8, 16, 16))
+        for i in range(8):
+            z = Octonion.basis(i)
+            ref[i, :8, 8:] = oct_left_mult_matrix(z)
+            ref[i, 8:, :8] = -oct_left_mult_matrix(z.conj())
+        return ref
+    m = 2 if d_z == 1 else 4 if d_z <= 3 else 8
+    return np.stack([oct_left_mult_matrix(Octonion.basis(i))[:m, :m]
+                     for i in range(1, d_z + 1)])
+
+
+@pytest.mark.parametrize("d_z,d_v", [(1, 2), (2, 4), (3, 4), (4, 8), (5, 8), (6, 8),
+                                     (7, 8), (8, 16)])
+def test_octonion_pair_generators_are_the_product_loop_bytes(d_z, d_v):
     # the bytes also fix the sign of every zero
-    ref = np.zeros((8, 16, 16))
-    for i in range(8):
-        z = Octonion.basis(i)
-        ref[i, :8, 8:] = oct_left_mult_matrix(z)
-        ref[i, 8:, :8] = -oct_left_mult_matrix(z.conj())
-    assert build_module(8, 16).generators.tobytes() == ref.tobytes()
+    assert build_module(d_z, d_v).generators.tobytes() == product_loop_generators(d_z).tobytes()
+
+
+def test_quaternion_literals_are_the_product_loop_bytes():
+    loop = [np.column_stack([quaternion_mul(np.eye(4)[i], np.eye(4)[j]) for j in range(4)])
+            for i in range(1, 4)]
+    assert np.stack([QL_I, QL_J, QL_K]).tobytes() == np.stack(loop).tobytes()
+    assert division_algebra_mults()[4][1:].tobytes() == np.stack(loop).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.floats(-3, 3), min_size=16, max_size=16))
+def test_division_algebra_table_product_matches_octonion_oracle(coords):
+    x, y = np.array(coords[:8]), np.array(coords[8:])
+    got = (x @ division_algebra_mults()[8].reshape(8, 64)).reshape(8, 8) @ y
+    expect = (Octonion(x) * Octonion(y)).coords
+    scale = max(1.0, float(np.linalg.norm(x) * np.linalg.norm(y)))
+    assert np.max(np.abs(got - expect)) <= 1e-12 * scale
 
 
 def test_j_op_zero_and_unit():

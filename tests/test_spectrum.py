@@ -305,7 +305,7 @@ def test_xi_spectrum_multiplicity_pattern(gctx):
 
 
 def test_xi_spectrum_subspace_decomposition(gctx):
-    # L(-1) + L(-1/4) + R xi = s4 + p + z(-1) + v(-1) when the kernel is nonzero
+    # L(-1) + L(-1/4) + R xi = s4 + p + z(-1) + J_{z(-1)} V when the kernel is nonzero
     g, ctx = gctx(5, 8)
     rng = np.random.default_rng(9)
     fr = random_frame(g, rng)
@@ -319,7 +319,7 @@ def test_xi_spectrum_subspace_decomposition(gctx):
     rhs_cols = [fr.s4[:, i] for i in range(fr.s4.shape[1])]
     rhs_cols += [g.vec(fr.p_basis[:, i]) for i in range(fr.d_p)]
     rhs_cols += [g.vec(z=fr.z_minus1[:, i]) for i in range(fr.d_minus1)]
-    rhs_cols += [g.vec(fr.v_minus1[:, i]) for i in range(fr.v_minus1.shape[1])]
+    rhs_cols += [g.vec(g.j_z(fr.z_minus1[:, i]) @ fr.v) for i in range(fr.d_minus1)]
     rhs = np.column_stack(rhs_cols)
     assert lhs.shape[1] == rhs.shape[1]
     q, _ = np.linalg.qr(rhs)
