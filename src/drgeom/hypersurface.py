@@ -17,7 +17,8 @@ eigendata, the shared eigenframe X and its curvature contractions).  Then it
 scans the trace equation on its antisymmetric H grid for H >= 0, only up to
 the point from which every split's trace gap has a proven sign, gets the
 other half by mirroring each split, and bisects the brackets for all splits
-and C values at once.  The Gauss/Codazzi residuals are evaluated in full only
+and C values at once.  The scan takes consecutive C values together, as many
+as fit in a fixed budget of (H row, split) elements.  The Gauss/Codazzi residuals are evaluated in full only
 for the candidates that a cheap lower bound (the residual on a few sentinel
 Codazzi components) cannot rule out as the frame's minimum, in blocks of rows
 in bound order.
@@ -46,16 +47,17 @@ MAX_ENUMERATION_DIM = 16
 C_START, C_STOP, C_STEP = -2.0, 0.0, 0.01
 # a probe frame evaluates its candidates' full residuals BLOCK rows at a time
 BLOCK = 32
+# and scans consecutive C values together, at most SCAN_BLOCK (H row, split) pairs at a time
+SCAN_BLOCK = 1 << 15
 
 
-def _small_root(h, alphas: np.ndarray, c) -> np.ndarray:
-    """rho-(H) for H >= 0 as 2(alpha - C)/(H + sqrt(disc)), which does not cancel at
-    large H, where disc = H^2 - 4(alpha - C) > 0, and H/2 (also at H = alpha - C = 0)
-    where disc <= 0."""
-    a = alphas - c
-    disc = h ** 2 - 4.0 * a
+def _small_root(h, two_a: np.ndarray, four_a: np.ndarray) -> np.ndarray:
+    """rho-(H) for H >= 0 from two_a = 2(alpha - C) and four_a = 4(alpha - C): it is
+    2(alpha - C)/(H + sqrt(disc)), which does not cancel at large H, where disc =
+    H^2 - 4(alpha - C) > 0, and H/2 (also at H = alpha - C = 0) where disc <= 0."""
+    disc = h ** 2 - four_a
     t = np.broadcast_to(0.5 * h, disc.shape).copy()
-    np.divide(2.0 * a, h + np.sqrt(np.maximum(disc, 0.0)), out=t, where=disc > 0.0)
+    np.divide(two_a, h + np.sqrt(np.maximum(disc, 0.0)), out=t, where=disc > 0.0)
     return t
 
 
@@ -119,53 +121,88 @@ class _Eigenframe:
         split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
         minus the mirror split's at H, so per C only the grid points with
         H >= 0 up to the ``_cutoffs`` row (past it no sign changes) and the pair
-        of grid points around 0 are scanned.  Then the sign changes of all C
-        values are bisected together until each bracket holds two adjacent
-        floats (an exact grid zero is a bracket of width 0).  The
-        end where the trace gap is <= 0 is the root, and minus the other end is
-        the mirror split's root.  Roots within 1e-9 of a smaller one are
-        dropped, and so are splits with complex roots.
+        of grid points around 0 are scanned.  Consecutive C values are scanned
+        together, in groups of at most SCAN_BLOCK (row, split) elements (a C
+        over that alone is a group of its own); a row's trace gaps do not depend
+        on its group.  Then the sign changes of all C values are bisected
+        together until each bracket holds two adjacent floats (an exact grid
+        zero is a bracket of width 0).  The end where the trace gap is <= 0 is
+        the root, and minus the other end is the mirror split's root.  Roots
+        within 1e-9 of a smaller one are dropped, and so are splits with complex
+        roots.
         """
-        half = self.hs[len(self.hs) // 2:]
-        half_sq, n_splits, mirror = half ** 2, len(self.splits), self._mirror
         c_values = np.asarray(c_values, dtype=float)
-        keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
+        if not c_values.size:
+            return []
+        mid_row, n_splits, mirror = len(self.hs) // 2, len(self.splits), self._mirror
+        half_sq = self.hs[mid_row:] ** 2
         # every discriminant grows with H >= 0, so the rows where all are >= 0 are a tail
-        los = np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c_values)).tolist()
-        ends = (self._cutoffs(half_sq, c_values) + 1).tolist()
-        for ci, (c, lo, end) in enumerate(zip(c_values.tolist(), los, ends)):
-            hv = half[lo:end]
-            # only the signs and exact zeros of the trace gap are used
-            t = _small_root(hv[:, None], self.alphas, c)
-            fvals = np.hstack([hv[:, None], t]) @ self._coef
-            if lo == 0:  # add -half[0]: minus the mirror split's gap at half[0]
-                hv, fvals = np.concatenate([-hv[:1], hv]), np.vstack([-fvals[0, mirror], fvals])
+        los = np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c_values))
+        # a C scanned from row 0 also gets -half[0], as its first row
+        mirrored = los == 0
+        stops = np.minimum(self._cutoffs(half_sq, c_values) + 1, half_sq.size)
+        rows = np.maximum(stops - los, 0) + mirrored
+        firsts = np.concatenate([[0], np.cumsum(rows)])
+        row_c = np.repeat(np.arange(c_values.size), rows)
+        # each row's H: -half[0] on a mirrored C's first row (hs is exactly
+        # antisymmetric), then half[lo], half[lo + 1], ...
+        row_h = self.hs[mid_row + np.repeat(los - mirrored - firsts[:-1], rows)
+                        + np.arange(firsts[-1])]
+        keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
+        cap, g = SCAN_BLOCK // n_splits, 0
+        while g < c_values.size:
+            # the group [g, e): as many C values as fit in cap rows, and at least one
+            e = max(int(np.searchsorted(firsts, firsts[g] + cap, side="right")) - 1, g + 1)
+            ci, hv = row_c[firsts[g]:firsts[e]], row_h[firsts[g]:firsts[e]]
+            h = np.abs(hv)
+            a = self.alphas - c_values[ci, None]
+            # only the signs and exact zeros of the trace gap are used; at -half[0] it
+            # is minus the mirror split's gap at half[0]
+            fvals = np.hstack([h[:, None], _small_root(h[:, None], 2.0 * a, 4.0 * a)]) \
+                @ self._coef
+            first = firsts[g:e][mirrored[g:e]] - firsts[g]
+            fvals[first] = -fvals[first][:, mirror]
             below, above = fvals < 0.0, fvals > 0.0
             for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),
                                          (below[:-1] & above[1:], 0, 1),
                                          (above[:-1] & below[1:], 1, 0)):
                 i, si = np.divmod(np.flatnonzero(mask), n_splits)
-                keys.append(ci * n_splits + si)
+                if di_neg != di_pos:  # one C's last row and the next C's first are no bracket
+                    same = ci[i] == ci[i + 1]
+                    i, si = i[same], si[same]
+                keys.append(ci[i] * n_splits + si)
                 neg.append(hv[i + di_neg])
                 pos.append(hv[i + di_pos])
+            g = e
         keys, neg, pos = np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
+        # per bracket: 2(alpha - C), 4(alpha - C) and the split's and the mirror
+        # split's coefficients; the arrays shrink only when a bracket is done
         live = np.flatnonzero(neg != pos)
+        ci, si = np.divmod(keys[live], n_splits)
+        two_a = 2.0 * (self.alphas - c_values[ci, None])
+        four_a = 2.0 * two_a  # = 4(alpha - C) exactly: scaling by 2 does not round
+        w, w_mirror = self._coef[:, si], self._coef[:, mirror[si]]
+        lo, hi = neg[live], pos[live]
         while live.size:
-            a, b = neg[live], pos[live]
-            mid = 0.5 * (a + b)
-            moving = (mid != a) & (mid != b)
-            live, a, b, mid = live[moving], a[moving], b[moving], mid[moving]
+            mid = 0.5 * (lo + hi)
+            done = (mid == lo) | (mid == hi)
+            if done.any():
+                neg[live[done]], pos[live[done]] = lo[done], hi[done]
+                moving = ~done
+                live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
+                two_a, four_a = two_a[moving], four_a[moving]
+                w, w_mirror = w[:, moving], w_mirror[:, moving]
             # Tr S - H at mid < 0 is minus the mirror split's at -mid; it is summed
             # eigenspace by eigenspace after the H term
-            h, si, flip = np.abs(mid), keys[live] % n_splits, mid < 0.0
-            t = _small_root(h[:, None], self.alphas, c_values[keys[live] // n_splits, None])
-            w = self._coef[:, np.where(flip, mirror[si], si)]
-            gap = w[0] * h
+            h, flip = np.abs(mid), mid < 0.0
+            t = _small_root(h[:, None], two_a, four_a)
+            wf = np.where(flip, w_mirror, w)
+            gap = wf[0] * h
             for k in range(len(self.alphas)):
-                gap = gap + w[k + 1] * t[:, k]
+                gap = gap + wf[k + 1] * t[:, k]
             gap = np.where(flip, -gap, gap)
-            neg[live] = np.where(gap <= 0.0, mid, a)
-            pos[live] = np.where(gap >= 0.0, mid, b)
+            lo = np.where(gap <= 0.0, mid, lo)
+            hi = np.where(gap >= 0.0, mid, hi)
         # each root's mirror image is a root of the mirror split (a duplicate
         # from the two brackets around H = 0 is dropped below)
         ci, si = np.divmod(keys, n_splits)
@@ -380,8 +417,12 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100,
     identical whether the grid is processed serially or by a worker pool.
     One progress line per finished frame goes to stderr.
     """
+    if n_frames < 1:
+        raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     if c_grid is None:
         c_grid = probe_c_grid()
+    elif not len(c_grid):
+        raise ValueError("c_grid must hold at least one C value")
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
     tasks = [(ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
     workers = min(jobs, n_frames)

@@ -1,8 +1,12 @@
 """Reference oracles for the probe's frame search: the scan cutoff of one C
-alone, and the frame minimum from one residual batch per C.
+alone, the candidates from a scan of one C at a time, and the frame minimum
+from one residual batch per C.
 
 ``cutoff`` is the proven scan cutoff of a single C; ``_Eigenframe._cutoffs``
-takes every C at once and is checked against it.  ``per_c_probe_frame``
+takes every C at once and is checked against it.  ``per_c_candidates`` scans
+the trace gap one C value at a time and bisects with the per-bracket constants
+recomputed on every step; ``_Eigenframe.candidates`` scans groups of C values
+and is checked against it bit for bit.  ``per_c_probe_frame``
 evaluates the aggregate of every candidate, one batch per C value, and keeps
 the first minimum with a strict <; ``_probe_frame`` evaluates only the
 candidates its lower bound cannot rule out and is checked against it bit for
@@ -13,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from drgeom.hypersurface import _Eigenframe, _FrameTensors
+from drgeom.hypersurface import QUADRATIC_TOL, _Eigenframe, _FrameTensors, _small_root
 from drgeom.spectrum import random_frame
 
 
@@ -27,6 +31,70 @@ def cutoff(eigenframe: _Eigenframe, half_sq: np.ndarray, c: float) -> int:
     tilted = (d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2))[~flat] / (2.0 * lead[~flat])
     u = max(tilted.max(initial=0.0), (d2[flat] / d1[flat]).max(initial=0.0))
     return int(np.searchsorted(half_sq, 1.001 * u, side="right"))
+
+
+def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
+    """``_Eigenframe.candidates`` with the trace gap scanned one C at a time."""
+    half = eigenframe.hs[len(eigenframe.hs) // 2:]
+    half_sq, n_splits, mirror = half ** 2, len(eigenframe.splits), eigenframe._mirror
+    alphas, coef = eigenframe.alphas, eigenframe._coef
+    c_values = np.asarray(c_values, dtype=float)
+    keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
+    los = np.searchsorted(half_sq, 4.0 * (alphas.max() - c_values)).tolist()
+    ends = (eigenframe._cutoffs(half_sq, c_values) + 1).tolist()
+    for ci, (c, lo, end) in enumerate(zip(c_values.tolist(), los, ends)):
+        hv = half[lo:end]
+        a = alphas - c
+        t = _small_root(hv[:, None], 2.0 * a, 4.0 * a)
+        fvals = np.hstack([hv[:, None], t]) @ coef
+        if lo == 0:  # add -half[0]: minus the mirror split's gap at half[0]
+            hv, fvals = np.concatenate([-hv[:1], hv]), np.vstack([-fvals[0, mirror], fvals])
+        below, above = fvals < 0.0, fvals > 0.0
+        for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),
+                                     (below[:-1] & above[1:], 0, 1),
+                                     (above[:-1] & below[1:], 1, 0)):
+            i, si = np.divmod(np.flatnonzero(mask), n_splits)
+            keys.append(ci * n_splits + si)
+            neg.append(hv[i + di_neg])
+            pos.append(hv[i + di_pos])
+    keys, neg, pos = np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
+    live = np.flatnonzero(neg != pos)
+    while live.size:
+        lo, hi = neg[live], pos[live]
+        mid = 0.5 * (lo + hi)
+        moving = (mid != lo) & (mid != hi)
+        live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
+        h, si, flip = np.abs(mid), keys[live] % n_splits, mid < 0.0
+        a = alphas - c_values[keys[live] // n_splits, None]
+        t = _small_root(h[:, None], 2.0 * a, 4.0 * a)
+        w = coef[:, np.where(flip, mirror[si], si)]
+        gap = w[0] * h
+        for k in range(len(alphas)):
+            gap = gap + w[k + 1] * t[:, k]
+        gap = np.where(flip, -gap, gap)
+        neg[live] = np.where(gap <= 0.0, mid, lo)
+        pos[live] = np.where(gap >= 0.0, mid, hi)
+    ci, si = np.divmod(keys, n_splits)
+    keys = np.concatenate([keys, ci * n_splits + mirror[si]])
+    roots = np.concatenate([neg, -pos])
+
+    kept: list[int] = []
+    key_list, root_list = keys.tolist(), roots.tolist()
+    for j in np.lexsort((roots, keys)).tolist():
+        if not kept or key_list[j] != key_list[kept[-1]] or \
+                root_list[j] - root_list[kept[-1]] > 1e-9:
+            kept.append(j)
+    (ci, si), h = np.divmod(keys[kept], n_splits), roots[kept]
+    c = c_values[ci, None]
+    disc = h[:, None] ** 2 - 4.0 * (alphas - c)
+    sq = np.sqrt(np.maximum(disc, 0.0))[:, eigenframe._cluster]
+    lam = 0.5 * (h[:, None] + np.where(eigenframe._plus[si], sq, -sq))
+    quad = np.max(np.abs(lam ** 2 - h[:, None] * lam + (eigenframe.vector_alphas - c)), axis=1)
+    ok = np.all(disc >= -1e-12, axis=1) & \
+        (np.maximum(quad, np.abs(np.sum(lam, axis=1) - h)) <= QUADRATIC_TOL)
+    ci, h, lam, si = ci[ok], h[ok], lam[ok], si[ok]
+    ends = np.searchsorted(ci, np.arange(len(c_values) + 1))
+    return [(h[a:b], lam[a:b], si[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def per_c_probe_frame(ctx, frame_seed, fidx: int, c_grid) -> tuple[int, float, int, dict | None]:

@@ -32,7 +32,7 @@ from drgeom.hypersurface import (BLOCK, H_BOUND, H_SAMPLES, QUADRATIC_TOL, _Eige
 from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
-from per_c_probe import cutoff, per_c_probe_frame
+from per_c_probe import cutoff, per_c_candidates, per_c_probe_frame
 
 
 @pytest.fixture(scope="module")
@@ -391,6 +391,17 @@ def test_probe_floor_smoke(ctx24):
     assert out["candidates"] > 0
     assert out["floor"] > 1e-6
     assert len(out["per_frame_min"]) == 3
+
+
+@pytest.mark.parametrize("kwargs, name", [({"n_frames": 0}, "n_frames"),
+                                          ({"c_grid": np.array([])}, "c_grid")])
+def test_probe_refuses_no_frames_or_no_c_values(ctx24, kwargs, name):
+    with pytest.raises(ValueError, match=name):
+        probe_codazzi_floor(ctx24, **{"n_frames": 1, **kwargs})
+
+
+def test_candidates_of_no_c_values_are_empty(monkeypatch):
+    assert _made_up_eigenframe(monkeypatch, [-0.5], [2]).candidates([]) == []
 
 
 def test_candidate_aggregate_positive(g24, ctx24):
@@ -843,16 +854,21 @@ def test_flat_root_within_1e_11_of_40_digit_root(g24, ctx24):
     assert abs(roots[0] - _root_40_digits(eigenframe.alphas, splits, c, roots[0])) <= 1e-11
 
 
-def test_frame_batch_equals_one_c_at_a_time(g24, ctx24):
-    fr = random_frame(g24, np.random.default_rng(13))
-    eigenframe = _Eigenframe(fr, ctx24)
-    batch = eigenframe.candidates(REF_GRID)
+# a row's trace gaps and bisection do not depend on the other C values of its scan group
+@pytest.mark.parametrize("dims, c_grid", [((2, 4), REF_GRID), ((5, 8), probe_c_grid(0.05)),
+                                          ((6, 8), probe_c_grid(0.05)), ((7, 16), GRID_11)],
+                         ids=["2-4", "5-8", "6-8", "7-16"])
+def test_frame_batch_equals_one_c_at_a_time(dims, c_grid):
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    fr = random_frame(ctx.g, np.random.default_rng(13))
+    eigenframe = _Eigenframe(fr, ctx)
+    batch = eigenframe.candidates(c_grid)
     assert sum(len(h) for h, _, _ in batch) > 0
 
     def rows(c, cands):
         return [(c, hb, eigenframe.splits[s], lb.tobytes()) for hb, lb, s in zip(*cands)]
 
-    for c, cands in zip(REF_GRID, batch):
+    for c, cands in zip(c_grid, batch):
         alone = eigenframe.candidates([c])[0]
         assert rows(c, cands) == rows(c, alone)
 
@@ -948,6 +964,31 @@ def test_cutoffs_equal_the_cutoff_of_each_c_alone(spectrum, c):
     assert cuts.tolist() == [cutoff(ef, half_sq, cv) for cv in c_values]
 
 
+@settings(max_examples=30, deadline=None)
+@_spectra
+def test_grouped_scan_equals_one_c_at_a_time(spectrum, c):
+    # 21 C values with every alpha, the drawn C and 0.0 in the middle, which every
+    # alpha <= 0 makes a C scanned from row 0; SCAN_BLOCK 1 puts each C in a group of
+    # its own, 1 << 40 all in one, and the middle value cuts the grid into groups of
+    # at most a quarter of the rows (or a C over that alone)
+    alphas, mults = [a for a, _ in spectrum], [m for _, m in spectrum]
+    with pytest.MonkeyPatch.context() as mp:
+        ef = _made_up_eigenframe(mp, alphas, mults)
+    grid = probe_c_grid(0.1)
+    grid = np.concatenate([grid[:8], [0.0], ef.alphas, [c], grid[8:]])[:21]
+    half_sq = _HALF ** 2
+    los = np.searchsorted(half_sq, 4.0 * (ef.alphas.max() - grid))
+    assert los[8] == 0
+    rows = np.maximum(np.minimum(ef._cutoffs(half_sq, grid) + 1, _HALF.size) - los, 0) + \
+        (los == 0)
+    expected = [[x.tobytes() for x in cands] for cands in per_c_candidates(ef, grid)]
+    for block in (1, len(ef.splits) * max(int(rows.sum()) // 4, 1), 1 << 40):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hypersurface, "SCAN_BLOCK", block)
+            found = ef.candidates(grid)
+        assert [[x.tobytes() for x in cands] for cands in found] == expected
+
+
 @settings(max_examples=100, deadline=None)
 @given(h=st.floats(1e-3, H_BOUND), q=st.floats(-1.0, 1.0))
 def test_small_root_is_a_over_h_plus_a_bounded_excess(h, q):
@@ -959,7 +1000,7 @@ def test_small_root_is_a_over_h_plus_a_bounded_excess(h, q):
         hm, am = mpmath.mpf(h), mpmath.mpf(a)
         e = 2 * am / (hm + mpmath.sqrt(hm * hm - 4 * am)) - am / hm
         assert 0 <= e <= 4 * am * am / hm ** 3
-    e = Fraction(float(hypersurface._small_root(h, np.array([a]), 0.0)[0])) - \
-        Fraction(a) / Fraction(h)
+    rho = hypersurface._small_root(h, np.array([2.0 * a]), np.array([4.0 * a]))[0]
+    e = Fraction(float(rho)) - Fraction(a) / Fraction(h)
     tol = Fraction(16 * np.finfo(float).eps * (abs(a) / h + h))
     assert -tol <= e <= 4 * Fraction(a) ** 2 / Fraction(h) ** 3 + tol
