@@ -1,8 +1,7 @@
 """Damek-Ricci geometry engine and Einstein-hypersurface obstruction harness."""
 
 from .clifford import CliffordModule, build_module, is_symmetric_space, j_op, max_center_dim
-from .curvature import (CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg,
-                        ricci_isotropy)
+from .curvature import CurvatureContext, jacobi_closed_batch, ricci_heisenberg, ricci_isotropy
 from .dralgebra import DamekRicci, verify_heisenberg_identities
 from .hypersurface import nomizu, probe_codazzi_floor
 from .numkernel import EigenDecomposition, MPoly, eig_sym, poly_reduce, rational_bisect

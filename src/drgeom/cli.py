@@ -23,7 +23,7 @@ import numpy as np
 from .clifford import admissible, anticommutation_residual, center_dim_bound
 from .curvature import CurvatureContext, jacobi_closed_batch, ricci_heisenberg, ricci_isotropy
 from .dralgebra import DamekRicci, verify_heisenberg_identities
-from .hypersurface import horosphere_residual, probe_c_grid, probe_codazzi_floor
+from .hypersurface import horosphere_residual, probe_codazzi_floor
 from .obstruction import (FAIL, LedgerReport, general_case_ledger,
                           replay_dimension_cases, replay_no_a, replay_no_v,
                           replay_no_z, replay_octonion_case,
@@ -242,8 +242,7 @@ def _codazzi_probe(cfg: RunConfig) -> tuple[dict, LedgerReport, dict[str, float]
     rep = LedgerReport("hypersurface")
     ctx = CurvatureContext(DamekRicci.from_dims(2, 4))
     setup = {"setup(2,4)": rep.lap()}
-    out = probe_codazzi_floor(ctx, n_frames=cfg.probe_frames, c_grid=probe_c_grid(),
-                              seed=cfg.seed, jobs=cfg.jobs)
+    out = probe_codazzi_floor(ctx, n_frames=cfg.probe_frames, seed=cfg.seed, jobs=cfg.jobs)
     rep.record("codazzi-floor(2,4)", "codazzi-floor",
                out["candidates"] >= 1 and out["floor"] > 1e-6, exact=False,
                residual=out["floor"], candidates=out["candidates"], frames=out["frames"],

@@ -1,10 +1,11 @@
 """Left-invariant connection and curvature of a Damek-Ricci space.
 
 The connection tensor comes from the bracket tensor by the Koszul formula,
-and the full curvature tensor from the connection; the closed seven-term
-connection and the closed-form Jacobi operator are the independent
-cross-checks.  The same Koszul path on the v + z block gives the curvature
-of the nilpotent part alone (the Ricci sign-split witness).
+and the full curvature tensor from the connection; every layer reads this
+one connection tensor, and the closed-form Jacobi operator is the
+independent cross-check of the curvature.  The same Koszul path on the
+v + z block gives the curvature of the nilpotent part alone (the Ricci
+sign-split witness).
 """
 
 from __future__ import annotations
@@ -32,22 +33,6 @@ class CurvatureContext:
     def jacobi(self, t: np.ndarray) -> np.ndarray:
         """Matrix of Y -> R(Y, T) T, assembled from the curvature tensor."""
         return np.einsum("b,c,abce->ea", t, t, self.riemann_tensor)
-
-
-def nabla(g: DamekRicci, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """The left-invariant covariant derivative nabla_x of y's extension.
-
-    Seven-term closed form; metric-compatible and torsion-free against the
-    algebra bracket.  It is the reference for the Koszul-built
-    ``CurvatureContext.nabla_tensor``.
-    """
-    x, y = g._check(x), g._check(y)
-    v1, z1 = x[g.sv], x[g.sz]
-    v2, z2, s2 = y[g.sv], y[g.sz], y[g.ia]
-    v_out = -0.5 * (g.j_z(z2) @ v1) - 0.5 * (g.j_z(z1) @ v2) - 0.5 * s2 * v1
-    z_out = -0.5 * g.bracket_vz(v2, v1) - s2 * z1
-    a_out = 0.5 * float(v2 @ v1) + float(z2 @ z1)
-    return g.vec(v_out, z_out, a_out)
 
 
 def jacobi_closed_batch(g: DamekRicci, t1s: np.ndarray, t2s: np.ndarray) -> np.ndarray:

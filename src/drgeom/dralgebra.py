@@ -136,24 +136,14 @@ class DamekRicci:
         return kmat, basis, vals, vecs
 
     def k_square_minus1_space(self, v: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, dict]:
-        """(-1)-eigenspace of K^2 (columns in center coordinates) plus checks.
-
-        The checks record the residual of J_X J_Y V = |Y| J_{KX} V on the basis, K-invariance,
-        evenness, and the largest kept and least other |eigenvalue + 1| (cluster_residual, gap).
-        """
-        kmat, basis, vals, vecs = self.k_square_eigh(v, y)
+        """(-1)-eigenspace of K^2 (columns in center coordinates) plus its cluster data:
+        the dimension, and the largest kept and least other |eigenvalue + 1|
+        (cluster_residual, gap)."""
+        _, basis, vals, vecs = self.k_square_eigh(v, y)
         dist = np.abs(vals + 1.0)
         kept = is_minus1(vals)
         cols = basis @ vecs[:, kept]
-        kx = basis @ (kmat @ (basis.T @ cols))
-        gens = self.module.generators
-        lhs = np.einsum("ij,iab,b->aj", cols, gens, self.j_z(y) @ v)  # J_X J_Y V
-        rhs = np.linalg.norm(y) * np.einsum("ij,iab,b->aj", kx, gens, v)  # |Y| J_KX V
-        kinv = kx - cols @ (cols.T @ kx)  # K must preserve the eigenspace
-        d = cols.shape[1]
-        return cols, {"dim": d, "equiv_residual": float(np.max(np.abs(lhs - rhs), initial=0.0)),
-                      "k_invariance": float(np.max(np.abs(kinv), initial=0.0)),
-                      "even": d % 2 == 0, "gap": float(np.min(dist[~kept], initial=np.inf)),
+        return cols, {"dim": cols.shape[1], "gap": float(np.min(dist[~kept], initial=np.inf)),
                       "cluster_residual": float(np.max(dist[kept], initial=0.0))}
 
 

@@ -28,13 +28,11 @@ from __future__ import annotations
 
 import sys
 import time
-from fractions import Fraction
 from itertools import product
 
 import numpy as np
 
 from .curvature import CurvatureContext
-from .numkernel import MPoly
 from .spectrum import NormalFrame, normal_jacobi, random_frame
 
 QUADRATIC_TOL = 1e-10
@@ -230,25 +228,6 @@ class _Eigenframe:
         return [(h[a:b], lam[a:b], si[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
 
-def specialized_codazzi_coefficient_identity() -> bool:
-    """The coefficient collapse of the symmetric-core Codazzi combination.
-
-    With the reconstructed connection coefficients Gamma_{kj}^i = 4 lam_k r
-    and Gamma_{jk}^i = -4 lam_j r (r the single curvature component, the
-    sign from the polarized duality), and the left side equal to -2r by the
-    first Bianchi identity, the Codazzi equation collapses to
-    4 r (1/2 + (lam_j - lam_i) lam_k + (lam_k - lam_i) lam_j) = 0 --
-    verified as an exact polynomial identity over symbolic lam's.
-    """
-    li, lj, lk, r = MPoly.symbols("li lj lk r")
-    lhs = -2 * r
-    gamma_kj_i = 4 * lk * r
-    gamma_jk_i = -4 * lj * r
-    rhs = (lj - li) * gamma_kj_i - (lk - li) * gamma_jk_i
-    collapsed = 4 * r * (Fraction(1, 2) + (lj - li) * lk + (lk - li) * lj)
-    return (rhs - lhs - collapsed).is_zero
-
-
 def nomizu(ctx: CurvatureContext, xi: np.ndarray) -> np.ndarray:
     """Matrix of T -> nabla_T of the left-invariant extension of xi."""
     xi = np.asarray(xi, dtype=float)
@@ -439,5 +418,5 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100,
            "c_values": len(c_grid), "h_bound": H_BOUND, "h_samples": H_SAMPLES}
     return {"floor": float(per_frame[floor_idx]),
             "floor_info": results[floor_idx][3],
-            "candidates": n_candidates, "frames": n_frames, "seed": seed,
-            "box": box, "per_frame_min": per_frame}
+            "candidates": n_candidates, "frames": n_frames, "box": box,
+            "per_frame_min": per_frame}

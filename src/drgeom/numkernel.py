@@ -30,12 +30,13 @@ class EigenDecomposition:
     ``vectors[:, i]`` is the eigenvector for ``eigenvalues[i]``; within each
     cluster the basis is re-derived by Gram-Schmidt against coordinate order,
     so it does not depend on LAPACK's arbitrary choice inside multiplicities.
+    Only the spectrum, the basis and the clusters are kept; a caller that
+    wants the reconstruction residual computes it from them.
     """
 
     eigenvalues: np.ndarray
     vectors: np.ndarray
     clusters: tuple[tuple[int, ...], ...]
-    residual: float
 
     def cluster_values(self) -> list[float]:
         return [float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters]
@@ -97,7 +98,7 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
         if asym > SYM_TOL:
             raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} > {SYM_TOL:.3e}")
     if m.size == 0:
-        return EigenDecomposition(np.zeros(0), np.zeros((0, 0)), (), 0.0)
+        return EigenDecomposition(np.zeros(0), np.zeros((0, 0)), ())
     m = 0.5 * (m + m.T)
     vals, vecs = np.linalg.eigh(m)
     clusters = cluster_indices(list(vals))
@@ -111,9 +112,7 @@ def eig_sym(m: np.ndarray) -> EigenDecomposition:
             if axes.shape[1] == len(c):  # else a pathological projector: keep LAPACK's
                 block = axes
         cols.append(block)
-    vecs = np.hstack(cols)
-    residual = float(np.linalg.norm(m - vecs @ np.diag(vals) @ vecs.T))
-    return EigenDecomposition(vals, vecs, clusters, residual)
+    return EigenDecomposition(vals, np.hstack(cols), clusters)
 
 
 _MAX_DAMP = np.finfo(float).max / 10.0  # one more tenfold growth would overflow

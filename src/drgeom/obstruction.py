@@ -16,9 +16,8 @@ from fractions import Fraction
 import numpy as np
 
 from .clifford import division_algebra_mults, max_center_dim
-from .curvature import CurvatureContext, jacobi_closed_batch, nabla, ricci_heisenberg
+from .curvature import CurvatureContext, jacobi_closed_batch, ricci_heisenberg
 from .dralgebra import DamekRicci
-from .hypersurface import specialized_codazzi_coefficient_identity
 from .numkernel import MPoly, levenberg_marquardt, orthonormalize, poly_reduce
 from .spectrum import (NormalFrame, eigen_families, eta_alpha_exact_identity, f_cubic_roots,
                        random_frame)
@@ -131,7 +130,10 @@ def replay_no_v(g: DamekRicci) -> LedgerReport:
 # special case: no A-component
 # ---------------------------------------------------------------------------
 
-def replay_no_a(ctx: CurvatureContext, samples: int = 12, seed: int = 0) -> LedgerReport:
+NO_A_SAMPLES = 12  # random draws in each of the two sampling loops
+
+
+def replay_no_a(ctx: CurvatureContext, seed: int = 0) -> LedgerReport:
     """The s = 0 chain: forced shape data clashes with the curvature value.
 
     With xi = V + Y the shape operator must send A to |Y|^2 V/2 - |V|^2 Y/2,
@@ -149,7 +151,7 @@ def replay_no_a(ctx: CurvatureContext, samples: int = 12, seed: int = 0) -> Ledg
 
     # one sampling loop serves both formulas; its time goes to the first step
     worst_sa = worst_c = 0.0
-    for _ in range(samples):
+    for _ in range(NO_A_SAMPLES):
         v = rng.standard_normal(g.d_v)
         y = rng.standard_normal(g.d_z)
         vsq = rng.uniform(0.15, 0.85)
@@ -166,22 +168,22 @@ def replay_no_a(ctx: CurvatureContext, samples: int = 12, seed: int = 0) -> Ledg
         c_val = raa + float(sa @ sa)
         worst_c = max(worst_c, abs(c_val - (-0.25 * (2.0 - vsq) ** 2)))
     rep.record("shape-of-a-formula", "shape-from-tangency",
-               worst_sa <= 1e-12, exact=False, residual=worst_sa, samples=samples)
+               worst_sa <= 1e-12, exact=False, residual=worst_sa, samples=NO_A_SAMPLES)
     rep.record("einstein-difference-formula", "jacobi-evaluation",
-               worst_c <= 1e-10, exact=False, residual=worst_c, samples=samples,
+               worst_c <= 1e-10, exact=False, residual=worst_c, samples=NO_A_SAMPLES,
                derivative_consequence="A(|V|^2) = -|Y|^2 |V|^2, so |V| constant forces Y = 0")
 
     # Y = 0 sub-case: xi = V unit, SZ = J_Z V / 2, Gauss vs curvature gap
     worst_sz = 0.0
     worst_gap = 0.0
-    for _ in range(samples):
+    for _ in range(NO_A_SAMPLES):
         v = rng.standard_normal(g.d_v)
         v /= np.linalg.norm(v)
         z = rng.standard_normal(g.d_z)
         z /= np.linalg.norm(z)
         xi_vec, z_vec = g.vec(v), g.vec(z=z)
-        # <nabla_T Z, xi> = <J_Z V/2, T> for all T: assemble the pairing vector
-        pair = np.array([g.inner(nabla(g, e, z_vec), xi_vec) for e in np.eye(g.dim)])
+        # <nabla_T Z, xi> = <J_Z V/2, T> for all T: the pairing vector over T = e_a
+        pair = np.einsum("abe,b,e->a", ctx.nabla_tensor, z_vec, xi_vec)
         sz = g.vec(0.5 * (g.j_z(z) @ v))
         worst_sz = max(worst_sz, float(np.max(np.abs(pair - sz))))
         curv = g.inner(jacobi_closed_batch(g, xi_vec[None], z_vec[None])[0], z_vec)
@@ -1030,6 +1032,25 @@ def final_positivity_analysis(grid: int = 50) -> dict:
                                             and interior_ok),
             "grid_min": grid_min, "grid_argmin": argmin,
             "spot_half_quarter": spot, "spot_ok": spot == Fraction(7, 4)}
+
+
+def specialized_codazzi_coefficient_identity() -> bool:
+    """The coefficient collapse of the symmetric-core Codazzi combination.
+
+    With the reconstructed connection coefficients Gamma_{kj}^i = 4 lam_k r
+    and Gamma_{jk}^i = -4 lam_j r (r the single curvature component, the
+    sign from the polarized duality), and the left side equal to -2r by the
+    first Bianchi identity, the Codazzi equation collapses to
+    4 r (1/2 + (lam_j - lam_i) lam_k + (lam_k - lam_i) lam_j) = 0 --
+    verified as an exact polynomial identity over symbolic lam's.
+    """
+    li, lj, lk, r = MPoly.symbols("li lj lk r")
+    lhs = -2 * r
+    gamma_kj_i = 4 * lk * r
+    gamma_jk_i = -4 * lj * r
+    rhs = (lj - li) * gamma_kj_i - (lk - li) * gamma_jk_i
+    collapsed = 4 * r * (Fraction(1, 2) + (lj - li) * lk + (lk - li) * lj)
+    return (rhs - lhs - collapsed).is_zero
 
 
 def general_case_ledger(exact: bool = True) -> LedgerReport:

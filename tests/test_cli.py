@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drgeom import cli, clifford, dralgebra
+from drgeom import cli, clifford, dralgebra, hypersurface
 from drgeom.cli import (DEFAULT_DIMS, REPLAYS, RunConfig, load_config, main, module_suites,
                         probe, replay, run, summarize)
 from drgeom.clifford import build_module
@@ -401,7 +401,7 @@ def test_probe_times_the_context_build_under_setup(monkeypatch):
         return CurvatureContext(g)
 
     monkeypatch.setattr(cli, "CurvatureContext", slow_context)
-    monkeypatch.setattr(cli, "probe_c_grid", lambda: np.array([-0.5]))
+    monkeypatch.setattr(hypersurface, "probe_c_grid", lambda: np.array([-0.5]))
     _, report = probe(RunConfig(probe_frames=1))
     runtimes = report["header"]["runtimes_s"]
     assert list(runtimes) == ["setup(2,4)", "codazzi-floor(2,4)",
@@ -461,6 +461,15 @@ def test_probe_bench_payload_is_pinned():
     status, report = probe(load_config(None, {**config, "jobs": 1}))
     assert status == 0
     assert json.loads(json.dumps(report["probe"])) == pinned["probe"]
+
+
+def test_replay_bench_payload_is_pinned():
+    # replay all at seed 7000, every report and witness bit for bit
+    pinned = json.loads((Path(__file__).parent / "data" / "replay_bench_payload.json").read_text())
+    status, report = replay("all", load_config(None, pinned["config"]))
+    assert status == 0
+    del report["header"]
+    assert json.loads(json.dumps({"config": pinned["config"], **report})) == pinned
 
 
 def test_report_step_runtimes_add_up_within_wall_time(timed_replays):
@@ -584,7 +593,7 @@ def test_probe_subcommand_smoke(tmp_path):
 
 def test_codazzi_floor_fails_without_candidates(monkeypatch):
     # at C = -1e6 no H in the box solves the trace equation, so the floor is inf
-    monkeypatch.setattr(cli, "probe_c_grid", lambda: np.array([-1e6]))
+    monkeypatch.setattr(hypersurface, "probe_c_grid", lambda: np.array([-1e6]))
     status, report = run(RunConfig(probe_frames=1, suites=["hypersurface"]))
     check = {c["id"]: c for c in report["checks"]}["codazzi-floor(2,4)"]
     assert check["witness"]["candidates"] == 0 and check["residual"] == np.inf

@@ -9,8 +9,9 @@ import pytest
 
 from drgeom.cli import DEFAULT_DIMS
 from drgeom.clifford import CliffordModule, admissible, build_module
+from connection import nabla
 from drgeom.curvature import (CurvatureContext, curvature_from_connection, jacobi_closed_batch,
-                              koszul_connection, nabla, ricci_heisenberg, ricci_isotropy)
+                              koszul_connection, ricci_heisenberg, ricci_isotropy)
 from drgeom.dralgebra import DamekRicci, bracket_tensor
 from drgeom.numkernel import orthonormalize
 

@@ -165,12 +165,16 @@ def test_center_complement_basis_matches_reference_loop(dims):
 def test_k_square_minus1_space_quaternionic():
     g = DamekRicci.from_dims(3, 4)
     rng = np.random.default_rng(6)
-    cols, info = g.k_square_minus1_space(rng.standard_normal(4),
-                                         rng.standard_normal(3))
-    assert info["dim"] == 2  # d_z - 1
-    assert info["even"]
-    assert info["equiv_residual"] <= 1e-9
-    assert info["k_invariance"] <= 1e-9
+    v, y = rng.standard_normal(4), rng.standard_normal(3)
+    cols, info = g.k_square_minus1_space(v, y)
+    assert info["dim"] == 2  # d_z - 1, even
+    kmat, basis = g.k_operator(v, y)
+    kx = basis @ (kmat @ (basis.T @ cols))
+    gens = g.module.generators
+    lhs = np.einsum("ij,iab,b->aj", cols, gens, g.j_z(y) @ v)  # J_X J_Y V
+    rhs = np.linalg.norm(y) * np.einsum("ij,iab,b->aj", kx, gens, v)  # |Y| J_KX V
+    assert np.max(np.abs(lhs - rhs)) <= 1e-9
+    assert np.max(np.abs(kx - cols @ (cols.T @ kx))) <= 1e-9  # K preserves the eigenspace
 
 
 def test_k_square_minus1_space_empty():

@@ -105,7 +105,7 @@ def _made_up_eigenframe(monkeypatch, alphas, mults):
     n = sum(mults)
     ends = np.cumsum([0, *mults]).tolist()
     dec = EigenDecomposition(np.repeat(np.asarray(alphas, dtype=float), mults), np.eye(n),
-                             tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])), 0.0)
+                             tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])))
     monkeypatch.setattr(hypersurface, "normal_jacobi",
                         lambda frame, ctx: (None, np.eye(n), None, dec))
     return _Eigenframe(None, None)
@@ -412,7 +412,7 @@ def test_candidate_aggregate_positive(g24, ctx24):
 
 
 def test_specialized_codazzi_coefficient_identity():
-    from drgeom.hypersurface import specialized_codazzi_coefficient_identity
+    from drgeom.obstruction import specialized_codazzi_coefficient_identity
     assert specialized_codazzi_coefficient_identity()
 
 
