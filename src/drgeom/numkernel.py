@@ -1,16 +1,24 @@
 """Numeric and exact-rational kernels.
 
 Two independent layers live here: a thin symmetric-eigensolver wrapper with
-deterministic eigenvalue clustering (and a least-squares solver), and a sparse
-multivariate polynomial over exact rationals (arbitrary-precision, no floating
-point) supporting reduction modulo a relation monic in one variable.  Everything
-is immutable after construction and safe to map over parameter grids in parallel.
+deterministic eigenvalue clustering (and a lockstep least-squares solver whose
+damped steps are one stacked LAPACK call), and a sparse multivariate polynomial
+over exact rationals (arbitrary-precision, no floating point) supporting
+reduction modulo a relation monic in one variable.  A polynomial packs each
+term's exponent tuple into one int key, the first variable in the highest bits,
+so int order is tuple order, and holds int numerators over one shared positive
+denominator prime to them; its arithmetic runs on ints.  Everything is immutable
+after construction and safe to map over parameter grids in parallel.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -132,13 +140,13 @@ def levenberg_marquardt(model, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x0.ndim != 2 or not len(x0):
         raise ValueError(f"x0 has shape {x0.shape}, expected (problems >= 1, parameters)")
     p = x0.shape[1]
-    eye, zeros, live = np.eye(p), np.zeros(p), np.arange(len(x0))
-    x, (r, jm) = list(x0), _rows_of(model, x0, live)
-    cost, damp = [rb @ rb for rb in r], [1e-3 * np.max(np.sum(jb * jb, axis=0)) for jb in jm]
+    live = np.arange(len(x0))
+    x, (r, jm) = x0.copy(), _rows_of(model, x0, live)
+    cost = np.array([rb @ rb for rb in r])
+    damp = np.array([1e-3 * np.max(np.sum(jb * jb, axis=0)) for jb in jm])
     for _ in range(100 * p - 1):
-        steps = [np.linalg.lstsq(np.vstack([jm[b], np.sqrt(damp[b]) * eye]),
-                                 np.concatenate([-r[b], zeros]))[0] for b in live]
-        trial_x = np.stack([x[b] + step for b, step in zip(live, steps)])
+        steps = damped_steps(jm[live], r[live], damp[live])
+        trial_x = x[live] + steps
         going = []
         for b, step, xb, rb, jb in zip(live, steps, trial_x, *_rows_of(model, trial_x, live)):
             trial = rb @ rb
@@ -155,16 +163,40 @@ def levenberg_marquardt(model, x0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         live = np.array(going, dtype=int)
         if not going:
             break
-    return np.stack(x), np.stack(r)
+    return x, r
 
 
-def _rows_of(model, x: np.ndarray, rows: np.ndarray) -> tuple[list, list]:
-    """``model(x, rows)`` as per-problem lists of r and J, one entry per row asked."""
+def _rows_of(model, x: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``model(x, rows)`` as float arrays of r and J, one row per problem asked; copies,
+    as accepted rows are written into them."""
     r, jm = model(x, rows)
     if len(r) != len(rows) or len(jm) != len(rows):
         raise ValueError(f"model returned {len(r)} residual and {len(jm)} Jacobian rows "
                          f"for {len(rows)} problems")
-    return list(r), list(jm)
+    return np.array(r, dtype=float), np.array(jm, dtype=float)
+
+
+def _raise_lstsq_error(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+
+def damped_steps(jm: np.ndarray, r: np.ndarray, damp: np.ndarray) -> np.ndarray:
+    """The least-squares solutions dx of [J_b; sqrt(mu_b) I] dx = [-r_b; 0], one row per b.
+
+    One call of the gufunc behind ``np.linalg.lstsq`` runs LAPACK's gelsd on every problem
+    with ``lstsq``'s default rcond, so row b has the bits ``np.linalg.lstsq`` gives problem
+    b alone, at a fraction of the cost of a Python loop of calls.
+    """
+    # private: numpy has no public stacked least-squares call; numpy >= 2 names it lstsq
+    from numpy.linalg._umath_linalg import lstsq
+
+    n, m, p = jm.shape
+    a = np.concatenate([jm, np.sqrt(damp)[:, None, None] * np.eye(p)], axis=1)
+    rhs = np.concatenate([-r, np.zeros((n, p))], axis=1)[:, :, None]
+    with np.errstate(call=_raise_lstsq_error, invalid="call", over="ignore",
+                     divide="ignore", under="ignore"):
+        x = lstsq(a, rhs, np.finfo(float).eps * (m + p), signature="ddd->ddid")[0]
+    return x[:, :, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -172,6 +204,41 @@ def _rows_of(model, x: np.ndarray, rows: np.ndarray) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 
 RationalLike = Fraction | int
+
+# An exponent uses the low _FIELD - 1 bits of its field; the top bit is a guard, clear in
+# every stored key, that a sum of two exponents sets exactly when it passes _MAX_EXP.
+_FIELD = 16
+_MAX_EXP = (1 << (_FIELD - 1)) - 1
+_MASK = (1 << _FIELD) - 1
+
+
+@lru_cache(maxsize=None)
+def _guard(n: int) -> int:
+    """The guard bits of an n-variable key."""
+    return sum(1 << (_FIELD * i + _FIELD - 1) for i in range(n))
+
+
+def _shift(variables: tuple[str, ...], var: str) -> int:
+    return _FIELD * (len(variables) - 1 - variables.index(var))
+
+
+def _pack(exp, n: int) -> int:
+    if len(exp) != n:
+        raise ValueError("exponent length does not match variable count")
+    key = 0
+    for e in exp:
+        try:
+            e = operator.index(e)
+        except TypeError:
+            raise ValueError(f"exponent {e!r} is not an integer") from None
+        if not 0 <= e <= _MAX_EXP:
+            raise ValueError(f"exponent {e} is outside 0..{_MAX_EXP}")
+        key = (key << _FIELD) | e
+    return key
+
+
+def _unpack(key: int, n: int) -> tuple[int, ...]:
+    return tuple((key >> (_FIELD * i)) & _MASK for i in range(n - 1, -1, -1))
 
 
 def _as_fraction(x) -> Fraction:
@@ -187,41 +254,50 @@ def _as_fraction(x) -> Fraction:
 class MPoly:
     """Sparse multivariate polynomial with exact rational coefficients.
 
-    Terms map exponent tuples (aligned with ``variables``) to nonzero
-    Fractions.  All arithmetic is exact; instances are immutable.
+    A term is a packed exponent key (``_FIELD`` bits per variable, the first
+    variable highest, so key order is the exponent tuples' order) and an int
+    numerator over the one shared denominator, so the arithmetic runs on ints.
+    ``terms`` is the read-only ``{exponent tuple: Fraction}`` view, built once per
+    instance; instances are immutable.
 
-    Invariant: every instance has distinct variable names, every exponent
-    is a tuple of ints of length ``len(variables)``, and every stored
-    coefficient is a nonzero ``Fraction``.  ``MPoly(...)`` checks and
-    normalizes outside input; the arithmetic builds its results from
-    operands that already hold the invariant, so it goes through ``_new``,
-    which only drops the zero coefficients that cancellation leaves.
+    Invariant: the variable names are distinct; every key packs exponents in
+    0.._MAX_EXP for ``len(variables)`` variables; every numerator is a nonzero int;
+    the denominator is a positive int with gcd 1 with the numerators.  So each
+    polynomial has one representation in its ring.  ``MPoly(...)`` checks and
+    normalizes outside input; the arithmetic builds its results through ``_new``,
+    which drops zeros, divides out the common factor and, where exponents were
+    added, rejects one past _MAX_EXP.
     """
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "_terms", "_den", "_view")
 
     def __init__(self, variables: Sequence[str], terms: Mapping[tuple[int, ...], RationalLike]):
         vs = tuple(variables)
         if len(set(vs)) != len(vs):
             raise ValueError(f"duplicate variable names in {vs}")
-        cleaned: dict[tuple[int, ...], Fraction] = {}
-        for exp, c in terms.items():
-            c = _as_fraction(c)
-            if c:
-                exp = tuple(int(e) for e in exp)
-                if len(exp) != len(vs):
-                    raise ValueError("exponent length does not match variable count")
-                cleaned[exp] = c
-        self.variables = vs
-        self.terms = cleaned
+        coeffs = {_pack(exp, len(vs)): _as_fraction(c) for exp, c in terms.items()}
+        coeffs = {k: c for k, c in coeffs.items() if c}
+        # the lcm of reduced denominators is already prime to the scaled numerators
+        den = math.lcm(*(c.denominator for c in coeffs.values()))
+        self.variables, self._den, self._view = vs, den, None
+        self._terms = {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}
 
     @classmethod
-    def _new(cls, vs: tuple[str, ...], terms: Mapping[tuple[int, ...], Fraction]) -> MPoly:
-        """Trusted constructor: ``terms`` already has int-tuple exponents of
-        length ``len(vs)`` and Fraction values; only zeros are dropped."""
+    def _new(cls, vs: tuple[str, ...], terms: dict[int, int], den: int = 1,
+             added: bool = False) -> MPoly:
+        """Trusted constructor: ``terms`` maps keys of ``len(vs)`` fields to int
+        numerators over ``den`` > 0.  Zeros are dropped and the common factor divided
+        out; ``added`` (exponents were summed) checks the guard bits."""
+        terms = {k: c for k, c in terms.items() if c}
+        if added and reduce(operator.or_, terms, 0) & _guard(len(vs)):
+            raise ValueError(f"an exponent passes {_MAX_EXP}, the largest MPoly holds")
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: c // g for k, c in terms.items()}
         out = cls.__new__(cls)
-        out.variables = vs
-        out.terms = {e: c for e, c in terms.items() if c}
+        out.variables, out._terms, out._den, out._view = vs, terms, den, None
         return out
 
     # -- construction -------------------------------------------------------
@@ -246,42 +322,65 @@ class MPoly:
             out.append(cls(vs, {tuple(exp): Fraction(1)}))
         return tuple(out)
 
+    @property
+    def terms(self) -> Mapping[tuple[int, ...], Fraction]:
+        """The read-only ``{exponent tuple: Fraction}`` view of the terms."""
+        if self._view is None:
+            n, den = len(self.variables), self._den
+            self._view = {_unpack(k, n): Fraction(c, den) for k, c in self._terms.items()}
+        return MappingProxyType(self._view)
+
+    def _rows(self, shift: int) -> dict[int, dict[int, int]]:
+        """Numerators by the exponent in the field at ``shift``, that field cleared."""
+        rows: dict[int, dict[int, int]] = {}
+        for k, c in self._terms.items():
+            e = (k >> shift) & _MASK
+            rows.setdefault(e, {})[k - (e << shift)] = c
+        return rows
+
     # -- ring structure -----------------------------------------------------
 
     def _aligned(self, other: MPoly) -> tuple[tuple[str, ...], MPoly, MPoly]:
         if self.variables == other.variables:
             return self.variables, self, other
-        merged = list(self.variables) + [v for v in other.variables if v not in self.variables]
-        return tuple(merged), self.embed(merged), other.embed(merged)
+        merged = self.variables + tuple(v for v in other.variables if v not in self.variables)
+        return merged, self.embed(merged), other.embed(merged)
 
     def embed(self, variables: Sequence[str]) -> MPoly:
         """Reinterpret in a larger (or reordered) variable ring."""
         vs = tuple(variables)
+        if vs == self.variables:
+            return self
+        if len(set(vs)) != len(vs):
+            raise ValueError(f"duplicate variable names in {vs}")
         for v in self.variables:
             if v not in vs:
                 raise ValueError(f"target ring is missing variable {v!r}")
-        pos = [self.variables.index(v) if v in self.variables else None for v in vs]
-        return MPoly._new(vs, {tuple(0 if i is None else exp[i] for i in pos): c
-                               for exp, c in self.terms.items()})
+        moves = [(_shift(self.variables, v), _shift(vs, v)) for v in self.variables]
+        return MPoly._new(vs, {sum(((k >> src) & _MASK) << dst for src, dst in moves): c
+                               for k, c in self._terms.items()}, self._den)
 
     def _coerce(self, other) -> MPoly:
         if isinstance(other, MPoly):
             return other
-        return MPoly.constant(_as_fraction(other), self.variables)
+        c = _as_fraction(other)
+        return MPoly._new(self.variables, {0: c.numerator}, c.denominator)
 
     def __add__(self, other) -> MPoly:
         other = self._coerce(other)
         vs, a, b = self._aligned(other)
-        terms = dict(a.terms)
-        for exp, c in b.terms.items():
-            prev = terms.get(exp)
-            terms[exp] = c if prev is None else prev + c
-        return MPoly._new(vs, terms)
+        den = math.lcm(a._den, b._den)
+        fa, fb = den // a._den, den // b._den
+        terms = dict(a._terms) if fa == 1 else {k: c * fa for k, c in a._terms.items()}
+        get = terms.get
+        for k, c in b._terms.items():
+            terms[k] = get(k, 0) + c * fb
+        return MPoly._new(vs, terms, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> MPoly:
-        return MPoly._new(self.variables, {e: -c for e, c in self.terms.items()})
+        return MPoly._new(self.variables, {k: -c for k, c in self._terms.items()}, self._den)
 
     def __sub__(self, other) -> MPoly:
         return self + (-self._coerce(other))
@@ -292,135 +391,167 @@ class MPoly:
     def __mul__(self, other) -> MPoly:
         other = self._coerce(other)
         vs, a, b = self._aligned(other)
-        terms: dict[tuple[int, ...], Fraction] = {}
-        for e1, c1 in a.terms.items():
-            for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(e1, e2))
-                prev = terms.get(exp)
-                terms[exp] = c1 * c2 if prev is None else prev + c1 * c2
-        return MPoly._new(vs, terms)
+        terms: dict[int, int] = {}
+        get = terms.get
+        right = list(b._terms.items())
+        for k1, c1 in a._terms.items():
+            for k2, c2 in right:
+                k = k1 + k2
+                terms[k] = get(k, 0) + c1 * c2
+        return MPoly._new(vs, terms, a._den * b._den, added=True)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int) -> MPoly:
         if n < 0:
             raise ValueError("negative powers are not polynomials")
-        out = MPoly.constant(1, self.variables)
-        base = self
+        out, base = self._coerce(1), self
         while n:
             if n & 1:
                 out = out * base
-            base = base * base
             n >>= 1
+            if n:  # no square past the last bit, which could pass _MAX_EXP for nothing
+                base = base * base
         return out
 
     def __truediv__(self, other) -> MPoly:
         c = _as_fraction(other)
-        return MPoly._new(self.variables, {e: v / c for e, v in self.terms.items()})
+        if not c:
+            raise ZeroDivisionError("division of a polynomial by zero")
+        sign = 1 if c > 0 else -1
+        return MPoly._new(self.variables, {k: v * sign * c.denominator
+                                           for k, v in self._terms.items()},
+                          self._den * abs(c.numerator))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MPoly):
             try:
-                other = MPoly.constant(_as_fraction(other), self.variables)
+                other = self._coerce(other)
             except TypeError:
                 return NotImplemented
         _, a, b = self._aligned(other)
-        return a.terms == b.terms
+        return a._den == b._den and a._terms == b._terms
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        # over the variables a term uses, by name, so that equal polynomials in
+        # different or reordered rings hash equal
+        n = len(self.variables)
+        return hash((self._den, frozenset(
+            (tuple(sorted((v, e) for v, e in zip(self.variables, _unpack(k, n)) if e)), c)
+            for k, c in self._terms.items())))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._terms:
             return "0"
         bits = []
-        for exp in sorted(self.terms, reverse=True):
-            c = self.terms[exp]
+        for key in sorted(self._terms, reverse=True):
+            exp = _unpack(key, len(self.variables))
             mono = "*".join(f"{v}^{e}" if e > 1 else v
                             for v, e in zip(self.variables, exp) if e)
-            bits.append(f"{c}" + (f"*{mono}" if mono else ""))
+            bits.append(f"{Fraction(self._terms[key], self._den)}" + (f"*{mono}" if mono else ""))
         return " + ".join(bits)
 
     # -- queries ------------------------------------------------------------
 
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def degree(self, var: str) -> int:
         if var not in self.variables:
             return 0
-        i = self.variables.index(var)
-        return max((e[i] for e in self.terms), default=0)
+        s = _shift(self.variables, var)
+        return max(((k >> s) & _MASK for k in self._terms), default=0)
 
     def coeff_of(self, var: str, power: int) -> MPoly:
         """Coefficient of var**power, as a polynomial in the remaining ring."""
-        i = self.variables.index(var)
-        return MPoly._new(self.variables, {exp[:i] + (0,) + exp[i + 1:]: c
-                                           for exp, c in self.terms.items() if exp[i] == power})
+        s = _shift(self.variables, var)
+        low = power << s
+        return MPoly._new(self.variables, {k - low: c for k, c in self._terms.items()
+                                           if (k >> s) & _MASK == power}, self._den)
 
     def depends_on(self, var: str) -> bool:
         return self.degree(var) > 0
 
     def evaluate(self, assignment: Mapping[str, RationalLike]) -> Fraction:
-        missing = [v for v in self.variables
-                   if v not in assignment and self.depends_on(v)]
+        n = len(self.variables)
+        exps = [_unpack(k, n) for k in self._terms]
+        degrees = [max(col) for col in zip(*exps)]
+        missing = [v for v, d in zip(self.variables, degrees) if d and v not in assignment]
         if missing:
             raise ValueError(f"missing values for {missing}")
-        vals = [_as_fraction(assignment.get(v, 0)) for v in self.variables]
-        total = Fraction(0)
-        for exp, c in self.terms.items():
-            term = c
-            for x, e in zip(vals, exp):
-                if e:
-                    term *= x ** e
-            total += term
-        return total
+        # with x_i = p_i / q_i and d_i the degree in x_i, the value times the
+        # denominator and every q_i^d_i is the int sum of c prod p_i^e_i q_i^(d_i - e_i)
+        den, used = self._den, []
+        for i, d in enumerate(degrees):
+            if d:
+                x = _as_fraction(assignment[self.variables[i]])
+                p, q = x.numerator, x.denominator
+                used.append((i, [p ** e * q ** (d - e) for e in range(d + 1)]))
+                den *= q ** d
+        total = 0
+        for exp, c in zip(exps, self._terms.values()):
+            for i, powers in used:
+                c *= powers[exp[i]]
+            total += c
+        return Fraction(total, den)
 
     def substitute(self, var: str, value) -> MPoly:
         """Replace a variable by a polynomial (or rational) value, exactly."""
         if var not in self.variables:
             return self
-        i = self.variables.index(var)
         if not isinstance(value, MPoly):
-            value = MPoly.constant(_as_fraction(value), self.variables)
-        out = MPoly.zero(self.variables)
-        powers: dict[int, MPoly] = {0: MPoly.constant(1, self.variables)}
-        maxdeg = self.degree(var)
-        for k in range(1, maxdeg + 1):
-            powers[k] = powers[k - 1] * value
-        for k in range(maxdeg + 1):
-            coeff = self.coeff_of(var, k)
-            if not coeff.is_zero:
-                out = out + coeff * powers[k]
+            value = self._coerce(value)
+        rows = self._rows(_shift(self.variables, var))
+        top = max(rows, default=0)
+        out = MPoly._new(self.variables, rows.get(top, {}), self._den)
+        for k in range(top - 1, -1, -1):  # Horner's scheme
+            out = out * value + MPoly._new(self.variables, rows.get(k, {}), self._den)
         return out
 
     # -- exact division -----------------------------------------------------
 
     def divexact(self, other: MPoly) -> MPoly | None:
-        """Exact multivariate quotient self/other, or None if not divisible."""
+        """Exact multivariate quotient self/other, or None if not divisible.
+
+        Long division on int numerators: with ``scale`` s, s A = Q B + R holds
+        for the numerators A, B of self and other throughout, and s grows only
+        when the leading coefficient of B does not divide R's.  An exact
+        quotient keeps every term of R within the degrees of A, so a guard bit
+        set in R's leading key means no quotient exists.
+        """
         vs, a, b = self._aligned(self._coerce(other))
         if b.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        quo: dict[tuple[int, ...], Fraction] = {}
-        rem = dict(a.terms)
-        blead = max(b.terms)
-        bc = b.terms[blead]
+        guard = _guard(len(vs))
+        (blead, bc), *rest = sorted(b._terms.items(), reverse=True)
+        quo: dict[int, int] = {}
+        rem = dict(a._terms)
+        scale = 1
         while rem:
             rlead = max(rem)
-            diff = tuple(x - y for x, y in zip(rlead, blead))
-            if any(d < 0 for d in diff):
+            diff = (rlead | guard) - blead
+            # R's lead past the bound, or not a multiple of B's lead
+            if rlead & guard or (diff & guard) != guard:
                 return None
-            c = rem[rlead] / bc
-            quo[diff] = quo.get(diff, Fraction(0)) + c
-            for e2, c2 in b.terms.items():
-                exp = tuple(x + y for x, y in zip(diff, e2))
-                nc = rem.get(exp, Fraction(0)) - c * c2
+            diff ^= guard
+            r = rem.pop(rlead)
+            m = abs(bc) // math.gcd(r, bc)
+            if m != 1:
+                scale *= m
+                r *= m
+                rem = {k: c * m for k, c in rem.items()}
+                quo = {k: c * m for k, c in quo.items()}
+            c = r // bc
+            quo[diff] = c
+            for k2, c2 in rest:
+                k = diff + k2
+                nc = rem.get(k, 0) - c * c2
                 if nc:
-                    rem[exp] = nc
+                    rem[k] = nc
                 else:
-                    rem.pop(exp, None)
-        return MPoly(vs, quo)
+                    rem.pop(k, None)
+        return MPoly._new(vs, {k: c * b._den for k, c in quo.items()}, scale * a._den)
 
 
 def poly_reduce(a: MPoly, var: str, modulus: MPoly) -> MPoly:
@@ -430,22 +561,39 @@ def poly_reduce(a: MPoly, var: str, modulus: MPoly) -> MPoly:
     congruent to ``a`` modulo the relation.  ``a`` is split into its
     coefficients by degree in ``var``; from the top degree down, each var^k
     with k >= d is replaced by var^(k-d) times the tail var^d - modulus.
+    The rows hold int numerators: with D the modulus' denominator and K the
+    top degree, ``a``'s are scaled by D^(K-d+1), so row k is a multiple of
+    D^(k-d+1) when its turn comes, and dividing its product with the tail by
+    D is exact.
     """
     vs, a, modulus = a._aligned(modulus)
     d = modulus.degree(var)
     if d < 1:
         raise ValueError("modulus must have degree >= 1 in the reduction variable")
-    lead = modulus.coeff_of(var, d)
-    if not lead == MPoly.constant(1, vs):
-        raise ValueError(f"modulus is not monic in {var!r}: leading coefficient {lead!r}")
-    i = vs.index(var)
-    rem = [a.coeff_of(var, k) for k in range(a.degree(var) + 1)]
-    tail = [-modulus.coeff_of(var, j) for j in range(d)]
-    for k in range(len(rem) - 1, d - 1, -1):
-        for j, c in enumerate(tail):
-            rem[k - d + j] = rem[k - d + j] + rem[k] * c
-    return MPoly._new(vs, {e[:i] + (k,) + e[i + 1:]: c for k, p in enumerate(rem[:d])
-                           for e, c in p.terms.items()})
+    shift = _shift(vs, var)
+    mrows = modulus._rows(shift)
+    if mrows[d] != {0: modulus._den}:
+        raise ValueError(f"modulus is not monic in {var!r}: leading coefficient "
+                         f"{modulus.coeff_of(var, d)!r}")
+    dm, guard = modulus._den, _guard(len(vs))
+    tail = [[(k, -c) for k, c in mrows.get(j, {}).items()] for j in range(d)]
+    rows = a._rows(shift)
+    top = max(rows, default=0)
+    scale = dm ** max(top - d + 1, 0)
+    rem = [{k: c * scale for k, c in rows.get(e, {}).items()} for e in range(top + 1)]
+    for k in range(top, d - 1, -1):
+        row = [(e, c // dm) for e, c in rem[k].items() if c]
+        if reduce(operator.or_, (e for e, _ in row), 0) & guard:
+            raise ValueError(f"an exponent passes {_MAX_EXP}, the largest MPoly holds")
+        for j, tj in enumerate(tail):
+            acc = rem[k - d + j]
+            get = acc.get
+            for e1, c1 in row:
+                for e2, c2 in tj:
+                    e = e1 + e2
+                    acc[e] = get(e, 0) + c1 * c2
+    return MPoly._new(vs, {e + (k << shift): c for k, row in enumerate(rem[:d])
+                           for e, c in row.items()}, a._den * scale, added=True)
 
 
 # ---------------------------------------------------------------------------
@@ -461,15 +609,24 @@ def poly_eval_fraction(coeffs: Sequence[RationalLike], x: RationalLike) -> Fract
     return total
 
 
+def _positive_width(max_width) -> Fraction:
+    max_width = _as_fraction(max_width)
+    if max_width <= 0:  # bisection would never reach it
+        raise ValueError(f"max_width must be positive, got {max_width}")
+    return max_width
+
+
 def rational_bisect(coeffs: Sequence[RationalLike], lo: RationalLike, hi: RationalLike,
                     max_width: RationalLike = Fraction(1, 10 ** 16)) -> tuple[Fraction, Fraction]:
     """Bisection with exact sign evaluation; returns a bracketing interval.
 
-    Requires a strict sign change on [lo, hi]; an exact root hit collapses
-    the bracket to a point.
+    Requires lo < hi, a positive ``max_width`` and a strict sign change on
+    [lo, hi]; an exact root hit collapses the bracket to a point.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
-    max_width = _as_fraction(max_width)
+    max_width = _positive_width(max_width)
+    if not lo < hi:
+        raise ValueError(f"lo must be below hi, got lo = {lo}, hi = {hi}")
     flo = poly_eval_fraction(coeffs, lo)
     fhi = poly_eval_fraction(coeffs, hi)
     if flo == 0:
@@ -510,7 +667,7 @@ def certified_brackets(coeffs: Sequence[RationalLike], cuts: Sequence[RationalLi
     """
     coeffs = [_as_fraction(c) for c in coeffs]
     cuts = [_as_fraction(c) for c in cuts]
-    max_width = _as_fraction(max_width)
+    max_width = _positive_width(max_width)
     vals = [poly_eval_fraction(coeffs, c) for c in cuts]
     degree = max((i for i, c in enumerate(coeffs) if c), default=0)
     certifiable = (degree == len(cuts) - 1

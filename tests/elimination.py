@@ -11,7 +11,6 @@ are checked against it.
 from __future__ import annotations
 
 import heapq
-from fractions import Fraction
 from typing import Sequence
 
 from drgeom.numkernel import MPoly
@@ -49,7 +48,7 @@ def symmetric_eliminate(expr: MPoly, sym_vars: Sequence[str],
     expr = expr.embed(vs)
     idx = [vs.index(v) for v in sym_vars]
     elems = elementary_symmetric(
-        [MPoly._new(vs, {tuple(int(j == i) for j in range(len(vs))): Fraction(1)}) for i in idx])
+        [MPoly(vs, {tuple(int(j == i) for j in range(len(vs))): 1}) for i in idx])
     values = [val if isinstance(val, MPoly) else MPoly.constant(val, vs)
               for val in elem_values]
     if len(values) != k:
@@ -73,7 +72,7 @@ def symmetric_eliminate(expr: MPoly, sym_vars: Sequence[str],
             continue
         sym_exp = tuple(full_exp[i] for i in idx)
         if any(sym_exp[i] < sym_exp[i + 1] for i in range(k - 1)):
-            raise NotSymmetricError(MPoly._new(vs, work))
+            raise NotSymmetricError(MPoly(vs, work))
         if sym_exp not in prods:
             gen = val = MPoly.constant(1, vs)
             for j, power in enumerate(a - b for a, b in zip(sym_exp, sym_exp[1:] + (0,))):
@@ -82,7 +81,7 @@ def symmetric_eliminate(expr: MPoly, sym_vars: Sequence[str],
                     val = val * values[j] ** power
             prods[sym_exp] = gen, val
         gen, val = prods[sym_exp]
-        rest = MPoly._new(vs, {tuple(0 if i in idx else e for i, e in enumerate(full_exp)): c})
+        rest = MPoly(vs, {tuple(0 if i in idx else e for i, e in enumerate(full_exp)): c})
         # every term of rest * gen but the leading one (which cancels c x^full_exp)
         # has smaller symmetric exponents
         for e, d in (rest * gen).terms.items():
@@ -96,9 +95,9 @@ def symmetric_eliminate(expr: MPoly, sym_vars: Sequence[str],
             else:
                 work[e] = prev - d
         result = result + rest * val
-    result = result + MPoly._new(vs, work)
+    result = result + MPoly(vs, work)
     if any(e[i] for e in result.terms for i in idx):
         raise NotSymmetricError(result)
     keep = [i for i, v in enumerate(result.variables) if v not in sym_vars]
-    return MPoly._new(tuple(result.variables[i] for i in keep),
-                      {tuple(e[i] for i in keep): c for e, c in result.terms.items()})
+    return MPoly([result.variables[i] for i in keep],
+                 {tuple(e[i] for i in keep): c for e, c in result.terms.items()})

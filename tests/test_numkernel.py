@@ -6,17 +6,18 @@ resultants; the bisection root finder is checked against numpy roots.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 import sympy as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drgeom.numkernel import (MPoly, certified_brackets, cluster_indices, complete_basis,
-                              eig_sym, orthonormalize, poly_eval_fraction, poly_reduce,
-                              rational_bisect)
+from drgeom.numkernel import (_MAX_EXP, MPoly, certified_brackets, cluster_indices,
+                              complete_basis, damped_steps, eig_sym, orthonormalize,
+                              poly_eval_fraction, poly_reduce, rational_bisect)
 from drgeom.obstruction import _other_roots
 from elimination import NotSymmetricError, symmetric_eliminate
 from sylvester import mpoly_resultant
@@ -178,6 +179,33 @@ def test_orthonormalize_basis_and_limit():
 
 
 # ---------------------------------------------------------------------------
+# the stacked damped least-squares step
+# ---------------------------------------------------------------------------
+
+def _lone_step(jm, r, damp):
+    p = jm.shape[1]
+    return np.linalg.lstsq(np.vstack([jm, np.sqrt(damp) * np.eye(p)]),
+                           np.concatenate([-r, np.zeros(p)]))[0]
+
+
+def test_damped_steps_equal_lone_lstsq_bit_for_bit():
+    # the Levenberg-Marquardt shape: 48 residual rows plus 8 damping rows by 8 parameters
+    rng = np.random.default_rng(11)
+    jm, r = rng.standard_normal((7, 48, 8)), rng.standard_normal((7, 48))
+    damp = 10.0 ** rng.uniform(-12, 8, 7)
+    # a rank-deficient J (two equal columns, one zero column) with zero damping
+    jm[3, :, 5] = jm[3, :, 2]
+    jm[3, :, 7] = 0.0
+    damp[3] = 0.0
+    steps = damped_steps(jm, r, damp)
+    assert steps.shape == (7, 8)
+    for b in range(7):
+        assert steps[b].tobytes() == _lone_step(jm[b], r[b], damp[b]).tobytes()
+    # each row keeps its bits in any batch it is solved in
+    assert damped_steps(jm[3:5], r[3:5], damp[3:5]).tobytes() == steps[3:5].tobytes()
+
+
+# ---------------------------------------------------------------------------
 # MPoly ring
 # ---------------------------------------------------------------------------
 
@@ -231,6 +259,65 @@ def test_mpoly_results_keep_the_invariant(a, b, ring):
         _assert_clean(p)
         again = MPoly(p.variables, p.terms)
         assert again == p and hash(again) == hash(p)
+
+
+def test_mpoly_rejects_exponents_it_cannot_hold():
+    for exp, what in [((1.5,), "not an integer"), ((-1,), "outside"),
+                      ((_MAX_EXP + 1,), "outside")]:
+        with pytest.raises(ValueError, match=what):
+            MPoly(("x",), {exp: 1})
+    assert MPoly(("x",), {(_MAX_EXP,): 1}).degree("x") == _MAX_EXP
+
+
+def test_mpoly_exponent_overflow_raises_and_never_spills():
+    x, y = MPoly.symbols("x y")
+    big = x ** 20000  # no square of the base past the power's last bit
+    assert big.degree("x") == 20000 and big.degree("y") == 0
+    with pytest.raises(ValueError, match="passes"):
+        big * big
+    with pytest.raises(ValueError, match="passes"):
+        poly_reduce(x ** 2 * y ** (_MAX_EXP - 2), "x", x ** 2 - y ** 5)
+    # a quotient would need y^40000: no exact quotient exists
+    assert (x ** 3).divexact(x - y ** 20000) is None
+    assert ((x - y ** 20000) * (x + 1)).divexact(x - y ** 20000) == x + 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_mpolys(), ring=st.permutations(_RING + ("w",)))
+@example(a=MPoly(("x",), {(1,): 1}), ring=("x", "y", "z", "w"))
+def test_mpoly_embedding_keeps_equality_and_hash(a, ring):
+    for vs in (ring, [v for v in ring if v in a.variables]):
+        b = a.embed(vs)
+        assert b == a and hash(b) == hash(a) and len({a, b}) == 1
+        assert b.terms == {tuple(e[a.variables.index(v)] if v in a.variables else 0
+                                 for v in b.variables): c for e, c in a.terms.items()}
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_mpolys(), b=_mpolys())
+def test_mpoly_divexact_matches_sympy(a, b):
+    if b.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            a.divexact(b)
+        return
+    assert (a * b).divexact(b) == a
+    q = a.divexact(b)
+    gens = [sp.Symbol(v) for v in a._aligned(b)[0]]
+    divisible = sp.div(_to_sympy(a), _to_sympy(b), *gens)[1] == 0
+    assert (q is not None) == divisible
+    if q is not None:
+        assert q * b == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_mpolys(), values=st.lists(st.fractions(-3, 3, max_denominator=5), min_size=3,
+                                    max_size=3))
+def test_mpoly_evaluate_equals_the_sum_over_terms(a, values):
+    point = dict(zip(_RING, values))
+    expect = sum((math.prod((point[v] ** e for v, e in zip(a.variables, exp)), start=c)
+                  for exp, c in a.terms.items()), Fraction(0))
+    assert a.evaluate(point) == expect
+    assert type(a.evaluate(point)) is Fraction
 
 
 def _to_sympy(p: MPoly):
@@ -342,6 +429,24 @@ def test_poly_reduce_matches_sympy_rem(a, tail):
     assert sp.expand(_to_sympy(out) - oracle) == 0
 
 
+@settings(max_examples=60, deadline=None)
+@given(a=st.dictionaries(st.tuples(st.integers(0, 6), st.integers(0, 2)),
+                         st.fractions(-3, 3, max_denominator=4), min_size=1, max_size=8),
+       tail=st.lists(st.tuples(st.fractions(-2, 2, max_denominator=6),
+                               st.fractions(-2, 2, max_denominator=6)), min_size=1, max_size=3))
+def test_poly_reduce_with_fractional_coefficients_matches_sympy_rem(a, tail):
+    # rational coefficients in the modulus' tail and in the polynomial reduced
+    t, q = MPoly.symbols("t q")
+    zero = MPoly.zero(t.variables)
+    modulus = t ** len(tail) + sum(((c0 + c1 * q) * t ** j for j, (c0, c1) in enumerate(tail)),
+                                   zero)
+    poly = MPoly(("t", "q"), a)
+    out = poly_reduce(poly, "t", modulus)
+    assert out.degree("t") < len(tail)
+    oracle = sp.rem(_to_sympy(poly), _to_sympy(modulus), sp.Symbol("t"))
+    assert sp.expand(_to_sympy(out) - oracle) == 0
+
+
 # ---------------------------------------------------------------------------
 # symmetric elimination (the oracle in tests/elimination.py)
 # ---------------------------------------------------------------------------
@@ -430,6 +535,20 @@ def test_rational_bisect_exact_signs():
 def test_rational_bisect_needs_sign_change():
     with pytest.raises(ValueError, match="sign change"):
         rational_bisect([1, 0, 1], 0, 1)
+
+
+def test_bisection_rejects_a_reversed_interval_and_a_width_that_cannot_be_reached():
+    with pytest.raises(ValueError, match="lo must be below hi"):
+        rational_bisect([-2, 0, 1], 2, 1)
+    with pytest.raises(ValueError, match="lo must be below hi"):
+        rational_bisect([-2, 0, 1], 1, 1)
+    for width in (0, Fraction(-1, 10)):
+        with pytest.raises(ValueError, match="max_width must be positive"):
+            rational_bisect([-2, 0, 1], 1, 2, width)
+        with pytest.raises(ValueError, match="max_width must be positive"):
+            certified_brackets([-2, 0, 1], [1, 2], width)
+    with pytest.raises(ValueError, match="lo must be below hi"):
+        certified_brackets([-2, 0, 1], [2, 1])
 
 
 def test_certified_brackets_fall_back_on_an_exact_root():
