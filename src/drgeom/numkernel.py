@@ -247,6 +247,8 @@ def _as_fraction(x) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, float):
+        if not math.isfinite(x):
+            raise ValueError(f"{x!r} is not a finite rational")
         return Fraction(x)  # exact binary value of the float
     raise TypeError(f"cannot coerce {type(x).__name__} to an exact rational")
 
@@ -609,108 +611,54 @@ def poly_eval_fraction(coeffs: Sequence[RationalLike], x: RationalLike) -> Fract
     return total
 
 
-def _positive_width(max_width) -> Fraction:
-    max_width = _as_fraction(max_width)
-    if max_width <= 0:  # bisection would never reach it
-        raise ValueError(f"max_width must be positive, got {max_width}")
-    return max_width
-
-
 def rational_bisect(coeffs: Sequence[RationalLike], lo: RationalLike, hi: RationalLike,
                     max_width: RationalLike = Fraction(1, 10 ** 16)) -> tuple[Fraction, Fraction]:
     """Bisection with exact sign evaluation; returns a bracketing interval.
 
     Requires lo < hi, a positive ``max_width`` and a strict sign change on
-    [lo, hi]; an exact root hit collapses the bracket to a point.
+    [lo, hi]; an exact root hit collapses the bracket to a point.  It halves
+    [lo, hi] k times, the fewest that reach ``max_width``, unless a midpoint
+    is a root.  Every point it visits is N / S with S = D 2^k (D the common
+    denominator of lo and hi), so the signs come from one integer polynomial
+    in N: Q S^deg p(N / S), Q the common denominator of the coefficients.
+    There is no float shortcut; the bracket is that of bisection on
+    ``Fraction``s.
     """
     lo, hi = _as_fraction(lo), _as_fraction(hi)
-    max_width = _positive_width(max_width)
+    max_width = _as_fraction(max_width)
+    if max_width <= 0:  # bisection would never reach it
+        raise ValueError(f"max_width must be positive, got {max_width}")
     if not lo < hi:
         raise ValueError(f"lo must be below hi, got lo = {lo}, hi = {hi}")
-    flo = poly_eval_fraction(coeffs, lo)
-    fhi = poly_eval_fraction(coeffs, hi)
-    if flo == 0:
-        return lo, lo
-    if fhi == 0:
-        return hi, hi
-    if (flo > 0) == (fhi > 0):
-        raise ValueError(f"no sign change on [{lo}, {hi}]")
-    while hi - lo > max_width:
-        mid = (lo + hi) / 2
-        fm = poly_eval_fraction(coeffs, mid)
-        if fm == 0:
-            return mid, mid
-        if (fm > 0) == (flo > 0):
-            lo, flo = mid, fm
-        else:
-            hi = mid
-    return lo, hi
-
-
-# cells a float root may be off by before certification gives up
-CELL_WALK = 4
-
-
-def certified_brackets(coeffs: Sequence[RationalLike], cuts: Sequence[RationalLike],
-                       max_width: RationalLike = Fraction(1, 10 ** 16)
-                       ) -> list[tuple[Fraction, Fraction]]:
-    """``rational_bisect`` on each interval between consecutive cuts, certified.
-
-    If the degree equals the number of intervals and the exact values at
-    the increasing cuts alternate in sign, none zero, each interval holds
-    exactly one simple root.  Bisection of [lo, hi] then ends in the cell
-    [lo + j w/2^k, lo + (j+1) w/2^k] holding it (k halvings reach
-    ``max_width``) unless it meets the root exactly, so the cell of a float
-    root is bisection's answer once its endpoints show a strict exact sign
-    change.  Every other case, including a float root more than
-    ``CELL_WALK`` cells off, falls back to ``rational_bisect``.
-    """
     coeffs = [_as_fraction(c) for c in coeffs]
-    cuts = [_as_fraction(c) for c in cuts]
-    max_width = _positive_width(max_width)
-    vals = [poly_eval_fraction(coeffs, c) for c in cuts]
-    degree = max((i for i, c in enumerate(coeffs) if c), default=0)
-    certifiable = (degree == len(cuts) - 1
-                   and all(a < b for a, b in zip(cuts, cuts[1:]))
-                   and all(fa * fb < 0 for fa, fb in zip(vals, vals[1:])))
-    fcoeffs = [float(c) for c in coeffs]
-    out = []
-    for lo, hi, flo in zip(cuts, cuts[1:], vals):
-        cell = (_certified_cell(coeffs, fcoeffs, lo, hi, flo > 0, max_width)
-                if certifiable else None)
-        out.append(cell or rational_bisect(coeffs, lo, hi, max_width))
-    return out
-
-
-def _certified_cell(coeffs, fcoeffs, lo: Fraction, hi: Fraction, lo_positive: bool,
-                    max_width: Fraction) -> tuple[Fraction, Fraction] | None:
-    """Bisection's final cell on [lo, hi] from a float root, or None."""
     ratio = (hi - lo) / max_width
-    halvings = (-(-ratio.numerator // ratio.denominator) - 1).bit_length()
-    cell = (hi - lo) / (1 << halvings)
-    # float bisection down to about one cell locates the root
-    a, b, cell_f = float(lo), float(hi), float(cell)
-    while b - a > cell_f:
-        mid = 0.5 * (a + b)
-        if not a < mid < b:  # adjacent floats: as close as float gets
-            break
-        val = 0.0
-        for c in reversed(fcoeffs):
-            val = val * mid + c
-        if (val > 0) == lo_positive:
+    halvings = (math.ceil(ratio) - 1).bit_length()
+    scale = math.lcm(lo.denominator, hi.denominator) << halvings
+    q = math.lcm(*(c.denominator for c in coeffs))
+    weights = [c.numerator * (q // c.denominator) * scale ** (len(coeffs) - 1 - i)
+               for i, c in enumerate(coeffs)]
+
+    def sign(n: int) -> int:
+        total = 0
+        for w in reversed(weights):
+            total = total * n + w
+        return (total > 0) - (total < 0)
+
+    a, b = lo.numerator * (scale // lo.denominator), hi.numerator * (scale // hi.denominator)
+    slo, shi = sign(a), sign(b)
+    if slo == 0:
+        return lo, lo
+    if shi == 0:
+        return hi, hi
+    if slo == shi:
+        raise ValueError(f"no sign change on [{lo}, {hi}]")
+    for _ in range(halvings):
+        mid = (a + b) >> 1  # exact: a and b are multiples of 2^(halvings left)
+        sm = sign(mid)
+        if sm == 0:
+            return Fraction(mid, scale), Fraction(mid, scale)
+        if sm == slo:
             a = mid
         else:
             b = mid
-    j = min(max(int((Fraction(0.5 * (a + b)) - lo) // cell), 0), (1 << halvings) - 1)
-    # walk towards the root; the signs at lo and hi keep j inside the grid
-    for _ in range(CELL_WALK):
-        left = lo + j * cell
-        f_left = poly_eval_fraction(coeffs, left)
-        f_right = poly_eval_fraction(coeffs, left + cell)
-        if f_left == 0 or f_right == 0:
-            return None
-        left_on_lo_side = (f_left > 0) == lo_positive
-        if left_on_lo_side and (f_right > 0) != lo_positive:
-            return left, left + cell
-        j += 1 if left_on_lo_side else -1
-    return None
+    return Fraction(a, scale), Fraction(b, scale)

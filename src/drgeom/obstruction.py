@@ -991,8 +991,8 @@ def final_positivity_analysis(grid: int = 50) -> dict:
     The minimum over the closure is 0, attained only at (v, y) = (2/3, 1/3)
     where s = 0, so the expression is strictly positive on the admissible
     open region.  The grid minimum over the default interior simplex grid
-    (found in integers: grid^2 times the expression is one at grid points)
-    and the spot value at (1/2, 1/4) are returned exactly.
+    (one integer numpy pass: grid^2 times the expression is an integer at
+    grid points) and the spot value at (1/2, 1/4) are returned exactly.
     """
     v, y = MPoly.symbols("v y")
     gexpr = 2 * v ** 2 + (2 - v) ** 2 + 8 * y * (1 - 3 * v)
@@ -1016,14 +1016,17 @@ def final_positivity_analysis(grid: int = 50) -> dict:
                 geval(Fraction(0), Fraction(1))]
     closure_min = min(edge_y0, edge_v0, edge_diag, *vertices)
 
-    # s^2 = i/grid, v = j/grid, y = k/grid: grid^2 g is an integer polynomial in (j, k)
-    scaled = [(int(c), ev, ey, grid ** (2 - ev - ey)) for (ev, ey), c in gexpr.terms.items()]
-    best = min(((sum(c * j ** ev * (grid - i - j) ** ey * s for c, ev, ey, s in scaled), i, j)
-                for i in range(1, grid) for j in range(1, grid - i)), default=None)
+    # s^2 = i/grid, v = j/grid, y = k/grid: grid^2 g is an integer polynomial in (j, k),
+    # below 43 grid^2 in size, so int64 holds it long before the arrays outgrow memory
+    i, j = np.nonzero(np.add.outer(np.arange(1, grid), np.arange(1, grid)) < grid)
+    i, j = i + 1, j + 1  # row-major: the points in (i, j) order
+    vals = sum(int(c) * grid ** (2 - ev - ey) * j ** ev * (grid - i - j) ** ey
+               for (ev, ey), c in gexpr.terms.items())
     grid_min = argmin = None
-    if best is not None:  # the first minimum in (i, j) order, as the grid is walked
-        val, i, j = best
-        grid_min = Fraction(val, grid ** 2)
+    if i.size:  # the first minimum in (i, j) order
+        best = int(np.argmin(vals))
+        i, j = int(i[best]), int(j[best])
+        grid_min = Fraction(int(vals[best]), grid ** 2)
         argmin = (Fraction(i, grid), Fraction(j, grid), Fraction(grid - i - j, grid))
     spot = geval(Fraction(1, 2), Fraction(1, 4))
     return {"interior_critical_points": interior_ok,

@@ -18,8 +18,8 @@ import numpy as np
 
 from .curvature import CurvatureContext
 from .dralgebra import DamekRicci, is_minus1
-from .numkernel import (EigenDecomposition, MPoly, certified_brackets, cluster_indices,
-                        complete_basis, eig_sym, orthonormalize, poly_eval_fraction)
+from .numkernel import (EigenDecomposition, MPoly, cluster_indices, complete_basis, eig_sym,
+                        orthonormalize, poly_eval_fraction, rational_bisect)
 
 
 @dataclass(frozen=True)
@@ -156,10 +156,11 @@ def alpha_cubic(mu: float, v: float, y: float) -> dict:
 
     They solve (alpha+1)(alpha+1/4)^2 = 27/64 v^2 y (1+mu); the substitution
     eta = 4 alpha + 1 turns this into eta^2(eta+3) = q with
-    q = 27 v^2 y (1+mu).  Each bracket of eta is the final cell of exact
-    rational bisection to width 1e-15, certified by exact signs at its
-    endpoints (``certified_brackets``).  Every call solves afresh;
-    ``NormalFrame.cubic_roots`` keeps one result per frame and mu.
+    q = 27 v^2 y (1+mu).  The cuts -3, -2, 0, 1 separate its three simple
+    roots, and each bracket of eta is one exact integer bisection
+    (``rational_bisect``) of its cut interval to width 1e-15, with no float
+    shortcut.  Every call solves afresh; ``NormalFrame.cubic_roots`` keeps
+    one result per frame and mu.
     """
     if -1e-9 < mu <= 1e-9:
         mu = 0.0  # numerical noise around the kernel eigenvalue
@@ -169,7 +170,9 @@ def alpha_cubic(mu: float, v: float, y: float) -> dict:
         raise ValueError(f"need v, y > 0 and v + y < 1, got v={v}, y={y}")
     q = Fraction(27) * Fraction(v) ** 2 * Fraction(y) * (1 + Fraction(mu))
     # p(t) = t^3 + 3 t^2 - q, roots in (-3,-2), (-2,0), (0,1)
-    brackets = certified_brackets([-q, 0, 3, 1], [-3, -2, 0, 1], Fraction(1, 10 ** 15))
+    cuts = [-3, -2, 0, 1]
+    brackets = [rational_bisect([-q, 0, 3, 1], lo, hi, Fraction(1, 10 ** 15))
+                for lo, hi in zip(cuts, cuts[1:])]
     etas = [float((lo + hi) / 2) for lo, hi in brackets]
     alphas = [(e - 1.0) / 4.0 for e in etas]
     return {"q": q, "etas": etas, "alphas": alphas, "brackets": brackets}
@@ -190,15 +193,16 @@ def f_cubic_roots(q: float) -> dict:
     Valid for q in (0, 1/4); returns the three roots with the certified
     chain -1 < a1 < -3/4 < a2 < -1/4 < a3 <= 0 and the exact sign
     certificates f(0) > 0 and f(-q) < 0 that place a3 inside (-q, 0).
-    Each bracket is the final cell of exact rational bisection to width
-    1e-15, certified by exact signs at its endpoints (``certified_brackets``).
+    Each bracket is one exact integer bisection (``rational_bisect``) of its
+    cut interval to width 1e-15, with no float shortcut.
     """
     qf = Fraction(q)
     if not (0 < qf < Fraction(1, 4)):
         raise ValueError(f"q = {q} outside (0, 1/4)")
     coeffs = [qf ** 2, Fraction(9, 16), Fraction(3, 2), Fraction(1)]
-    brackets = tuple(certified_brackets(
-        coeffs, [-1, Fraction(-3, 4), Fraction(-1, 4), 0], Fraction(1, 10 ** 15)))
+    cuts = [-1, Fraction(-3, 4), Fraction(-1, 4), 0]
+    brackets = tuple(rational_bisect(coeffs, lo, hi, Fraction(1, 10 ** 15))
+                     for lo, hi in zip(cuts, cuts[1:]))
     roots = [float((lo + hi) / 2) for lo, hi in brackets]
     f0 = qf ** 2
     f_minus_q = -qf * (qf - Fraction(9, 4)) * (qf - Fraction(1, 4))

@@ -15,9 +15,10 @@ import sympy as sp
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from drgeom.numkernel import (_MAX_EXP, MPoly, certified_brackets, cluster_indices,
-                              complete_basis, damped_steps, eig_sym, orthonormalize,
-                              poly_eval_fraction, poly_reduce, rational_bisect)
+from bisection import fraction_bisect
+from drgeom.numkernel import (_MAX_EXP, MPoly, cluster_indices, complete_basis, damped_steps,
+                              eig_sym, orthonormalize, poly_eval_fraction, poly_reduce,
+                              rational_bisect)
 from drgeom.obstruction import _other_roots
 from elimination import NotSymmetricError, symmetric_eliminate
 from sylvester import mpoly_resultant
@@ -545,26 +546,63 @@ def test_bisection_rejects_a_reversed_interval_and_a_width_that_cannot_be_reache
     for width in (0, Fraction(-1, 10)):
         with pytest.raises(ValueError, match="max_width must be positive"):
             rational_bisect([-2, 0, 1], 1, 2, width)
-        with pytest.raises(ValueError, match="max_width must be positive"):
-            certified_brackets([-2, 0, 1], [1, 2], width)
-    with pytest.raises(ValueError, match="lo must be below hi"):
-        certified_brackets([-2, 0, 1], [2, 1])
 
 
-def test_certified_brackets_fall_back_on_an_exact_root():
-    # p(t) = t^3 + 3 t^2 - 2 has the root -1, the first midpoint of [-2, 0]
-    coeffs, cuts = [-2, 0, 3, 1], [-3, -2, 0, 1]
-    width = Fraction(1, 10 ** 15)
-    out = certified_brackets(coeffs, cuts, width)
-    assert out[1] == (Fraction(-1), Fraction(-1))
-    assert out == [rational_bisect(coeffs, lo, hi, width)
-                   for lo, hi in zip(cuts, cuts[1:])]
+def test_infinite_and_nan_floats_are_rejected_by_name():
+    for bad in (float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError, match=f"{bad!r} is not a finite rational"):
+            rational_bisect([-2, 0, 1], 0, bad)
+        with pytest.raises(ValueError, match=f"{bad!r} is not a finite rational"):
+            MPoly(["x"], {(1,): bad})
 
 
-def test_certified_brackets_without_alternation_match_bisection():
-    # t^2 - 2 on three cuts: degree 2 and signs -, +, + do not certify
-    coeffs, cuts = [-2, 0, 1], [0, 2, 3]
-    with pytest.raises(ValueError, match="sign change"):
-        certified_brackets(coeffs, cuts)
-    assert (certified_brackets([-2, 0, 1], [1, 2], Fraction(1, 10 ** 20))
-            == [rational_bisect([-2, 0, 1], 1, 2, Fraction(1, 10 ** 20))])
+@st.composite
+def _bracketed(draw):
+    """A polynomial of degree 1..4 with planted rational roots, an interval and a width.
+
+    Half of the intervals put a root at a dyadic point of [lo, hi], so that
+    bisection meets it exactly once it is fine enough; the others reach up
+    to 2 on each side of a root, which may land on an endpoint.  Endpoints
+    are mostly not dyadic, and may be negative or straddle 0.
+    """
+    roots = draw(st.lists(st.fractions(min_value=-8, max_value=8, max_denominator=64),
+                         min_size=1, max_size=4, unique=True))
+    coeffs = [draw(st.fractions(min_value=-5, max_value=5).filter(bool))]
+    for r in roots:  # times (t - r), ascending coefficients
+        coeffs = ([-r * coeffs[0]] + [lower - r * upper for lower, upper in zip(coeffs, coeffs[1:])]
+                  + [coeffs[-1]])
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 20))
+        j = draw(st.integers(1, 2 ** k - 1))
+        h = draw(st.fractions(min_value=Fraction(1, 10 ** 6), max_value=1))
+        lo, hi = roots[0] - j * h, roots[0] + (2 ** k - j) * h
+    else:
+        lo = draw(st.fractions(min_value=roots[0] - 2, max_value=roots[0], max_denominator=10 ** 6))
+        hi = draw(st.fractions(min_value=roots[0], max_value=roots[0] + 2, max_denominator=10 ** 6)
+                  .filter(lambda x: x > lo))
+    width = draw(st.one_of(
+        st.fractions(min_value=Fraction(1, 10 ** 12), max_value=1).filter(bool),
+        st.integers(1, 60).map(lambda k: Fraction(1, 3 * 2 ** k)),
+        st.sampled_from([1, 2]).map(lambda m: m * (hi - lo))))
+    return coeffs, lo, hi, width
+
+
+def _outcome(bisect, coeffs, lo, hi, width):
+    try:
+        return bisect(coeffs, lo, hi, width)
+    except ValueError as exc:  # no sign change, e.g. an even number of roots inside
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_bracketed())
+@example(([-2, 0, 1], Fraction(1), Fraction(2), Fraction(1, 10 ** 20)))  # sqrt 2
+@example(([1, 3], Fraction(-1, 3), Fraction(1, 7), Fraction(1, 10)))     # root at lo
+@example(([-2, 0, 3, 1], Fraction(-2), Fraction(0), Fraction(1, 10 ** 15)))  # first midpoint
+@example(([Fraction(-1, 9), Fraction(2, 3), -1, 1, 0], Fraction(-1, 3), Fraction(5, 7),
+          Fraction(1, 10 ** 9)))  # zero leading coefficient
+def test_rational_bisect_equals_the_fraction_loop(case):
+    got = _outcome(rational_bisect, *case)
+    assert got == _outcome(fraction_bisect, *case)
+    if not isinstance(got, str):
+        assert all(type(x) is Fraction for x in got)

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bisection import bisect_cuts, fraction_bisect
 from drgeom import spectrum
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from drgeom.numkernel import poly_eval_fraction, rational_bisect
+from drgeom.numkernel import poly_eval_fraction
 from drgeom.spectrum import (NormalFrame, alpha_cubic, center_family_vector,
                              eta_alpha_exact_identity, f_cubic_roots,
                              make_frame, psi_homothety_ratio, psi_map,
@@ -154,11 +155,17 @@ def test_f_cubic_domain():
 
 
 WIDTH = Fraction(1, 10 ** 15)
+ALPHA_CUTS = [-3, -2, 0, 1]
+F_CUTS = [-1, Fraction(-3, 4), Fraction(-1, 4), 0]
 
 
-def _bisected(coeffs, cuts, max_width=WIDTH):
-    """What certified_brackets must return: plain bisection per interval."""
-    return [rational_bisect(coeffs, lo, hi, max_width) for lo, hi in zip(cuts, cuts[1:])]
+def _alpha_oracle(out):
+    return bisect_cuts([-out["q"], 0, 3, 1], ALPHA_CUTS, WIDTH)
+
+
+def _f_oracle(q):
+    qf = Fraction(q)
+    return bisect_cuts([qf ** 2, Fraction(9, 16), Fraction(3, 2), 1], F_CUTS, WIDTH)
 
 
 @settings(max_examples=60, deadline=None)
@@ -169,16 +176,26 @@ def test_alpha_cubic_brackets_equal_bisection(mu, v, y_frac):
     if not (y > 0 and v + y < 1):
         return
     out = alpha_cubic(mu, v, y)
-    assert out["brackets"] == _bisected([-out["q"], 0, 3, 1], [-3, -2, 0, 1])
+    assert out["brackets"] == _alpha_oracle(out)
+
+
+@pytest.mark.parametrize("mu", [-1 + 1e-12, -0.999999, -1e-10, -1e-6, 0.0])
+def test_alpha_cubic_brackets_equal_bisection_at_the_ends_of_mu(mu):
+    for v, y in [(0.5, 0.25), (0.01, 0.98), (0.9, 0.05)]:
+        out = alpha_cubic(mu, v, y)
+        assert out["brackets"] == _alpha_oracle(out)
 
 
 @settings(max_examples=60, deadline=None)
 @given(q=st.floats(1e-9, 0.25, exclude_max=True))
 def test_f_cubic_brackets_equal_bisection(q):
-    qf = Fraction(q)
-    expect = _bisected([qf ** 2, Fraction(9, 16), Fraction(3, 2), 1],
-                       [-1, Fraction(-3, 4), Fraction(-1, 4), 0])
-    assert list(f_cubic_roots(q)["brackets"]) == expect
+    assert list(f_cubic_roots(q)["brackets"]) == _f_oracle(q)
+
+
+@pytest.mark.parametrize("k", [1, 8, 12, 20, 24])
+def test_f_cubic_brackets_equal_bisection_at_the_ledger_q(k):
+    q = float(Fraction(k, 100))  # the lambda-chain samples of the general-case ledger
+    assert list(f_cubic_roots(q)["brackets"]) == _f_oracle(q)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +222,10 @@ def test_alpha_cubic_solved_once_per_mu_cluster(gctx, monkeypatch):
 def test_spectral_report_matches_unmemoized_bisection(gctx, monkeypatch, dims):
     g, ctx = gctx(*dims)
     memo = xi_spectrum(random_frame(g, np.random.default_rng(12)), ctx)
-    # every psi_map and homothety ratio solves its cubic afresh, by bisection
+    # every psi_map and homothety ratio solves its cubic afresh, on Fractions
     monkeypatch.setattr(NormalFrame, "cubic_roots",
                         lambda fr, mu: alpha_cubic(mu, fr.vsq, fr.ysq))
-    monkeypatch.setattr(spectrum, "certified_brackets", _bisected)
+    monkeypatch.setattr(spectrum, "rational_bisect", fraction_bisect)
     plain = xi_spectrum(random_frame(g, np.random.default_rng(12)), ctx)
     for name in ("eigenvalues", "predicted", "basis_perp", "jacobi_perp"):
         assert np.array_equal(getattr(memo, name), getattr(plain, name)), name
