@@ -14,14 +14,14 @@ evidence, never a false negative for existence.
 
 The probe computes the C-independent data once per frame (the Jacobi
 eigendata, the shared eigenframe X and its curvature contractions).  Then it
-scans the trace equation on its antisymmetric H grid for H >= 0, only up to
-the point from which every split's trace gap has a proven sign, gets the
-other half by mirroring each split, and bisects the brackets for all splits
-and C values at once.  The scan takes consecutive C values together, as many
-as fit in a fixed budget of (H row, split) elements.  The Gauss/Codazzi residuals are evaluated in full only
-for the candidates that a cheap lower bound (the residual on a few sentinel
-Codazzi components) cannot rule out as the frame's minimum, in blocks of rows
-in bound order.
+scans the trace equation on an H >= 0 grid, only up to the point from which
+every split's trace gap has a proven sign, and bisects the brackets for all
+splits and C values at once.  The roots with H < 0 are those of the mirror
+splits, negated.  The scan takes consecutive C values together, as many as
+fit in a fixed budget of (H row, split) elements.  The Gauss/Codazzi
+residuals are evaluated in full only for the candidates that a cheap lower
+bound (the residual on a few sentinel Codazzi components) cannot rule out as
+the frame's minimum, in blocks of rows in bound order.
 """
 
 from __future__ import annotations
@@ -36,7 +36,8 @@ from .curvature import CurvatureContext
 from .spectrum import NormalFrame, normal_jacobi, random_frame
 
 QUADRATIC_TOL = 1e-10
-# Tr S = H is scanned for sign changes on H_SAMPLES points of [-H_BOUND, H_BOUND]
+# Tr S = H is scanned for sign changes on H = 0 and the H > 0 half of H_SAMPLES
+# points of [-H_BOUND, H_BOUND]
 H_BOUND = 60.0
 H_SAMPLES = 2400
 # an eigenspace of larger multiplicity only gets the all-plus and all-minus splits
@@ -59,6 +60,16 @@ def _small_root(h, two_a: np.ndarray, four_a: np.ndarray) -> np.ndarray:
     return t
 
 
+def _trace_gap(h, t: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Tr S - H = (P - 1) H + sum (m- - m+) rho- for H >= 0, from the small roots t
+    (one per eigenspace, on the last axis) and a split's coefficients w (the rows
+    of ``_Eigenframe._coef``), summed eigenspace by eigenspace after the H term."""
+    gap = w[0] * h
+    for k in range(t.shape[-1]):
+        gap = gap + w[k + 1] * t[..., k]
+    return gap
+
+
 class _Eigenframe:
     """The C-independent part of the enumeration for one normal: the Jacobi
     spectrum on xi-perp, the eigenframe X and per-vector alphas that every
@@ -72,10 +83,9 @@ class _Eigenframe:
         self.vector_alphas = np.repeat(self.alphas, mults)
         split_ranges = [[(m, 0), (0, m)] if m > MAX_ENUMERATION_DIM
                         else [(p, m - p) for p in range(m + 1)] for m in mults]
+        # every range reversed swaps m+ and m- in its eigenspace, so the split
+        # n_splits - 1 - i is the mirror of split i
         self.splits = list(product(*split_ranges))
-        # the mirror split swaps m+ and m- in every eigenspace
-        index = {s: i for i, s in enumerate(self.splits)}
-        self._mirror = np.array([index[tuple((m, p) for p, m in s)] for s in self.splits])
         # rho+ = H - rho-, so Tr S - H = [H | rho-] @ coef, one column per split
         counts = np.array(self.splits, dtype=float)  # [split, cluster, (m+, m-)]
         self._coef = np.vstack([counts[:, :, 0].sum(axis=1) - 1.0,
@@ -85,9 +95,9 @@ class _Eigenframe:
         rank = np.arange(len(self._cluster)) - np.repeat(np.cumsum([0, *mults[:-1]]), mults)
         self._plus = rank < counts[:, self._cluster, 0]
         half = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
-        self.hs = np.concatenate([-half[::-1], half])  # exactly antisymmetric
+        self.hs = np.concatenate([[0.0], half])  # H = 0, then the grid's H > 0 half
 
-    def _cutoffs(self, half_sq: np.ndarray, c_values: np.ndarray) -> np.ndarray:
+    def _cutoffs(self, hs_sq: np.ndarray, c_values: np.ndarray) -> np.ndarray:
         """Per C, the first row of the H >= 0 grid from which on every split's trace
         gap has a proven nonzero sign (the grid's length where none is proven).  Where
         all disc >= 0, rho- = a/H + e with a = alpha - C and 0 <= e <= 4a^2/H^3, so with
@@ -106,8 +116,8 @@ class _Eigenframe:
                            (d2[:, flat] / d1[:, flat]).max(axis=1, initial=0.0))
         # the 1e-3 margin and the 1e-6 floor on |D1| keep the bound's slack (>= 1e-3 of
         # the leading term, >= 1e-9 for P = 1) far above the gap's rounding (~1e-15)
-        return np.where(np.any(d1[:, flat] < 1e-6, axis=1), half_sq.size,
-                        np.searchsorted(half_sq, 1.001 * u, side="right"))
+        return np.where(np.any(d1[:, flat] < 1e-6, axis=1), hs_sq.size,
+                        np.searchsorted(hs_sq, 1.001 * u, side="right"))
 
     def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Self-consistent candidates for each C, in split order then by H:
@@ -118,48 +128,42 @@ class _Eigenframe:
         eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
         split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
         minus the mirror split's at H, so per C only the grid points with
-        H >= 0 up to the ``_cutoffs`` row (past it no sign changes) and the pair
-        of grid points around 0 are scanned.  Consecutive C values are scanned
-        together, in groups of at most SCAN_BLOCK (row, split) elements (a C
-        over that alone is a group of its own); a row's trace gaps do not depend
-        on its group.  Then the sign changes of all C values are bisected
-        together until each bracket holds two adjacent floats (an exact grid
-        zero is a bracket of width 0).  The end where the trace gap is <= 0 is
-        the root, and minus the other end is the mirror split's root.  Roots
-        within 1e-9 of a smaller one are dropped, and so are splits with complex
-        roots.
+        H >= 0 are scanned, up to the ``_cutoffs`` row (past it no sign
+        changes).  Consecutive C values are scanned together, in groups of at
+        most SCAN_BLOCK (row, split) elements (a C over that alone is a group
+        of its own); a row's trace gaps do not depend on its group.  Then the
+        sign changes of all C values are bisected together until each bracket
+        holds two adjacent floats (an exact grid zero is a bracket of width 0).
+        The end where the trace gap is <= 0 is the root, and minus the other
+        end is the mirror split's root.  Roots within 1e-9 of a smaller one are
+        dropped, and so are splits with complex roots.
         """
         c_values = np.asarray(c_values, dtype=float)
         if not c_values.size:
             return []
-        mid_row, n_splits, mirror = len(self.hs) // 2, len(self.splits), self._mirror
-        half_sq = self.hs[mid_row:] ** 2
-        # every discriminant grows with H >= 0, so the rows where all are >= 0 are a tail
-        los = np.searchsorted(half_sq, 4.0 * (self.alphas.max() - c_values))
-        # a C scanned from row 0 also gets -half[0], as its first row
-        mirrored = los == 0
-        stops = np.minimum(self._cutoffs(half_sq, c_values) + 1, half_sq.size)
-        rows = np.maximum(stops - los, 0) + mirrored
+        n_splits, hs_sq = len(self.splits), self.hs ** 2
+        # every discriminant grows with H >= 0, so the rows where all are >= 0 are a
+        # tail; a scan from the first row past H = 0 starts at H = 0 itself
+        los = np.searchsorted(hs_sq, 4.0 * (self.alphas.max() - c_values))
+        los[los == 1] = 0
+        stops = np.minimum(self._cutoffs(hs_sq, c_values) + 1, hs_sq.size)
+        rows = np.maximum(stops - los, 0)
         firsts = np.concatenate([[0], np.cumsum(rows)])
         row_c = np.repeat(np.arange(c_values.size), rows)
-        # each row's H: -half[0] on a mirrored C's first row (hs is exactly
-        # antisymmetric), then half[lo], half[lo + 1], ...
-        row_h = self.hs[mid_row + np.repeat(los - mirrored - firsts[:-1], rows)
-                        + np.arange(firsts[-1])]
+        row_h = self.hs[np.repeat(los - firsts[:-1], rows) + np.arange(firsts[-1])]
         keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
         cap, g = SCAN_BLOCK // n_splits, 0
         while g < c_values.size:
             # the group [g, e): as many C values as fit in cap rows, and at least one
             e = max(int(np.searchsorted(firsts, firsts[g] + cap, side="right")) - 1, g + 1)
-            ci, hv = row_c[firsts[g]:firsts[e]], row_h[firsts[g]:firsts[e]]
-            h = np.abs(hv)
+            ci, h = row_c[firsts[g]:firsts[e]], row_h[firsts[g]:firsts[e]]
             a = self.alphas - c_values[ci, None]
-            # only the signs and exact zeros of the trace gap are used; at -half[0] it
-            # is minus the mirror split's gap at half[0]
-            fvals = np.hstack([h[:, None], _small_root(h[:, None], 2.0 * a, 4.0 * a)]) \
-                @ self._coef
-            first = firsts[g:e][mirrored[g:e]] - firsts[g]
-            fvals[first] = -fvals[first][:, mirror]
+            t = _small_root(h[:, None], 2.0 * a, 4.0 * a)
+            # only the signs and exact zeros of the trace gap are used; at H = 0 it is
+            # the bisection's sum, so that the scan and the bisection share one sign
+            fvals = np.hstack([h[:, None], t]) @ self._coef
+            zero = h == 0.0
+            fvals[zero] = _trace_gap(h[zero, None], t[zero, None], self._coef)
             below, above = fvals < 0.0, fvals > 0.0
             for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),
                                          (below[:-1] & above[1:], 0, 1),
@@ -169,18 +173,17 @@ class _Eigenframe:
                     same = ci[i] == ci[i + 1]
                     i, si = i[same], si[same]
                 keys.append(ci[i] * n_splits + si)
-                neg.append(hv[i + di_neg])
-                pos.append(hv[i + di_pos])
+                neg.append(h[i + di_neg])
+                pos.append(h[i + di_pos])
             g = e
         keys, neg, pos = np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
-        # per bracket: 2(alpha - C), 4(alpha - C) and the split's and the mirror
-        # split's coefficients; the arrays shrink only when a bracket is done
+        # per bracket: 2(alpha - C), 4(alpha - C) and the split's coefficients; the
+        # arrays shrink only when a bracket is done
         live = np.flatnonzero(neg != pos)
         ci, si = np.divmod(keys[live], n_splits)
         two_a = 2.0 * (self.alphas - c_values[ci, None])
         four_a = 2.0 * two_a  # = 4(alpha - C) exactly: scaling by 2 does not round
-        w, w_mirror = self._coef[:, si], self._coef[:, mirror[si]]
-        lo, hi = neg[live], pos[live]
+        w, lo, hi = self._coef[:, si], neg[live], pos[live]
         while live.size:
             mid = 0.5 * (lo + hi)
             done = (mid == lo) | (mid == hi)
@@ -188,23 +191,13 @@ class _Eigenframe:
                 neg[live[done]], pos[live[done]] = lo[done], hi[done]
                 moving = ~done
                 live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
-                two_a, four_a = two_a[moving], four_a[moving]
-                w, w_mirror = w[:, moving], w_mirror[:, moving]
-            # Tr S - H at mid < 0 is minus the mirror split's at -mid; it is summed
-            # eigenspace by eigenspace after the H term
-            h, flip = np.abs(mid), mid < 0.0
-            t = _small_root(h[:, None], two_a, four_a)
-            wf = np.where(flip, w_mirror, w)
-            gap = wf[0] * h
-            for k in range(len(self.alphas)):
-                gap = gap + wf[k + 1] * t[:, k]
-            gap = np.where(flip, -gap, gap)
+                two_a, four_a, w = two_a[moving], four_a[moving], w[:, moving]
+            gap = _trace_gap(mid, _small_root(mid[:, None], two_a, four_a), w)
             lo = np.where(gap <= 0.0, mid, lo)
             hi = np.where(gap >= 0.0, mid, hi)
-        # each root's mirror image is a root of the mirror split (a duplicate
-        # from the two brackets around H = 0 is dropped below)
+        # minus the other end is a root of the mirror split, n_splits - 1 - split
         ci, si = np.divmod(keys, n_splits)
-        keys = np.concatenate([keys, ci * n_splits + mirror[si]])
+        keys = np.concatenate([keys, ci * n_splits + (n_splits - 1 - si)])
         roots = np.concatenate([neg, -pos])
 
         kept: list[int] = []

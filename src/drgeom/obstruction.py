@@ -25,7 +25,6 @@ from .spectrum import (NormalFrame, eigen_families, eta_alpha_exact_identity, f_
 EXACT = "exact-pass"
 NUMERIC = "numeric-pass"
 FAIL = "fail"
-INFO = "info"
 
 
 @dataclass(frozen=True)

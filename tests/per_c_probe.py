@@ -4,9 +4,10 @@ from one residual batch per C.
 
 ``cutoff`` is the proven scan cutoff of a single C; ``_Eigenframe._cutoffs``
 takes every C at once and is checked against it.  ``per_c_candidates`` scans
-the trace gap one C value at a time and bisects with the per-bracket constants
-recomputed on every step; ``_Eigenframe.candidates`` scans groups of C values
-and is checked against it bit for bit.  ``per_c_probe_frame``
+the trace gap one C value at a time, bisects with the per-bracket constants
+recomputed on every step and finds each mirror split by a lookup of its
+counts; ``_Eigenframe.candidates`` scans groups of C values and is checked
+against it bit for bit.  ``per_c_probe_frame``
 evaluates the aggregate of every candidate, one batch per C value, and keeps
 the first minimum with a strict <; ``_probe_frame`` evaluates only the
 candidates its lower bound cannot rule out and is checked against it bit for
@@ -35,20 +36,25 @@ def cutoff(eigenframe: _Eigenframe, half_sq: np.ndarray, c: float) -> int:
 
 def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
     """``_Eigenframe.candidates`` with the trace gap scanned one C at a time."""
-    half = eigenframe.hs[len(eigenframe.hs) // 2:]
-    half_sq, n_splits, mirror = half ** 2, len(eigenframe.splits), eigenframe._mirror
+    half = eigenframe.hs[1:]
+    half_sq, n_splits = half ** 2, len(eigenframe.splits)
     alphas, coef = eigenframe.alphas, eigenframe._coef
     c_values = np.asarray(c_values, dtype=float)
     keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
     los = np.searchsorted(half_sq, 4.0 * (alphas.max() - c_values)).tolist()
-    ends = (eigenframe._cutoffs(half_sq, c_values) + 1).tolist()
+    # one past each cutoff row of hs, as an index into half
+    ends = eigenframe._cutoffs(eigenframe.hs ** 2, c_values).tolist()
     for ci, (c, lo, end) in enumerate(zip(c_values.tolist(), los, ends)):
         hv = half[lo:end]
         a = alphas - c
         t = _small_root(hv[:, None], 2.0 * a, 4.0 * a)
         fvals = np.hstack([hv[:, None], t]) @ coef
-        if lo == 0:  # add -half[0]: minus the mirror split's gap at half[0]
-            hv, fvals = np.concatenate([-hv[:1], hv]), np.vstack([-fvals[0, mirror], fvals])
+        if lo == 0:  # add H = 0, its gap summed eigenspace by eigenspace after the H term
+            t0 = _small_root(0.0, 2.0 * a, 4.0 * a)
+            gap0 = coef[0] * 0.0
+            for k in range(len(alphas)):
+                gap0 = gap0 + coef[k + 1] * t0[k]
+            hv, fvals = np.concatenate([[0.0], hv]), np.vstack([gap0, fvals])
         below, above = fvals < 0.0, fvals > 0.0
         for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),
                                      (below[:-1] & above[1:], 0, 1),
@@ -64,16 +70,17 @@ def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
         mid = 0.5 * (lo + hi)
         moving = (mid != lo) & (mid != hi)
         live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
-        h, si, flip = np.abs(mid), keys[live] % n_splits, mid < 0.0
         a = alphas - c_values[keys[live] // n_splits, None]
-        t = _small_root(h[:, None], 2.0 * a, 4.0 * a)
-        w = coef[:, np.where(flip, mirror[si], si)]
-        gap = w[0] * h
+        t = _small_root(mid[:, None], 2.0 * a, 4.0 * a)
+        w = coef[:, keys[live] % n_splits]
+        gap = w[0] * mid
         for k in range(len(alphas)):
             gap = gap + w[k + 1] * t[:, k]
-        gap = np.where(flip, -gap, gap)
         neg[live] = np.where(gap <= 0.0, mid, lo)
         pos[live] = np.where(gap >= 0.0, mid, hi)
+    # the mirror split swaps m+ and m- in every eigenspace
+    index = {s: i for i, s in enumerate(eigenframe.splits)}
+    mirror = np.array([index[tuple((m, p) for p, m in s)] for s in eigenframe.splits])
     ci, si = np.divmod(keys, n_splits)
     keys = np.concatenate([keys, ci * n_splits + mirror[si]])
     roots = np.concatenate([neg, -pos])

@@ -111,23 +111,39 @@ def _made_up_eigenframe(monkeypatch, alphas, mults):
     return _Eigenframe(None, None)
 
 
-def test_h_grid_is_antisymmetric(monkeypatch):
-    # the scan mirrors H >= 0 onto H < 0, which needs -H on the grid for every H
+def test_h_grid_is_zero_then_the_positive_half(monkeypatch):
+    # the scan covers H >= 0 only: H = 0, then the H > 0 half of the H_SAMPLES
+    # points of [-H_BOUND, H_BOUND]; the roots with H < 0 come from the mirror splits
     hs = _made_up_eigenframe(monkeypatch, [0.0], [1]).hs
-    assert hs.size == H_SAMPLES and hs[-1] == H_BOUND
-    assert np.array_equal(hs, -hs[::-1])
-    assert np.array_equal(hs[H_SAMPLES // 2:],
-                          np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:])
+    assert hs.size == H_SAMPLES // 2 + 1 and hs[-1] == H_BOUND
+    assert np.array_equal(hs, np.concatenate(
+        [[0.0], np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]]))
+
+
+@pytest.mark.parametrize("mults, n_splits", [([17], 2), ([2, 17, 1], 12)])
+def test_reversed_split_index_is_the_mirror_split(monkeypatch, mults, n_splits):
+    # a cluster above MAX_ENUMERATION_DIM gets only its all-plus and all-minus splits
+    splits = _made_up_eigenframe(monkeypatch, [-1.0, -0.5, -0.25][:len(mults)], mults).splits
+    assert len(splits) == n_splits and splits[0][mults.index(17)] == (17, 0)
+    assert all(splits[-1 - i] == tuple((m, p) for p, m in s) for i, s in enumerate(splits))
+
+
+@pytest.mark.parametrize("dims", [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16),
+                                  (8, 16)], ids=lambda d: f"{d[0]}-{d[1]}")
+def test_reversed_split_index_is_the_mirror_split_on_default_pairs(dims):
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    splits = _Eigenframe(random_frame(ctx.g, np.random.default_rng(12)), ctx).splits
+    assert all(splits[-1 - i] == tuple((m, p) for p, m in s) for i, s in enumerate(splits))
 
 
 def test_candidates_keep_an_exact_grid_zero(monkeypatch):
     # one eigenvalue of multiplicity 2 with alpha - C = h0^2 / 4: on the split
-    # (2, 0) the trace gap is sqrt(H^2 - h0^2), exactly 0 at H = h0 and at
-    # -h0, positive at every other valid grid H and undefined between; so no
-    # bracket holds the root, only the grid zero
+    # (2, 0) the trace gap is sqrt(H^2 - h0^2) for H >= h0, exactly 0 at h0 and
+    # positive at every other valid grid H; so no bracket holds the root, only the
+    # grid zero.  The root -h0 is minus the split (0, 2)'s grid zero at h0
     h0 = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:][500]
     ef = _made_up_eigenframe(monkeypatch, [h0 ** 2 / 4], [2])
-    assert h0 in ef.hs.tolist() and -h0 in ef.hs.tolist()
+    assert h0 in ef.hs.tolist()
     h, _, si = ef.candidates([0.0])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((2, 0),)]
     assert h0 in roots and all(abs(h) == h0 for h in roots)
@@ -136,22 +152,33 @@ def test_candidates_keep_an_exact_grid_zero(monkeypatch):
 
 def test_candidates_drop_a_root_within_1e_9_of_a_smaller_one(monkeypatch):
     # alpha = C with multiplicity 2: on the split (1, 1) the trace gap
-    # rho+ + rho- - H is exactly 0 at every H, so each grid point is a root;
-    # of two grid points 5e-10 apart only the smaller one is kept, on either
-    # half of the grid
+    # rho+ + rho- - H is exactly 0 at every H, so each grid point is a root, and
+    # so is minus each; of two roots 5e-10 apart only the smaller one is kept, on
+    # either side of H = 0
     ef = _made_up_eigenframe(monkeypatch, [0.0], [2])
-    ef.hs = np.array([-2.0, -1.0 - 5e-10, -1.0, 1.0, 1.0 + 5e-10, 2.0])
+    ef.hs = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
     h, _, si = ef.candidates([0.0])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((1, 1),)]
     assert [r for r in roots if r > 0.0] == [1.0, 2.0]
-    assert roots == [-2.0, -1.0 - 5e-10, 1.0, 2.0]
+    assert roots == [-2.0, -1.0 - 5e-10, 0.0, 1.0, 2.0]
 
 
-def test_straddle_bisection_through_h_zero_with_alpha_equal_c(monkeypatch):
+def test_candidates_keep_a_root_at_h_zero_between_equal_signs(monkeypatch):
+    # alpha = C = 0 with multiplicity 2: the splits (0, 2) and (2, 0) have
+    # Tr S - H = -|H| and |H|, of one sign on each side of their root H = 0, where
+    # S = 0; the scan's H = 0 row holds it as an exact zero
+    ef = _made_up_eigenframe(monkeypatch, [0.0], [2])
+    h, lam, si = ef.candidates([0.0])[0]
+    for split in (((0, 2),), ((2, 0),)):
+        rows = [k for k, s in enumerate(si) if ef.splits[s] == split]
+        assert h[rows].tolist() == [0.0] and not lam[rows].any()
+    assert 0.0 in [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((1, 1),)]
+
+
+def test_h_zero_row_with_alpha_equal_c(monkeypatch):
     # alpha = C = 0 with multiplicity 4: rho- is min(H, 0), so the split (2, 2)
-    # has Tr S - H = H, and its only bracket is the pair of grid points around
-    # 0.  Its first midpoint is H = 0, where the discriminant is 0 and the small
-    # root's quotient would be 0/0
+    # has Tr S - H = H, whose root is the scan's exact zero at H = 0.  There the
+    # discriminant is 0 and the small root's quotient would be 0/0
     ef = _made_up_eigenframe(monkeypatch, [0.0], [4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -551,10 +578,12 @@ def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adja
     split_ranges = [[(p, m - p) for p in range(m + 1)] for m in mults]
     out = []
     half = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]
-    hs = np.concatenate([-half[::-1], half])
+    zero = H_SAMPLES // 2
+    hs = np.concatenate([-half[::-1], [0.0], half])
     a = np.asarray(alphas)[None, :] - c_const
     disc = hs[:, None] ** 2 - 4.0 * a
     valid = np.all(disc >= 0.0, axis=1)
+    valid[zero] = valid[zero + 1]  # H = 0 is scanned wherever +-half[0] is
     sq = np.sqrt(np.maximum(disc, 0.0))
     # the small root of each quadratic, as _trace_gap writes it
     up = hs[:, None] >= 0.0
@@ -564,10 +593,11 @@ def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adja
         plus = np.array([p for p, _ in splits], dtype=float)
         minus = np.array([m for _, m in splits], dtype=float)
         lead = np.where(up[:, 0], plus.sum() - 1.0, minus.sum() - 1.0)
+        f = _trace_gap(alphas, splits, c_const)
         fvals = lead * hs + np.where(up[:, 0], 1.0, -1.0) * (small @ (minus - plus))
+        fvals[zero] = f(0.0)  # the sign at H = 0 is the bisection's
         cross = valid[:-1] & valid[1:] & (fvals[:-1] * fvals[1:] < 0.0)
         roots = [float(hs[i]) for i in np.nonzero(valid & (fvals == 0.0))[0]]
-        f = _trace_gap(alphas, splits, c_const)
         for i in np.nonzero(cross)[0]:
             ends = (hs[i], hs[i + 1]) if fvals[i] < 0.0 else (hs[i + 1], hs[i])
             roots.append(float(root(f, *ends)))
@@ -873,25 +903,23 @@ def test_frame_batch_equals_one_c_at_a_time(dims, c_grid):
         assert rows(c, cands) == rows(c, alone)
 
 
-def test_bisection_through_complex_roots_warns_nothing(g24, ctx24):
-    # without a center component the Jacobi eigenvalues are -1 and -1/4, of
-    # multiplicities 2 and 4, so the split with m+ = m- has Tr S - H = 2H.
-    # Just below C = -1/4, rho+- on -1/4 is complex for |H| < 2e-3, inside the
-    # grid bracket around H = 0 where that split changes sign
-    v = np.array([0.5, -0.3, 0.1, 0.7])
-    fr = make_frame(g24, v * np.sqrt(0.6) / np.linalg.norm(v), np.zeros(2), np.sqrt(0.4))
-    eigenframe = _Eigenframe(fr, ctx24)
-    c = -0.25 - 1e-6
-    balanced = ((1, 1), (2, 2))
-    assert np.allclose(eigenframe.alphas, [-1.0, -0.25]) and balanced in eigenframe.splits
-    f = _trace_gap(eigenframe.alphas, balanced, c)
-    near_zero = np.sort(eigenframe.hs[np.argsort(np.abs(eigenframe.hs))[:2]])
-    assert np.all(near_zero ** 2 > 4e-6) and f(near_zero[0]) < 0.0 < f(near_zero[1])
+def test_bisection_through_complex_roots_warns_nothing(monkeypatch):
+    # at C = -1/4, rho+- on the eigenvalue -1/4 + 8e-5 is complex for H < 0.0179,
+    # and the first grid point past H = 0 is h0 = 0.025: a scan from H = 0, where the
+    # split ((0, 2), (1, 2)) changes sign between 0 and h0, and the bisection's first
+    # midpoint h0 / 2 has a complex rho+-
+    c, alphas, split = -0.25, [-0.25003, -0.24992], ((0, 2), (1, 2))
+    eigenframe = _made_up_eigenframe(monkeypatch, alphas, [2, 3])
+    h0 = eigenframe.hs[1]
+    f = _trace_gap(alphas, split, c)
+    assert f(0.0) < 0.0 < f(h0) and (h0 / 2) ** 2 < 4.0 * (alphas[1] - c) < h0 ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h, lam, _ = eigenframe.candidates([c])[0]
+        h, lam, si = eigenframe.candidates([c])[0]
     assert all(_invariant_residual(c, hb, lb, eigenframe.vector_alphas) <= QUADRATIC_TOL
                for hb, lb in zip(h, lam))
+    # the root, near 0.0098, lies where rho+- is complex, so it is no candidate
+    assert not any(eigenframe.splits[s] == split and abs(hb) < h0 for hb, s in zip(h, si))
 
 
 # ---------------------------------------------------------------------------
@@ -916,7 +944,7 @@ def _spectra(test):
     # the only roots lie between the last two scanned rows
     test = example(spectrum=[(-0.259, 3)], c=-0.276)(test)
     # every disc > 0 from H = 0 on, and the split ((1, 1), (1, 1)) has Tr S - H = H,
-    # whose root only the pair of grid points around 0 brackets
+    # whose root is the exact zero on the scan's H = 0 row
     return example(spectrum=[(-1.0, 2), (-0.5, 2)], c=-0.25)(test)
 
 
