@@ -135,20 +135,20 @@ def load_config(path: str | None, overrides: dict, command: str | None = None) -
 # per-module check records into the report it is given
 # ---------------------------------------------------------------------------
 
-# replay id -> (cfg, full) -> LedgerReport; ``full`` adds the minimization
-# and the exact general-case steps: always in ``replay``, under ``--exact``
-# in ``verify obstruction``
+# replay id -> cfg -> LedgerReport; ``cfg.exact`` adds the minimization and
+# the exact general-case steps: ``replay`` sets it, and ``verify obstruction``
+# takes it from ``--exact``
 REPLAYS = {
-    "no-v": lambda cfg, full: replay_no_v(DamekRicci.from_dims(2, 4)),
-    "no-a": lambda cfg, full: replay_no_a(CurvatureContext(DamekRicci.from_dims(2, 4)),
-                                          seed=cfg.seed),
-    "no-z": lambda cfg, full: replay_no_z(2, 4, seed=cfg.seed),
-    "dimension-cases": lambda cfg, full: replay_dimension_cases(),
-    "octonion": lambda cfg, full: replay_octonion_case(seed=cfg.seed),
-    "quarter-jcompat": lambda cfg, full: replay_quarter_eigenspace_jcompat(
-        seed=cfg.seed, run_minimization=full),
-    "general-ledger": lambda cfg, full: general_case_ledger(exact=full),
-    "p-annihilation": lambda cfg, full: replay_p_space_annihilation(seed=cfg.seed),
+    "no-v": lambda cfg: replay_no_v(DamekRicci.from_dims(2, 4)),
+    "no-a": lambda cfg: replay_no_a(CurvatureContext(DamekRicci.from_dims(2, 4)),
+                                    seed=cfg.seed),
+    "no-z": lambda cfg: replay_no_z(2, 4, seed=cfg.seed),
+    "dimension-cases": lambda cfg: replay_dimension_cases(),
+    "octonion": lambda cfg: replay_octonion_case(seed=cfg.seed),
+    "quarter-jcompat": lambda cfg: replay_quarter_eigenspace_jcompat(
+        seed=cfg.seed, run_minimization=cfg.exact),
+    "general-ledger": lambda cfg: general_case_ledger(exact=cfg.exact),
+    "p-annihilation": lambda cfg: replay_p_space_annihilation(seed=cfg.seed),
 }
 REPLAY_STEPS = tuple(REPLAYS)
 
@@ -258,7 +258,7 @@ def obstruction_suite(cfg: RunConfig) -> tuple[LedgerReport, dict[str, float]]:
     the replays build what they need inside their steps, so no setup times."""
     rep = LedgerReport("obstruction")
     for replay_fn in REPLAYS.values():
-        ledger = replay_fn(cfg, cfg.exact)
+        ledger = replay_fn(cfg)
         rep.steps += [replace(s, id=f"{ledger.name}:{s.id}", witness={})
                       for s in ledger.steps]
     return rep, {}
@@ -314,7 +314,7 @@ def replay(step: str, cfg: RunConfig) -> tuple[int, dict]:
     unknown = [n for n in names if n not in REPLAYS]
     if unknown:
         raise ValueError(f"unknown replay step(s) {unknown}; choose from {REPLAY_STEPS}")
-    reports = [REPLAYS[n](cfg, True) for n in names]
+    reports = [REPLAYS[n](replace(cfg, exact=True)) for n in names]  # the header keeps cfg
     payload = {"schema_version": SCHEMA_VERSION,
                "header": _header(cfg, {f"{r.name}:{s.id}": s.runtime_s
                                        for r in reports for s in r.steps}),

@@ -42,7 +42,7 @@ H_BOUND = 60.0
 H_SAMPLES = 2400
 # an eigenspace of larger multiplicity only gets the all-plus and all-minus splits
 MAX_ENUMERATION_DIM = 16
-# the probe scans C from C_START up to C_STOP in steps of C_STEP by default
+# the probe scans C from C_START up to C_STOP in steps of C_STEP
 C_START, C_STOP, C_STEP = -2.0, 0.0, 0.01
 # a probe frame evaluates its candidates' full residuals BLOCK rows at a time
 BLOCK = 32
@@ -247,12 +247,12 @@ class _FrameTensors:
                  alphas: np.ndarray):
         n = x.shape[1]
         r4 = ctx.riemann_tensor
-        # T[j, i, :] = R(xi, X_j) X_i, flattened over (j, i)
+        # T[j, i, :] = R(xi, X_j) X_i
         t = np.einsum("a,bj,ci,abce->jie", xi, x, x, r4, optimize=True)
         self.x = x
         self.nx = nomizu(ctx, xi) @ x
-        self.t = t.reshape(n * n, -1)
-        self.t_sym = (t + np.transpose(t, (1, 0, 2))).reshape(n * n, -1)
+        self.t_diag = t[np.arange(n), np.arange(n)]  # [i, :] = R(xi, X_i) X_i
+        self.t_sym = (t + np.transpose(t, (1, 0, 2))).reshape(n * n, -1)  # over (j, i)
         # <nabla_k X_i, X_j> and R(X_k, X_i, X_j, xi)
         self.nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
         self.rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, xi, r4, optimize=True)
@@ -264,13 +264,11 @@ class _FrameTensors:
         the derived-Gauss relation where alpha_i != alpha_j (NaN elsewhere)."""
         b, n = lam.shape
         gm = self.nx + self.x * lam[:, None, :]
-        rxij = np.matmul(self.t, gm).reshape(b, n, n, n)  # [b, j, i, k]
         num = np.matmul(self.t_sym, gm).reshape(b, n, n, n).transpose(0, 3, 2, 1)
         with np.errstate(divide="ignore", invalid="ignore"):
             gamma = num / self.dalpha + self.nab
         gamma[:, :, np.abs(self.dalpha[0]) < 1e-9] = np.nan
-        diag = np.arange(n)
-        return rxij[:, diag, diag, :], gamma
+        return np.matmul(self.t_diag, gm), gamma
 
     def codazzi(self, lam: np.ndarray, gamma: np.ndarray):
         """Residuals [b, k, i, j] = R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k, i, j]
@@ -359,11 +357,11 @@ def _probe_frame(args) -> tuple[int, float, int, dict | None, int]:
     return fidx, float(aggs[j]), h.size, info, int(np.count_nonzero(np.isfinite(aggs)))
 
 
-def probe_c_grid(step: float = C_STEP) -> np.ndarray:
-    """The probe's C values C_START + k * step for k = 0, 1, ..., up to
-    C_STOP, which is the last value when step divides the interval (the 1e-9
+def probe_c_grid() -> np.ndarray:
+    """The probe's C values C_START + k * C_STEP for k = 0, 1, ..., up to
+    C_STOP, which is the last value when C_STEP divides the interval (the 1e-9
     keeps it when the quotient rounds to just below an integer)."""
-    return C_START + step * np.arange(int((C_STOP - C_START) / step + 1e-9) + 1)
+    return C_START + C_STEP * np.arange(int((C_STOP - C_START) / C_STEP + 1e-9) + 1)
 
 
 def _progress(results, total: int):
@@ -376,10 +374,9 @@ def _progress(results, total: int):
         yield result
 
 
-def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100,
-                        c_grid: np.ndarray | None = None, seed: int = 0,
+def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100, seed: int = 0,
                         jobs: int = 1) -> dict:
-    """Minimum aggregate residual over random frames, the C grid and splits.
+    """Minimum aggregate residual over random frames, ``probe_c_grid`` and splits.
 
     The reported floor is the smallest obstruction residual any candidate
     achieves; a strictly positive floor is evidence (not a certificate) that
@@ -391,10 +388,7 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100,
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
-    if c_grid is None:
-        c_grid = probe_c_grid()
-    elif not len(c_grid):
-        raise ValueError("c_grid must hold at least one C value")
+    c_grid = probe_c_grid()
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
     tasks = [(ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
     workers = min(jobs, n_frames)

@@ -26,6 +26,12 @@ EXACT = "exact-pass"
 NUMERIC = "numeric-pass"
 FAIL = "fail"
 
+# the fixed sizes of the sampled and scanned replay steps
+NO_A_SAMPLES = 12  # random draws in each of the two sampling loops of replay_no_a
+NO_Z_GRID = tuple(Fraction(i, 50) for i in range(1, 50))  # the s values replay_no_z scans
+OCTONION_SAMPLES = 20  # random admissible (V, Y) of replay_octonion_case
+MAX_DV = 64  # enumerate_dimension_cases tries d_v = 1, ..., MAX_DV
+
 
 @dataclass(frozen=True)
 class Check:
@@ -131,9 +137,6 @@ def replay_no_v(g: DamekRicci) -> LedgerReport:
 # special case: no A-component
 # ---------------------------------------------------------------------------
 
-NO_A_SAMPLES = 12  # random draws in each of the two sampling loops
-
-
 def replay_no_a(ctx: CurvatureContext, seed: int = 0) -> LedgerReport:
     """The s = 0 chain: forced shape data clashes with the curvature value.
 
@@ -210,11 +213,10 @@ def no_z_candidate_constants(s: Fraction) -> dict:
             "rho_2": (1 - 2 * s * s) / (2 * s)}
 
 
-def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
-                seed: int = 0) -> LedgerReport:
+def replay_no_z(d_z: int, d_v: int, seed: int = 0) -> LedgerReport:
     """Trace identity versus the isotropy cap: no integer eigenspace dimension.
 
-    For every s on the grid, the multiplicity d2 of the third principal
+    For every s on NO_Z_GRID, the multiplicity d2 of the third principal
     curvature solves (1 + d_z + d_v - 3 d2) s^2 + (d_z + d2 - 1) = 0, but it
     must exceed d_z + d_v/2 while also being capped by d_v/2 (isotropic
     subspace).  The scan certifies the incompatibility in exact rationals;
@@ -222,11 +224,9 @@ def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
     """
     rng = np.random.default_rng(seed)
     rep = LedgerReport(f"no-z-component({d_z},{d_v})")
-    if s_grid is None:
-        s_grid = [Fraction(i, 50) for i in range(1, 50)]
 
     bad: list[dict] = []
-    for s in s_grid:
+    for s in NO_Z_GRID:
         s2 = s * s
         if s2 == Fraction(1, 3):
             continue
@@ -242,7 +242,7 @@ def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
         if not (d2 > Fraction(1 + d_z + d_v, 3) if den > 0 else d2 < 0):
             bad.append({"s": s, "d2": d2, "bound": "violated"})
     rep.record("trace-identity-scan", "principal-curvature-count",
-               not bad, exact=True, grid_points=len(s_grid), violations=bad)
+               not bad, exact=True, grid_points=len(NO_Z_GRID), violations=bad)
 
     s2 = Fraction(1, 3)
     # rho_1 - rho_2 = (3 s^2 - 1)/(2 s): vanishes identically at s^2 = 1/3
@@ -287,14 +287,14 @@ def replay_no_z(d_z: int, d_v: int, s_grid: list[Fraction] | None = None,
 # dimension enumeration
 # ---------------------------------------------------------------------------
 
-def enumerate_dimension_cases(max_dv: int = 64) -> list[tuple[int, int]]:
+def enumerate_dimension_cases() -> list[tuple[int, int]]:
     """All (d_z, d_v) where the center-kernel count can satisfy its bound.
 
     Requires d(-1) = 2 d_z - d_v/2 - 4 to be an even integer >= 2,
     d_p = d_v/2 - 4 >= 0, and d_z within the Radon-Hurwitz-type bound.
     """
     out = []
-    for d_v in range(1, max_dv + 1):
+    for d_v in range(1, MAX_DV + 1):
         if d_v % 4:
             continue  # parity of d(-1) forces 4 | d_v
         if d_v // 2 - 4 < 0:
@@ -328,7 +328,7 @@ def _admissible_octonion_v(rng: np.random.Generator, vsq: float) -> np.ndarray:
     return np.concatenate([v1, v2]) * np.sqrt(vsq / 2.0)
 
 
-def replay_octonion_case(n_samples: int = 20, seed: int = 0) -> LedgerReport:
+def replay_octonion_case(seed: int = 0) -> LedgerReport:
     """The (8,16) exclusion: the center kernel is six-dimensional, not four.
 
     For V = (V1, V2) with equal norms and V1 perp V2 (the shape every
@@ -345,7 +345,7 @@ def replay_octonion_case(n_samples: int = 20, seed: int = 0) -> LedgerReport:
                required == 4, exact=True, required=required)
 
     infos = []
-    for _ in range(n_samples):
+    for _ in range(OCTONION_SAMPLES):
         vsq = rng.uniform(0.2, 0.7)
         ysq = rng.uniform(0.1, min(0.8, 0.95 - vsq))
         v = _admissible_octonion_v(rng, vsq)
@@ -356,7 +356,7 @@ def replay_octonion_case(n_samples: int = 20, seed: int = 0) -> LedgerReport:
     rep.record("kernel-dimension-samples", "octonion-center-mismatch",
                all(d == 6 for d in dims) and required != 6, exact=False,
                residual=max(info["cluster_residual"] for info in infos),
-               observed=dims, required=required, samples=n_samples,
+               observed=dims, required=required, samples=OCTONION_SAMPLES,
                min_gap=min(info["gap"] for info in infos))
 
     # the substituted second center vector solves both defining equations

@@ -186,11 +186,12 @@ def test_probe_starts_at_most_one_worker_per_frame(monkeypatch):
         def imap(self, func, tasks):
             return map(func, tasks)  # in this process: no worker starts
     ctx = CurvatureContext(DamekRicci.from_dims(2, 4))
-    grid = np.array([-0.25])
+    monkeypatch.setattr(hypersurface, "C_START", -0.25)  # the one C value -0.25
+    monkeypatch.setattr(hypersurface, "C_STOP", -0.25)
     _refuse_pools(monkeypatch)
-    one = probe_codazzi_floor(ctx, n_frames=1, c_grid=grid, jobs=5)
+    one = probe_codazzi_floor(ctx, n_frames=1, jobs=5)
     monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
-    two = probe_codazzi_floor(ctx, n_frames=2, c_grid=grid, jobs=5)
+    two = probe_codazzi_floor(ctx, n_frames=2, jobs=5)
     assert started == [2] and one["frames"] == 1 and two["frames"] == 2
 
 
@@ -300,7 +301,7 @@ def timed_replays():
     out = []
     for replay_fn in REPLAYS.values():
         t0 = time.perf_counter()
-        rep = replay_fn(cfg, cfg.exact)
+        rep = replay_fn(cfg)
         out.append((rep, time.perf_counter() - t0))
     return out
 
@@ -314,6 +315,24 @@ def test_verify_obstruction_entries_are_the_registry_replays(timed_replays):
                       key=lambda c: c["id"])
     assert report["checks"] == expected
     assert list(report["header"]["runtimes_s"]) == [c["id"] for c in expected]
+
+
+def test_exact_is_the_one_switch_of_the_extended_replay_steps():
+    # verify obstruction --exact runs what replay all runs, and without it drops
+    # the minimization and the five exact general-case steps
+    def steps(exact):
+        _, report = run(RunConfig(suites=["obstruction"], exact=exact))
+        return [(c["id"], c["verdict"], c["residual"]) for c in report["checks"]]
+
+    _, payload = replay("all", RunConfig())
+    replayed = sorted((f"{r['name']}:{s['id']}", "fail" if s["verdict"] == "fail" else "pass",
+                       s["residual"]) for r in payload["replays"] for s in r["steps"])
+    assert steps(True) == replayed
+    exact_only = {"quarter-eigenspace-jcompat:residual-floor-minimization",
+                  *(f"general-case-ledger:{name}" for name in (
+                      "product-identity-reduction", "cyclic-sum-vanishing", "poly-coprimality",
+                      "eta-alpha-identity", "codazzi-coefficient-collapse"))}
+    assert steps(False) == [s for s in replayed if s[0] not in exact_only]
 
 
 def test_verify_numeric_suites_give_87_passing_checks():

@@ -35,6 +35,19 @@ from drgeom.spectrum import make_frame, random_frame
 from per_c_probe import cutoff, per_c_candidates, per_c_probe_frame
 
 
+def _set_c_grid(monkeypatch, step, start=hypersurface.C_START, stop=hypersurface.C_STOP):
+    """Make ``probe_c_grid()`` the C values start, start + step, ..., stop, and return it."""
+    for name, value in (("C_START", start), ("C_STOP", stop), ("C_STEP", step)):
+        monkeypatch.setattr(hypersurface, name, value)
+    return probe_c_grid()
+
+
+def _c_grid(step):
+    """The probe's C grid with C_STEP = step, for the internal calls that take C values."""
+    with pytest.MonkeyPatch.context() as mp:
+        return _set_c_grid(mp, step)
+
+
 @pytest.fixture(scope="module")
 def g24():
     return DamekRicci.from_dims(2, 4)
@@ -412,19 +425,17 @@ def test_no_z_isotropy_pairing_reduction():
     assert abs(res) > 1e-3  # the obstruction is visible
 
 
-def test_probe_floor_smoke(ctx24):
-    out = probe_codazzi_floor(ctx24, n_frames=3,
-                              c_grid=np.arange(-1.6, -0.2, 0.2), seed=1)
+def test_probe_floor_smoke(monkeypatch, ctx24):
+    _set_c_grid(monkeypatch, 0.2, -1.6, -0.4)
+    out = probe_codazzi_floor(ctx24, n_frames=3, seed=1)
     assert out["candidates"] > 0
     assert out["floor"] > 1e-6
     assert len(out["per_frame_min"]) == 3
 
 
-@pytest.mark.parametrize("kwargs, name", [({"n_frames": 0}, "n_frames"),
-                                          ({"c_grid": np.array([])}, "c_grid")])
-def test_probe_refuses_no_frames_or_no_c_values(ctx24, kwargs, name):
-    with pytest.raises(ValueError, match=name):
-        probe_codazzi_floor(ctx24, **{"n_frames": 1, **kwargs})
+def test_probe_refuses_no_frames(ctx24):
+    with pytest.raises(ValueError, match="n_frames"):
+        probe_codazzi_floor(ctx24, n_frames=0)
 
 
 def test_candidates_of_no_c_values_are_empty(monkeypatch):
@@ -458,10 +469,10 @@ def test_nomizu_transpose_formula_full_frame():
         assert np.max(np.abs(n.T @ wf - expect)) < 1e-12
 
 
-def test_probe_serial_parallel_agree(ctx24):
-    grid = np.arange(-1.4, -0.4, 0.25)
-    a = probe_codazzi_floor(ctx24, n_frames=4, c_grid=grid, seed=3, jobs=1)
-    b = probe_codazzi_floor(ctx24, n_frames=4, c_grid=grid, seed=3, jobs=2)
+def test_probe_serial_parallel_agree(monkeypatch, ctx24):
+    _set_c_grid(monkeypatch, 0.25, -1.4, -0.65)
+    a = probe_codazzi_floor(ctx24, n_frames=4, seed=3, jobs=1)
+    b = probe_codazzi_floor(ctx24, n_frames=4, seed=3, jobs=2)
     assert a["per_frame_min"] == b["per_frame_min"]
     assert a["floor"] == b["floor"]
 
@@ -481,7 +492,8 @@ def test_probe_c_grid_is_exact():
     assert len(grid) == 201 and grid[0] == -2.0 and grid[-1] == 0.0
     assert -0.25 in grid.tolist()
     assert np.array_equal(grid, -2.0 + 0.01 * np.arange(201))
-    assert [len(probe_c_grid(step)) for step in (0.01, 0.05, 0.03)] == [201, 41, 67]
+    # the 1e-9 keeps C_STOP where (C_STOP - C_START) / C_STEP rounds below an integer
+    assert [len(_c_grid(step)) for step in (0.01, 0.05, 0.03)] == [201, 41, 67]
 
 
 # ---------------------------------------------------------------------------
@@ -670,11 +682,11 @@ def _ref_probe_frame(g, ctx, frame_seed, fidx, c_grid):
     return fidx, float(best), n_candidates, best_info
 
 
-REF_GRID = probe_c_grid(0.05)  # 41 C values
+REF_GRID = _c_grid(0.05)  # 41 C values
 
 
 @pytest.mark.parametrize("seed", [2000, 12])
-def test_probe_matches_per_candidate_reference(g24, ctx24, seed):
+def test_probe_matches_per_candidate_reference(monkeypatch, g24, ctx24, seed):
     # seed 2000 holds the frame where an unoptimized einsum drifts by 1 ulp
     n_frames = 3
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
@@ -682,7 +694,8 @@ def test_probe_matches_per_candidate_reference(g24, ctx24, seed):
            for i in range(n_frames)]
     for i in range(n_frames):
         assert _probe_frame((ctx24, frame_seeds[i], i, REF_GRID))[:4] == ref[i]
-    out = probe_codazzi_floor(ctx24, n_frames=n_frames, c_grid=REF_GRID, seed=seed)
+    _set_c_grid(monkeypatch, 0.05)
+    out = probe_codazzi_floor(ctx24, n_frames=n_frames, seed=seed)
     floor_idx = int(np.argmin([r[1] for r in ref]))
     assert out["per_frame_min"] == [r[1] for r in ref]
     assert out["candidates"] == sum(r[2] for r in ref)
@@ -885,8 +898,8 @@ def test_flat_root_within_1e_11_of_40_digit_root(g24, ctx24):
 
 
 # a row's trace gaps and bisection do not depend on the other C values of its scan group
-@pytest.mark.parametrize("dims, c_grid", [((2, 4), REF_GRID), ((5, 8), probe_c_grid(0.05)),
-                                          ((6, 8), probe_c_grid(0.05)), ((7, 16), GRID_11)],
+@pytest.mark.parametrize("dims, c_grid", [((2, 4), REF_GRID), ((5, 8), REF_GRID),
+                                          ((6, 8), REF_GRID), ((7, 16), GRID_11)],
                          ids=["2-4", "5-8", "6-8", "7-16"])
 def test_frame_batch_equals_one_c_at_a_time(dims, c_grid):
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
@@ -985,7 +998,7 @@ def test_cutoffs_equal_the_cutoff_of_each_c_alone(spectrum, c):
     with pytest.MonkeyPatch.context() as mp:
         ef = _made_up_eigenframe(mp, alphas, mults)
     half_sq = _HALF ** 2
-    c_values = np.concatenate([[c], ef.alphas, probe_c_grid(0.1)])
+    c_values = np.concatenate([[c], ef.alphas, _c_grid(0.1)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         cuts = ef._cutoffs(half_sq, c_values)
@@ -1002,7 +1015,7 @@ def test_grouped_scan_equals_one_c_at_a_time(spectrum, c):
     alphas, mults = [a for a, _ in spectrum], [m for _, m in spectrum]
     with pytest.MonkeyPatch.context() as mp:
         ef = _made_up_eigenframe(mp, alphas, mults)
-    grid = probe_c_grid(0.1)
+    grid = _c_grid(0.1)
     grid = np.concatenate([grid[:8], [0.0], ef.alphas, [c], grid[8:]])[:21]
     half_sq = _HALF ** 2
     los = np.searchsorted(half_sq, 4.0 * (ef.alphas.max() - grid))
