@@ -14,21 +14,23 @@ evidence, never a false negative for existence.
 
 The probe computes the C-independent data once per frame (the Jacobi
 eigendata, the shared eigenframe X and its curvature contractions).  Then it
-scans the trace equation on an H >= 0 grid, only up to the point from which
-every split's trace gap has a proven sign, and bisects the brackets for all
-splits and C values at once.  The roots with H < 0 are those of the mirror
+scans the trace equation on an H >= 0 grid, each split class (P != 1 and
+P = 1 plus vectors) only up to the point from which every trace gap of the
+class has a proven sign.  The roots with H < 0 are those of the mirror
 splits, negated.  The scan takes consecutive C values together, as many as
-fit in a fixed budget of (H row, split) elements.  The Gauss/Codazzi
-residuals are evaluated in full only for the candidates that a cheap lower
-bound (the residual on a few sentinel Codazzi components) cannot rule out as
-the frame's minimum, in blocks of rows in bound order.
+fit in a fixed budget of (H row, split) elements.  The brackets of all
+frames of a chunk, all splits and all C values are bisected in one loop; a
+pool gets contiguous chunks of frames.  The Gauss/Codazzi residuals are
+evaluated in full only for the candidates that a cheap lower bound (the
+residual on a few sentinel Codazzi components) cannot rule out as the
+frame's minimum, in blocks of rows in bound order.
 """
 
 from __future__ import annotations
 
 import sys
 import time
-from itertools import product
+from itertools import chain, product
 
 import numpy as np
 
@@ -51,22 +53,23 @@ SCAN_BLOCK = 1 << 15
 
 
 def _small_root(h, two_a: np.ndarray, four_a: np.ndarray) -> np.ndarray:
-    """rho-(H) for H >= 0 from two_a = 2(alpha - C) and four_a = 4(alpha - C): it is
-    2(alpha - C)/(H + sqrt(disc)), which does not cancel at large H, where disc =
-    H^2 - 4(alpha - C) > 0, and H/2 (also at H = alpha - C = 0) where disc <= 0."""
+    """rho-(H) for H >= 0 from two_a = 2(alpha - C) and four_a = 4(alpha - C), one row
+    per eigenspace (the arrays broadcast with h): it is 2(alpha - C)/(H + sqrt(disc)),
+    which does not cancel at large H, where disc = H^2 - 4(alpha - C) > 0, and H/2
+    (also at H = alpha - C = 0) where disc <= 0."""
     disc = h ** 2 - four_a
-    t = np.broadcast_to(0.5 * h, disc.shape).copy()
+    t = np.multiply(0.5, h, out=np.empty_like(disc))
     np.divide(two_a, h + np.sqrt(np.maximum(disc, 0.0)), out=t, where=disc > 0.0)
     return t
 
 
 def _trace_gap(h, t: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Tr S - H = (P - 1) H + sum (m- - m+) rho- for H >= 0, from the small roots t
-    (one per eigenspace, on the last axis) and a split's coefficients w (the rows
-    of ``_Eigenframe._coef``), summed eigenspace by eigenspace after the H term."""
+    (one row per eigenspace) and a split's coefficients w (the rows of
+    ``_Eigenframe._coef``), summed eigenspace by eigenspace after the H term."""
     gap = w[0] * h
-    for k in range(t.shape[-1]):
-        gap = gap + w[k + 1] * t[..., k]
+    for k in range(len(t)):
+        gap = gap + w[k + 1] * t[k]
     return gap
 
 
@@ -90,6 +93,9 @@ class _Eigenframe:
         counts = np.array(self.splits, dtype=float)  # [split, cluster, (m+, m-)]
         self._coef = np.vstack([counts[:, :, 0].sum(axis=1) - 1.0,
                                 (counts[:, :, 1] - counts[:, :, 0]).T])
+        # the split classes P != 1 and P = 1, each scanned up to its own cutoff
+        self._classes = (np.flatnonzero(self._coef[0] != 0.0),
+                         np.flatnonzero(self._coef[0] == 0.0))
         # within an eigenspace the first m+ vectors take rho+: [split, vector]
         self._cluster = np.repeat(np.arange(len(mults)), mults)
         rank = np.arange(len(self._cluster)) - np.repeat(np.cumsum([0, *mults[:-1]]), mults)
@@ -98,103 +104,103 @@ class _Eigenframe:
         self.hs = np.concatenate([[0.0], half])  # H = 0, then the grid's H > 0 half
 
     def _cutoffs(self, hs_sq: np.ndarray, c_values: np.ndarray) -> np.ndarray:
-        """Per C, the first row of the H >= 0 grid from which on every split's trace
-        gap has a proven nonzero sign (the grid's length where none is proven).  Where
-        all disc >= 0, rho- = a/H + e with a = alpha - C and 0 <= e <= 4a^2/H^3, so with
-        a split's coefficients P - 1 and d = m - p, H (Tr S - H) = (P - 1) H^2 + D1 + r
-        with D1 = sum d a and |r| <= D2/H^2, D2 = 4 sum |d| a^2.  The sign is
-        sign(P - 1) once H^2 exceeds the positive root u of |P - 1| u^2 - |D1| u - D2,
-        and for P = 1 it is sign(D1) once H^2 > D2/|D1|."""
-        a, lead, d = self.alphas - c_values[:, None], np.abs(self._coef[0]), self._coef[1:]
-        # a stack of (1, k) @ (k, splits) products rounds each C as that C alone would
-        d1 = np.abs(np.matmul(a[:, None, :], d)[:, 0])
-        d2 = 4.0 * np.matmul((a * a)[:, None, :], np.abs(d))[:, 0]
-        flat = lead == 0.0
+        """Per C, the first row of the H >= 0 grid from which on the trace gap of
+        every split of a class has a proven nonzero sign (the grid's length where
+        none is proven): row [0] is for the splits with P != 1, row [1] for P = 1.
+
+        Where all disc >= 0, take x = 1/H^2, a = alpha - C and a split's P - 1 and
+        d = m- - m+.  Then rho- = (a/H) c(a x) with c(y) = 2/(1 + sqrt(1 - 4y)), which
+        is in (0, 2] for y <= 1/4 and solves c = 1 + y c^2.  So (c - 1)/y = c^2 <= 4,
+        and H (Tr S - H) = (P - 1) H^2 + D1 + r with D1 = sum d a and |r| <= D2 x,
+        D2 = 4 sum |d| a^2.  The sign is sign(P - 1) once H^2 exceeds the positive
+        root u of |P - 1| u^2 - |D1| u - D2, and for P = 1 it is sign(D1) once
+        H^2 > D2/|D1|.  For P = 1 a second order is also taken: c - 1 - y =
+        y^2 c^2 (c + 1), at most 12 y^2 in size, so H (Tr S - H) = D1 + E1 x + r with
+        E1 = sum d a^2 and |r| <= F x^2, F = 12 sum |d| |a|^3.  With s = |E1| +
+        sqrt(E1^2 + 4 F |D1|), the sign is sign(D1 + E1 x) once H^2 > 2F/s where
+        D1 E1 >= 0 (also for D1 = 0), and once H^2 > s/(2|D1|) where the signs are
+        opposite.  A P = 1 split takes the smaller of its two bounds.
+
+        The 1e-3 margin on every bound, and the 1e-6 floor on |D1| (first order and
+        opposite signs) and on max(|D1|, |E1|) (same signs), keep the bound's slack
+        in H (Tr S - H) at >= 1e-3 of the leading term for P != 1, >= ~1e-9 for
+        the floor on |D1| and, on grid rows (x >= 1/3600), >= ~1e-13 for the floor
+        on |E1|: far above the gap's rounding (~1e-15).  The C values go in blocks
+        of at most SCAN_BLOCK (C, split) elements, at least one C per block."""
+        rows, per = [], max(SCAN_BLOCK // len(self.splits), 1)
+        # the d columns of the two classes: the gap tilts with H for P != 1, not for P = 1
+        tilted, flat = (self._coef[1:, cols] for cols in self._classes)
+        abs_tilted, abs_flat = np.abs(tilted), np.abs(flat)
+        lead = np.abs(self._coef[0, self._classes[0]])
         with np.errstate(divide="ignore", invalid="ignore"):
-            tilted = (d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2))[:, ~flat] / (2.0 * lead[~flat])
-            u = np.maximum(tilted.max(axis=1, initial=0.0),
-                           (d2[:, flat] / d1[:, flat]).max(axis=1, initial=0.0))
-        # the 1e-3 margin and the 1e-6 floor on |D1| keep the bound's slack (>= 1e-3 of
-        # the leading term, >= 1e-9 for P = 1) far above the gap's rounding (~1e-15)
-        return np.where(np.any(d1[:, flat] < 1e-6, axis=1), hs_sq.size,
-                        np.searchsorted(hs_sq, 1.001 * u, side="right"))
+            for g in range(0, c_values.size, per):
+                a = (self.alphas - c_values[g:g + per, None])[:, None, :]
+                # a stack of (1, k) @ (k, splits) products rounds each C as that C
+                # alone would
+                d1 = np.abs(np.matmul(a, tilted)[:, 0])
+                d2 = 4.0 * np.matmul(a * a, abs_tilted)[:, 0]
+                u_tilted = ((d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2)) / (2.0 * lead))
+                d1, e1 = np.matmul(a, flat)[:, 0], np.matmul(a * a, flat)[:, 0]
+                d2 = 4.0 * np.matmul(a * a, abs_flat)[:, 0]
+                f = 12.0 * np.matmul(np.abs(a) ** 3, abs_flat)[:, 0]
+                same = d1 * e1 >= 0.0
+                d1, e1 = np.abs(d1), np.abs(e1)
+                s = e1 + np.sqrt(e1 * e1 + 4.0 * f * d1)
+                first = np.where(d1 < 1e-6, np.inf, d2 / d1)
+                second = np.where(same, np.where(np.maximum(d1, e1) < 1e-6, np.inf, 2.0 * f / s),
+                                  np.where(d1 < 1e-6, np.inf, s / (2.0 * d1)))
+                rows.append(np.stack([u_tilted.max(axis=1, initial=0.0),
+                                      np.minimum(first, second).max(axis=1, initial=0.0)]))
+        return np.searchsorted(hs_sq, 1.001 * np.hstack(rows), side="right")
 
-    def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Self-consistent candidates for each C, in split order then by H:
-        their mean curvatures H (k,), principal curvatures (k, n) on the
-        eigenframe X and split indices into ``splits`` (k,).
-
-        On an eigenspace of Jacobi eigenvalue alpha and multiplicity m, S has
-        eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
-        split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
-        minus the mirror split's at H, so per C only the grid points with
-        H >= 0 are scanned, up to the ``_cutoffs`` row (past it no sign
-        changes).  Consecutive C values are scanned together, in groups of at
-        most SCAN_BLOCK (row, split) elements (a C over that alone is a group
-        of its own); a row's trace gaps do not depend on its group.  Then the
-        sign changes of all C values are bisected together until each bracket
-        holds two adjacent floats (an exact grid zero is a bracket of width 0).
-        The end where the trace gap is <= 0 is the root, and minus the other
-        end is the mirror split's root.  Roots within 1e-9 of a smaller one are
-        dropped, and so are splits with complex roots.
-        """
-        c_values = np.asarray(c_values, dtype=float)
-        if not c_values.size:
-            return []
+    def _brackets(self, c_values: np.ndarray):
+        """Every grid bracket of the trace gap: keys c index * n_splits + split and
+        the ends where the gap is <= 0 and >= 0 (equal at an exact grid zero)."""
         n_splits, hs_sq = len(self.splits), self.hs ** 2
         # every discriminant grows with H >= 0, so the rows where all are >= 0 are a
         # tail; a scan from the first row past H = 0 starts at H = 0 itself
         los = np.searchsorted(hs_sq, 4.0 * (self.alphas.max() - c_values))
         los[los == 1] = 0
-        stops = np.minimum(self._cutoffs(hs_sq, c_values) + 1, hs_sq.size)
-        rows = np.maximum(stops - los, 0)
-        firsts = np.concatenate([[0], np.cumsum(rows)])
-        row_c = np.repeat(np.arange(c_values.size), rows)
-        row_h = self.hs[np.repeat(los - firsts[:-1], rows) + np.arange(firsts[-1])]
-        keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
-        cap, g = SCAN_BLOCK // n_splits, 0
-        while g < c_values.size:
-            # the group [g, e): as many C values as fit in cap rows, and at least one
-            e = max(int(np.searchsorted(firsts, firsts[g] + cap, side="right")) - 1, g + 1)
-            ci, h = row_c[firsts[g]:firsts[e]], row_h[firsts[g]:firsts[e]]
-            a = self.alphas - c_values[ci, None]
-            t = _small_root(h[:, None], 2.0 * a, 4.0 * a)
-            # only the signs and exact zeros of the trace gap are used; at H = 0 it is
-            # the bisection's sum, so that the scan and the bisection share one sign
-            fvals = np.hstack([h[:, None], t]) @ self._coef
-            zero = h == 0.0
-            fvals[zero] = _trace_gap(h[zero, None], t[zero, None], self._coef)
-            below, above = fvals < 0.0, fvals > 0.0
-            for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),
-                                         (below[:-1] & above[1:], 0, 1),
-                                         (above[:-1] & below[1:], 1, 0)):
-                i, si = np.divmod(np.flatnonzero(mask), n_splits)
-                if di_neg != di_pos:  # one C's last row and the next C's first are no bracket
-                    same = ci[i] == ci[i + 1]
-                    i, si = i[same], si[same]
-                keys.append(ci[i] * n_splits + si)
-                neg.append(h[i + di_neg])
-                pos.append(h[i + di_pos])
-            g = e
-        keys, neg, pos = np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
-        # per bracket: 2(alpha - C), 4(alpha - C) and the split's coefficients; the
-        # arrays shrink only when a bracket is done
-        live = np.flatnonzero(neg != pos)
-        ci, si = np.divmod(keys[live], n_splits)
-        two_a = 2.0 * (self.alphas - c_values[ci, None])
-        four_a = 2.0 * two_a  # = 4(alpha - C) exactly: scaling by 2 does not round
-        w, lo, hi = self._coef[:, si], neg[live], pos[live]
-        while live.size:
-            mid = 0.5 * (lo + hi)
-            done = (mid == lo) | (mid == hi)
-            if done.any():
-                neg[live[done]], pos[live[done]] = lo[done], hi[done]
-                moving = ~done
-                live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
-                two_a, four_a, w = two_a[moving], four_a[moving], w[:, moving]
-            gap = _trace_gap(mid, _small_root(mid[:, None], two_a, four_a), w)
-            lo = np.where(gap <= 0.0, mid, lo)
-            hi = np.where(gap >= 0.0, mid, hi)
+        keys, neg, pos = [], [], []
+        for cols, cuts in zip(self._classes, self._cutoffs(hs_sq, c_values)):
+            if not cols.size:
+                continue
+            coef = self._coef[:, cols]
+            rows = np.maximum(np.minimum(cuts + 1, hs_sq.size) - los, 0)
+            firsts = np.concatenate([[0], np.cumsum(rows)])
+            row_c = np.repeat(np.arange(c_values.size), rows)
+            row_h = self.hs[np.repeat(los - firsts[:-1], rows) + np.arange(firsts[-1])]
+            cap, g = SCAN_BLOCK // cols.size, 0
+            while g < c_values.size:
+                # the group [g, e): as many C values as fit in cap rows, and at least one
+                e = max(int(np.searchsorted(firsts, firsts[g] + cap, side="right")) - 1, g + 1)
+                ci, h = row_c[firsts[g]:firsts[e]], row_h[firsts[g]:firsts[e]]
+                a = self.alphas[:, None] - c_values[ci]
+                t = _small_root(h, 2.0 * a, 4.0 * a)
+                # only the signs and exact zeros of the trace gap are used; at H = 0 it
+                # is the bisection's sum, so that the scan and the bisection share one sign
+                fvals = np.hstack([h[:, None], t.T]) @ coef
+                zero = h == 0.0
+                fvals[zero] = _trace_gap(h[zero, None], t[:, zero, None], coef)
+                below, above = fvals < 0.0, fvals > 0.0
+                for mask, di_neg, di_pos in ((fvals == 0.0, 0, 0),
+                                             (below[:-1] & above[1:], 0, 1),
+                                             (above[:-1] & below[1:], 1, 0)):
+                    i, si = np.divmod(np.flatnonzero(mask), cols.size)
+                    if di_neg != di_pos:  # one C's last row and the next C's first are no bracket
+                        same = ci[i] == ci[i + 1]
+                        i, si = i[same], si[same]
+                    keys.append(ci[i] * n_splits + cols[si])
+                    neg.append(h[i + di_neg])
+                    pos.append(h[i + di_pos])
+                g = e
+        return np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
+
+    def _roots_to_candidates(self, c_values: np.ndarray, keys: np.ndarray, neg: np.ndarray,
+                             pos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """The candidates of bisected brackets: each root and its mirror split's,
+        deduplicated and filtered, one (H, lambda, split) tuple per C."""
+        n_splits = len(self.splits)
         # minus the other end is a root of the mirror split, n_splits - 1 - split
         ci, si = np.divmod(keys, n_splits)
         keys = np.concatenate([keys, ci * n_splits + (n_splits - 1 - si)])
@@ -219,6 +225,73 @@ class _Eigenframe:
         ci, h, lam, si = ci[ok], h[ok], lam[ok], si[ok]
         ends = np.searchsorted(ci, np.arange(len(c_values) + 1))
         return [(h[a:b], lam[a:b], si[a:b]) for a, b in zip(ends[:-1], ends[1:])]
+
+    def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Self-consistent candidates for each C, in split order then by H:
+        their mean curvatures H (k,), principal curvatures (k, n) on the
+        eigenframe X and split indices into ``splits`` (k,).
+
+        On an eigenspace of Jacobi eigenvalue alpha and multiplicity m, S has
+        eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
+        split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
+        minus the mirror split's at H, so per C only the grid points with
+        H >= 0 are scanned, the splits with P != 1 up to one ``_cutoffs`` row
+        and those with P = 1 up to the other (past it no sign changes: a first
+        order bound, and for P = 1 also a second order one, on the trace gap,
+        with a margin and a floor that keep its slack far above the gap's
+        rounding).  Consecutive C values are scanned together, in groups of at
+        most SCAN_BLOCK (row, split) elements per class (a C over that alone is
+        a group of its own); a row's trace gaps do not depend on its group.
+        ``_candidates`` then bisects the sign changes of all C values together
+        until each bracket holds two adjacent floats (an exact grid zero is a
+        bracket of width 0).  The end where the trace gap is <= 0 is the root,
+        and minus the other end is the mirror split's root.  Roots within 1e-9
+        of a smaller one are dropped, and so are splits with complex roots.
+        """
+        return _candidates([self], c_values)[0]
+
+
+def _candidates(eigenframes: list[_Eigenframe], c_values) -> list[list[tuple]]:
+    """``_Eigenframe.candidates`` of several frames at once, one list per frame.
+    Every frame's brackets are bisected in one loop, so each step's fixed cost is
+    paid once: a frame with fewer eigenspaces than the widest gets zero weights
+    and zero 2(alpha - C) rows, whose terms 0 * 0 add +-0 to its trace gap and
+    change neither a sign nor an exact zero, so each frame's candidates are bit
+    for bit those of the frame alone.  Each bisection step tests the trace gap
+    at the midpoint with the scan's ``_small_root`` and ``_trace_gap``."""
+    c_values = np.asarray(c_values, dtype=float)
+    if not c_values.size:
+        return [[] for _ in eigenframes]
+    brackets = [ef._brackets(c_values) for ef in eigenframes]
+    width = max(ef.alphas.size for ef in eigenframes)
+    # per bracket: 2(alpha - C) and the split's coefficients, eigenspace rows first;
+    # the arrays shrink only when a bracket is done
+    two_a, w = [], []
+    for ef, (keys, neg, pos) in zip(eigenframes, brackets):
+        ci, si = np.divmod(keys[neg != pos], len(ef.splits))
+        pad = ((0, width - ef.alphas.size), (0, 0))
+        two_a.append(np.pad(2.0 * (ef.alphas[:, None] - c_values[ci]), pad))
+        w.append(np.pad(ef._coef[:, si], pad))
+    two_a, w = np.hstack(two_a), np.hstack(w)
+    four_a = 2.0 * two_a  # = 4(alpha - C) exactly: scaling by 2 does not round
+    neg = np.concatenate([neg for _, neg, _ in brackets])
+    pos = np.concatenate([pos for _, _, pos in brackets])
+    live = np.flatnonzero(neg != pos)
+    lo, hi = neg[live], pos[live]
+    while live.size:
+        mid = 0.5 * (lo + hi)
+        done = (mid == lo) | (mid == hi)
+        if done.any():
+            neg[live[done]], pos[live[done]] = lo[done], hi[done]
+            moving = ~done
+            live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
+            two_a, four_a, w = two_a[:, moving], four_a[:, moving], w[:, moving]
+        gap = _trace_gap(mid, _small_root(mid, two_a, four_a), w)
+        lo = np.where(gap <= 0.0, mid, lo)
+        hi = np.where(gap >= 0.0, mid, hi)
+    ends = np.cumsum([0, *(keys.size for keys, _, _ in brackets)])
+    return [ef._roots_to_candidates(c_values, keys, neg[a:b], pos[a:b])
+            for ef, (keys, _, _), a, b in zip(eigenframes, brackets, ends[:-1], ends[1:])]
 
 
 def nomizu(ctx: CurvatureContext, xi: np.ndarray) -> np.ndarray:
@@ -322,39 +395,46 @@ def horosphere_residual(ctx: CurvatureContext) -> float:
     return float(tensors.aggregate(lam[None])[0])
 
 
-def _probe_frame(args) -> tuple[int, float, int, dict | None, int]:
-    """One frame: C-independent work once, then the candidates of every C in
-    (C, candidate) order.  The largest Codazzi components of BLOCK spread-out
+def _probe_chunk(args) -> list[tuple[int, float, int, dict | None, int]]:
+    """Consecutive frames: C-independent work once per frame, the candidates of
+    every frame and C from one ``_candidates`` call, then per frame its minimum
+    in (C, candidate) order.  The largest Codazzi components of BLOCK spread-out
     candidates are sentinels, whose residuals bound every aggregate from below.
     Blocks of BLOCK candidates in bound order are evaluated in full until the
     next bound exceeds the best so far (with a margin for rounding), so every
     candidate at the minimum is evaluated and the first of them wins, as a
-    strict < would pick it.  Also returns how many candidates were evaluated
+    strict < would pick it.  Per frame: its index, minimum, candidate count, the
+    minimum's C, H and splits, and how many candidates were evaluated
     (top-level with one tuple argument so a worker pool can dispatch it)."""
-    ctx, frame_seed, fidx, c_grid = args
-    frame = random_frame(ctx.g, np.random.default_rng(frame_seed))
-    eigenframe = _Eigenframe(frame, ctx)
-    tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
-    per_c = eigenframe.candidates(c_grid)
-    ci = np.repeat(np.arange(len(c_grid)), [len(h) for h, _, _ in per_c])
-    h, lam, si = (np.concatenate(part) for part in zip(*per_c))
-    if not h.size:
-        return fidx, float(np.inf), 0, None, 0
-    sample = np.arange(0, h.size, -(-h.size // BLOCK))
-    bound = tensors.codazzi_bound(lam, tensors.sentinels(lam[sample]))
-    order = np.argsort(bound, kind="stable")
-    aggs, best = np.full(h.size, np.inf), np.inf
-    for start in range(0, h.size, BLOCK):
-        # 1e-9 covers the bound's rounding, and 1e-12 a best of exactly 0
-        if bound[order[start]] > best * (1.0 + 1e-9) + 1e-12:
-            break
-        rows = order[start:start + BLOCK]
-        aggs[rows] = tensors.aggregate(lam[rows])
-        best = min(best, aggs[rows].min())
-    j = int(np.argmin(aggs))  # the first of equal minima in (C, candidate) order
-    info = {"frame_index": fidx, "C": float(c_grid[ci[j]]), "H": float(h[j]),
-            "splits": eigenframe.splits[si[j]]}
-    return fidx, float(aggs[j]), h.size, info, int(np.count_nonzero(np.isfinite(aggs)))
+    ctx, frame_seeds, first, c_grid = args
+    frames = [random_frame(ctx.g, np.random.default_rng(s)) for s in frame_seeds]
+    eigenframes = [_Eigenframe(frame, ctx) for frame in frames]
+    results = []
+    for fidx, (frame, eigenframe, per_c) in enumerate(
+            zip(frames, eigenframes, _candidates(eigenframes, c_grid)), first):
+        ci = np.repeat(np.arange(len(c_grid)), [len(h) for h, _, _ in per_c])
+        h, lam, si = (np.concatenate(part) for part in zip(*per_c))
+        if not h.size:
+            results.append((fidx, float(np.inf), 0, None, 0))
+            continue
+        tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
+        sample = np.arange(0, h.size, -(-h.size // BLOCK))
+        bound = tensors.codazzi_bound(lam, tensors.sentinels(lam[sample]))
+        order = np.argsort(bound, kind="stable")
+        aggs, best = np.full(h.size, np.inf), np.inf
+        for start in range(0, h.size, BLOCK):
+            # 1e-9 covers the bound's rounding, and 1e-12 a best of exactly 0
+            if bound[order[start]] > best * (1.0 + 1e-9) + 1e-12:
+                break
+            rows = order[start:start + BLOCK]
+            aggs[rows] = tensors.aggregate(lam[rows])
+            best = min(best, aggs[rows].min())
+        j = int(np.argmin(aggs))  # the first of equal minima in (C, candidate) order
+        info = {"frame_index": fidx, "C": float(c_grid[ci[j]]), "H": float(h[j]),
+                "splits": eigenframe.splits[si[j]]}
+        results.append((fidx, float(aggs[j]), h.size, info,
+                        int(np.count_nonzero(np.isfinite(aggs)))))
+    return results
 
 
 def probe_c_grid() -> np.ndarray:
@@ -364,10 +444,9 @@ def probe_c_grid() -> np.ndarray:
     return C_START + C_STEP * np.arange(int((C_STOP - C_START) / C_STEP + 1e-9) + 1)
 
 
-def _progress(results, total: int):
+def _progress(results, total: int, start: float):
     """Pass the frame results through, writing one line per frame to stderr with
-    how many of its candidates were evaluated in full."""
-    start = time.perf_counter()
+    the time since ``start`` and how many of its candidates were evaluated in full."""
     for done, result in enumerate(results, 1):
         print(f"probe: {done}/{total} frames done, {time.perf_counter() - start:.2f} s, "
               f"{result[4]}/{result[2]} evaluated", file=sys.stderr, flush=True)
@@ -383,21 +462,24 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100, seed: int = 
     no pointwise shape operator is compatible with the Einstein condition on
     the sampled frames and C values, whose region ``box`` names.
     Frames get independent seeds spawned from ``seed``, so the result is
-    identical whether the grid is processed serially or by a worker pool.
-    One progress line per finished frame goes to stderr.
+    identical whether the frames form one chunk or a worker pool's contiguous
+    chunks.  One progress line per frame goes to stderr when its chunk is done.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     c_grid = probe_c_grid()
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
-    tasks = [(ctx, frame_seeds[i], i, c_grid) for i in range(n_frames)]
-    workers = min(jobs, n_frames)
-    if workers > 1:
+    # contiguous chunks of frames, one per worker
+    chunks = [(ctx, frame_seeds[idx[0]:idx[-1] + 1], int(idx[0]), c_grid)
+              for idx in np.array_split(np.arange(n_frames), min(jobs, n_frames))]
+    start = time.perf_counter()
+    if len(chunks) > 1:
         from multiprocessing import Pool
-        with Pool(workers) as pool:
-            results = list(_progress(pool.imap(_probe_frame, tasks), n_frames))
+        with Pool(len(chunks)) as pool:
+            results = list(_progress(chain.from_iterable(pool.imap(_probe_chunk, chunks)),
+                                     n_frames, start))
     else:
-        results = list(_progress(map(_probe_frame, tasks), n_frames))
+        results = list(_progress(_probe_chunk(chunks[0]), n_frames, start))
     per_frame = [r[1] for r in results]
     n_candidates = sum(r[2] for r in results)
     floor_idx = int(np.argmin(per_frame))

@@ -1,20 +1,24 @@
-"""Reference oracles for the probe's frame search: the scan cutoff of one C
+"""Reference oracles for the probe's frame search: the scan cutoffs of one C
 alone, the candidates from a scan of one C at a time, and the frame minimum
 from one residual batch per C.
 
-``cutoff`` is the proven scan cutoff of a single C; ``_Eigenframe._cutoffs``
-takes every C at once and is checked against it.  ``per_c_candidates`` scans
-the trace gap one C value at a time, bisects with the per-bracket constants
+``cutoff`` gives the two proven scan cutoffs of a single C, one per split
+class (P != 1 and P = 1), with the P = 1 bounds taken split by split;
+``_Eigenframe._cutoffs`` takes every C at once and is checked against it.
+``per_c_candidates`` scans the trace gap one C value at a time, every split up
+to the larger of the two cutoffs, bisects with the per-bracket constants
 recomputed on every step and finds each mirror split by a lookup of its
-counts; ``_Eigenframe.candidates`` scans groups of C values and is checked
-against it bit for bit.  ``per_c_probe_frame``
-evaluates the aggregate of every candidate, one batch per C value, and keeps
-the first minimum with a strict <; ``_probe_frame`` evaluates only the
-candidates its lower bound cannot rule out and is checked against it bit for
-bit.
+counts; ``_Eigenframe.candidates`` scans groups of C values, each split class
+up to its own cutoff, and is checked against it bit for bit.
+``per_c_probe_frame`` evaluates the aggregate of every candidate, one batch
+per C value, and keeps the first minimum with a strict <; ``_probe_chunk``
+evaluates only the candidates its lower bound cannot rule out and is checked
+against it bit for bit.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -22,16 +26,30 @@ from drgeom.hypersurface import QUADRATIC_TOL, _Eigenframe, _FrameTensors, _smal
 from drgeom.spectrum import random_frame
 
 
-def cutoff(eigenframe: _Eigenframe, half_sq: np.ndarray, c: float) -> int:
-    """The first row of the H >= 0 grid from which on every split's trace gap
-    has a proven nonzero sign at C (the grid's length where none is proven)."""
-    a, lead, d = eigenframe.alphas - c, np.abs(eigenframe._coef[0]), eigenframe._coef[1:]
-    d1, d2, flat = np.abs(a @ d), 4.0 * (a * a) @ np.abs(d), lead == 0.0
-    if np.any(d1[flat] < 1e-6):
-        return half_sq.size
-    tilted = (d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2))[~flat] / (2.0 * lead[~flat])
-    u = max(tilted.max(initial=0.0), (d2[flat] / d1[flat]).max(initial=0.0))
-    return int(np.searchsorted(half_sq, 1.001 * u, side="right"))
+def cutoff(eigenframe: _Eigenframe, half_sq: np.ndarray, c: float) -> tuple[int, int]:
+    """The first rows of the H >= 0 grid from which on every trace gap of the
+    splits with P != 1, and of those with P = 1, has a proven nonzero sign at C
+    (the grid's length where none is proven)."""
+    a = eigenframe.alphas - c
+    tilted, flat = (eigenframe._coef[1:, cols] for cols in eigenframe._classes)
+    lead = np.abs(eigenframe._coef[0, eigenframe._classes[0]])
+    d1, d2 = np.abs(a @ tilted), 4.0 * (a * a) @ np.abs(tilted)
+    u_tilted = ((d1 + np.sqrt(d1 * d1 + 4.0 * lead * d2)) / (2.0 * lead)).max(initial=0.0)
+    u_flat = 0.0
+    for d1, e1, d2, f in zip((a @ flat).tolist(), ((a * a) @ flat).tolist(),
+                             (4.0 * (a * a) @ np.abs(flat)).tolist(),
+                             (12.0 * (np.abs(a) ** 3 @ np.abs(flat))).tolist()):
+        # first order: |D1| >= 1e-6; second: |D1| >= 1e-6 for opposite signs of D1
+        # and E1, max(|D1|, |E1|) >= 1e-6 for equal signs
+        bounds = [d2 / abs(d1)] if abs(d1) >= 1e-6 else []
+        s = abs(e1) + math.sqrt(e1 * e1 + 4.0 * f * abs(d1))
+        if d1 * e1 >= 0.0 and max(abs(d1), abs(e1)) >= 1e-6:
+            bounds.append(2.0 * f / s)
+        elif d1 * e1 < 0.0 and abs(d1) >= 1e-6:
+            bounds.append(s / (2.0 * abs(d1)))
+        u_flat = max(u_flat, min(bounds, default=math.inf))
+    return tuple(int(np.searchsorted(half_sq, 1.001 * u, side="right"))
+                 for u in (u_tilted, u_flat))
 
 
 def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
@@ -42,8 +60,8 @@ def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
     c_values = np.asarray(c_values, dtype=float)
     keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
     los = np.searchsorted(half_sq, 4.0 * (alphas.max() - c_values)).tolist()
-    # one past each cutoff row of hs, as an index into half
-    ends = eigenframe._cutoffs(eigenframe.hs ** 2, c_values).tolist()
+    # one past the larger cutoff row of hs, as an index into half
+    ends = eigenframe._cutoffs(eigenframe.hs ** 2, c_values).max(axis=0).tolist()
     for ci, (c, lo, end) in enumerate(zip(c_values.tolist(), los, ends)):
         hv = half[lo:end]
         a = alphas - c

@@ -26,9 +26,9 @@ from itertools import product
 
 from scipy.optimize import brentq
 
-from drgeom.hypersurface import (BLOCK, H_BOUND, H_SAMPLES, QUADRATIC_TOL, _Eigenframe,
-                                 _FrameTensors, _probe_frame, horosphere_residual, nomizu,
-                                 probe_c_grid, probe_codazzi_floor)
+from drgeom.hypersurface import (BLOCK, H_BOUND, H_SAMPLES, QUADRATIC_TOL, _candidates,
+                                 _Eigenframe, _FrameTensors, _probe_chunk, horosphere_residual,
+                                 nomizu, probe_c_grid, probe_codazzi_floor)
 from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
@@ -470,11 +470,18 @@ def test_nomizu_transpose_formula_full_frame():
 
 
 def test_probe_serial_parallel_agree(monkeypatch, ctx24):
-    _set_c_grid(monkeypatch, 0.25, -1.4, -0.65)
-    a = probe_codazzi_floor(ctx24, n_frames=4, seed=3, jobs=1)
-    b = probe_codazzi_floor(ctx24, n_frames=4, seed=3, jobs=2)
+    # one chunk of 5 frames, and chunks of 3 and 2 frames in two workers
+    grid = _set_c_grid(monkeypatch, 0.25, -1.4, -0.65)
+    a = probe_codazzi_floor(ctx24, n_frames=5, seed=3, jobs=1)
+    b = probe_codazzi_floor(ctx24, n_frames=5, seed=3, jobs=2)
     assert a["per_frame_min"] == b["per_frame_min"]
     assert a["floor"] == b["floor"]
+    assert a == b
+    seeds = np.random.SeedSequence(3).spawn(5)
+    whole = _probe_chunk((ctx24, seeds, 0, grid))
+    assert [r[0] for r in whole] == list(range(5))
+    assert _probe_chunk((ctx24, seeds[:3], 0, grid)) + \
+        _probe_chunk((ctx24, seeds[3:], 3, grid)) == whole
 
 
 def test_probe_progress_counts_the_evaluated_candidates(ctx24, capsys):
@@ -692,8 +699,7 @@ def test_probe_matches_per_candidate_reference(monkeypatch, g24, ctx24, seed):
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
     ref = [_ref_probe_frame(g24, ctx24, frame_seeds[i], i, REF_GRID)
            for i in range(n_frames)]
-    for i in range(n_frames):
-        assert _probe_frame((ctx24, frame_seeds[i], i, REF_GRID))[:4] == ref[i]
+    assert [r[:4] for r in _probe_chunk((ctx24, frame_seeds, 0, REF_GRID))] == ref
     _set_c_grid(monkeypatch, 0.05)
     out = probe_codazzi_floor(ctx24, n_frames=n_frames, seed=seed)
     floor_idx = int(np.argmin([r[1] for r in ref]))
@@ -719,10 +725,9 @@ GRID_11 = -0.6 + 0.02 * np.arange(11)
 def test_probe_frame_equals_per_c_oracle(dims, seed, n_frames, c_grid):
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
     c_grid = probe_c_grid() if c_grid is None else c_grid
-    pruned = 0
-    for i, frame_seed in enumerate(np.random.SeedSequence(seed).spawn(n_frames)):
-        *found, evaluated = _probe_frame((ctx, frame_seed, i, c_grid))
-        assert found == list(per_c_probe_frame(ctx, frame_seed, i, c_grid))
+    pruned, frame_seeds = 0, np.random.SeedSequence(seed).spawn(n_frames)
+    for i, (*found, evaluated) in enumerate(_probe_chunk((ctx, frame_seeds, 0, c_grid))):
+        assert found == list(per_c_probe_frame(ctx, frame_seeds[i], i, c_grid))
         assert evaluated <= found[2]
         pruned += found[2] - evaluated
     assert pruned > 0  # the bound ruled some candidates out
@@ -740,7 +745,7 @@ def test_probe_frame_with_a_weaker_bound_finds_the_same_minimum(monkeypatch, ctx
     monkeypatch.setattr(_FrameTensors, "codazzi_bound", weaker)
     grid = probe_c_grid()
     for i, frame_seed in enumerate(np.random.SeedSequence(12).spawn(2)):
-        *found, evaluated = _probe_frame((ctx24, frame_seed, i, grid))
+        *found, evaluated = _probe_chunk((ctx24, [frame_seed], i, grid))[0]
         assert found == list(per_c_probe_frame(ctx24, frame_seed, i, grid))
         assert BLOCK < evaluated <= found[2]
         assert (evaluated == found[2]) == (weaken == "zero")
@@ -806,7 +811,7 @@ def test_probe_frame_keeps_the_first_of_tied_minima(monkeypatch, ctx24):
                         lambda self, lam, triples: -np.arange(len(lam), dtype=float))
     frame_seed = np.random.SeedSequence(3).spawn(1)[0]
     grid = np.array([-1e6, -0.9, -0.5])  # nothing at -1e6
-    fidx, best, n, info, evaluated = _probe_frame((ctx24, frame_seed, 0, grid))
+    [(fidx, best, n, info, evaluated)] = _probe_chunk((ctx24, [frame_seed], 0, grid))
     ef = _Eigenframe(random_frame(ctx24.g, np.random.default_rng(frame_seed)), ctx24)
     per_c = ef.candidates(grid)
     h, _, si = per_c[1]
@@ -948,10 +953,13 @@ def _spectra(test):
     test = given(spectrum=st.lists(st.tuples(st.floats(-1.0, 0.0), st.integers(1, 3)),
                                    min_size=1, max_size=3),
                  c=st.floats(-2.0, 0.0))(test)
-    # alpha = C: P = 1 and D1 = 0 on the split (1, 1), whose gap is 0 at every H
+    # alpha = C: P = 1 and D1 = E1 = 0 on the split (1, 1), whose gap is 0 at every H
     test = example(spectrum=[(0.0, 2)], c=0.0)(test)
-    # D1 = 2 (1/4) - 1/2 = 0 with d != 0 on the split ((0, 2), (1, 0)), where P = 1
+    # D1 = 2 (1/4) - 1/2 = 0 with d != 0 and E1 = -1/8 on the split ((0, 2), (1, 0)),
+    # where P = 1
     test = example(spectrum=[(-0.5, 2), (-0.25, 1)], c=-0.75)(test)
+    # D1 = E1 = 0 with a nonzero gap on the P = 1 split ((1, 0), (0, 2), (0, 1))
+    test = example(spectrum=[(-0.875, 1), (-0.75, 2), (-0.375, 1)], c=-0.5)(test)
     # an exact grid zero of the split (2, 0) on the first scanned row
     test = example(spectrum=[(0.0, 2)], c=-_H0 ** 2 / 4)(test)
     # the only roots lie between the last two scanned rows
@@ -971,7 +979,7 @@ def test_cut_scan_equals_full_grid_scan(spectrum, c):
     with pytest.MonkeyPatch.context() as mp:
         ef = _made_up_eigenframe(mp, alphas, mults)
     cut = ef.candidates([c])[0]
-    ef._cutoffs = lambda half_sq, c_values: np.full(len(c_values), half_sq.size)
+    ef._cutoffs = lambda half_sq, c_values: np.full((2, len(c_values)), half_sq.size)
     full = ef.candidates([c])[0]
     assert all(np.array_equal(x, y) for x, y in zip(cut, full))
     ends = np.cumsum([0, *mults])
@@ -982,13 +990,22 @@ def test_cut_scan_equals_full_grid_scan(spectrum, c):
 
 
 def test_cutoff_scans_the_whole_grid_only_where_no_sign_is_proven(monkeypatch):
+    # columns are C values, rows the split classes P != 1 and P = 1
     half_sq = _HALF ** 2
     ef = _made_up_eigenframe(monkeypatch, [-0.5, -0.25], [2, 1])
-    full, cut = ef._cutoffs(half_sq, np.array([-0.75, -0.7]))
-    assert full == _HALF.size  # D1 = 0 for a split with P = 1
-    assert cut < _HALF.size // 10
+    (tilted, second), (cut, _) = ef._cutoffs(half_sq, np.array([-0.75, -0.7])).T
+    # at C = -0.75 the split ((0, 2), (1, 0)) has D1 = 0, E1 = -1/8 and F = 15/8:
+    # only the second order proves its sign, for H^2 > F/|E1| = 15
+    assert second == np.searchsorted(half_sq, 1.001 * 15.0, side="right") < _HALF.size // 10
+    assert max(tilted, cut) < _HALF.size // 10
+    # D1 = E1 = 0 on the P = 1 split ((1, 0), (0, 2), (0, 1)), whose gap is 3/64 x^2 / H
+    # plus higher orders: no sign is proven for that class, and only for it
+    ef = _made_up_eigenframe(monkeypatch, [-0.875, -0.75, -0.375], [1, 2, 1])
+    assert ef._coef[1:, ef.splits.index(((1, 0), (0, 2), (0, 1)))].tolist() == [-1, 2, 1]
+    tilted, flat = ef._cutoffs(half_sq, np.array([-0.5]))[:, 0]
+    assert flat == _HALF.size and tilted < _HALF.size // 10
     ef = _made_up_eigenframe(monkeypatch, [-1.0, -0.5], [2, 2])
-    assert ef._cutoffs(half_sq, np.array([-0.25]))[0] < _HALF.size // 10  # from H = 0 on
+    assert ef._cutoffs(half_sq, np.array([-0.25])).max() < _HALF.size // 10  # from H = 0 on
 
 
 @settings(max_examples=30, deadline=None)
@@ -999,10 +1016,14 @@ def test_cutoffs_equal_the_cutoff_of_each_c_alone(spectrum, c):
         ef = _made_up_eigenframe(mp, alphas, mults)
     half_sq = _HALF ** 2
     c_values = np.concatenate([[c], ef.alphas, _c_grid(0.1)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        cuts = ef._cutoffs(half_sq, c_values)
-    assert cuts.tolist() == [cutoff(ef, half_sq, cv) for cv in c_values]
+    expected = [cutoff(ef, half_sq, cv) for cv in c_values]
+    # all C values in one block, and blocks of two C values
+    for block in (hypersurface.SCAN_BLOCK, 2 * len(ef.splits)):
+        with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
+            warnings.simplefilter("error")
+            mp.setattr(hypersurface, "SCAN_BLOCK", block)
+            cuts = ef._cutoffs(half_sq, c_values)
+        assert [tuple(row) for row in cuts.T.tolist()] == expected
 
 
 @settings(max_examples=30, deadline=None)
@@ -1020,8 +1041,8 @@ def test_grouped_scan_equals_one_c_at_a_time(spectrum, c):
     half_sq = _HALF ** 2
     los = np.searchsorted(half_sq, 4.0 * (ef.alphas.max() - grid))
     assert los[8] == 0
-    rows = np.maximum(np.minimum(ef._cutoffs(half_sq, grid) + 1, _HALF.size) - los, 0) + \
-        (los == 0)
+    rows = np.maximum(np.minimum(ef._cutoffs(half_sq, grid).max(axis=0) + 1, _HALF.size) -
+                      los, 0) + (los == 0)
     expected = [[x.tobytes() for x in cands] for cands in per_c_candidates(ef, grid)]
     for block in (1, len(ef.splits) * max(int(rows.sum()) // 4, 1), 1 << 40):
         with pytest.MonkeyPatch.context() as mp:
@@ -1045,3 +1066,67 @@ def test_small_root_is_a_over_h_plus_a_bounded_excess(h, q):
     e = Fraction(float(rho)) - Fraction(a) / Fraction(h)
     tol = Fraction(16 * np.finfo(float).eps * (abs(a) / h + h))
     assert -tol <= e <= 4 * Fraction(a) ** 2 / Fraction(h) ** 3 + tol
+
+
+@settings(max_examples=100, deadline=None)
+@given(y=st.floats(-1e6, 0.25).filter(lambda y: abs(y) >= 1e-12))
+@example(y=0.25)
+@example(y=-0.25)
+def test_catalan_remainder_is_at_most_12_y_squared(y):
+    # c(y) = 2/(1 + sqrt(1 - 4y)) = 1 + y + 2y^2 + 5y^3 + ... for y <= 1/4, and the
+    # second order cutoff takes |c(y) - 1 - y| <= 12 y^2, with equality at y = 1/4 only.
+    # From c = 1 + y c^2: c - 1 - y = y^2 c^2 (c + 1), and 0 < c <= 2
+    with mpmath.workdps(60):
+        ym = mpmath.mpf(y)
+        cy = 2 / (1 + mpmath.sqrt(1 - 4 * ym))
+        rem = abs(cy - 1 - ym)
+        assert mpmath.almosteq(rem, ym ** 2 * cy ** 2 * (cy + 1), rel_eps=mpmath.mpf(10) ** -30)
+        assert 0 < cy <= 2 and rem <= 12 * ym ** 2
+        assert (rem == 12 * ym ** 2) == (y == 0.25)
+
+
+@settings(max_examples=50, deadline=None)
+@given(spectrum=st.lists(st.tuples(st.floats(-1.0, 0.0), st.integers(1, 3)),
+                         min_size=1, max_size=3),
+       c=st.floats(-2.0, 0.0), h=st.floats(1e-3, H_BOUND))
+@example(spectrum=[(-0.5, 2), (-0.25, 1)], c=-0.75, h=1.5)
+@example(spectrum=[(-9.042464951631049e-290, 1)], c=0.0, h=1.0)
+def test_p1_trace_gap_is_second_order_in_one_over_h_squared(spectrum, c, h):
+    # wherever every disc >= 0, a split with P = 1 has H (Tr S - H) = D1 + E1 x + r
+    # with x = 1/H^2 and |r| <= F x^2, exactly (700 digits: r is of order (a x)^2
+    # relative to the terms, and a may be as small as a float gets)
+    alphas, mults = [a for a, _ in spectrum], [m for _, m in spectrum]
+    with pytest.MonkeyPatch.context() as mp:
+        ef = _made_up_eigenframe(mp, alphas, mults)
+    assume(h * h >= 4.0 * (ef.alphas.max() - c) and ef._classes[1].size)
+    with mpmath.workdps(700):
+        hm, x = mpmath.mpf(h), 1 / mpmath.mpf(h) ** 2
+        a = [mpmath.mpf(float(alpha)) - mpmath.mpf(c) for alpha in ef.alphas]
+        for d in ef._coef[1:, ef._classes[1]].T.tolist():
+            gap = sum(dk * 2 * ak / (hm + mpmath.sqrt(hm * hm - 4 * ak)) for dk, ak in zip(d, a))
+            d1 = sum(dk * ak for dk, ak in zip(d, a))
+            e1 = sum(dk * ak ** 2 for dk, ak in zip(d, a))
+            f = 12 * sum(abs(dk) * abs(ak) ** 3 for dk, ak in zip(d, a))
+            assert abs(hm * gap - d1 - e1 * x) <= f * x * x
+
+
+def test_candidates_of_several_frames_equal_each_frame_alone(monkeypatch, ctx24):
+    # one bisection over (2,4) frames (5 eigenspaces) and made-up frames with 2 and 7:
+    # zero-padded eigenspaces change no bit of any frame's candidates
+    grid = _c_grid(0.02)
+    frames = [_Eigenframe(random_frame(ctx24.g, np.random.default_rng(s)), ctx24)
+              for s in np.random.SeedSequence(12).spawn(3)]
+    narrow = _made_up_eigenframe(monkeypatch, [-0.5, -0.25], [2, 1])
+    wide = _made_up_eigenframe(monkeypatch, [-1.0, -0.8, -0.6, -0.45, -0.3, -0.25, -0.1],
+                               [1, 1, 1, 2, 1, 1, 1])
+    eigenframes = [frames[0], narrow, frames[1], wide, frames[2]]
+    assert sorted({ef.alphas.size for ef in eigenframes}) == [2, 5, 7]
+
+    def bits(per_c):
+        return [[x.tobytes() for x in cands] for cands in per_c]
+
+    together = _candidates(eigenframes, grid)
+    assert len(together) == len(eigenframes) and all(sum(len(h) for h, _, _ in per_c)
+                                                      for per_c in together)
+    for ef, per_c in zip(eigenframes, together):
+        assert bits(per_c) == bits(_candidates([ef], grid)[0]) == bits(ef.candidates(grid))
