@@ -326,9 +326,7 @@ def probe(cfg: RunConfig) -> tuple[int, dict]:
     out, rep, setup = _codazzi_probe(cfg)
     payload = {"schema_version": SCHEMA_VERSION,
                "header": _header(cfg, {**setup, **{s.id: s.runtime_s for s in rep.steps}}),
-               "probe": {"floor": out["floor"], "floor_info": out["floor_info"],
-                         "candidates": out["candidates"], "frames": out["frames"],
-                         "box": out["box"], "per_frame_min": out["per_frame_min"]}}
+               "probe": out}
     return (0 if rep.passed else 1), payload
 
 

@@ -19,17 +19,18 @@ P = 1 plus vectors) only up to the point from which every trace gap of the
 class has a proven sign.  The roots with H < 0 are those of the mirror
 splits, negated.  The scan takes consecutive C values together, as many as
 fit in a fixed budget of (H row, split) elements.  The brackets of all
-frames of a chunk, all splits and all C values are bisected in one loop; a
-pool gets contiguous chunks of frames.  The Gauss/Codazzi residuals are
-evaluated in full only for the candidates that a cheap lower bound (the
-residual on a few sentinel Codazzi components) cannot rule out as the
-frame's minimum, in blocks of rows in bound order.
+frames of a chunk (CHUNK_FRAMES consecutive frames, whatever the worker
+count), all splits and all C values are bisected in one loop.  The
+Gauss/Codazzi residuals are evaluated in full only for the candidates that a
+cheap lower bound (the residual on a few sentinel Codazzi components) cannot
+rule out as the frame's minimum, in blocks of rows in bound order.
 """
 
 from __future__ import annotations
 
 import sys
 import time
+from contextlib import nullcontext
 from itertools import chain, product
 
 import numpy as np
@@ -50,6 +51,8 @@ C_START, C_STOP, C_STEP = -2.0, 0.0, 0.01
 BLOCK = 32
 # and scans consecutive C values together, at most SCAN_BLOCK (H row, split) pairs at a time
 SCAN_BLOCK = 1 << 15
+# the probe bisects CHUNK_FRAMES consecutive frames together, whatever the worker count
+CHUNK_FRAMES = 10
 
 
 def _small_root(h, two_a: np.ndarray, four_a: np.ndarray) -> np.ndarray:
@@ -461,25 +464,24 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100, seed: int = 
     achieves; a strictly positive floor is evidence (not a certificate) that
     no pointwise shape operator is compatible with the Einstein condition on
     the sampled frames and C values, whose region ``box`` names.
-    Frames get independent seeds spawned from ``seed``, so the result is
-    identical whether the frames form one chunk or a worker pool's contiguous
-    chunks.  One progress line per frame goes to stderr when its chunk is done.
+    Frames get independent seeds spawned from ``seed`` and go in chunks of
+    CHUNK_FRAMES, so ``jobs`` (the worker count) does not change the result.
+    One progress line per frame goes to stderr as soon as its chunk is done.
     """
     if n_frames < 1:
         raise ValueError(f"n_frames must be at least 1, got {n_frames}")
     c_grid = probe_c_grid()
     frame_seeds = np.random.SeedSequence(seed).spawn(n_frames)
-    # contiguous chunks of frames, one per worker
-    chunks = [(ctx, frame_seeds[idx[0]:idx[-1] + 1], int(idx[0]), c_grid)
-              for idx in np.array_split(np.arange(n_frames), min(jobs, n_frames))]
-    start = time.perf_counter()
-    if len(chunks) > 1:
+    chunks = [(ctx, frame_seeds[i:i + CHUNK_FRAMES], i, c_grid)
+              for i in range(0, n_frames, CHUNK_FRAMES)]
+    workers = min(jobs, len(chunks))
+    if workers > 1:
         from multiprocessing import Pool
-        with Pool(len(chunks)) as pool:
-            results = list(_progress(chain.from_iterable(pool.imap(_probe_chunk, chunks)),
-                                     n_frames, start))
-    else:
-        results = list(_progress(_probe_chunk(chunks[0]), n_frames, start))
+    start = time.perf_counter()
+    with Pool(workers) if workers > 1 else nullcontext() as pool:
+        mapper = map if pool is None else pool.imap  # lazy and in order: progress per chunk
+        results = list(_progress(chain.from_iterable(mapper(_probe_chunk, chunks)),
+                                 n_frames, start))
     per_frame = [r[1] for r in results]
     n_candidates = sum(r[2] for r in results)
     floor_idx = int(np.argmin(per_frame))

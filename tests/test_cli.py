@@ -189,10 +189,14 @@ def test_probe_starts_at_most_one_worker_per_frame(monkeypatch):
     monkeypatch.setattr(hypersurface, "C_START", -0.25)  # the one C value -0.25
     monkeypatch.setattr(hypersurface, "C_STOP", -0.25)
     _refuse_pools(monkeypatch)
+    # one chunk starts no pool: one frame, or two in a chunk of the default size
     one = probe_codazzi_floor(ctx, n_frames=1, jobs=5)
+    pair = probe_codazzi_floor(ctx, n_frames=2, jobs=5)
+    # with one frame per chunk, two frames start two workers, not five
+    monkeypatch.setattr(hypersurface, "CHUNK_FRAMES", 1)
     monkeypatch.setattr(multiprocessing, "Pool", CountingPool)
     two = probe_codazzi_floor(ctx, n_frames=2, jobs=5)
-    assert started == [2] and one["frames"] == 1 and two["frames"] == 2
+    assert started == [2] and one["frames"] == 1 and two["frames"] == 2 and two == pair
 
 
 @pytest.mark.parametrize("key", ["tol", "samples", "c_grid_step"])
@@ -705,21 +709,22 @@ def test_verify_curvature_under_python_optimize(tmp_path):
 
 
 def test_probe_pool_under_python_optimize(tmp_path):
-    # a two-worker probe under -O: both hypersurface checks pass (exit 0), one
-    # progress line per frame, and the payload of a serial run
+    # a two-worker probe under -O over two chunks: both hypersurface checks pass
+    # (exit 0), one progress line per frame, and the payload of a serial run
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    frames = hypersurface.CHUNK_FRAMES + 1
     payloads = {}
     for jobs in ("2", "1"):
         out = tmp_path / f"probe-{jobs}.json"
         proc = subprocess.run([sys.executable, "-O", "-m", "drgeom.cli", "probe",
-                               "hypersurface", "--frames", "2", "--jobs", jobs,
+                               "hypersurface", "--frames", str(frames), "--jobs", jobs,
                                "--out", str(out)],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         progress = [line for line in proc.stderr.splitlines() if line.startswith("probe: ")]
         assert [line.split(",")[0] for line in progress] == \
-               ["probe: 1/2 frames done", "probe: 2/2 frames done"]
+               [f"probe: {k}/{frames} frames done" for k in range(1, frames + 1)]
         payloads[jobs] = json.loads(out.read_text())
         del payloads[jobs]["header"]
     assert payloads["2"]["probe"]["floor"] > 1e-6

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -470,8 +471,10 @@ def test_nomizu_transpose_formula_full_frame():
 
 
 def test_probe_serial_parallel_agree(monkeypatch, ctx24):
-    # one chunk of 5 frames, and chunks of 3 and 2 frames in two workers
+    # chunks of 2, 2 and 1 frames, mapped in this process and over a pool of two
+    # workers; then one chunk of 5 frames against chunks of 3 and 2
     grid = _set_c_grid(monkeypatch, 0.25, -1.4, -0.65)
+    monkeypatch.setattr(hypersurface, "CHUNK_FRAMES", 2)
     a = probe_codazzi_floor(ctx24, n_frames=5, seed=3, jobs=1)
     b = probe_codazzi_floor(ctx24, n_frames=5, seed=3, jobs=2)
     assert a["per_frame_min"] == b["per_frame_min"]
@@ -482,6 +485,27 @@ def test_probe_serial_parallel_agree(monkeypatch, ctx24):
     assert [r[0] for r in whole] == list(range(5))
     assert _probe_chunk((ctx24, seeds[:3], 0, grid)) + \
         _probe_chunk((ctx24, seeds[3:], 3, grid)) == whole
+
+
+@pytest.mark.parametrize("chunk_frames, sizes", [(1, [1] * 5), (2, [2, 2, 1])])
+def test_serial_probe_reports_each_chunk_before_the_next_starts(monkeypatch, ctx24, capsys,
+                                                                chunk_frames, sizes):
+    # each _probe_chunk call writes a marker first, so stderr shows the chunks'
+    # sizes and that a chunk's frames are reported before the next chunk starts
+    _set_c_grid(monkeypatch, 0.25, -1.4, -0.65)
+    monkeypatch.setattr(hypersurface, "CHUNK_FRAMES", chunk_frames)
+
+    def marked(args):
+        print(f"chunk of {len(args[1])} frames starts", file=sys.stderr, flush=True)
+        return _probe_chunk(args)
+    monkeypatch.setattr(hypersurface, "_probe_chunk", marked)
+    probe_codazzi_floor(ctx24, n_frames=5, seed=3)
+    expected, done = [], 0
+    for size in sizes:
+        expected += [f"chunk of {size} frames starts",
+                     *(f"probe: {done + k}/5 frames done" for k in range(1, size + 1))]
+        done += size
+    assert [line.split(",")[0] for line in capsys.readouterr().err.splitlines()] == expected
 
 
 def test_probe_progress_counts_the_evaluated_candidates(ctx24, capsys):
