@@ -33,6 +33,10 @@ from .spectrum import random_frame, xi_spectrum
 
 SCHEMA_VERSION = 1
 DEFAULT_DIMS = [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
+# the probe spawns every frame's seed before its first frame, at about 400 bytes
+# each: 10^5 frames hold 40 MB of seeds, as much as a whole default run peaks at,
+# and take some 15 minutes at ~8 ms a frame, while 10^6 would hold 400 MB
+MAX_PROBE_FRAMES = 10 ** 5
 
 
 @dataclass
@@ -65,6 +69,9 @@ class RunConfig:
             value = getattr(self, name)
             if not _is_int(value) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.probe_frames > MAX_PROBE_FRAMES:
+            raise ValueError(f"probe_frames must be at most {MAX_PROBE_FRAMES}, "
+                             f"got {self.probe_frames}")
         # the probe starts its worker processes all at once
         cpus = os.cpu_count() or 1
         if self.jobs > cpus:

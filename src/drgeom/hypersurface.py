@@ -20,7 +20,8 @@ class has a proven sign.  The roots with H < 0 are those of the mirror
 splits, negated.  The scan takes consecutive C values together, as many as
 fit in a fixed budget of (H row, split) elements.  The brackets of all
 frames of a chunk (CHUNK_FRAMES consecutive frames, whatever the worker
-count), all splits and all C values are bisected in one loop.  The
+count), all splits and all C values are bisected in one loop.  Each frame's
+candidates are one flat table over all C values, sorted by C, split and H.  The
 Gauss/Codazzi residuals are evaluated in full only for the candidates that a
 cheap lower bound (the residual on a few sentinel Codazzi components) cannot
 rule out as the frame's minimum, in blocks of rows in bound order.
@@ -55,12 +56,12 @@ SCAN_BLOCK = 1 << 15
 CHUNK_FRAMES = 10
 
 
-def _small_root(h, two_a: np.ndarray, four_a: np.ndarray) -> np.ndarray:
-    """rho-(H) for H >= 0 from two_a = 2(alpha - C) and four_a = 4(alpha - C), one row
-    per eigenspace (the arrays broadcast with h): it is 2(alpha - C)/(H + sqrt(disc)),
-    which does not cancel at large H, where disc = H^2 - 4(alpha - C) > 0, and H/2
-    (also at H = alpha - C = 0) where disc <= 0."""
-    disc = h ** 2 - four_a
+def _small_root(h, two_a: np.ndarray) -> np.ndarray:
+    """rho-(H) for H >= 0 from two_a = 2(alpha - C), one row per eigenspace (the
+    arrays broadcast with h): it is 2(alpha - C)/(H + sqrt(disc)), which does not
+    cancel at large H, where disc = H^2 - 4(alpha - C) > 0, and H/2 (also at
+    H = alpha - C = 0) where disc <= 0."""
+    disc = h ** 2 - 2.0 * two_a  # 4(alpha - C) exactly: scaling by 2 does not round
     t = np.multiply(0.5, h, out=np.empty_like(disc))
     np.divide(two_a, h + np.sqrt(np.maximum(disc, 0.0)), out=t, where=disc > 0.0)
     return t
@@ -179,7 +180,7 @@ class _Eigenframe:
                 e = max(int(np.searchsorted(firsts, firsts[g] + cap, side="right")) - 1, g + 1)
                 ci, h = row_c[firsts[g]:firsts[e]], row_h[firsts[g]:firsts[e]]
                 a = self.alphas[:, None] - c_values[ci]
-                t = _small_root(h, 2.0 * a, 4.0 * a)
+                t = _small_root(h, 2.0 * a)
                 # only the signs and exact zeros of the trace gap are used; at H = 0 it
                 # is the bisection's sum, so that the scan and the bisection share one sign
                 fvals = np.hstack([h[:, None], t.T]) @ coef
@@ -200,21 +201,25 @@ class _Eigenframe:
         return np.concatenate(keys), np.concatenate(neg), np.concatenate(pos)
 
     def _roots_to_candidates(self, c_values: np.ndarray, keys: np.ndarray, neg: np.ndarray,
-                             pos: np.ndarray) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                             pos: np.ndarray) -> tuple[np.ndarray, ...]:
         """The candidates of bisected brackets: each root and its mirror split's,
-        deduplicated and filtered, one (H, lambda, split) tuple per C."""
+        deduplicated and filtered, as the table (ci, h, lam, si) of ``_candidates``."""
         n_splits = len(self.splits)
         # minus the other end is a root of the mirror split, n_splits - 1 - split
         ci, si = np.divmod(keys, n_splits)
         keys = np.concatenate([keys, ci * n_splits + (n_splits - 1 - si)])
         roots = np.concatenate([neg, -pos])
-
-        kept: list[int] = []
-        key_list, root_list = keys.tolist(), roots.tolist()
-        for j in np.lexsort((roots, keys)).tolist():
-            if not kept or key_list[j] != key_list[kept[-1]] or \
-                    root_list[j] - root_list[kept[-1]] > 1e-9:
-                kept.append(j)
+        order = np.lexsort((roots, keys))
+        keys, roots = keys[order], roots[order]
+        # a root within 1e-9 above the previous root of its key is dropped.  Comparing
+        # with the previous root rather than the last kept one changes nothing, since
+        # no window of 2e-9 holds three roots of a key: they are one per grid bracket
+        # of the split (all >= 0) and of its mirror (all <= 0), each bracket lies
+        # between two grid rows 0.025 apart or more, and on each side only the first
+        # bracket comes near H = 0.  So the root after a dropped one is more than
+        # 1e-9 above it
+        kept = np.ones(keys.size, dtype=bool)
+        kept[1:] = (keys[1:] != keys[:-1]) | (roots[1:] - roots[:-1] > 1e-9)
         (ci, si), h = np.divmod(keys[kept], n_splits), roots[kept]
         c = c_values[ci, None]
         # rho+- = (H +- sqrt(disc))/2 with the square root clipped at 0
@@ -225,47 +230,38 @@ class _Eigenframe:
         quad = np.max(np.abs(lam ** 2 - h[:, None] * lam + (self.vector_alphas - c)), axis=1)
         ok = np.all(disc >= -1e-12, axis=1) & \
             (np.maximum(quad, np.abs(np.sum(lam, axis=1) - h)) <= QUADRATIC_TOL)
-        ci, h, lam, si = ci[ok], h[ok], lam[ok], si[ok]
-        ends = np.searchsorted(ci, np.arange(len(c_values) + 1))
-        return [(h[a:b], lam[a:b], si[a:b]) for a, b in zip(ends[:-1], ends[1:])]
-
-    def candidates(self, c_values) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Self-consistent candidates for each C, in split order then by H:
-        their mean curvatures H (k,), principal curvatures (k, n) on the
-        eigenframe X and split indices into ``splits`` (k,).
-
-        On an eigenspace of Jacobi eigenvalue alpha and multiplicity m, S has
-        eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every
-        split (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is
-        minus the mirror split's at H, so per C only the grid points with
-        H >= 0 are scanned, the splits with P != 1 up to one ``_cutoffs`` row
-        and those with P = 1 up to the other (past it no sign changes: a first
-        order bound, and for P = 1 also a second order one, on the trace gap,
-        with a margin and a floor that keep its slack far above the gap's
-        rounding).  Consecutive C values are scanned together, in groups of at
-        most SCAN_BLOCK (row, split) elements per class (a C over that alone is
-        a group of its own); a row's trace gaps do not depend on its group.
-        ``_candidates`` then bisects the sign changes of all C values together
-        until each bracket holds two adjacent floats (an exact grid zero is a
-        bracket of width 0).  The end where the trace gap is <= 0 is the root,
-        and minus the other end is the mirror split's root.  Roots within 1e-9
-        of a smaller one are dropped, and so are splits with complex roots.
-        """
-        return _candidates([self], c_values)[0]
+        return ci[ok], h[ok], lam[ok], si[ok]
 
 
-def _candidates(eigenframes: list[_Eigenframe], c_values) -> list[list[tuple]]:
-    """``_Eigenframe.candidates`` of several frames at once, one list per frame.
-    Every frame's brackets are bisected in one loop, so each step's fixed cost is
-    paid once: a frame with fewer eigenspaces than the widest gets zero weights
-    and zero 2(alpha - C) rows, whose terms 0 * 0 add +-0 to its trace gap and
-    change neither a sign nor an exact zero, so each frame's candidates are bit
-    for bit those of the frame alone.  Each bisection step tests the trace gap
-    at the midpoint with the scan's ``_small_root`` and ``_trace_gap``."""
+def _candidates(eigenframes: list[_Eigenframe], c_values) -> list[tuple[np.ndarray, ...]]:
+    """Self-consistent candidates of each frame, as one table (ci, h, lam, si) per
+    frame sorted by C, then split, then H: the index into ``c_values`` (k,), the
+    mean curvature H (k,), the principal curvatures (k, n) on the eigenframe X and
+    the split index into ``splits`` (k,).
+
+    On an eigenspace of Jacobi eigenvalue alpha and multiplicity m, S has
+    eigenvalues among rho+-(H) = (H +- sqrt(H^2 - 4(alpha - C)))/2; every split
+    (m+, m-) is enumerated and H solves Tr S = H.  Tr S - H at -H is minus the
+    mirror split's at H, so per C only the grid points with H >= 0 are scanned,
+    the splits with P != 1 up to one ``_cutoffs`` row and those with P = 1 up to
+    the other (past it no sign changes: a first order bound, and for P = 1 also a
+    second order one, on the trace gap, with a margin and a floor that keep its
+    slack far above the gap's rounding).  Consecutive C values are scanned
+    together, in groups of at most SCAN_BLOCK (row, split) elements per class (a
+    C over that alone is a group of its own); a row's trace gaps do not depend on
+    its group.  The sign changes of every frame and C value are bisected in one
+    loop until each bracket holds two adjacent floats (an exact grid zero is a
+    bracket of width 0), so each step's fixed cost is paid once: a frame with
+    fewer eigenspaces than the widest gets zero weights and zero 2(alpha - C)
+    rows, whose terms 0 * 0 add +-0 to its trace gap and change neither a sign nor
+    an exact zero, so each frame's candidates are bit for bit those of the frame
+    alone.  Each step tests the trace gap at the midpoint with the scan's
+    ``_small_root`` and ``_trace_gap``.  The end where the trace gap is <= 0 is
+    the root, and minus the other end is the mirror split's root.  Roots within
+    1e-9 of a smaller one are dropped, and so are splits with complex roots."""
     c_values = np.asarray(c_values, dtype=float)
-    if not c_values.size:
-        return [[] for _ in eigenframes]
-    brackets = [ef._brackets(c_values) for ef in eigenframes]
+    none = (np.empty(0, dtype=int), np.empty(0), np.empty(0))  # no C values, no brackets
+    brackets = [ef._brackets(c_values) if c_values.size else none for ef in eigenframes]
     width = max(ef.alphas.size for ef in eigenframes)
     # per bracket: 2(alpha - C) and the split's coefficients, eigenspace rows first;
     # the arrays shrink only when a bracket is done
@@ -276,7 +272,6 @@ def _candidates(eigenframes: list[_Eigenframe], c_values) -> list[list[tuple]]:
         two_a.append(np.pad(2.0 * (ef.alphas[:, None] - c_values[ci]), pad))
         w.append(np.pad(ef._coef[:, si], pad))
     two_a, w = np.hstack(two_a), np.hstack(w)
-    four_a = 2.0 * two_a  # = 4(alpha - C) exactly: scaling by 2 does not round
     neg = np.concatenate([neg for _, neg, _ in brackets])
     pos = np.concatenate([pos for _, _, pos in brackets])
     live = np.flatnonzero(neg != pos)
@@ -288,8 +283,8 @@ def _candidates(eigenframes: list[_Eigenframe], c_values) -> list[list[tuple]]:
             neg[live[done]], pos[live[done]] = lo[done], hi[done]
             moving = ~done
             live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
-            two_a, four_a, w = two_a[:, moving], four_a[:, moving], w[:, moving]
-        gap = _trace_gap(mid, _small_root(mid, two_a, four_a), w)
+            two_a, w = two_a[:, moving], w[:, moving]
+        gap = _trace_gap(mid, _small_root(mid, two_a), w)
         lo = np.where(gap <= 0.0, mid, lo)
         hi = np.where(gap >= 0.0, mid, hi)
     ends = np.cumsum([0, *(keys.size for keys, _, _ in brackets)])
@@ -332,7 +327,9 @@ class _FrameTensors:
         # <nabla_k X_i, X_j> and R(X_k, X_i, X_j, xi)
         self.nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
         self.rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, xi, r4, optimize=True)
-        self.dalpha = alphas[None, None, :] - alphas[None, :, None]  # alpha_j - alpha_i
+        dalpha = alphas[None, None, :] - alphas[None, :, None]  # alpha_j - alpha_i
+        # Gamma[k, i, j] is not derived where alpha_i and alpha_j are within 1e-9
+        self.dalpha = np.where(np.abs(dalpha) < 1e-9, np.nan, dalpha)
 
     def gauss(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """dG1[b, i, k] = <R_{X_i} xi, nabla_k xi + lam_k X_k>, zero on an Einstein
@@ -341,10 +338,7 @@ class _FrameTensors:
         b, n = lam.shape
         gm = self.nx + self.x * lam[:, None, :]
         num = np.matmul(self.t_sym, gm).reshape(b, n, n, n).transpose(0, 3, 2, 1)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            gamma = num / self.dalpha + self.nab
-        gamma[:, :, np.abs(self.dalpha[0]) < 1e-9] = np.nan
-        return np.matmul(self.t_diag, gm), gamma
+        return np.matmul(self.t_diag, gm), num / self.dalpha + self.nab
 
     def codazzi(self, lam: np.ndarray, gamma: np.ndarray):
         """Residuals [b, k, i, j] = R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k, i, j]
@@ -381,9 +375,7 @@ class _FrameTensors:
         def gamma(a, b):  # Gamma[a, b, j] per row and triple, NaN where alpha_b = alpha_j
             p = np.sum(t_sym[j, b] * self.nx[:, a].T, axis=1)
             q = np.sum(t_sym[j, b] * self.x[:, a].T, axis=1)
-            dal = self.dalpha[0, b, j]
-            dal = np.where(np.abs(dal) < 1e-9, np.nan, dal)
-            return (p + q * lam[:, a]) / dal + self.nab[a, b, j]
+            return (p + q * lam[:, a]) / self.dalpha[0, b, j] + self.nab[a, b, j]
 
         res, skipped = _codazzi_terms(self.rkij[k, i, j], lam[:, i] - lam[:, j],
                                       lam[:, k] - lam[:, j], gamma(k, i), gamma(i, k))
@@ -413,10 +405,8 @@ def _probe_chunk(args) -> list[tuple[int, float, int, dict | None, int]]:
     frames = [random_frame(ctx.g, np.random.default_rng(s)) for s in frame_seeds]
     eigenframes = [_Eigenframe(frame, ctx) for frame in frames]
     results = []
-    for fidx, (frame, eigenframe, per_c) in enumerate(
+    for fidx, (frame, eigenframe, (ci, h, lam, si)) in enumerate(
             zip(frames, eigenframes, _candidates(eigenframes, c_grid)), first):
-        ci = np.repeat(np.arange(len(c_grid)), [len(h) for h, _, _ in per_c])
-        h, lam, si = (np.concatenate(part) for part in zip(*per_c))
         if not h.size:
             results.append((fidx, float(np.inf), 0, None, 0))
             continue

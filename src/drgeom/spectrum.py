@@ -151,16 +151,24 @@ def random_frame(g: DamekRicci, rng: np.random.Generator) -> NormalFrame:
 # cubic eigenvalue families
 # ---------------------------------------------------------------------------
 
+def _cubic_brackets(coeffs, cuts) -> tuple[list[tuple[Fraction, Fraction]], list[float]]:
+    """One root bracket per interval between consecutive ``cuts`` of the cubic
+    with ascending ``coeffs``, each one exact integer bisection (``rational_bisect``)
+    of its interval to width 1e-15 with no float shortcut, and their float midpoints."""
+    brackets = [rational_bisect(coeffs, lo, hi, Fraction(1, 10 ** 15))
+                for lo, hi in zip(cuts, cuts[1:])]
+    return brackets, [float((lo + hi) / 2) for lo, hi in brackets]
+
+
 def alpha_cubic(mu: float, v: float, y: float) -> dict:
     """The three Jacobi eigenvalues of a mu-family, in exact brackets.
 
     They solve (alpha+1)(alpha+1/4)^2 = 27/64 v^2 y (1+mu); the substitution
     eta = 4 alpha + 1 turns this into eta^2(eta+3) = q with
     q = 27 v^2 y (1+mu).  The cuts -3, -2, 0, 1 separate its three simple
-    roots, and each bracket of eta is one exact integer bisection
-    (``rational_bisect``) of its cut interval to width 1e-15, with no float
-    shortcut.  Every call solves afresh; ``NormalFrame.cubic_roots`` keeps
-    one result per frame and mu.
+    roots, and each bracket of eta is one exact ``_cubic_brackets`` bisection
+    of its cut interval.  Every call solves afresh; ``NormalFrame.cubic_roots``
+    keeps one result per frame and mu.
     """
     if -1e-9 < mu <= 1e-9:
         mu = 0.0  # numerical noise around the kernel eigenvalue
@@ -170,10 +178,7 @@ def alpha_cubic(mu: float, v: float, y: float) -> dict:
         raise ValueError(f"need v, y > 0 and v + y < 1, got v={v}, y={y}")
     q = Fraction(27) * Fraction(v) ** 2 * Fraction(y) * (1 + Fraction(mu))
     # p(t) = t^3 + 3 t^2 - q, roots in (-3,-2), (-2,0), (0,1)
-    cuts = [-3, -2, 0, 1]
-    brackets = [rational_bisect([-q, 0, 3, 1], lo, hi, Fraction(1, 10 ** 15))
-                for lo, hi in zip(cuts, cuts[1:])]
-    etas = [float((lo + hi) / 2) for lo, hi in brackets]
+    brackets, etas = _cubic_brackets([-q, 0, 3, 1], [-3, -2, 0, 1])
     alphas = [(e - 1.0) / 4.0 for e in etas]
     return {"q": q, "etas": etas, "alphas": alphas, "brackets": brackets}
 
@@ -193,22 +198,18 @@ def f_cubic_roots(q: float) -> dict:
     Valid for q in (0, 1/4); returns the three roots with the certified
     chain -1 < a1 < -3/4 < a2 < -1/4 < a3 <= 0 and the exact sign
     certificates f(0) > 0 and f(-q) < 0 that place a3 inside (-q, 0).
-    Each bracket is one exact integer bisection (``rational_bisect``) of its
-    cut interval to width 1e-15, with no float shortcut.
+    Each bracket is one exact ``_cubic_brackets`` bisection of its cut interval.
     """
     qf = Fraction(q)
     if not (0 < qf < Fraction(1, 4)):
         raise ValueError(f"q = {q} outside (0, 1/4)")
     coeffs = [qf ** 2, Fraction(9, 16), Fraction(3, 2), Fraction(1)]
-    cuts = [-1, Fraction(-3, 4), Fraction(-1, 4), 0]
-    brackets = tuple(rational_bisect(coeffs, lo, hi, Fraction(1, 10 ** 15))
-                     for lo, hi in zip(cuts, cuts[1:]))
-    roots = [float((lo + hi) / 2) for lo, hi in brackets]
+    brackets, roots = _cubic_brackets(coeffs, [-1, Fraction(-3, 4), Fraction(-1, 4), 0])
     f0 = qf ** 2
     f_minus_q = -qf * (qf - Fraction(9, 4)) * (qf - Fraction(1, 4))
     if poly_eval_fraction(coeffs, -qf) != f_minus_q:
         raise ArithmeticError(f"f(-q) disagrees with its factored form at q = {q}")
-    return {"roots": roots, "brackets": brackets,
+    return {"roots": roots, "brackets": tuple(brackets),
             "f_at_0": f0, "f_at_minus_q": f_minus_q,
             "certificate": bool(f0 > 0 and f_minus_q < 0)}
 

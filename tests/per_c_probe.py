@@ -1,6 +1,7 @@
 """Reference oracles for the probe's frame search: the scan cutoffs of one C
 alone, the candidates from a scan of one C at a time, and the frame minimum
-from one residual batch per C.
+from one residual batch per C; and ``candidates_per_c``, which splits a frame's
+candidate table per C.
 
 ``cutoff`` gives the two proven scan cutoffs of a single C, one per split
 class (P != 1 and P = 1), with the P = 1 bounds taken split by split;
@@ -8,8 +9,9 @@ class (P != 1 and P = 1), with the P = 1 bounds taken split by split;
 ``per_c_candidates`` scans the trace gap one C value at a time, every split up
 to the larger of the two cutoffs, bisects with the per-bracket constants
 recomputed on every step and finds each mirror split by a lookup of its
-counts; ``_Eigenframe.candidates`` scans groups of C values, each split class
-up to its own cutoff, and is checked against it bit for bit.
+counts, and drops a root within 1e-9 of the last root it kept, one root at a
+time; ``_candidates`` scans groups of C values, each split class up to its own
+cutoff, drops roots with one mask and is checked against it bit for bit.
 ``per_c_probe_frame`` evaluates the aggregate of every candidate, one batch
 per C value, and keeps the first minimum with a strict <; ``_probe_chunk``
 evaluates only the candidates its lower bound cannot rule out and is checked
@@ -22,8 +24,17 @@ import math
 
 import numpy as np
 
-from drgeom.hypersurface import QUADRATIC_TOL, _Eigenframe, _FrameTensors, _small_root
+from drgeom.hypersurface import (QUADRATIC_TOL, _candidates, _Eigenframe, _FrameTensors,
+                                 _small_root)
 from drgeom.spectrum import random_frame
+
+
+def candidates_per_c(eigenframe: _Eigenframe, c_values) -> list:
+    """The candidate table of one frame split per C: one (H, lambda, split) tuple
+    per C value, in split order then by H."""
+    ci, h, lam, si = _candidates([eigenframe], c_values)[0]
+    ends = np.searchsorted(ci, np.arange(len(c_values) + 1))
+    return [(h[a:b], lam[a:b], si[a:b]) for a, b in zip(ends[:-1], ends[1:])]
 
 
 def cutoff(eigenframe: _Eigenframe, half_sq: np.ndarray, c: float) -> tuple[int, int]:
@@ -53,7 +64,7 @@ def cutoff(eigenframe: _Eigenframe, half_sq: np.ndarray, c: float) -> tuple[int,
 
 
 def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
-    """``_Eigenframe.candidates`` with the trace gap scanned one C at a time."""
+    """``candidates_per_c`` with the trace gap scanned one C at a time."""
     half = eigenframe.hs[1:]
     half_sq, n_splits = half ** 2, len(eigenframe.splits)
     alphas, coef = eigenframe.alphas, eigenframe._coef
@@ -65,10 +76,10 @@ def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
     for ci, (c, lo, end) in enumerate(zip(c_values.tolist(), los, ends)):
         hv = half[lo:end]
         a = alphas - c
-        t = _small_root(hv[:, None], 2.0 * a, 4.0 * a)
+        t = _small_root(hv[:, None], 2.0 * a)
         fvals = np.hstack([hv[:, None], t]) @ coef
         if lo == 0:  # add H = 0, its gap summed eigenspace by eigenspace after the H term
-            t0 = _small_root(0.0, 2.0 * a, 4.0 * a)
+            t0 = _small_root(0.0, 2.0 * a)
             gap0 = coef[0] * 0.0
             for k in range(len(alphas)):
                 gap0 = gap0 + coef[k + 1] * t0[k]
@@ -89,7 +100,7 @@ def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
         moving = (mid != lo) & (mid != hi)
         live, lo, hi, mid = live[moving], lo[moving], hi[moving], mid[moving]
         a = alphas - c_values[keys[live] // n_splits, None]
-        t = _small_root(mid[:, None], 2.0 * a, 4.0 * a)
+        t = _small_root(mid[:, None], 2.0 * a)
         w = coef[:, keys[live] % n_splits]
         gap = w[0] * mid
         for k in range(len(alphas)):
@@ -129,7 +140,7 @@ def per_c_probe_frame(ctx, frame_seed, fidx: int, c_grid) -> tuple[int, float, i
     eigenframe = _Eigenframe(frame, ctx)
     tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
     best, best_info, n_candidates = np.inf, None, 0
-    for c, (h, lam, si) in zip(c_grid, eigenframe.candidates(c_grid)):
+    for c, (h, lam, si) in zip(c_grid, candidates_per_c(eigenframe, c_grid)):
         if not h.size:
             continue
         n_candidates += h.size

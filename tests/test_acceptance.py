@@ -267,7 +267,6 @@ def test_criterion_11_no_z_trace_scan():
     assert ok
 
 
-@pytest.mark.slow
 def test_criterion_12_hypersurface_probe(contexts):
     t0 = time.perf_counter()
     _, ctx = contexts[(2, 4)]

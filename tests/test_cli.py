@@ -19,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from drgeom import cli, clifford, dralgebra, hypersurface
-from drgeom.cli import (DEFAULT_DIMS, REPLAYS, RunConfig, load_config, main, module_suites,
-                        probe, replay, run, summarize)
+from drgeom.cli import (DEFAULT_DIMS, MAX_PROBE_FRAMES, REPLAYS, RunConfig, load_config, main,
+                        module_suites, probe, replay, run, summarize)
 from drgeom.clifford import build_module
 from drgeom.curvature import CurvatureContext, koszul_connection
 from drgeom.dralgebra import DamekRicci
@@ -93,6 +93,22 @@ def test_front_door_rejects_bad_flags(capsys, argv, expect):
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert expect in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("frames", [MAX_PROBE_FRAMES + 1, 2 ** 64])
+def test_probe_refuses_more_frames_than_it_seeds(monkeypatch, capsys, frames):
+    # refused before any seed is spawned (2^64 overflowed SeedSequence.spawn); a
+    # probe started past the check fails the test instead of running
+    def refuse(*args, **kwargs):
+        raise AssertionError("the probe was started")
+    monkeypatch.setattr(cli, "probe_codazzi_floor", refuse)
+    assert main(["probe", "hypersurface", "--frames", str(frames)]) == 2
+    err = capsys.readouterr().err
+    assert f"probe_frames must be at most {MAX_PROBE_FRAMES}, got {frames}" in err
+    assert "Traceback" not in err
+    with pytest.raises(ValueError, match=f"probe_frames must be at most {MAX_PROBE_FRAMES}"):
+        RunConfig(probe_frames=frames).validate()
+    RunConfig(probe_frames=MAX_PROBE_FRAMES).validate()
 
 
 @pytest.mark.parametrize("field, value", [("jobs", 0), ("dims", [2]), ("dims", [[2]]),

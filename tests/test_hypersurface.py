@@ -1,8 +1,8 @@
 """Shape candidates, Nomizu operator, derived-Gauss and Codazzi residuals.
 
-The probe's candidates are arrays from ``_Eigenframe.candidates`` and its
-residuals rows of ``_FrameTensors``; the per-candidate reference below
-rebuilds both one candidate at a time.
+The probe's candidates are one table per frame from ``_candidates`` (split per
+C by ``candidates_per_c``) and its residuals rows of ``_FrameTensors``; the
+per-candidate reference below rebuilds both one candidate at a time.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from drgeom.hypersurface import (BLOCK, H_BOUND, H_SAMPLES, QUADRATIC_TOL, _cand
 from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
 from drgeom.spectrum import make_frame, random_frame
-from per_c_probe import cutoff, per_c_candidates, per_c_probe_frame
+from per_c_probe import candidates_per_c, cutoff, per_c_candidates, per_c_probe_frame
 
 
 def _set_c_grid(monkeypatch, step, start=hypersurface.C_START, stop=hypersurface.C_STOP):
@@ -69,7 +69,7 @@ def _first_candidate(fr, ctx, c):
     """The eigenframe, its tensors and the first candidate's (1, n) principal
     curvatures at C, or a skip when C has no candidate."""
     ef = _Eigenframe(fr, ctx)
-    _, lam, _ = ef.candidates([c])[0]
+    _, lam, _ = candidates_per_c(ef, [c])[0]
     if not len(lam):
         pytest.skip("no candidate at this C")
     return ef, _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas), lam[:1]
@@ -85,7 +85,7 @@ def test_candidates_satisfy_invariants(g24, ctx24):
     ef = _Eigenframe(fr, ctx24)
     found = 0
     for c in np.arange(-1.5, -0.2, 0.17):
-        h, lam, _ = ef.candidates([float(c)])[0]
+        h, lam, _ = candidates_per_c(ef, [float(c)])[0]
         for hb, lb in zip(h, lam):
             found += 1
             assert _invariant_residual(c, hb, lb, ef.vector_alphas) <= 1e-10
@@ -106,7 +106,7 @@ def test_candidates_alpha_equals_c_gives_zero_and_h_roots(g24, ctx24):
     vals = np.linalg.eigvalsh(perp.T @ jac @ perp)
     c_val = float(vals[0])
     ef = _Eigenframe(fr, ctx24)
-    h, lam, _ = ef.candidates([c_val])[0]
+    h, lam, _ = candidates_per_c(ef, [c_val])[0]
     for hb, lb in zip(h, lam):
         for lk in lb[np.abs(ef.vector_alphas - c_val) < 1e-9]:
             assert min(abs(lk), abs(lk - hb)) < 1e-8
@@ -158,7 +158,7 @@ def test_candidates_keep_an_exact_grid_zero(monkeypatch):
     h0 = np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:][500]
     ef = _made_up_eigenframe(monkeypatch, [h0 ** 2 / 4], [2])
     assert h0 in ef.hs.tolist()
-    h, _, si = ef.candidates([0.0])[0]
+    h, _, si = candidates_per_c(ef, [0.0])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((2, 0),)]
     assert h0 in roots and all(abs(h) == h0 for h in roots)
     assert roots == [-h0, h0]
@@ -171,7 +171,7 @@ def test_candidates_drop_a_root_within_1e_9_of_a_smaller_one(monkeypatch):
     # either side of H = 0
     ef = _made_up_eigenframe(monkeypatch, [0.0], [2])
     ef.hs = np.array([0.0, 1.0, 1.0 + 5e-10, 2.0])
-    h, _, si = ef.candidates([0.0])[0]
+    h, _, si = candidates_per_c(ef, [0.0])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((1, 1),)]
     assert [r for r in roots if r > 0.0] == [1.0, 2.0]
     assert roots == [-2.0, -1.0 - 5e-10, 0.0, 1.0, 2.0]
@@ -182,7 +182,7 @@ def test_candidates_keep_a_root_at_h_zero_between_equal_signs(monkeypatch):
     # Tr S - H = -|H| and |H|, of one sign on each side of their root H = 0, where
     # S = 0; the scan's H = 0 row holds it as an exact zero
     ef = _made_up_eigenframe(monkeypatch, [0.0], [2])
-    h, lam, si = ef.candidates([0.0])[0]
+    h, lam, si = candidates_per_c(ef, [0.0])[0]
     for split in (((0, 2),), ((2, 0),)):
         rows = [k for k, s in enumerate(si) if ef.splits[s] == split]
         assert h[rows].tolist() == [0.0] and not lam[rows].any()
@@ -196,7 +196,7 @@ def test_h_zero_row_with_alpha_equal_c(monkeypatch):
     ef = _made_up_eigenframe(monkeypatch, [0.0], [4])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h, lam, si = ef.candidates([0.0])[0]
+        h, lam, si = candidates_per_c(ef, [0.0])[0]
     assert not np.isnan(h).any() and not np.isnan(lam).any()
     roots = [hb for hb, s in zip(h.tolist(), si) if ef.splits[s] == ((2, 2),)]
     assert roots == [0.0]
@@ -225,7 +225,7 @@ def test_no_z_forced_trace_never_consistent(g24, ctx24):
     fr = make_frame(g24, v, np.zeros(2), float(s))
     ef = _Eigenframe(fr, ctx24)
     c = float(cst["C"])
-    h, lam, _ = ef.candidates([c])[0]
+    h, lam, _ = candidates_per_c(ef, [c])[0]
     rho_m, rho_1 = float(cst["rho_minus"]), float(cst["rho_1"])
     minus_space = np.abs(ef.vector_alphas + 1.0) < 1e-9
     for hb, lb in zip(h, lam):
@@ -244,7 +244,7 @@ def test_gauss_alpha_consistency(g24, ctx24):
     rng = np.random.default_rng(2)
     fr = random_frame(g24, rng)
     ef = _Eigenframe(fr, ctx24)
-    h, lam, _ = ef.candidates([-0.7])[0]
+    h, lam, _ = candidates_per_c(ef, [-0.7])[0]
     for hb, lb in zip(h, lam):
         recon = -lb ** 2 + hb * lb - 0.7
         assert np.max(np.abs(recon - ef.vector_alphas)) < 1e-10
@@ -440,7 +440,10 @@ def test_probe_refuses_no_frames(ctx24):
 
 
 def test_candidates_of_no_c_values_are_empty(monkeypatch):
-    assert _made_up_eigenframe(monkeypatch, [-0.5], [2]).candidates([]) == []
+    ef = _made_up_eigenframe(monkeypatch, [-0.5], [2])
+    assert candidates_per_c(ef, []) == []
+    for ci, h, lam, si in _candidates([ef, ef], []):
+        assert ci.size == h.size == si.size == 0 and lam.shape == (0, 2)
 
 
 def test_candidate_aggregate_positive(g24, ctx24):
@@ -816,7 +819,7 @@ def test_codazzi_bound_over_every_component_is_the_codazzi_max(g24, ctx24):
     fr = random_frame(g24, np.random.default_rng(5))
     ef = _Eigenframe(fr, ctx24)
     tensors = _FrameTensors(ctx24, fr.xi, ef.x, ef.vector_alphas)
-    lam = np.concatenate([part for _, part, _ in ef.candidates([-1.1, -0.6, -0.25])])
+    lam = _candidates([ef], [-1.1, -0.6, -0.25])[0][2]
     res = np.abs(tensors.codazzi(lam, tensors.gauss(lam)[1])[0]).reshape(len(lam), -1)
     assert np.isnan(res).any()  # some components are skipped
     cz = np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
@@ -837,7 +840,7 @@ def test_probe_frame_keeps_the_first_of_tied_minima(monkeypatch, ctx24):
     grid = np.array([-1e6, -0.9, -0.5])  # nothing at -1e6
     [(fidx, best, n, info, evaluated)] = _probe_chunk((ctx24, [frame_seed], 0, grid))
     ef = _Eigenframe(random_frame(ctx24.g, np.random.default_rng(frame_seed)), ctx24)
-    per_c = ef.candidates(grid)
+    per_c = candidates_per_c(ef, grid)
     h, _, si = per_c[1]
     assert not per_c[0][0].size and h.size and n == evaluated == sum(p[0].size for p in per_c)
     assert best == 1.0
@@ -856,7 +859,7 @@ def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
     eigenframe = _Eigenframe(fr, ctx24)
     tensors = _FrameTensors(ctx24, fr.xi, eigenframe.x, eigenframe.vector_alphas)
     for c in (-1.3, -0.8, -0.35):
-        cands = eigenframe.candidates([c])[0]
+        cands = candidates_per_c(eigenframe, [c])[0]
         assert _rows(eigenframe, cands) == \
                [(cd.h_mean, cd.splits) for cd in _ref_shape_candidates(fr, ctx24, c)]
         h, lam, si = cands
@@ -900,7 +903,7 @@ def test_bisection_matches_brentq_oracle(g24, ctx24):
     for frame_seed in np.random.SeedSequence(0).spawn(6):
         fr = random_frame(g24, np.random.default_rng(frame_seed))
         eigenframe = _Eigenframe(fr, ctx24)
-        for c, cands in zip(grid, eigenframe.candidates(grid)):
+        for c, cands in zip(grid, candidates_per_c(eigenframe, grid)):
             ref = _ref_shape_candidates(fr, ctx24, float(c), root=_brentq_root)
             rows = _rows(eigenframe, cands)
             assert [splits for _, splits in rows] == [cd.splits for cd in ref]
@@ -920,7 +923,7 @@ def test_flat_root_within_1e_11_of_40_digit_root(g24, ctx24):
     fr = random_frame(g24, np.random.default_rng(3))
     eigenframe = _Eigenframe(fr, ctx24)
     splits, c = ((1, 0), (1, 0), (0, 1), (2, 0), (1, 0)), -0.52
-    h, _, si = eigenframe.candidates([c])[0]
+    h, _, si = candidates_per_c(eigenframe, [c])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if eigenframe.splits[s] == splits]
     assert len(roots) == 1 and abs(roots[0] + 41.2997) < 1e-4
     assert abs(roots[0] - _root_40_digits(eigenframe.alphas, splits, c, roots[0])) <= 1e-11
@@ -934,14 +937,14 @@ def test_frame_batch_equals_one_c_at_a_time(dims, c_grid):
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
     fr = random_frame(ctx.g, np.random.default_rng(13))
     eigenframe = _Eigenframe(fr, ctx)
-    batch = eigenframe.candidates(c_grid)
+    batch = candidates_per_c(eigenframe, c_grid)
     assert sum(len(h) for h, _, _ in batch) > 0
 
     def rows(c, cands):
         return [(c, hb, eigenframe.splits[s], lb.tobytes()) for hb, lb, s in zip(*cands)]
 
     for c, cands in zip(c_grid, batch):
-        alone = eigenframe.candidates([c])[0]
+        alone = candidates_per_c(eigenframe, [c])[0]
         assert rows(c, cands) == rows(c, alone)
 
 
@@ -957,7 +960,7 @@ def test_bisection_through_complex_roots_warns_nothing(monkeypatch):
     assert f(0.0) < 0.0 < f(h0) and (h0 / 2) ** 2 < 4.0 * (alphas[1] - c) < h0 ** 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        h, lam, si = eigenframe.candidates([c])[0]
+        h, lam, si = candidates_per_c(eigenframe, [c])[0]
     assert all(_invariant_residual(c, hb, lb, eigenframe.vector_alphas) <= QUADRATIC_TOL
                for hb, lb in zip(h, lam))
     # the root, near 0.0098, lies where rho+- is complex, so it is no candidate
@@ -1002,9 +1005,9 @@ def test_cut_scan_equals_full_grid_scan(spectrum, c):
     alphas, mults = [a for a, _ in spectrum], [m for _, m in spectrum]
     with pytest.MonkeyPatch.context() as mp:
         ef = _made_up_eigenframe(mp, alphas, mults)
-    cut = ef.candidates([c])[0]
+    cut = candidates_per_c(ef, [c])[0]
     ef._cutoffs = lambda half_sq, c_values: np.full((2, len(c_values)), half_sq.size)
-    full = ef.candidates([c])[0]
+    full = candidates_per_c(ef, [c])[0]
     assert all(np.array_equal(x, y) for x, y in zip(cut, full))
     ends = np.cumsum([0, *mults])
     bases = [np.eye(ends[-1])[:, a:b] for a, b in zip(ends, ends[1:])]
@@ -1071,7 +1074,7 @@ def test_grouped_scan_equals_one_c_at_a_time(spectrum, c):
     for block in (1, len(ef.splits) * max(int(rows.sum()) // 4, 1), 1 << 40):
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(hypersurface, "SCAN_BLOCK", block)
-            found = ef.candidates(grid)
+            found = candidates_per_c(ef, grid)
         assert [[x.tobytes() for x in cands] for cands in found] == expected
 
 
@@ -1086,7 +1089,7 @@ def test_small_root_is_a_over_h_plus_a_bounded_excess(h, q):
         hm, am = mpmath.mpf(h), mpmath.mpf(a)
         e = 2 * am / (hm + mpmath.sqrt(hm * hm - 4 * am)) - am / hm
         assert 0 <= e <= 4 * am * am / hm ** 3
-    rho = hypersurface._small_root(h, np.array([2.0 * a]), np.array([4.0 * a]))[0]
+    rho = hypersurface._small_root(h, np.array([2.0 * a]))[0]
     e = Fraction(float(rho)) - Fraction(a) / Fraction(h)
     tol = Fraction(16 * np.finfo(float).eps * (abs(a) / h + h))
     assert -tol <= e <= 4 * Fraction(a) ** 2 / Fraction(h) ** 3 + tol
@@ -1146,11 +1149,31 @@ def test_candidates_of_several_frames_equal_each_frame_alone(monkeypatch, ctx24)
     eigenframes = [frames[0], narrow, frames[1], wide, frames[2]]
     assert sorted({ef.alphas.size for ef in eigenframes}) == [2, 5, 7]
 
-    def bits(per_c):
-        return [[x.tobytes() for x in cands] for cands in per_c]
-
     together = _candidates(eigenframes, grid)
-    assert len(together) == len(eigenframes) and all(sum(len(h) for h, _, _ in per_c)
-                                                      for per_c in together)
-    for ef, per_c in zip(eigenframes, together):
-        assert bits(per_c) == bits(_candidates([ef], grid)[0]) == bits(ef.candidates(grid))
+    assert len(together) == len(eigenframes) and all(table[1].size for table in together)
+    for ef, table in zip(eigenframes, together):
+        assert _bits(table) == _bits(_candidates([ef], grid)[0]) == \
+            _bits(_joined(candidates_per_c(ef, grid)))
+
+
+def _bits(table):
+    return [x.tobytes() for x in table]
+
+
+def _joined(per_c):
+    """Per-C (H, lambda, split) tuples joined in C order into one table (ci, h, lam, si)."""
+    ci = np.repeat(np.arange(len(per_c)), [len(h) for h, _, _ in per_c])
+    return (ci, *(np.concatenate(part) for part in zip(*per_c)))
+
+
+@pytest.mark.parametrize("dims, n_frames, c_grid", [((2, 4), 3, probe_c_grid()),
+                                                    ((5, 8), 1, REF_GRID)], ids=["2-4", "5-8"])
+def test_flat_table_is_the_per_c_oracle_joined_in_c_order(dims, n_frames, c_grid):
+    # the table is sorted by C, then split, then H, and one mask drops the roots
+    # that the oracle's loop drops one at a time
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    for s in np.random.SeedSequence(12).spawn(n_frames):
+        ef = _Eigenframe(random_frame(ctx.g, np.random.default_rng(s)), ctx)
+        table = _candidates([ef], c_grid)[0]
+        assert table[1].size and np.all(np.diff(table[0]) >= 0)
+        assert _bits(table) == _bits(_joined(per_c_candidates(ef, c_grid)))
