@@ -8,9 +8,12 @@ derived-Gauss relation reconstructs the connection coefficients on pairs of
 distinct eigenvalues, and the Codazzi combination is evaluated pointwise.
 
 Derivative terms of eigenvalue functions are set to zero throughout
-(constant-multiplicity, constant-eigenvalue ansatz), which makes every
-probe a necessary-condition test: a nonzero residual is obstruction
-evidence, never a false negative for existence.
+(constant-multiplicity, constant-eigenvalue ansatz).  This is an assumption
+of the probe, not a consequence of the Einstein condition: dG1[i, k] is, up
+to a factor, X_k(alpha_i), and a Codazzi component (k, i, j) with j in
+{i, k} holds X_k(lambda_i) or X_i(lambda_k).  An Einstein hypersurface need
+not make these derivatives 0, so a nonzero residual is evidence against
+Einstein hypersurfaces with locally constant eigenvalues, not against all.
 
 The probe computes the C-independent data once per frame (the Jacobi
 eigendata, the shared eigenframe X and its curvature contractions).  Then it
@@ -24,7 +27,10 @@ count), all splits and all C values are bisected in one loop.  Each frame's
 candidates are one flat table over all C values, sorted by C, split and H.  The
 Gauss/Codazzi residuals are evaluated in full only for the candidates that a
 cheap lower bound (the residual on a few sentinel Codazzi components) cannot
-rule out as the frame's minimum, in blocks of rows in bound order.
+rule out as the frame's minimum, in blocks of rows in bound order.  Every
+Codazzi number comes from one evaluator, component by component, so the
+bound is a max over some of the very numbers the full residual takes its max
+over, and never exceeds it.
 """
 
 from __future__ import annotations
@@ -44,8 +50,6 @@ QUADRATIC_TOL = 1e-10
 # points of [-H_BOUND, H_BOUND]
 H_BOUND = 60.0
 H_SAMPLES = 2400
-# an eigenspace of larger multiplicity only gets the all-plus and all-minus splits
-MAX_ENUMERATION_DIM = 16
 # the probe scans C from C_START up to C_STOP in steps of C_STEP
 C_START, C_STOP, C_STEP = -2.0, 0.0, 0.01
 # a probe frame evaluates its candidates' full residuals BLOCK rows at a time
@@ -88,8 +92,7 @@ class _Eigenframe:
         mults = [len(c) for c in dec.clusters]
         self.x = np.hstack([perp @ dec.cluster_basis(k) for k in range(len(mults))])
         self.vector_alphas = np.repeat(self.alphas, mults)
-        split_ranges = [[(m, 0), (0, m)] if m > MAX_ENUMERATION_DIM
-                        else [(p, m - p) for p in range(m + 1)] for m in mults]
+        split_ranges = [[(p, m - p) for p in range(m + 1)] for m in mults]
         # every range reversed swaps m+ and m- in its eigenspace, so the split
         # n_splits - 1 - i is the mirror of split i
         self.splits = list(product(*split_ranges))
@@ -162,9 +165,9 @@ class _Eigenframe:
         the ends where the gap is <= 0 and >= 0 (equal at an exact grid zero)."""
         n_splits, hs_sq = len(self.splits), self.hs ** 2
         # every discriminant grows with H >= 0, so the rows where all are >= 0 are a
-        # tail; a scan from the first row past H = 0 starts at H = 0 itself
-        los = np.searchsorted(hs_sq, 4.0 * (self.alphas.max() - c_values))
-        los[los == 1] = 0
+        # tail; the cell just below the tail holds the branch point
+        # 2 sqrt(max alpha - C), where a real root may lie, so the scan starts there
+        los = np.maximum(np.searchsorted(hs_sq, 4.0 * (self.alphas.max() - c_values)) - 1, 0)
         keys, neg, pos = [], [], []
         for cols, cuts in zip(self._classes, self._cutoffs(hs_sq, c_values)):
             if not cols.size:
@@ -298,21 +301,12 @@ def nomizu(ctx: CurvatureContext, xi: np.ndarray) -> np.ndarray:
     return np.einsum("kje,j->ek", ctx.nabla_tensor, xi)
 
 
-def _codazzi_terms(rkij, li_lj, lk_lj, gamma_kij, gamma_ikj):
-    """rkij - (lam_i - lam_j) Gamma[k, i, j] + (lam_k - lam_j) Gamma[i, k, j] without
-    the terms whose lambda difference is below 1e-12, NaN where a Gamma that a kept
-    term needs is missing (NaN), and that mask."""
-    term1 = np.where(np.abs(li_lj) < 1e-12, 0.0, li_lj * gamma_kij)
-    term2 = np.where(np.abs(lk_lj) < 1e-12, 0.0, lk_lj * gamma_ikj)
-    needed_missing = ((np.abs(li_lj) >= 1e-12) & np.isnan(gamma_kij)) | \
-                     ((np.abs(lk_lj) >= 1e-12) & np.isnan(gamma_ikj))
-    return np.where(needed_missing, np.nan, rkij - term1 + term2), needed_missing
-
-
 class _FrameTensors:
-    """Contractions that depend only on the eigenframe X and the normal xi.
-    Candidates enter only through N_xi X + X diag(lam), so the residuals of
-    B candidates are one stacked matrix product; ``lam`` has shape (B, n)."""
+    """Contractions that depend only on the eigenframe X and the normal xi, one
+    entry per flat [k, i, j] index of the n^3 Codazzi components.  Candidates
+    enter only through their principal curvatures ``lam`` (B, n): the numerator
+    of Gamma[k, i, j] is (R(xi, X_j) X_i + R(xi, X_i) X_j) . (N_xi X_k + lam_k X_k)
+    = p + q lam_k, so a component costs O(1) per row, whichever are asked for."""
 
     def __init__(self, ctx: CurvatureContext, xi: np.ndarray, x: np.ndarray,
                  alphas: np.ndarray):
@@ -323,63 +317,63 @@ class _FrameTensors:
         self.x = x
         self.nx = nomizu(ctx, xi) @ x
         self.t_diag = t[np.arange(n), np.arange(n)]  # [i, :] = R(xi, X_i) X_i
-        self.t_sym = (t + np.transpose(t, (1, 0, 2))).reshape(n * n, -1)  # over (j, i)
+        self.k, self.i, self.j = k, i, j = np.unravel_index(np.arange(n ** 3), (n, n, n))
+        self.every = np.arange(n ** 3)
+        self.swapped = np.ravel_multi_index((i, k, j), (n, n, n))  # [k, i, j] -> [i, k, j]
+        t_sym = (t + np.transpose(t, (1, 0, 2)))[j, i]
+        self.p = np.sum(t_sym * self.nx[:, k].T, axis=1)
+        self.q = np.sum(t_sym * x[:, k].T, axis=1)
         # <nabla_k X_i, X_j> and R(X_k, X_i, X_j, xi)
-        self.nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
-        self.rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, xi, r4, optimize=True)
-        dalpha = alphas[None, None, :] - alphas[None, :, None]  # alpha_j - alpha_i
+        self.nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x,
+                             optimize=True).ravel()
+        self.rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, xi, r4, optimize=True).ravel()
+        dalpha = alphas[j] - alphas[i]
         # Gamma[k, i, j] is not derived where alpha_i and alpha_j are within 1e-9
         self.dalpha = np.where(np.abs(dalpha) < 1e-9, np.nan, dalpha)
 
-    def gauss(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def dg1(self, lam: np.ndarray) -> np.ndarray:
         """dG1[b, i, k] = <R_{X_i} xi, nabla_k xi + lam_k X_k>, zero on an Einstein
-        hypersurface with locally constant eigenvalues, and Gamma[b, k, i, j] from
-        the derived-Gauss relation where alpha_i != alpha_j (NaN elsewhere)."""
-        b, n = lam.shape
-        gm = self.nx + self.x * lam[:, None, :]
-        num = np.matmul(self.t_sym, gm).reshape(b, n, n, n).transpose(0, 3, 2, 1)
-        return np.matmul(self.t_diag, gm), num / self.dalpha + self.nab
+        hypersurface with locally constant eigenvalues."""
+        return np.matmul(self.t_diag, self.nx + self.x * lam[:, None, :])
 
-    def codazzi(self, lam: np.ndarray, gamma: np.ndarray):
-        """Residuals [b, k, i, j] = R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k, i, j]
-        + (lam_k - lam_j) Gamma[i, k, j], NaN where a needed Gamma is missing, and
-        that mask."""
-        return _codazzi_terms(self.rkij, lam[:, None, :, None] - lam[:, None, None, :],
-                              lam[:, :, None, None] - lam[:, None, None, :],
-                              gamma, np.transpose(gamma, (0, 2, 1, 3)))
+    def gamma(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
+        """Gamma[k, i, j] = <nabla_{X_k} X_i, X_j> per row and flat [k, i, j] index
+        in ``comps``, from the derived-Gauss relation; NaN where alpha_i = alpha_j."""
+        return ((self.p[comps] + self.q[comps] * lam[:, self.k[comps]]) / self.dalpha[comps]
+                + self.nab[comps])
+
+    def codazzi(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
+        """R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k, i, j] + (lam_k - lam_j)
+        Gamma[i, k, j] per row and flat [k, i, j] index in ``comps``, without the
+        terms whose lambda difference is below 1e-12: NaN exactly where a kept term
+        needs a Gamma that is not derived."""
+        k, i, j = self.k[comps], self.i[comps], self.j[comps]
+        li_lj, lk_lj = lam[:, i] - lam[:, j], lam[:, k] - lam[:, j]
+        term1 = np.where(np.abs(li_lj) < 1e-12, 0.0, li_lj * self.gamma(lam, comps))
+        term2 = np.where(np.abs(lk_lj) < 1e-12, 0.0,
+                         lk_lj * self.gamma(lam, self.swapped[comps]))
+        return self.rkij[comps] - term1 + term2
+
+    def codazzi_bound(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
+        """Max of the evaluated |Codazzi| residuals per row over the flat [k, i, j]
+        indices ``comps``: a lower bound of ``aggregate``, which takes its max over
+        the same numbers of ``codazzi`` and more."""
+        res = np.abs(self.codazzi(lam, comps))
+        return np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
 
     def aggregate(self, lam: np.ndarray) -> np.ndarray:
-        """Max of |dG1| and of the evaluated |Codazzi| residuals, per row."""
-        dg1, gamma = self.gauss(lam)
-        res = np.abs(self.codazzi(lam, gamma)[0])
-        cz = np.max(res, axis=(1, 2, 3), initial=0.0, where=~np.isnan(res))
-        return np.maximum(np.max(np.abs(dg1), axis=(1, 2)), cz)
+        """Max of |dG1| and of the evaluated |Codazzi| residuals over all n^3
+        components, per row."""
+        res = np.abs(self.codazzi(lam, self.every))
+        return np.maximum(np.max(np.abs(self.dg1(lam)), axis=(1, 2)),
+                          np.max(res, axis=1, initial=0.0, where=~np.isnan(res)))
 
     def sentinels(self, lam: np.ndarray) -> np.ndarray:
         """The flat [k, i, j] indices of each row's largest evaluated |Codazzi|
         residual, each index once, in increasing order."""
-        b, n = lam.shape
-        res = np.abs(self.codazzi(lam, self.gauss(lam)[1])[0]).reshape(b, -1)
+        res = np.abs(self.codazzi(lam, self.every))
         top = np.argmax(np.where(np.isnan(res), -1.0, res), axis=1)
-        return np.flatnonzero(np.bincount(top, minlength=n ** 3))
-
-    def codazzi_bound(self, lam: np.ndarray, triples: np.ndarray) -> np.ndarray:
-        """Max of |Codazzi| per row over the components ``triples`` (flat [k, i, j]
-        indices), skipping those ``codazzi`` skips: a lower bound of ``aggregate``
-        up to rounding.  The numerator of Gamma[k, i, j] is t_sym[(j, i)] . (N_xi X_k
-        + lam_k X_k) = p + q lam_k, so a component costs O(1) per row, not a product."""
-        n = lam.shape[1]
-        k, i, j = np.unravel_index(triples, (n, n, n))
-        t_sym = self.t_sym.reshape(n, n, -1)  # [j, i, :]
-
-        def gamma(a, b):  # Gamma[a, b, j] per row and triple, NaN where alpha_b = alpha_j
-            p = np.sum(t_sym[j, b] * self.nx[:, a].T, axis=1)
-            q = np.sum(t_sym[j, b] * self.x[:, a].T, axis=1)
-            return (p + q * lam[:, a]) / self.dalpha[0, b, j] + self.nab[a, b, j]
-
-        res, skipped = _codazzi_terms(self.rkij[k, i, j], lam[:, i] - lam[:, j],
-                                      lam[:, k] - lam[:, j], gamma(k, i), gamma(i, k))
-        return np.max(np.abs(res), axis=1, initial=0.0, where=~skipped)
+        return np.flatnonzero(np.bincount(top, minlength=res.shape[1]))
 
 
 def horosphere_residual(ctx: CurvatureContext) -> float:
@@ -394,13 +388,14 @@ def _probe_chunk(args) -> list[tuple[int, float, int, dict | None, int]]:
     """Consecutive frames: C-independent work once per frame, the candidates of
     every frame and C from one ``_candidates`` call, then per frame its minimum
     in (C, candidate) order.  The largest Codazzi components of BLOCK spread-out
-    candidates are sentinels, whose residuals bound every aggregate from below.
-    Blocks of BLOCK candidates in bound order are evaluated in full until the
-    next bound exceeds the best so far (with a margin for rounding), so every
-    candidate at the minimum is evaluated and the first of them wins, as a
-    strict < would pick it.  Per frame: its index, minimum, candidate count, the
-    minimum's C, H and splits, and how many candidates were evaluated
-    (top-level with one tuple argument so a worker pool can dispatch it)."""
+    candidates are sentinels, whose residuals bound every aggregate from below:
+    they are some of the very numbers the aggregate takes its max over.  Blocks
+    of BLOCK candidates in bound order are evaluated in full until the next
+    bound exceeds the best so far, so every candidate at the minimum is
+    evaluated and the first of them wins, as a strict < would pick it.  Per
+    frame: its index, minimum, candidate count, the minimum's C, H and splits,
+    and how many candidates were evaluated (top-level with one tuple argument
+    so a worker pool can dispatch it)."""
     ctx, frame_seeds, first, c_grid = args
     frames = [random_frame(ctx.g, np.random.default_rng(s)) for s in frame_seeds]
     eigenframes = [_Eigenframe(frame, ctx) for frame in frames]
@@ -416,8 +411,7 @@ def _probe_chunk(args) -> list[tuple[int, float, int, dict | None, int]]:
         order = np.argsort(bound, kind="stable")
         aggs, best = np.full(h.size, np.inf), np.inf
         for start in range(0, h.size, BLOCK):
-            # 1e-9 covers the bound's rounding, and 1e-12 a best of exactly 0
-            if bound[order[start]] > best * (1.0 + 1e-9) + 1e-12:
+            if bound[order[start]] > best:
                 break
             rows = order[start:start + BLOCK]
             aggs[rows] = tensors.aggregate(lam[rows])

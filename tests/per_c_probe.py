@@ -6,12 +6,15 @@ candidate table per C.
 ``cutoff`` gives the two proven scan cutoffs of a single C, one per split
 class (P != 1 and P = 1), with the P = 1 bounds taken split by split;
 ``_Eigenframe._cutoffs`` takes every C at once and is checked against it.
-``per_c_candidates`` scans the trace gap one C value at a time, every split up
-to the larger of the two cutoffs, bisects with the per-bracket constants
+``per_c_candidates`` scans the trace gap one C value at a time, from the row
+before the first where every discriminant is >= 0, every split up to the
+larger of the two cutoffs, bisects with the per-bracket constants
 recomputed on every step and finds each mirror split by a lookup of its
 counts, and drops a root within 1e-9 of the last root it kept, one root at a
 time; ``_candidates`` scans groups of C values, each split class up to its own
 cutoff, drops roots with one mask and is checked against it bit for bit.
+With ``from_h_zero`` it is the full-grid oracle: every C scanned from H = 0 up
+to the same cutoffs, which checks that the start row leaves no root out.
 ``per_c_probe_frame`` evaluates the aggregate of every candidate, one batch
 per C value, and keeps the first minimum with a strict <; ``_probe_chunk``
 evaluates only the candidates its lower bound cannot rule out and is checked
@@ -63,22 +66,26 @@ def cutoff(eigenframe: _Eigenframe, half_sq: np.ndarray, c: float) -> tuple[int,
                  for u in (u_tilted, u_flat))
 
 
-def per_c_candidates(eigenframe: _Eigenframe, c_values) -> list:
-    """``candidates_per_c`` with the trace gap scanned one C at a time."""
-    half = eigenframe.hs[1:]
-    half_sq, n_splits = half ** 2, len(eigenframe.splits)
+def per_c_candidates(eigenframe: _Eigenframe, c_values, from_h_zero: bool = False) -> list:
+    """``candidates_per_c`` with the trace gap scanned one C at a time, from the
+    row before the first where every disc >= 0 (that cell holds the branch point
+    2 sqrt(max alpha - C)), or with ``from_h_zero`` from H = 0 on."""
+    hs_sq, half = eigenframe.hs ** 2, eigenframe.hs[1:]
+    n_splits = len(eigenframe.splits)
     alphas, coef = eigenframe.alphas, eigenframe._coef
     c_values = np.asarray(c_values, dtype=float)
     keys, neg, pos = [], [], []  # c index * n_splits + split; ends with gap <= 0, >= 0
-    los = np.searchsorted(half_sq, 4.0 * (alphas.max() - c_values)).tolist()
+    # the first scanned row of hs
+    starts = [0] * c_values.size if from_h_zero else \
+        np.maximum(np.searchsorted(hs_sq, 4.0 * (alphas.max() - c_values)) - 1, 0).tolist()
     # one past the larger cutoff row of hs, as an index into half
-    ends = eigenframe._cutoffs(eigenframe.hs ** 2, c_values).max(axis=0).tolist()
-    for ci, (c, lo, end) in enumerate(zip(c_values.tolist(), los, ends)):
-        hv = half[lo:end]
+    ends = eigenframe._cutoffs(hs_sq, c_values).max(axis=0).tolist()
+    for ci, (c, start, end) in enumerate(zip(c_values.tolist(), starts, ends)):
+        hv = half[max(start - 1, 0):end]
         a = alphas - c
         t = _small_root(hv[:, None], 2.0 * a)
         fvals = np.hstack([hv[:, None], t]) @ coef
-        if lo == 0:  # add H = 0, its gap summed eigenspace by eigenspace after the H term
+        if start == 0:  # add H = 0, its gap summed eigenspace by eigenspace after the H term
             t0 = _small_root(0.0, 2.0 * a)
             gap0 = coef[0] * 0.0
             for k in range(len(alphas)):

@@ -134,11 +134,12 @@ def test_h_grid_is_zero_then_the_positive_half(monkeypatch):
         [[0.0], np.linspace(-H_BOUND, H_BOUND, H_SAMPLES)[H_SAMPLES // 2:]]))
 
 
-@pytest.mark.parametrize("mults, n_splits", [([17], 2), ([2, 17, 1], 12)])
+@pytest.mark.parametrize("mults, n_splits", [([17], 18), ([2, 17, 1], 108)])
 def test_reversed_split_index_is_the_mirror_split(monkeypatch, mults, n_splits):
-    # a cluster above MAX_ENUMERATION_DIM gets only its all-plus and all-minus splits
+    # an eigenspace of multiplicity m gets all m + 1 splits, however large m is
     splits = _made_up_eigenframe(monkeypatch, [-1.0, -0.5, -0.25][:len(mults)], mults).splits
-    assert len(splits) == n_splits and splits[0][mults.index(17)] == (17, 0)
+    big = mults.index(17)
+    assert len(splits) == n_splits and splits[0][big] == (0, 17) and splits[-1][big] == (17, 0)
     assert all(splits[-1 - i] == tuple((m, p) for p, m in s) for i, s in enumerate(splits))
 
 
@@ -303,7 +304,8 @@ def test_gauss_map_derivative_wiring(g24, ctx24):
 
 def test_horosphere_codazzi_exact(g24, ctx24):
     # the left-invariant horosphere normal to A has parallel shape operator
-    # S = diag(1/2 on v, 1 on z); Codazzi holds exactly with geometric Gammas
+    # S = diag(1/2 on v, 1 on z); the derived-Gauss Gammas are the geometric ones
+    # wherever they are derived, and Codazzi holds exactly with them
     n = g24.dim - 1
     basis = np.zeros((g24.dim, n))
     basis[:n, :n] = np.eye(n)
@@ -313,9 +315,11 @@ def test_horosphere_codazzi_exact(g24, ctx24):
                       basis, optimize=True)
     fr = make_frame(g24, np.zeros(4), np.zeros(2), 1.0)
     tensors = _FrameTensors(ctx24, fr.xi, basis, al)
-    res, skipped = tensors.codazzi(lam[None], gamma[None])
+    derived = tensors.gamma(lam[None], tensors.every)[0]
+    assert np.max(np.abs(derived - gamma.ravel()), where=~np.isnan(derived), initial=0.0) < 1e-13
+    res = tensors.codazzi(lam[None], tensors.every)
     assert np.max(np.abs(res), initial=0.0, where=~np.isnan(res)) < 1e-13
-    assert skipped.sum() == 0
+    assert np.isnan(res).sum() == 0
 
 
 @pytest.mark.parametrize("dims", [(1, 2), (2, 4), (5, 8), (8, 16)])
@@ -340,7 +344,7 @@ def test_quarter_space_dg1_vanishes_inside_core(g24, ctx24):
     rng = np.random.default_rng(6)
     fr = random_frame(g24, rng)
     ef, tensors, lam = _first_candidate(fr, ctx24, -0.75)
-    dg1 = tensors.gauss(lam)[0][0]
+    dg1 = tensors.dg1(lam)[0]
     quarter = np.abs(ef.vector_alphas + 0.25) < 1e-9
     sub = dg1[quarter, :]
     assert np.max(np.abs(sub)) < 1e-10
@@ -350,8 +354,8 @@ def test_gamma_antisymmetry(g24, ctx24):
     rng = np.random.default_rng(7)
     fr = random_frame(g24, rng)
     _, tensors, lam = _first_candidate(fr, ctx24, -0.6)
-    gam = tensors.gauss(lam)[1][0]
-    n = gam.shape[0]
+    n = lam.shape[1]
+    gam = tensors.gamma(lam, tensors.every)[0].reshape(n, n, n)
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -411,16 +415,16 @@ def test_no_z_isotropy_pairing_reduction():
     assert abs(float(lams.sum()) - h_mean) > 1.0
 
     tensors = _FrameTensors(ctx, fr.xi, basis, alphas)
-    _, gammas = tensors.gauss(lams[None])
     # Gauss-map derivative on P = X_10 (first V_2 vector)
     gm = tensors.nx + tensors.x * lams
     k_pos, i_pos, j_pos = 10, 0, 11
+    comp = np.ravel_multi_index(([k_pos], [i_pos], [j_pos]), (12, 12, 12))
     expect_gm = (1 - 3 * s * s) / (2 * s) * basis[:, k_pos]
     assert np.max(np.abs(gm[:, k_pos] - expect_gm)) < 1e-12
     pairing = float((jz0 @ p_k) @ p_j)
-    gamma = gammas[0, k_pos, i_pos, j_pos]
+    gamma = tensors.gamma(lams[None], comp)[0, 0]
     assert abs(gamma - (2 * s * s - 1) / (2 * s) * pairing) < 1e-10
-    res = tensors.codazzi(lams[None], gammas)[0][0, k_pos, i_pos, j_pos]
+    res = tensors.codazzi(lams[None], comp)[0, 0]
     expect = 0.5 * (1 - 3 * s * s) * pairing
     assert abs(res - expect) < 1e-10
     assert abs(res) > 1e-3  # the obstruction is visible
@@ -630,6 +634,8 @@ def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adja
     disc = hs[:, None] ** 2 - 4.0 * a
     valid = np.all(disc >= 0.0, axis=1)
     valid[zero] = valid[zero + 1]  # H = 0 is scanned wherever +-half[0] is
+    # a cell holds a valid root exactly when its end farther from H = 0 is valid:
+    # the cell just inside the valid rows holds the branch point
     sq = np.sqrt(np.maximum(disc, 0.0))
     # the small root of each quadratic, as _trace_gap writes it
     up = hs[:, None] >= 0.0
@@ -642,7 +648,7 @@ def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adja
         f = _trace_gap(alphas, splits, c_const)
         fvals = lead * hs + np.where(up[:, 0], 1.0, -1.0) * (small @ (minus - plus))
         fvals[zero] = f(0.0)  # the sign at H = 0 is the bisection's
-        cross = valid[:-1] & valid[1:] & (fvals[:-1] * fvals[1:] < 0.0)
+        cross = (valid[:-1] | valid[1:]) & (fvals[:-1] * fvals[1:] < 0.0)
         roots = [float(hs[i]) for i in np.nonzero(valid & (fvals == 0.0))[0]]
         for i in np.nonzero(cross)[0]:
             ends = (hs[i], hs[i + 1]) if fvals[i] < 0.0 else (hs[i + 1], hs[i])
@@ -670,11 +676,18 @@ def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adja
 def _ref_derived_gauss(cand, ctx, frame):
     xi, x, n = frame.xi, cand.frame_basis, cand.n
     r4 = ctx.riemann_tensor
-    gm = nomizu(ctx, xi) @ x + x * cand.lambdas[None, :]
+    nx = nomizu(ctx, xi) @ x
+    gm = nx + x * cand.lambdas[None, :]
     t = np.einsum("a,bj,ci,abce->jie", xi, x, x, r4, optimize=True)
     rxij = np.einsum("jie,ek->jik", t, gm, optimize=True)
     dg1 = np.stack([rxij[i, i, :] for i in range(n)])
-    num = np.einsum("jie,ek->kij", t + np.transpose(t, (1, 0, 2)), gm, optimize=True)
+    # the numerator of Gamma[k, i, j], (t[j, i] + t[i, j]) . (N_xi X_k + lam_k X_k),
+    # as p + q lam_k with p and q each summed over the vector's components
+    k, i, j = np.unravel_index(np.arange(n ** 3), (n, n, n))
+    t_sym = (t + np.transpose(t, (1, 0, 2)))[j, i]
+    p = np.sum(t_sym * nx[:, k].T, axis=1)
+    q = np.sum(t_sym * x[:, k].T, axis=1)
+    num = (p + q * cand.lambdas[k]).reshape(n, n, n)
     nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
     dalpha = cand.alphas[None, None, :] - cand.alphas[None, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -807,27 +820,56 @@ def test_codazzi_bound_is_at_most_the_aggregate(g24, ctx24, frame_seed, rows, tr
     sentinels = tensors.sentinels(lam)
     bound = tensors.codazzi_bound(lam, np.concatenate([sentinels, triples]).astype(int))
     aggs = tensors.aggregate(lam)
-    assert np.all(bound <= aggs * (1.0 + 1e-9) + 1e-12)
+    assert np.all(bound <= aggs)
     for row, agg, low in zip(rows, aggs, bound):
         if frame_seed is None and row in (_HORO, _BLIND):
             assert agg == 0.0 and low <= 1e-12
 
 
 def test_codazzi_bound_over_every_component_is_the_codazzi_max(g24, ctx24):
-    # the bound computes each component as ``codazzi`` does, up to rounding, and
-    # skips the same ones; its sentinels are where each row's largest one sits
+    # the bound reads each component from ``codazzi`` and skips the NaN ones; its
+    # sentinels are where each row's largest one sits
     fr = random_frame(g24, np.random.default_rng(5))
     ef = _Eigenframe(fr, ctx24)
     tensors = _FrameTensors(ctx24, fr.xi, ef.x, ef.vector_alphas)
     lam = _candidates([ef], [-1.1, -0.6, -0.25])[0][2]
-    res = np.abs(tensors.codazzi(lam, tensors.gauss(lam)[1])[0]).reshape(len(lam), -1)
+    res = np.abs(tensors.codazzi(lam, tensors.every))
     assert np.isnan(res).any()  # some components are skipped
     cz = np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
     bound = tensors.codazzi_bound(lam, np.arange(res.shape[1]))
-    assert np.allclose(bound, cz, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(bound, cz)
     sentinels = tensors.sentinels(lam)
     assert np.array_equal(sentinels, np.sort(sentinels))
-    assert np.allclose(tensors.codazzi_bound(lam, sentinels), cz, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(tensors.codazzi_bound(lam, sentinels), cz)
+
+
+@pytest.mark.parametrize("dims", [(2, 4), (5, 8)], ids=lambda d: f"{d[0]}-{d[1]}")
+def test_gamma_equals_the_matmul_form_of_the_derived_gauss_relation(dims):
+    # Gamma[k, i, j] = (t_sym[(j, i)] @ (N_xi X + X diag lam))[k] / (alpha_j - alpha_i)
+    # + <nabla_k X_i, X_j>, the relation as one matrix product per row, where
+    # t_sym[(j, i)] = R(xi, X_j) X_i + R(xi, X_i) X_j; NaN where alpha_i = alpha_j
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    for frame_seed in np.random.SeedSequence(12).spawn(2):
+        fr = random_frame(ctx.g, np.random.default_rng(frame_seed))
+        ef = _Eigenframe(fr, ctx)
+        tensors = _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas)
+        lam = _candidates([ef], REF_GRID)[0][2][:200]
+        b, n = lam.shape
+        t = np.einsum("a,bj,ci,abce->jie", fr.xi, ef.x, ef.x, ctx.riemann_tensor)
+        t_sym = (t + np.transpose(t, (1, 0, 2))).reshape(n * n, -1)
+        num = np.matmul(t_sym, tensors.nx + tensors.x * lam[:, None, :])
+        num = num.reshape(b, n, n, n).transpose(0, 3, 2, 1)  # [b, k, i, j]
+        dalpha = ef.vector_alphas[None, :] - ef.vector_alphas[:, None]  # [i, j]
+        dalpha[np.abs(dalpha) < 1e-9] = np.nan
+        nab = np.einsum("ak,bi,abe,ej->kij", ef.x, ef.x, ctx.nabla_tensor, ef.x)
+        matmul_form = (num / dalpha + nab).reshape(b, -1)
+        gamma = tensors.gamma(lam, tensors.every)
+        derived = ~np.isnan(matmul_form)
+        assert b and np.array_equal(~np.isnan(gamma), derived) and not derived.all()
+        # relative to each row's largest |Gamma|, since a Gamma may cancel to rounding
+        scale = np.max(np.abs(matmul_form), axis=1, where=derived, initial=0.0)
+        assert np.all(np.abs(gamma - matmul_form)[derived]
+                      <= 1e-12 * np.broadcast_to(scale[:, None], gamma.shape)[derived])
 
 
 def test_probe_frame_keeps_the_first_of_tied_minima(monkeypatch, ctx24):
@@ -865,21 +907,22 @@ def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
         h, lam, si = cands
         if not len(h):
             continue
-        dg1, gamma = tensors.gauss(lam)
-        res, _ = tensors.codazzi(lam, gamma)
+        every = tensors.every
+        dg1, gamma, res = tensors.dg1(lam), tensors.gamma(lam, every), tensors.codazzi(lam, every)
         aggs = tensors.aggregate(lam)
         for b in range(len(h)):
             cand = _RefCandidate(c, float(h[b]), eigenframe.vector_alphas, lam[b],
                                  eigenframe.x, eigenframe.splits[si[b]])
-            one_dg1, one_gamma = tensors.gauss(lam[b:b + 1])
-            one_res, _ = tensors.codazzi(lam[b:b + 1], one_gamma)
+            one_dg1 = tensors.dg1(lam[b:b + 1])
+            one_gamma = tensors.gamma(lam[b:b + 1], every)
+            one_res = tensors.codazzi(lam[b:b + 1], every)
             ref_dg1, ref_gamma = _ref_derived_gauss(cand, ctx24, fr)
             assert np.array_equal(one_dg1[0], dg1[b])
             assert np.array_equal(one_dg1[0], ref_dg1)
             assert np.array_equal(one_gamma[0], gamma[b], equal_nan=True)
-            assert np.array_equal(one_gamma[0], ref_gamma, equal_nan=True)
+            assert np.array_equal(one_gamma[0], ref_gamma.ravel(), equal_nan=True)
             assert np.array_equal(one_res[0], res[b], equal_nan=True)
-            assert np.array_equal(one_res[0], _ref_codazzi(cand, ref_gamma, ctx24, fr),
+            assert np.array_equal(one_res[0], _ref_codazzi(cand, ref_gamma, ctx24, fr).ravel(),
                                   equal_nan=True)
             assert tensors.aggregate(lam[b:b + 1])[0] == aggs[b]
 
@@ -1065,11 +1108,12 @@ def test_grouped_scan_equals_one_c_at_a_time(spectrum, c):
         ef = _made_up_eigenframe(mp, alphas, mults)
     grid = _c_grid(0.1)
     grid = np.concatenate([grid[:8], [0.0], ef.alphas, [c], grid[8:]])[:21]
-    half_sq = _HALF ** 2
-    los = np.searchsorted(half_sq, 4.0 * (ef.alphas.max() - grid))
-    assert los[8] == 0
-    rows = np.maximum(np.minimum(ef._cutoffs(half_sq, grid).max(axis=0) + 1, _HALF.size) -
-                      los, 0) + (los == 0)
+    hs_sq = ef.hs ** 2
+    # each C's scan starts one row below the first where every disc >= 0
+    starts = np.maximum(np.searchsorted(hs_sq, 4.0 * (ef.alphas.max() - grid)) - 1, 0)
+    assert starts[8] == 0
+    rows = np.maximum(np.minimum(ef._cutoffs(hs_sq, grid).max(axis=0) + 1, hs_sq.size) -
+                      starts, 0)
     expected = [[x.tobytes() for x in cands] for cands in per_c_candidates(ef, grid)]
     for block in (1, len(ef.splits) * max(int(rows.sum()) // 4, 1), 1 << 40):
         with pytest.MonkeyPatch.context() as mp:
@@ -1177,3 +1221,19 @@ def test_flat_table_is_the_per_c_oracle_joined_in_c_order(dims, n_frames, c_grid
         table = _candidates([ef], c_grid)[0]
         assert table[1].size and np.all(np.diff(table[0]) >= 0)
         assert _bits(table) == _bits(_joined(per_c_candidates(ef, c_grid)))
+
+
+@pytest.mark.parametrize("dims, n_frames, c_grid", [((2, 4), 3, probe_c_grid()),
+                                                    ((5, 8), 1, REF_GRID)], ids=["2-4", "5-8"])
+def test_candidates_equal_the_full_grid_scan(dims, n_frames, c_grid):
+    # the scan starts each C one row below the first where every disc >= 0; a scan of
+    # every row from H = 0 up to the same cutoffs finds the same table bit for bit,
+    # including the roots in the cell of the branch point 2 sqrt(max alpha - C)
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    for s in np.random.SeedSequence(11).spawn(n_frames):
+        ef = _Eigenframe(random_frame(ctx.g, np.random.default_rng(s)), ctx)
+        table = _candidates([ef], c_grid)[0]
+        assert _bits(table) == _bits(_joined(per_c_candidates(ef, c_grid, from_h_zero=True)))
+        first = np.searchsorted(ef.hs ** 2, 4.0 * (ef.alphas.max() - c_grid))
+        ci, h = table[0], table[1]
+        assert np.any((first[ci] > 1) & (np.abs(h) < ef.hs[np.minimum(first[ci], ef.hs.size - 1)]))
