@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .clifford import admissible, anticommutation_residual, center_dim_bound
+from .clifford import anticommutation_residual, check_admissible
 from .curvature import CurvatureContext, jacobi_closed_batch, ricci_heisenberg, ricci_isotropy
 from .dralgebra import DamekRicci, verify_heisenberg_identities
 from .hypersurface import horosphere_residual, probe_codazzi_floor
@@ -56,10 +56,7 @@ class RunConfig:
             raise ValueError(f"dims must be a non-empty list of [d_z, d_v] integer pairs, "
                              f"got {self.dims!r}")
         for k, (d_z, d_v) in enumerate(self.dims):
-            if not admissible(d_z, d_v):
-                raise ValueError(
-                    f"inadmissible dimensions (d_z, d_v) = ({d_z}, {d_v}): the admissible "
-                    f"bound for d_v = {d_v} is 1 <= d_z <= {center_dim_bound(d_v)}")
+            check_admissible(d_z, d_v)
             # a repeated pair would repeat its check ids and share their runtime keys
             if (d_z, d_v) in self.dims[:k]:
                 raise ValueError(f"dims repeats the pair (d_z, d_v) = ({d_z}, {d_v})")
@@ -367,7 +364,7 @@ def summarize(paths: list[str], as_csv: bool = False) -> str:
                 raise ValueError("a check is not an object with an id, a verdict and a residual")
         except (json.JSONDecodeError, OSError, ValueError, KeyError, AttributeError,
                 TypeError) as exc:
-            skipped.append((p, str(exc)))
+            skipped.append(f"skipped {p}: {exc}")
             continue
         for c in checks:
             row = rows.setdefault(c["id"], {"id": c["id"], "runs": 0, "fails": 0,
@@ -381,7 +378,7 @@ def summarize(paths: list[str], as_csv: bool = False) -> str:
                 if value is not None:
                     row[key] = value if row[key] is None else pick(row[key], value)
     if not rows:
-        raise ValueError("no usable reports")
+        raise ValueError("\n".join(["no usable reports", *skipped]))
     ordered = [rows[k] for k in sorted(rows)]
     if as_csv:
         buf = io.StringIO()
@@ -399,9 +396,7 @@ def summarize(paths: list[str], as_csv: bool = False) -> str:
             lines.append(f"{r['id']:<{width}}  {r['runs']:>4} {r['fails']:>5}  "
                          f"{mn:>12}  {mx:>12}  {rt:>13}")
         out = "\n".join(lines) + "\n"
-    for p, why in skipped:
-        out += f"warning: skipped {p}: {why}\n"
-    return out
+    return out + "".join(f"warning: {note}\n" for note in skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,15 @@ def admissible(d_z: int, d_v: int) -> bool:
     return 1 <= d_z <= center_dim_bound(d_v)
 
 
+def check_admissible(d_z: int, d_v: int):
+    """A ValueError, worded once for every caller, unless ``admissible(d_z, d_v)``."""
+    if not admissible(d_z, d_v):
+        bound = center_dim_bound(d_v)
+        raise ValueError(f"inadmissible dimensions (d_z, d_v) = ({d_z}, {d_v}): " + (
+            f"the admissible bound for d_v = {d_v} is 1 <= d_z <= {bound}" if bound else
+            f"no d_z is admissible for d_v = {d_v}") + " (Radon-Hurwitz-type constraint)")
+
+
 @lru_cache(maxsize=None)
 def division_algebra_mults() -> dict[int, np.ndarray]:
     """Left multiplications by the basis of C, H and O, keyed by dimension.
@@ -137,10 +146,7 @@ def build_module(d_z: int, d_v: int, iso_flags: tuple[int, ...] | None = None) -
     generator of that summand, producing the non-isomorphic class when
     d_z = 3 mod 4 (and an equivalent module otherwise).  Default: all +1.
     """
-    if not admissible(d_z, d_v):
-        raise ValueError(
-            f"d_z = {d_z} is outside the admissible bound 1 <= d_z <= "
-            f"{center_dim_bound(d_v)} for d_v = {d_v} (Radon-Hurwitz-type constraint)")
+    check_admissible(d_z, d_v)
     base = _irreducible_generators(d_z)
     m = base.shape[1]
     if d_v % m:

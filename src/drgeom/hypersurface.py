@@ -302,45 +302,44 @@ def nomizu(ctx: CurvatureContext, xi: np.ndarray) -> np.ndarray:
 
 
 class _FrameTensors:
-    """Contractions that depend only on the eigenframe X and the normal xi, one
-    entry per flat [k, i, j] index of the n^3 Codazzi components.  Candidates
-    enter only through their principal curvatures ``lam`` (B, n): the numerator
-    of Gamma[k, i, j] is (R(xi, X_j) X_i + R(xi, X_i) X_j) . (N_xi X_k + lam_k X_k)
-    = p + q lam_k, so a component costs O(1) per row, whichever are asked for."""
+    """Contractions that depend only on the eigenframe X and the normal xi, one entry
+    per flat [k, i, j] Codazzi component, from one contraction T[j, i] = R(xi, X_j) X_i
+    and one product with [X | N_xi X].  Candidates enter only through ``lam`` (B, n):
+    the derived-Gauss numerator (T[j, i] + T[i, j]) . (N_xi X_k + lam_k X_k) =
+    p + q lam_k gives Gamma[k, i, j], and half of it on j = i gives dG1[i, k]."""
 
     def __init__(self, ctx: CurvatureContext, xi: np.ndarray, x: np.ndarray,
                  alphas: np.ndarray):
         n = x.shape[1]
-        r4 = ctx.riemann_tensor
-        # T[j, i, :] = R(xi, X_j) X_i
-        t = np.einsum("a,bj,ci,abce->jie", xi, x, x, r4, optimize=True)
-        self.x = x
-        self.nx = nomizu(ctx, xi) @ x
-        self.t_diag = t[np.arange(n), np.arange(n)]  # [i, :] = R(xi, X_i) X_i
+        # t[j, i, :] = R(xi, X_j) X_i, and ty[j, i, m] its pairing with column m of [X | N_xi X]
+        t = np.matmul(x.T, np.tensordot(x, np.tensordot(xi, ctx.riemann_tensor, 1), (0, 0)))
+        ty = t @ np.hstack([x, nomizu(ctx, xi) @ x])
+        num = (ty + ty.transpose(1, 0, 2)).transpose(2, 1, 0)  # [m, i, j]: (j, i) + (i, j)
+        self.q, self.p = num[:n].ravel(), num[n:].ravel()
+        # R(X_k, X_i, X_j, xi) = -R(xi, X_j, X_k, X_i) by pair symmetry, and <nabla_k X_i, X_j>
+        self.rkij = -ty[:, :, :n].transpose(1, 2, 0).ravel()
+        self.nab = (np.matmul(x.T, np.tensordot(x, ctx.nabla_tensor, (0, 0))) @ x).ravel()
         self.k, self.i, self.j = k, i, j = np.unravel_index(np.arange(n ** 3), (n, n, n))
         self.every = np.arange(n ** 3)
         self.swapped = np.ravel_multi_index((i, k, j), (n, n, n))  # [k, i, j] -> [i, k, j]
-        t_sym = (t + np.transpose(t, (1, 0, 2)))[j, i]
-        self.p = np.sum(t_sym * self.nx[:, k].T, axis=1)
-        self.q = np.sum(t_sym * x[:, k].T, axis=1)
-        # <nabla_k X_i, X_j> and R(X_k, X_i, X_j, xi)
-        self.nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x,
-                             optimize=True).ravel()
-        self.rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, xi, r4, optimize=True).ravel()
+        self.diagonal = np.flatnonzero(i == j).reshape(n, n).T  # dG1's [i, k] -> [k, i, i]
         dalpha = alphas[j] - alphas[i]
         # Gamma[k, i, j] is not derived where alpha_i and alpha_j are within 1e-9
         self.dalpha = np.where(np.abs(dalpha) < 1e-9, np.nan, dalpha)
 
+    def _numerator(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
+        """p + q lam_k per row and flat [k, i, j] index in ``comps``, O(1) per component."""
+        return self.p[comps] + self.q[comps] * lam[:, self.k[comps]]
+
     def dg1(self, lam: np.ndarray) -> np.ndarray:
-        """dG1[b, i, k] = <R_{X_i} xi, nabla_k xi + lam_k X_k>, zero on an Einstein
-        hypersurface with locally constant eigenvalues."""
-        return np.matmul(self.t_diag, self.nx + self.x * lam[:, None, :])
+        """dG1[b, i, k] = <R_{X_i} xi, nabla_k xi + lam_k X_k>, the derived-Gauss relation
+        on j = i: zero on an Einstein hypersurface with locally constant eigenvalues."""
+        return 0.5 * self._numerator(lam, self.diagonal)
 
     def gamma(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """Gamma[k, i, j] = <nabla_{X_k} X_i, X_j> per row and flat [k, i, j] index
         in ``comps``, from the derived-Gauss relation; NaN where alpha_i = alpha_j."""
-        return ((self.p[comps] + self.q[comps] * lam[:, self.k[comps]]) / self.dalpha[comps]
-                + self.nab[comps])
+        return self._numerator(lam, comps) / self.dalpha[comps] + self.nab[comps]
 
     def codazzi(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """R(X_k, X_i, X_j, xi) - (lam_i - lam_j) Gamma[k, i, j] + (lam_k - lam_j)

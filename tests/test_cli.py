@@ -66,6 +66,14 @@ def test_verify_rejects_bad_dims(capsys):
     assert "admissible bound" in capsys.readouterr().err
 
 
+def test_verify_rejects_odd_d_v_with_one_message(capsys):
+    # no center dimension is admissible for an odd module dimension
+    status = main(["verify", "clifford", "--dims", "2:3"])
+    assert status == 2
+    err = capsys.readouterr().err
+    assert "no d_z is admissible for d_v = 3" in err and "1 <= d_z <= 0" not in err
+
+
 @pytest.mark.parametrize("config", [None, {"dims": [[2, 4], [5, 8], [2, 4]]}])
 def test_verify_rejects_a_repeated_dims_pair(tmp_path, capsys, config):
     # a repeated pair would emit its checks twice under the same ids
@@ -594,6 +602,18 @@ def test_summarize_skips_malformed(tmp_path):
         assert f"warning: skipped {p}" in text
     assert text == summarize([str(good)]) + "".join(
         line + "\n" for line in text.splitlines() if line.startswith("warning: skipped"))
+
+
+def test_summarize_without_usable_reports_names_each_skipped_file(tmp_path, capsys):
+    # a missing file and a probe report, which holds no checks: exit 2, and each
+    # path with its reason on stderr, in the words of the warnings
+    missing, probe_out = tmp_path / "missing.json", tmp_path / "probe.json"
+    assert main(["probe", "hypersurface", "--frames", "1", "--out", str(probe_out)]) == 0
+    capsys.readouterr()
+    assert main(["summarize", str(missing), str(probe_out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: no usable reports")
+    assert f"skipped {missing}: " in err and f"skipped {probe_out}: no checks" in err
 
 
 def test_main_summarize_roundtrip(tmp_path, capsys):

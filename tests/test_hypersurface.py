@@ -21,6 +21,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from drgeom import hypersurface
+from drgeom.cli import DEFAULT_DIMS
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
 from itertools import product
@@ -291,7 +292,7 @@ def test_gauss_map_derivative_wiring(g24, ctx24):
     fr = random_frame(g24, rng)
     ef, tensors, lam = _first_candidate(fr, ctx24, -0.8)
     # the Gauss-map derivatives nabla_k xi + lambda_k X_k, as gauss() forms them
-    gm = tensors.nx + tensors.x * lam
+    gm = nomizu(ctx24, fr.xi) @ ef.x + ef.x * lam
     for k in range(lam.shape[1]):
         xk = ef.x[:, k]
         direct = np.einsum("a,b,abe->e", xk, fr.xi, ctx24.nabla_tensor) + lam[0, k] * xk
@@ -322,7 +323,7 @@ def test_horosphere_codazzi_exact(g24, ctx24):
     assert np.isnan(res).sum() == 0
 
 
-@pytest.mark.parametrize("dims", [(1, 2), (2, 4), (5, 8), (8, 16)])
+@pytest.mark.parametrize("dims", DEFAULT_DIMS)
 def test_horosphere_residual_is_zero(dims):
     assert horosphere_residual(CurvatureContext(DamekRicci.from_dims(*dims))) == 0.0
 
@@ -416,7 +417,7 @@ def test_no_z_isotropy_pairing_reduction():
 
     tensors = _FrameTensors(ctx, fr.xi, basis, alphas)
     # Gauss-map derivative on P = X_10 (first V_2 vector)
-    gm = tensors.nx + tensors.x * lams
+    gm = nomizu(ctx, fr.xi) @ basis + basis * lams
     k_pos, i_pos, j_pos = 10, 0, 11
     comp = np.ravel_multi_index(([k_pos], [i_pos], [j_pos]), (12, 12, 12))
     expect_gm = (1 - 3 * s * s) / (2 * s) * basis[:, k_pos]
@@ -673,22 +674,22 @@ def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adja
     return out
 
 
+def _ref_pairings(cand, ctx, frame):
+    """ty[j, i, m] = <R(xi, X_j) X_i, Y_m> over the columns Y of [X | N_xi X]."""
+    xi, x = frame.xi, cand.frame_basis
+    t = np.matmul(x.T, np.tensordot(x, np.tensordot(xi, ctx.riemann_tensor, 1), (0, 0)))
+    return t @ np.hstack([x, nomizu(ctx, xi) @ x])
+
+
 def _ref_derived_gauss(cand, ctx, frame):
-    xi, x, n = frame.xi, cand.frame_basis, cand.n
-    r4 = ctx.riemann_tensor
-    nx = nomizu(ctx, xi) @ x
-    gm = nx + x * cand.lambdas[None, :]
-    t = np.einsum("a,bj,ci,abce->jie", xi, x, x, r4, optimize=True)
-    rxij = np.einsum("jie,ek->jik", t, gm, optimize=True)
-    dg1 = np.stack([rxij[i, i, :] for i in range(n)])
+    x, n = cand.frame_basis, cand.n
+    ty = _ref_pairings(cand, ctx, frame)
     # the numerator of Gamma[k, i, j], (t[j, i] + t[i, j]) . (N_xi X_k + lam_k X_k),
-    # as p + q lam_k with p and q each summed over the vector's components
-    k, i, j = np.unravel_index(np.arange(n ** 3), (n, n, n))
-    t_sym = (t + np.transpose(t, (1, 0, 2)))[j, i]
-    p = np.sum(t_sym * nx[:, k].T, axis=1)
-    q = np.sum(t_sym * x[:, k].T, axis=1)
-    num = (p + q * cand.lambdas[k]).reshape(n, n, n)
-    nab = np.einsum("ak,bi,abe,ej->kij", x, x, ctx.nabla_tensor, x, optimize=True)
+    # as p + q lam_k; half of it on j = i is dG1[i, k]
+    sym = ty + np.transpose(ty, (1, 0, 2))
+    num = np.transpose(sym[:, :, n:] + sym[:, :, :n] * cand.lambdas, (2, 1, 0))  # [k, i, j]
+    dg1 = 0.5 * np.diagonal(num, axis1=1, axis2=2).T
+    nab = np.matmul(x.T, np.tensordot(x, ctx.nabla_tensor, (0, 0))) @ x
     dalpha = cand.alphas[None, None, :] - cand.alphas[None, :, None]
     with np.errstate(divide="ignore", invalid="ignore"):
         gamma = num / dalpha + nab
@@ -697,9 +698,9 @@ def _ref_derived_gauss(cand, ctx, frame):
 
 
 def _ref_codazzi(cand, gamma, ctx, frame):
-    x, lam = cand.frame_basis, cand.lambdas
-    rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, frame.xi,
-                     ctx.riemann_tensor, optimize=True)
+    lam = cand.lambdas
+    # R(X_k, X_i, X_j, xi) = -R(xi, X_j, X_k, X_i) by pair symmetry
+    rkij = -np.transpose(_ref_pairings(cand, ctx, frame)[:, :, :cand.n], (1, 2, 0))
     li_lj = lam[None, :, None] - lam[None, None, :]
     lk_lj = lam[:, None, None] - lam[None, None, :]
     gamma_ikj = np.transpose(gamma, (1, 0, 2))
@@ -857,7 +858,7 @@ def test_gamma_equals_the_matmul_form_of_the_derived_gauss_relation(dims):
         b, n = lam.shape
         t = np.einsum("a,bj,ci,abce->jie", fr.xi, ef.x, ef.x, ctx.riemann_tensor)
         t_sym = (t + np.transpose(t, (1, 0, 2))).reshape(n * n, -1)
-        num = np.matmul(t_sym, tensors.nx + tensors.x * lam[:, None, :])
+        num = np.matmul(t_sym, nomizu(ctx, fr.xi) @ ef.x + ef.x * lam[:, None, :])
         num = num.reshape(b, n, n, n).transpose(0, 3, 2, 1)  # [b, k, i, j]
         dalpha = ef.vector_alphas[None, :] - ef.vector_alphas[:, None]  # [i, j]
         dalpha[np.abs(dalpha) < 1e-9] = np.nan
@@ -870,6 +871,28 @@ def test_gamma_equals_the_matmul_form_of_the_derived_gauss_relation(dims):
         scale = np.max(np.abs(matmul_form), axis=1, where=derived, initial=0.0)
         assert np.all(np.abs(gamma - matmul_form)[derived]
                       <= 1e-12 * np.broadcast_to(scale[:, None], gamma.shape)[derived])
+
+
+@pytest.mark.parametrize("dims", DEFAULT_DIMS, ids=lambda d: f"{d[0]}-{d[1]}")
+def test_one_contraction_matches_the_full_curvature_contractions(dims):
+    # R(X_k, X_i, X_j, xi) read off R(xi, X_j) X_k by pair symmetry, and dG1 as half
+    # the derived-Gauss numerator on j = i, against contracting the curvature tensor
+    # with every vector and R(xi, X_i) X_i . (N_xi X + X diag lam)
+    ctx = CurvatureContext(DamekRicci.from_dims(*dims))
+    for frame_seed in np.random.SeedSequence(12).spawn(2):
+        fr = random_frame(ctx.g, np.random.default_rng(frame_seed))
+        ef = _Eigenframe(fr, ctx)
+        tensors, x, n = _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas), ef.x, ef.x.shape[1]
+        rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, fr.xi, ctx.riemann_tensor,
+                         optimize=True).ravel()
+        assert np.max(np.abs(tensors.rkij - rkij)) <= 1e-14 * np.max(np.abs(rkij))
+        lam = np.random.default_rng(frame_seed).uniform(-2.0, 2.0, (8, n))
+        t = np.einsum("a,bj,ci,abce->jie", fr.xi, x, x, ctx.riemann_tensor, optimize=True)
+        t_diag, gm = t[np.arange(n), np.arange(n)], nomizu(ctx, fr.xi) @ x + x * lam[:, None, :]
+        # dG1 is 0 on the symmetric pairs, where both sides are rounding, so the scale
+        # is the size of the terms it sums
+        scale = np.max(np.matmul(np.abs(t_diag), np.abs(gm)))
+        assert np.max(np.abs(tensors.dg1(lam) - np.matmul(t_diag, gm))) <= 1e-14 * scale
 
 
 def test_probe_frame_keeps_the_first_of_tied_minima(monkeypatch, ctx24):
