@@ -7,13 +7,13 @@ multiplicity split with the mean curvature solved self-consistently.  The
 derived-Gauss relation reconstructs the connection coefficients on pairs of
 distinct eigenvalues, and the Codazzi combination is evaluated pointwise.
 
-Derivative terms of eigenvalue functions are set to zero throughout
-(constant-multiplicity, constant-eigenvalue ansatz).  This is an assumption
-of the probe, not a consequence of the Einstein condition: dG1[i, k] is, up
-to a factor, X_k(alpha_i), and a Codazzi component (k, i, j) with j in
-{i, k} holds X_k(lambda_i) or X_i(lambda_k).  An Einstein hypersurface need
-not make these derivatives 0, so a nonzero residual is evidence against
-Einstein hypersurfaces with locally constant eigenvalues, not against all.
+The residual is the max of |Codazzi| over the components (k, i, j) with k, i
+and j distinct, n(n - 1)(n - 2) of the n^3.  No derivative of an eigenvalue
+enters them, so the residual does not assume locally constant eigenvalues.
+A component with j in {i, k} holds X_k(lambda_i) or X_i(lambda_k), and in one
+with k = i the two Gamma terms cancel, leaving R(X_k, X_k, X_j, xi) = 0 up to
+rounding, so both kinds are left out.  A nonzero floor is evidence over the
+sampled frames and C values, not a certificate.
 
 The probe computes the C-independent data once per frame (the Jacobi
 eigendata, the shared eigenframe X and its curvature contractions).  Then it
@@ -25,12 +25,12 @@ fit in a fixed budget of (H row, split) elements.  The brackets of all
 frames of a chunk (CHUNK_FRAMES consecutive frames, whatever the worker
 count), all splits and all C values are bisected in one loop.  Each frame's
 candidates are one flat table over all C values, sorted by C, split and H.  The
-Gauss/Codazzi residuals are evaluated in full only for the candidates that a
-cheap lower bound (the residual on a few sentinel Codazzi components) cannot
-rule out as the frame's minimum, in blocks of rows in bound order.  Every
-Codazzi number comes from one evaluator, component by component, so the
-bound is a max over some of the very numbers the full residual takes its max
-over, and never exceeds it.
+residuals are evaluated in full only for the candidates that a cheap lower
+bound (the residual on a few sentinel components) cannot rule out as the
+frame's minimum, in blocks of rows in bound order.  Every Codazzi number
+comes from one evaluator, component by component, so the bound is a max over
+some of the very numbers the full residual takes its max over, and never
+exceeds it.
 """
 
 from __future__ import annotations
@@ -263,8 +263,7 @@ def _candidates(eigenframes: list[_Eigenframe], c_values) -> list[tuple[np.ndarr
     the root, and minus the other end is the mirror split's root.  Roots within
     1e-9 of a smaller one are dropped, and so are splits with complex roots."""
     c_values = np.asarray(c_values, dtype=float)
-    none = (np.empty(0, dtype=int), np.empty(0), np.empty(0))  # no C values, no brackets
-    brackets = [ef._brackets(c_values) if c_values.size else none for ef in eigenframes]
+    brackets = [ef._brackets(c_values) for ef in eigenframes]
     width = max(ef.alphas.size for ef in eigenframes)
     # per bracket: 2(alpha - C) and the split's coefficients, eigenspace rows first;
     # the arrays shrink only when a bracket is done
@@ -306,7 +305,8 @@ class _FrameTensors:
     per flat [k, i, j] Codazzi component, from one contraction T[j, i] = R(xi, X_j) X_i
     and one product with [X | N_xi X].  Candidates enter only through ``lam`` (B, n):
     the derived-Gauss numerator (T[j, i] + T[i, j]) . (N_xi X_k + lam_k X_k) =
-    p + q lam_k gives Gamma[k, i, j], and half of it on j = i gives dG1[i, k]."""
+    p + q lam_k gives Gamma[k, i, j].  ``every`` holds the flat indices of the
+    residual's components, those with k, i and j distinct, in increasing order."""
 
     def __init__(self, ctx: CurvatureContext, xi: np.ndarray, x: np.ndarray,
                  alphas: np.ndarray):
@@ -320,9 +320,8 @@ class _FrameTensors:
         self.rkij = -ty[:, :, :n].transpose(1, 2, 0).ravel()
         self.nab = (np.matmul(x.T, np.tensordot(x, ctx.nabla_tensor, (0, 0))) @ x).ravel()
         self.k, self.i, self.j = k, i, j = np.unravel_index(np.arange(n ** 3), (n, n, n))
-        self.every = np.arange(n ** 3)
+        self.every = np.flatnonzero((i != j) & (k != j) & (k != i))
         self.swapped = np.ravel_multi_index((i, k, j), (n, n, n))  # [k, i, j] -> [i, k, j]
-        self.diagonal = np.flatnonzero(i == j).reshape(n, n).T  # dG1's [i, k] -> [k, i, i]
         dalpha = alphas[j] - alphas[i]
         # Gamma[k, i, j] is not derived where alpha_i and alpha_j are within 1e-9
         self.dalpha = np.where(np.abs(dalpha) < 1e-9, np.nan, dalpha)
@@ -330,11 +329,6 @@ class _FrameTensors:
     def _numerator(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """p + q lam_k per row and flat [k, i, j] index in ``comps``, O(1) per component."""
         return self.p[comps] + self.q[comps] * lam[:, self.k[comps]]
-
-    def dg1(self, lam: np.ndarray) -> np.ndarray:
-        """dG1[b, i, k] = <R_{X_i} xi, nabla_k xi + lam_k X_k>, the derived-Gauss relation
-        on j = i: zero on an Einstein hypersurface with locally constant eigenvalues."""
-        return 0.5 * self._numerator(lam, self.diagonal)
 
     def gamma(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """Gamma[k, i, j] = <nabla_{X_k} X_i, X_j> per row and flat [k, i, j] index
@@ -355,24 +349,23 @@ class _FrameTensors:
 
     def codazzi_bound(self, lam: np.ndarray, comps: np.ndarray) -> np.ndarray:
         """Max of the evaluated |Codazzi| residuals per row over the flat [k, i, j]
-        indices ``comps``: a lower bound of ``aggregate``, which takes its max over
-        the same numbers of ``codazzi`` and more."""
+        indices ``comps``: a lower bound of ``aggregate`` when ``comps`` lies in
+        ``every``, since ``aggregate`` takes its max over the same numbers and more."""
         res = np.abs(self.codazzi(lam, comps))
         return np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
 
     def aggregate(self, lam: np.ndarray) -> np.ndarray:
-        """Max of |dG1| and of the evaluated |Codazzi| residuals over all n^3
-        components, per row."""
+        """Max of the evaluated |Codazzi| residuals over the components ``every``
+        (k, i and j distinct), per row."""
         res = np.abs(self.codazzi(lam, self.every))
-        return np.maximum(np.max(np.abs(self.dg1(lam)), axis=(1, 2)),
-                          np.max(res, axis=1, initial=0.0, where=~np.isnan(res)))
+        return np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
 
     def sentinels(self, lam: np.ndarray) -> np.ndarray:
         """The flat [k, i, j] indices of each row's largest evaluated |Codazzi|
-        residual, each index once, in increasing order."""
+        residual among ``every``, each index once, in increasing order."""
         res = np.abs(self.codazzi(lam, self.every))
-        top = np.argmax(np.where(np.isnan(res), -1.0, res), axis=1)
-        return np.flatnonzero(np.bincount(top, minlength=res.shape[1]))
+        top = np.argmax(np.where(np.isnan(res), -1.0, res), axis=1)  # positions in every
+        return self.every[np.flatnonzero(np.bincount(top, minlength=self.every.size))]
 
 
 def horosphere_residual(ctx: CurvatureContext) -> float:
@@ -446,7 +439,8 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100, seed: int = 
     The reported floor is the smallest obstruction residual any candidate
     achieves; a strictly positive floor is evidence (not a certificate) that
     no pointwise shape operator is compatible with the Einstein condition on
-    the sampled frames and C values, whose region ``box`` names.
+    the sampled frames and C values.  ``box`` names their region and the
+    residual's components.
     Frames get independent seeds spawned from ``seed`` and go in chunks of
     CHUNK_FRAMES, so ``jobs`` (the worker count) does not change the result.
     One progress line per frame goes to stderr as soon as its chunk is done.
@@ -469,7 +463,8 @@ def probe_codazzi_floor(ctx: CurvatureContext, n_frames: int = 100, seed: int = 
     n_candidates = sum(r[2] for r in results)
     floor_idx = int(np.argmin(per_frame))
     box = {"c_min": float(np.min(c_grid)), "c_max": float(np.max(c_grid)),
-           "c_values": len(c_grid), "h_bound": H_BOUND, "h_samples": H_SAMPLES}
+           "c_values": len(c_grid), "h_bound": H_BOUND, "h_samples": H_SAMPLES,
+           "components": "codazzi (k, i, j) with k, i, j distinct"}
     return {"floor": float(per_frame[floor_idx]),
             "floor_info": results[floor_idx][3],
             "candidates": n_candidates, "frames": n_frames, "box": box,

@@ -15,10 +15,11 @@ time; ``_candidates`` scans groups of C values, each split class up to its own
 cutoff, drops roots with one mask and is checked against it bit for bit.
 With ``from_h_zero`` it is the full-grid oracle: every C scanned from H = 0 up
 to the same cutoffs, which checks that the start row leaves no root out.
-``per_c_probe_frame`` evaluates the aggregate of every candidate, one batch
-per C value, and keeps the first minimum with a strict <; ``_probe_chunk``
-evaluates only the candidates its lower bound cannot rule out and is checked
-against it bit for bit.
+``per_c_probe_frame`` evaluates the residual of every candidate, one batch
+per C value, as the max of |``codazzi``| over the components it picks with its
+own mask (k, i and j distinct), and keeps the first minimum with a strict <;
+``_probe_chunk`` evaluates only the candidates its lower bound cannot rule out
+and is checked against it bit for bit.
 """
 
 from __future__ import annotations
@@ -141,20 +142,24 @@ def per_c_candidates(eigenframe: _Eigenframe, c_values, from_h_zero: bool = Fals
 
 
 def per_c_probe_frame(ctx, frame_seed, fidx: int, c_grid) -> tuple[int, float, int, dict | None]:
-    """One frame's index, minimum aggregate, candidate count and the minimum's
-    C, H and splits, from every candidate's aggregate, one batch per C."""
+    """One frame's index, minimum residual, candidate count and the minimum's
+    C, H and splits, from every candidate's residual, one batch per C."""
     frame = random_frame(ctx.g, np.random.default_rng(frame_seed))
     eigenframe = _Eigenframe(frame, ctx)
     tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
+    n = eigenframe.x.shape[1]
+    k, i, j = np.indices((n, n, n)).reshape(3, -1)
+    distinct = np.flatnonzero((k != i) & (k != j) & (i != j))
     best, best_info, n_candidates = np.inf, None, 0
     for c, (h, lam, si) in zip(c_grid, candidates_per_c(eigenframe, c_grid)):
         if not h.size:
             continue
         n_candidates += h.size
-        aggs = tensors.aggregate(lam)
-        j = int(np.argmin(aggs))  # the first of equal minima, as a strict < keeps
-        if aggs[j] < best:
-            best = aggs[j]
+        res = np.abs(tensors.codazzi(lam, distinct))
+        aggs = np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
+        b = int(np.argmin(aggs))  # the first of equal minima, as a strict < keeps
+        if aggs[b] < best:
+            best = aggs[b]
             best_info = {"frame_index": fidx, "C": float(c),
-                         "H": float(h[j]), "splits": eigenframe.splits[si[j]]}
+                         "H": float(h[b]), "splits": eigenframe.splits[si[b]]}
     return fidx, float(best), n_candidates, best_info

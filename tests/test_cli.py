@@ -643,7 +643,8 @@ def test_probe_subcommand_smoke(tmp_path):
     assert payload["probe"]["frames"] == 2
     box = payload["probe"]["box"]
     assert box == {"c_min": -2.0, "c_max": pytest.approx(0.0, abs=1e-12), "c_values": 201,
-                   "h_bound": 60.0, "h_samples": 2400}
+                   "h_bound": 60.0, "h_samples": 2400,
+                   "components": "codazzi (k, i, j) with k, i, j distinct"}
     _, report = run(load_config(str(cfg_file), {"suites": ["hypersurface"]}))
     check, control = report["checks"]
     assert check["id"] == "codazzi-floor(2,4)" and check["witness"]["box"] == box

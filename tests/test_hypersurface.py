@@ -24,7 +24,7 @@ from drgeom import hypersurface
 from drgeom.cli import DEFAULT_DIMS
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
-from itertools import product
+from itertools import permutations, product
 
 from scipy.optimize import brentq
 
@@ -64,6 +64,19 @@ def _invariant_residual(c, h, lam, alphas) -> float:
     """Max residual of S^2 - H S + (alpha - C) = 0 and Tr S = H."""
     quad = lam ** 2 - h * lam + (alphas - c)
     return max(float(np.max(np.abs(quad))), abs(float(np.sum(lam)) - h))
+
+
+def _dg1(tensors, lam):
+    """dG1[b, i, k] = <R_{X_i} xi, nabla_k xi + lam_k X_k>, half the derived-Gauss
+    numerator on j = i: up to a factor X_k(alpha_i), which the residual leaves out."""
+    n = lam.shape[1]
+    i, k = np.indices((n, n))
+    return 0.5 * tensors._numerator(lam, np.ravel_multi_index((k, i, i), (n, n, n)))
+
+
+def _distinct(n):
+    """The flat [k, i, j] indices with k, i and j distinct, in increasing order."""
+    return np.array([np.ravel_multi_index(t, (n, n, n)) for t in permutations(range(n), 3)])
 
 
 def _first_candidate(fr, ctx, c):
@@ -316,9 +329,9 @@ def test_horosphere_codazzi_exact(g24, ctx24):
                       basis, optimize=True)
     fr = make_frame(g24, np.zeros(4), np.zeros(2), 1.0)
     tensors = _FrameTensors(ctx24, fr.xi, basis, al)
-    derived = tensors.gamma(lam[None], tensors.every)[0]
+    derived = tensors.gamma(lam[None], np.arange(n ** 3))[0]
     assert np.max(np.abs(derived - gamma.ravel()), where=~np.isnan(derived), initial=0.0) < 1e-13
-    res = tensors.codazzi(lam[None], tensors.every)
+    res = tensors.codazzi(lam[None], np.arange(n ** 3))
     assert np.max(np.abs(res), initial=0.0, where=~np.isnan(res)) < 1e-13
     assert np.isnan(res).sum() == 0
 
@@ -345,7 +358,7 @@ def test_quarter_space_dg1_vanishes_inside_core(g24, ctx24):
     rng = np.random.default_rng(6)
     fr = random_frame(g24, rng)
     ef, tensors, lam = _first_candidate(fr, ctx24, -0.75)
-    dg1 = tensors.dg1(lam)[0]
+    dg1 = _dg1(tensors, lam)[0]
     quarter = np.abs(ef.vector_alphas + 0.25) < 1e-9
     sub = dg1[quarter, :]
     assert np.max(np.abs(sub)) < 1e-10
@@ -356,7 +369,7 @@ def test_gamma_antisymmetry(g24, ctx24):
     fr = random_frame(g24, rng)
     _, tensors, lam = _first_candidate(fr, ctx24, -0.6)
     n = lam.shape[1]
-    gam = tensors.gamma(lam, tensors.every)[0].reshape(n, n, n)
+    gam = tensors.gamma(lam, np.arange(n ** 3))[0].reshape(n, n, n)
     for k in range(n):
         for i in range(n):
             for j in range(n):
@@ -442,13 +455,6 @@ def test_probe_floor_smoke(monkeypatch, ctx24):
 def test_probe_refuses_no_frames(ctx24):
     with pytest.raises(ValueError, match="n_frames"):
         probe_codazzi_floor(ctx24, n_frames=0)
-
-
-def test_candidates_of_no_c_values_are_empty(monkeypatch):
-    ef = _made_up_eigenframe(monkeypatch, [-0.5], [2])
-    assert candidates_per_c(ef, []) == []
-    for ci, h, lam, si in _candidates([ef, ef], []):
-        assert ci.size == h.size == si.size == 0 and lam.shape == (0, 2)
 
 
 def test_candidate_aggregate_positive(g24, ctx24):
@@ -718,11 +724,12 @@ def _ref_probe_frame(g, ctx, frame_seed, fidx, c_grid):
     for c in c_grid:
         for cand in _ref_shape_candidates(frame, ctx, float(c)):
             n_candidates += 1
-            dg1, gamma = _ref_derived_gauss(cand, ctx, frame)
-            res = _ref_codazzi(cand, gamma, ctx, frame)
+            _, gamma = _ref_derived_gauss(cand, ctx, frame)
+            # the components with k, i and j distinct
+            k, i, j = np.indices(gamma.shape)
+            res = _ref_codazzi(cand, gamma, ctx, frame)[(k != i) & (k != j) & (i != j)]
             ok = ~np.isnan(res)
-            cz = float(np.nanmax(np.abs(res))) if ok.any() else 0.0
-            agg = max(float(np.max(np.abs(dg1))), cz)
+            agg = float(np.nanmax(np.abs(res))) if ok.any() else 0.0
             if agg < best:
                 best = agg
                 best_info = {"frame_index": fidx, "C": float(c),
@@ -803,13 +810,14 @@ _BLIND = [0.5, 0.5, 0.5, 0.6, 1.0, 1.0]
 @given(frame_seed=st.none() | st.integers(0, 2 ** 16),
        rows=st.lists(st.lists(st.floats(-2.0, 2.0), min_size=6, max_size=6),
                      min_size=1, max_size=6),
-       triples=st.lists(st.integers(0, 6 ** 3 - 1), max_size=30))
+       triples=st.lists(st.sampled_from(_distinct(6).tolist()), max_size=30))
 @example(frame_seed=None, rows=[_HORO], triples=[])
 @example(frame_seed=None, rows=[_BLIND, _HORO], triples=[])
 @example(frame_seed=None, rows=[[0.6, 0.6, 0.6, 0.6, 1.0, 1.0]], triples=[])  # 0.02
 def test_codazzi_bound_is_at_most_the_aggregate(g24, ctx24, frame_seed, rows, triples):
     # on the horosphere normal to A (frame_seed None) or a random (2,4) frame, any
-    # principal curvatures and any components, besides the rows' own sentinels
+    # principal curvatures and any of the residual's components, besides the rows'
+    # own sentinels
     if frame_seed is None:
         lam = np.repeat([0.5, 1.0], [g24.d_v, g24.d_z])
         tensors = _FrameTensors(ctx24, g24.vec(a=1.0), np.eye(g24.dim)[:, :-1], -lam * lam)
@@ -837,11 +845,44 @@ def test_codazzi_bound_over_every_component_is_the_codazzi_max(g24, ctx24):
     res = np.abs(tensors.codazzi(lam, tensors.every))
     assert np.isnan(res).any()  # some components are skipped
     cz = np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
-    bound = tensors.codazzi_bound(lam, np.arange(res.shape[1]))
+    bound = tensors.codazzi_bound(lam, tensors.every)
     assert np.array_equal(bound, cz)
     sentinels = tensors.sentinels(lam)
     assert np.array_equal(sentinels, np.sort(sentinels))
     assert np.array_equal(tensors.codazzi_bound(lam, sentinels), cz)
+
+
+@pytest.fixture(scope="module")
+def ctx58():
+    return CurvatureContext(DamekRicci.from_dims(5, 8))
+
+
+@settings(max_examples=30, deadline=None)
+@given(pair=st.sampled_from([(2, 4), (5, 8)]), frame_seed=st.integers(0, 2 ** 16),
+       data=st.data())
+def test_residual_reads_exactly_the_components_with_distinct_indices(ctx24, ctx58, pair,
+                                                                     frame_seed, data):
+    # aggregate is the NaN-skipping max of |codazzi| over the (k, i, j) with k, i
+    # and j distinct, and each sentinel is one of them: the bound over the sentinels
+    # is then each row's aggregate itself
+    ctx = {(2, 4): ctx24, (5, 8): ctx58}[pair]
+    fr = random_frame(ctx.g, np.random.default_rng(frame_seed))
+    ef = _Eigenframe(fr, ctx)
+    tensors = _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas)
+    n = ef.x.shape[1]
+    # a few repeated values, so that some terms drop below the 1e-12 cut
+    value = st.floats(-2.0, 2.0) | st.sampled_from([-0.5, 0.5, 1.0])
+    lam = np.array(data.draw(st.lists(st.lists(value, min_size=n, max_size=n),
+                                      min_size=1, max_size=6)))
+    distinct = _distinct(n)
+    assert distinct.size == n * (n - 1) * (n - 2)
+    res = np.abs(tensors.codazzi(lam, distinct))
+    aggs = tensors.aggregate(lam)
+    assert np.array_equal(aggs, np.max(res, axis=1, initial=0.0, where=~np.isnan(res)))
+    sentinels = tensors.sentinels(lam)
+    assert np.all(np.isin(sentinels, distinct))
+    assert np.array_equal(sentinels, np.unique(sentinels))
+    assert np.array_equal(tensors.codazzi_bound(lam, sentinels), aggs)
 
 
 @pytest.mark.parametrize("dims", [(2, 4), (5, 8)], ids=lambda d: f"{d[0]}-{d[1]}")
@@ -864,7 +905,7 @@ def test_gamma_equals_the_matmul_form_of_the_derived_gauss_relation(dims):
         dalpha[np.abs(dalpha) < 1e-9] = np.nan
         nab = np.einsum("ak,bi,abe,ej->kij", ef.x, ef.x, ctx.nabla_tensor, ef.x)
         matmul_form = (num / dalpha + nab).reshape(b, -1)
-        gamma = tensors.gamma(lam, tensors.every)
+        gamma = tensors.gamma(lam, np.arange(n ** 3))
         derived = ~np.isnan(matmul_form)
         assert b and np.array_equal(~np.isnan(gamma), derived) and not derived.all()
         # relative to each row's largest |Gamma|, since a Gamma may cancel to rounding
@@ -892,7 +933,7 @@ def test_one_contraction_matches_the_full_curvature_contractions(dims):
         # dG1 is 0 on the symmetric pairs, where both sides are rounding, so the scale
         # is the size of the terms it sums
         scale = np.max(np.matmul(np.abs(t_diag), np.abs(gm)))
-        assert np.max(np.abs(tensors.dg1(lam) - np.matmul(t_diag, gm))) <= 1e-14 * scale
+        assert np.max(np.abs(_dg1(tensors, lam) - np.matmul(t_diag, gm))) <= 1e-14 * scale
 
 
 def test_probe_frame_keeps_the_first_of_tied_minima(monkeypatch, ctx24):
@@ -930,13 +971,13 @@ def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
         h, lam, si = cands
         if not len(h):
             continue
-        every = tensors.every
-        dg1, gamma, res = tensors.dg1(lam), tensors.gamma(lam, every), tensors.codazzi(lam, every)
+        every = np.arange(lam.shape[1] ** 3)
+        dg1, gamma, res = _dg1(tensors, lam), tensors.gamma(lam, every), tensors.codazzi(lam, every)
         aggs = tensors.aggregate(lam)
         for b in range(len(h)):
             cand = _RefCandidate(c, float(h[b]), eigenframe.vector_alphas, lam[b],
                                  eigenframe.x, eigenframe.splits[si[b]])
-            one_dg1 = tensors.dg1(lam[b:b + 1])
+            one_dg1 = _dg1(tensors, lam[b:b + 1])
             one_gamma = tensors.gamma(lam[b:b + 1], every)
             one_res = tensors.codazzi(lam[b:b + 1], every)
             ref_dg1, ref_gamma = _ref_derived_gauss(cand, ctx24, fr)
