@@ -357,8 +357,7 @@ class _FrameTensors:
     def aggregate(self, lam: np.ndarray) -> np.ndarray:
         """Max of the evaluated |Codazzi| residuals over the components ``every``
         (k, i and j distinct), per row."""
-        res = np.abs(self.codazzi(lam, self.every))
-        return np.max(res, axis=1, initial=0.0, where=~np.isnan(res))
+        return self.codazzi_bound(lam, self.every)
 
     def sentinels(self, lam: np.ndarray) -> np.ndarray:
         """The flat [k, i, j] indices of each row's largest evaluated |Codazzi|

@@ -607,12 +607,9 @@ def curvature_complex_structures(frame: NormalFrame, ctx: CurvatureContext,
     <G_i T1, T2> = -4 R(xi, T1, T2, X_i); on the quaternionic-core modules
     these are the restrictions of the ambient complex structures.
     """
-    out = []
-    for i in range(lm1.shape[1]):
-        m = -4.0 * np.einsum("a,bj,ck,e,abce->kj", frame.xi, lq, lq, lm1[:, i],
-                             ctx.riemann_tensor, optimize=True)
-        out.append(m)
-    return out
+    form = np.tensordot(frame.xi, ctx.riemann_tensor, 1)  # R(xi, ., ., .)
+    return [-4.0 * (lq.T @ np.tensordot(form, lm1[:, i], 1) @ lq).T
+            for i in range(lm1.shape[1])]
 
 
 def _isotropic_plane_witness(gs: list[np.ndarray]) -> dict:
@@ -640,11 +637,11 @@ def _six_eight_block_check(frame: NormalFrame, ctx: CurvatureContext,
     ok = True
     worst = 0.0
     profiles = []
+    form = np.tensordot(frame.xi, ctx.riemann_tensor, 1)  # R(xi, ., ., .)
     for i in range(lm1.shape[1]):
         x = lm1[:, i]
         # <rJ_i T_j, T_k> = 2 R(xi, X_i, T_j, T_k)
-        m = 2.0 * np.einsum("a,b,cj,dk,abcd->kj", frame.xi, x, lq, lq,
-                            ctx.riemann_tensor, optimize=True)
+        m = 2.0 * (lq.T @ np.tensordot(x, form, 1) @ lq).T
         worst = max(worst, float(np.max(np.abs(m + m.T))))
         sv = np.linalg.svd(m, compute_uv=False)
         profiles.append([float(s) for s in sv])

@@ -40,8 +40,6 @@ class NormalFrame:
     k_matrix: np.ndarray = field(repr=False, default=None)
     k_basis: np.ndarray = field(repr=False, default=None)
     mu_clusters: tuple = ()
-    # alpha_cubic per K^2 eigenvalue mu, filled on first use by cubic_roots
-    _roots: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     @property
     def vsq(self) -> float:
@@ -58,15 +56,6 @@ class NormalFrame:
     @property
     def d_p(self) -> int:
         return self.p_basis.shape[1]
-
-    def cubic_roots(self, mu: float) -> dict:
-        """alpha_cubic(mu, |V|^2, |Y|^2), solved once per frame and mu.
-
-        Every call for the same mu returns the same dict; do not mutate it.
-        """
-        if mu not in self._roots:
-            self._roots[mu] = alpha_cubic(mu, self.vsq, self.ysq)
-        return self._roots[mu]
 
     def k_apply(self, z: np.ndarray) -> np.ndarray:
         """K_{V,Y} of a center vector lying in Y-perp."""
@@ -167,8 +156,7 @@ def alpha_cubic(mu: float, v: float, y: float) -> dict:
     eta = 4 alpha + 1 turns this into eta^2(eta+3) = q with
     q = 27 v^2 y (1+mu).  The cuts -3, -2, 0, 1 separate its three simple
     roots, and each bracket of eta is one exact ``_cubic_brackets`` bisection
-    of its cut interval.  Every call solves afresh; ``NormalFrame.cubic_roots``
-    keeps one result per frame and mu.
+    of its cut interval.  ``xi_spectrum`` solves it once per K^2 cluster.
     """
     if -1e-9 < mu <= 1e-9:
         mu = 0.0  # numerical noise around the kernel eigenvalue
@@ -218,42 +206,28 @@ def f_cubic_roots(q: float) -> dict:
 # eigenvector families
 # ---------------------------------------------------------------------------
 
-def center_family_vector(frame: NormalFrame, z: np.ndarray, kind: str) -> np.ndarray:
-    """(|V|^2 - 1) Z + J_{|Y| K Z - s Z} V ('minus1') or the quarter variant."""
-    g = frame.g
-    ny = float(np.linalg.norm(frame.y))
-    kz = frame.k_apply(z)
-    arg = ny * kz - frame.s * z
-    jv = g.j_z(arg) @ frame.v
-    if kind == "minus1":
-        return g.vec(jv, (frame.vsq - 1.0) * z)
-    if kind == "quarter":
-        return g.vec(jv, frame.vsq * z)
-    raise ValueError(f"unknown family kind {kind!r}")
-
-
 def eigen_families(frame: NormalFrame) -> dict[str, tuple[float, list[np.ndarray]]]:
     """The explicit eigenvector families along xi: name -> (eigenvalue, vectors).
 
-    Fully generic frame (V, Y, s nonzero): T0 and the center minus1 family
-    for -1; span(A, V, Y, J_Y V) minus span(xi, T0), the center quarter
-    family and the commutant p for -1/4.  With Y = 0: the lines
-    J_Z V + s Z (-1) and -s J_Z V + |V|^2 Z (-1/4) for each center axis Z,
-    then Q and p (-1/4).  Any other frame has no explicit families.
+    Fully generic frame (V, Y, s nonzero): T0 and the center family
+    (|V|^2 - 1) Z + J_W V for -1; span(A, V, Y, J_Y V) minus span(xi, T0),
+    the center family |V|^2 Z + J_W V and the commutant p for -1/4, with
+    W = |Y| K Z - s Z for each Z of the (-1)-eigenspace of K^2.  With Y = 0:
+    the lines J_Z V + s Z (-1) and -s J_Z V + |V|^2 Z (-1/4) for each center
+    axis Z, then Q and p (-1/4).  Any other frame has no explicit families.
     """
     g = frame.g
-    nv, ny, s = np.sqrt(frame.vsq), np.sqrt(frame.ysq), frame.s
+    nv, ny, s = np.sqrt(frame.vsq), float(np.linalg.norm(frame.y)), frame.s
     p_vecs = [g.vec(frame.p_basis[:, i]) for i in range(frame.d_p)]
     if ny > 1e-13 and nv > 1e-13 and abs(s) > 1e-13:
-        zs = [frame.z_minus1[:, i] for i in range(frame.d_minus1)]
+        jws = [(z, g.j_z(ny * frame.k_apply(z) - s * z) @ frame.v) for z in frame.z_minus1.T]
         rest = orthonormalize([frame.s4[:, i] - frame.xi * (frame.xi @ frame.s4[:, i])
                                - frame.t0 * (frame.t0 @ frame.s4[:, i])
                                for i in range(frame.s4.shape[1])])
         return {"t0": (-1.0, [frame.t0]),
-                "center_minus1": (-1.0, [center_family_vector(frame, z, "minus1") for z in zs]),
+                "center_minus1": (-1.0, [g.vec(jw, (frame.vsq - 1.0) * z) for z, jw in jws]),
                 "s4_quarter": (-0.25, [rest[:, i] for i in range(rest.shape[1])]),
-                "center_quarter": (-0.25, [center_family_vector(frame, z, "quarter")
-                                           for z in zs]),
+                "center_quarter": (-0.25, [g.vec(jw, frame.vsq * z) for z, jw in jws]),
                 "p_quarter": (-0.25, p_vecs)}
     if nv > 1e-13 and abs(s) > 1e-13:
         jzvs = [(z, g.j_z(z) @ frame.v) for z in np.eye(g.d_z)]
@@ -264,45 +238,35 @@ def eigen_families(frame: NormalFrame) -> dict[str, tuple[float, list[np.ndarray
     return {}
 
 
-def psi_map(frame: NormalFrame, l: int, z: np.ndarray) -> np.ndarray:
-    """The homothety from a mu-eigenspace of K^2 onto the l-th cubic family.
+def psi_map(frame: NormalFrame, basis: np.ndarray, etas: list[float]) -> list[list[np.ndarray]]:
+    """The homotheties from one mu-eigenspace of K^2 onto its cubic families.
 
     psi_l(Z) = eta_l nu_l Z + 3 nu_l J_Z J_Y V - 9 |V|^2 |Y| J_{KZ} V
                - 3 s eta_l J_Z V  with eta_l = 4 alpha_l + 1,
-    nu_l = eta_l + 3 |V|^2.  Z must lie in the chosen mu-eigenspace.
+    nu_l = eta_l + 3 |V|^2, for each column Z of ``basis`` (the mu-eigenspace)
+    and each eta_l of ``etas`` (that mu's cubic); returns images[l][column].
     """
-    g = frame.g
-    z = np.asarray(z, dtype=float)
-    nz = np.linalg.norm(z)
-    if nz == 0:
-        return np.zeros(g.dim)
-    mu = _locate_mu(frame, z)
-    eta = frame.cubic_roots(mu)["etas"][l]
-    nu = eta + 3.0 * frame.vsq
+    g, vsq, s = frame.g, frame.vsq, frame.s
     ny = float(np.linalg.norm(frame.y))
     jyv = g.j_z(frame.y) @ frame.v
-    kz = frame.k_apply(z)
-    vec_v = (3.0 * nu * (g.j_z(z) @ jyv) - 9.0 * frame.vsq * ny * (g.j_z(kz) @ frame.v)
-             - 3.0 * frame.s * eta * (g.j_z(z) @ frame.v))
-    return g.vec(vec_v, eta * nu * z)
+    terms = []
+    for z in basis.T:
+        jz = g.j_z(z)
+        terms.append((z, jz @ jyv, g.j_z(frame.k_apply(z)) @ frame.v, jz @ frame.v))
+    images = []
+    for eta in etas:
+        nu = eta + 3.0 * vsq
+        images.append([g.vec(3.0 * nu * jzjyv - 9.0 * vsq * ny * jkzv - 3.0 * s * eta * jzv,
+                             eta * nu * z) for z, jzjyv, jkzv, jzv in terms])
+    return images
 
 
-def psi_homothety_ratio(frame: NormalFrame, l: int, mu: float) -> float:
-    """Closed-form |psi_l(Z)|^2 / |Z|^2 for Z in the mu-eigenspace."""
+def psi_homothety_ratio(frame: NormalFrame, eta: float, mu: float) -> float:
+    """Closed-form |psi_l(Z)|^2 / |Z|^2 for Z in the mu-eigenspace, eta = eta_l."""
     v, y = frame.vsq, frame.ysq
-    eta = frame.cubic_roots(mu)["etas"][l]
     nu = eta + 3.0 * v
     return ((eta * nu) ** 2 + 9.0 * nu ** 2 * y * v - 81.0 * mu * v ** 3 * y
             + 9.0 * frame.s ** 2 * eta ** 2 * v + 54.0 * mu * nu * v ** 2 * y)
-
-
-def _locate_mu(frame: NormalFrame, z: np.ndarray):
-    nz = np.linalg.norm(z)
-    for mu, basis in frame.mu_clusters:
-        proj = basis @ (basis.T @ z)
-        if np.linalg.norm(z - proj) <= 1e-8 * nz:
-            return mu
-    raise ValueError("Z does not lie in a single K^2 eigenspace away from -1")
 
 
 # ---------------------------------------------------------------------------
@@ -343,7 +307,8 @@ def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext) -> SpectralReport:
 
     Every vector of ``eigen_families`` is checked as an eigenvector
     certificate; for a fully generic frame (V, Y, s all nonzero) so is every
-    psi_l image.  A frame without families predicts its own spectrum.
+    psi_l image, with ``alpha_cubic`` solved once per K^2 cluster.  A frame
+    without families predicts nothing, so its report is not complete.
     """
     if abs(float(frame.xi @ frame.xi) - 1.0) > 1e-9:
         raise ValueError("xi is not a unit vector")
@@ -369,17 +334,15 @@ def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext) -> SpectralReport:
         # norm is checked against the closed-form homothety ratio
         spread = 0.0
         for mu, basis in frame.mu_clusters:
-            alphas = frame.cubic_roots(mu)["alphas"]
-            for l in range(3):
-                closed = psi_homothety_ratio(frame, l, mu)
-                for i in range(basis.shape[1]):
-                    vec = psi_map(frame, l, basis[:, i])
-                    cert(f"psi_{l}", vec, alphas[l])
+            roots = alpha_cubic(mu, frame.vsq, frame.ysq)
+            images = psi_map(frame, basis, roots["etas"])
+            for l, (eta, alpha) in enumerate(zip(roots["etas"], roots["alphas"])):
+                closed = psi_homothety_ratio(frame, eta, mu)
+                for vec in images[l]:
+                    cert(f"psi_{l}", vec, alpha)
                     ratio = float(np.linalg.norm(vec) ** 2)
                     spread = max(spread, abs(ratio - closed) / max(closed, 1e-30))
         certs["psi_homothety_spread"] = spread
-    if not families:
-        preds = list(np.sort(dec.eigenvalues))
 
     predicted = np.sort(np.asarray(preds))
     if predicted.shape == dec.eigenvalues.shape:

@@ -745,6 +745,21 @@ def test_verify_curvature_under_python_optimize(tmp_path):
     assert json.loads(out.read_text())["checks"] == json.loads(json.dumps(report["checks"]))
 
 
+def test_verify_spectrum_under_python_optimize(tmp_path):
+    # every spectrum check survives -O and reads as it does in process
+    out = tmp_path / "spectrum.json"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-O", "-m", "drgeom.cli", "verify", "spectrum",
+                           "--dims", "2:4,8:16", "--out", str(out)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    _, report = run(RunConfig(dims=[(2, 4), (8, 16)], suites=["spectrum"]))
+    assert [c["id"] for c in report["checks"]] == ["normal-jacobi-spectrum(2,4)",
+                                                   "normal-jacobi-spectrum(8,16)"]
+    assert json.loads(out.read_text())["checks"] == json.loads(json.dumps(report["checks"]))
+
+
 def test_probe_pool_under_python_optimize(tmp_path):
     # a two-worker probe under -O over two chunks: both hypersurface checks pass
     # (exit 0), one progress line per frame, and the payload of a serial run

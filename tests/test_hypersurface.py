@@ -791,6 +791,8 @@ def test_probe_frame_with_a_weaker_bound_finds_the_same_minimum(monkeypatch, ctx
               "noisy": lambda self, lam, triples:
                   bound(self, lam, triples) * rng.uniform(0.2, 1.0, len(lam))}[weaken]
     monkeypatch.setattr(_FrameTensors, "codazzi_bound", weaker)
+    # the aggregate is codazzi_bound over every component; it stays exact
+    monkeypatch.setattr(_FrameTensors, "aggregate", lambda self, lam: bound(self, lam, self.every))
     grid = probe_c_grid()
     for i, frame_seed in enumerate(np.random.SeedSequence(12).spawn(2)):
         *found, evaluated = _probe_chunk((ctx24, [frame_seed], i, grid))[0]

@@ -33,8 +33,9 @@ from drgeom.obstruction import (EXACT, FAIL, MIXED_SIGNS, _compat_model,
                                 replay_no_z, replay_octonion_case,
                                 replay_p_space_annihilation,
                                 replay_quarter_eigenspace_jcompat)
-from drgeom.spectrum import center_family_vector, random_frame
+from drgeom.spectrum import random_frame
 from elimination import symmetric_eliminate
+from families import center_family_vector
 from sylvester import mpoly_resultant
 
 

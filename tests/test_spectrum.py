@@ -14,10 +14,10 @@ from drgeom import spectrum
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
 from drgeom.numkernel import poly_eval_fraction
-from drgeom.spectrum import (NormalFrame, alpha_cubic, center_family_vector,
-                             eta_alpha_exact_identity, f_cubic_roots,
-                             make_frame, psi_homothety_ratio, psi_map,
+from drgeom.spectrum import (alpha_cubic, eigen_families, eta_alpha_exact_identity,
+                             f_cubic_roots, make_frame, psi_homothety_ratio, psi_map,
                              random_frame, xi_spectrum)
+from families import center_family_vector, psi_image
 
 MODULES = [(1, 2), (2, 4), (3, 4), (5, 8), (6, 8), (7, 8), (7, 16), (8, 16)]
 
@@ -212,33 +212,46 @@ def test_alpha_cubic_solved_once_per_mu_cluster(gctx, monkeypatch):
         return alpha_cubic(mu, v, y)
 
     monkeypatch.setattr(spectrum, "alpha_cubic", counted)
-    xi_spectrum(fr, ctx)
-    assert sorted(calls) == sorted(mu for mu, _ in fr.mu_clusters)
-    xi_spectrum(fr, ctx)  # a second report reuses the frame's roots
-    assert len(calls) == len(fr.mu_clusters) > 1
+    for reports in (1, 2):  # a second report solves every cubic again
+        xi_spectrum(fr, ctx)
+        assert sorted(calls) == sorted(reports * [mu for mu, _ in fr.mu_clusters])
+    assert len(fr.mu_clusters) > 1
 
 
 @pytest.mark.parametrize("dims", [(2, 4), (7, 16), (8, 16)])
 def test_spectral_report_matches_unmemoized_bisection(gctx, monkeypatch, dims):
     g, ctx = gctx(*dims)
-    memo = xi_spectrum(random_frame(g, np.random.default_rng(12)), ctx)
-    # every psi_map and homothety ratio solves its cubic afresh, on Fractions
-    monkeypatch.setattr(NormalFrame, "cubic_roots",
-                        lambda fr, mu: alpha_cubic(mu, fr.vsq, fr.ysq))
+    fast = xi_spectrum(random_frame(g, np.random.default_rng(12)), ctx)
+    # every cubic bracketed again by the bisection on Fractions
     monkeypatch.setattr(spectrum, "rational_bisect", fraction_bisect)
     plain = xi_spectrum(random_frame(g, np.random.default_rng(12)), ctx)
     for name in ("eigenvalues", "predicted", "basis_perp", "jacobi_perp"):
-        assert np.array_equal(getattr(memo, name), getattr(plain, name)), name
-    assert memo.clusters == plain.clusters and memo.dims == plain.dims
-    assert memo.match_residual == plain.match_residual
-    assert memo.certificate_residuals == plain.certificate_residuals
+        assert np.array_equal(getattr(fast, name), getattr(plain, name)), name
+    assert fast.clusters == plain.clusters and fast.dims == plain.dims
+    assert fast.match_residual == plain.match_residual
+    assert fast.certificate_residuals == plain.certificate_residuals
 
 
-def test_psi_map_zero(gctx):
-    g, _ = gctx(2, 4)
-    rng = np.random.default_rng(3)
-    fr = random_frame(g, rng)
-    assert np.allclose(psi_map(fr, 0, np.zeros(2)), 0.0)
+@pytest.mark.parametrize("dims", MODULES)
+def test_families_and_psi_images_equal_the_per_vector_references(gctx, dims):
+    # each center vector's J_W V and each column's J_Z terms are formed once; the
+    # vectors equal the per-vector references, which locate mu and solve its cubic
+    g, _ = gctx(*dims)
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(2):
+        fr = random_frame(g, rng)
+        families = eigen_families(fr)
+        for name, kind in (("center_minus1", "minus1"), ("center_quarter", "quarter")):
+            expect = [center_family_vector(fr, z, kind) for z in fr.z_minus1.T]
+            got = families[name][1]
+            assert len(got) == len(expect) == fr.d_minus1
+            assert all(np.array_equal(a, b) for a, b in zip(got, expect)), name
+        for mu, basis in fr.mu_clusters:
+            images = psi_map(fr, basis, alpha_cubic(mu, fr.vsq, fr.ysq)["etas"])
+            assert [len(col) for col in images] == 3 * [basis.shape[1]]
+            for l, col in enumerate(images):
+                for i, vec in enumerate(col):
+                    assert np.array_equal(vec, psi_image(fr, l, basis[:, i])), (mu, l, i)
 
 
 def test_psi_map_eigenvector_residual(gctx):
@@ -248,19 +261,10 @@ def test_psi_map_eigenvector_residual(gctx):
     jac = ctx.jacobi(fr.xi)
     mu, basis = fr.mu_clusters[0]
     roots = alpha_cubic(mu, fr.vsq, fr.ysq)
-    for l in range(3):
-        vec = psi_map(fr, l, basis[:, 0])
-        res = np.linalg.norm(jac @ vec - roots["alphas"][l] * vec) / np.linalg.norm(vec)
-        assert res < 1e-9
-
-
-def test_psi_map_rejects_vector_outside_eigenspace(gctx):
-    g, _ = gctx(5, 8)
-    rng = np.random.default_rng(5)
-    fr = random_frame(g, rng)
-    bad = fr.z_minus1[:, 0]  # lives in the -1 eigenspace of K^2
-    with pytest.raises(ValueError, match="eigenspace"):
-        psi_map(fr, 0, bad)
+    for alpha, col in zip(roots["alphas"], psi_map(fr, basis, roots["etas"])):
+        for vec in col:
+            res = np.linalg.norm(jac @ vec - alpha * vec) / np.linalg.norm(vec)
+            assert res < 1e-9
 
 
 def test_psi_homothety_matches_closed_form(gctx):
@@ -268,11 +272,11 @@ def test_psi_homothety_matches_closed_form(gctx):
     rng = np.random.default_rng(6)
     fr = random_frame(g, rng)
     mu, basis = fr.mu_clusters[0]
-    for l in range(3):
-        closed = psi_homothety_ratio(fr, l, mu)
-        for i in range(basis.shape[1]):
-            z = basis[:, i]
-            ratio = float(np.linalg.norm(psi_map(fr, l, z)) ** 2) / float(z @ z)
+    etas = alpha_cubic(mu, fr.vsq, fr.ysq)["etas"]
+    for eta, col in zip(etas, psi_map(fr, basis, etas)):
+        closed = psi_homothety_ratio(fr, eta, mu)
+        for z, vec in zip(basis.T, col):
+            ratio = float(np.linalg.norm(vec) ** 2) / float(z @ z)
             assert abs(ratio - closed) < 1e-9 * closed
 
 
@@ -358,9 +362,24 @@ def test_center_family_certificates(gctx):
     rng = np.random.default_rng(11)
     fr = random_frame(g, rng)
     jac = ctx.jacobi(fr.xi)
-    for i in range(fr.d_minus1):
-        z = fr.z_minus1[:, i]
-        m1 = center_family_vector(fr, z, "minus1")
+    families = eigen_families(fr)
+    assert len(families["center_minus1"][1]) == len(families["center_quarter"][1]) == fr.d_minus1
+    for m1, m4 in zip(families["center_minus1"][1], families["center_quarter"][1]):
         assert np.linalg.norm(jac @ m1 + m1) < 1e-9 * np.linalg.norm(m1)
-        m4 = center_family_vector(fr, z, "quarter")
         assert np.linalg.norm(jac @ m4 + 0.25 * m4) < 1e-9 * np.linalg.norm(m4)
+
+
+@pytest.mark.parametrize("v, y, s", [((0, 0, 0, 0), (0, 0), 1.0), ((1, 0, 0, 0), (0, 0), 0.0),
+                                     ((0, 0, 0, 0), (1, 0), 0.0),
+                                     ((0.6, 0, 0, 0), (0.8, 0), 0.0)])
+def test_xi_spectrum_without_families_predicts_nothing(gctx, v, y, s):
+    # V = 0 or s = 0: no explicit families, so no certificate and an incomplete report,
+    # even where the numeric spectrum leaves -1 and -1/4 (-0.9227, -0.52, -0.0573 at
+    # (0.6 e1, 0.8 e1, 0))
+    g, ctx = gctx(2, 4)
+    fr = make_frame(g, np.array(v, dtype=float), np.array(y, dtype=float), s)
+    assert eigen_families(fr) == {}
+    rep = xi_spectrum(fr, ctx)
+    assert rep.predicted.shape == (0,) and rep.eigenvalues.shape == (g.dim - 1,)
+    assert rep.match_residual == float("inf") and not rep.complete
+    assert rep.certificate_residuals == {}
