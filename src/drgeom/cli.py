@@ -87,6 +87,8 @@ class RunConfig:
         if self.out is not None:
             if not isinstance(self.out, str):
                 raise ValueError(f"out must be a path, got {self.out!r}")
+            if Path(self.out).is_dir():
+                raise ValueError(f"out {self.out} is a directory, not a file path")
             parent = Path(self.out).resolve().parent
             if not parent.is_dir():
                 raise ValueError(f"output directory {parent} does not exist")

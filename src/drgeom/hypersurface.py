@@ -16,7 +16,8 @@ rounding, so both kinds are left out.  A nonzero floor is evidence over the
 sampled frames and C values, not a certificate.
 
 The probe computes the C-independent data once per frame (the Jacobi
-eigendata, the shared eigenframe X and its curvature contractions).  Then it
+eigenspaces from the frame's explicit eigenvector families, the shared
+eigenframe X and its curvature contractions).  Then it
 scans the trace equation on an H >= 0 grid, each split class (P != 1 and
 P = 1 plus vectors) only up to the point from which every trace gap of the
 class has a proven sign.  The roots with H < 0 are those of the mirror
@@ -43,7 +44,7 @@ from itertools import chain, product
 import numpy as np
 
 from .curvature import CurvatureContext
-from .spectrum import NormalFrame, normal_jacobi, random_frame
+from .spectrum import NormalFrame, eigenspaces, random_frame
 
 QUADRATIC_TOL = 1e-10
 # Tr S = H is scanned for sign changes on H = 0 and the H > 0 half of H_SAMPLES
@@ -83,14 +84,15 @@ def _trace_gap(h, t: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 class _Eigenframe:
     """The C-independent part of the enumeration for one normal: the Jacobi
-    spectrum on xi-perp, the eigenframe X and per-vector alphas that every
-    candidate shares, the splits as count matrices and the H sample grid."""
+    eigenvalues on xi-perp, the eigenframe X and per-vector alphas that every
+    candidate shares, all from ``spectrum.eigenspaces`` (so a frame without the
+    generic families raises ValueError), the splits as count matrices and the
+    H sample grid."""
 
-    def __init__(self, frame: NormalFrame, ctx: CurvatureContext):
-        _, perp, _, dec = normal_jacobi(frame, ctx)
-        self.alphas = np.array(dec.cluster_values())
-        mults = [len(c) for c in dec.clusters]
-        self.x = np.hstack([perp @ dec.cluster_basis(k) for k in range(len(mults))])
+    def __init__(self, frame: NormalFrame):
+        alphas, bases = zip(*eigenspaces(frame))
+        self.alphas, self.x = np.array(alphas), np.hstack(bases)
+        mults = [basis.shape[1] for basis in bases]
         self.vector_alphas = np.repeat(self.alphas, mults)
         split_ranges = [[(p, m - p) for p in range(m + 1)] for m in mults]
         # every range reversed swaps m+ and m- in its eigenspace, so the split
@@ -389,7 +391,7 @@ def _probe_chunk(args) -> list[tuple[int, float, int, dict | None, int]]:
     so a worker pool can dispatch it)."""
     ctx, frame_seeds, first, c_grid = args
     frames = [random_frame(ctx.g, np.random.default_rng(s)) for s in frame_seeds]
-    eigenframes = [_Eigenframe(frame, ctx) for frame in frames]
+    eigenframes = [_Eigenframe(frame) for frame in frames]
     results = []
     for fidx, (frame, eigenframe, (ci, h, lam, si)) in enumerate(
             zip(frames, eigenframes, _candidates(eigenframes, c_grid)), first):

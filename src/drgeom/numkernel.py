@@ -1,7 +1,7 @@
 """Numeric and exact-rational kernels.
 
-Two independent layers live here: a thin symmetric-eigensolver wrapper with
-deterministic eigenvalue clustering (and a lockstep least-squares solver whose
+Two independent layers live here: the ascending eigenvalues of a symmetric
+matrix, chained into clusters (and a lockstep least-squares solver whose
 damped steps are one stacked LAPACK call), and a sparse multivariate polynomial
 over exact rationals (arbitrary-precision, no floating point) supporting
 reduction modulo a relation monic in one variable.  A polynomial packs each
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
 from types import MappingProxyType
@@ -28,30 +27,8 @@ CLUSTER_TOL = 1e-7
 
 
 # ---------------------------------------------------------------------------
-# symmetric eigensolver with clustering
+# symmetric eigenvalues with clustering
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class EigenDecomposition:
-    """Sorted spectrum of a symmetric operator with gap-clustering.
-
-    ``vectors[:, i]`` is the eigenvector for ``eigenvalues[i]``; within each
-    cluster the basis is re-derived by Gram-Schmidt against coordinate order,
-    so it does not depend on LAPACK's arbitrary choice inside multiplicities.
-    Only the spectrum, the basis and the clusters are kept; a caller that
-    wants the reconstruction residual computes it from them.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-    clusters: tuple[tuple[int, ...], ...]
-
-    def cluster_values(self) -> list[float]:
-        return [float(np.mean(self.eigenvalues[list(c)])) for c in self.clusters]
-
-    def cluster_basis(self, k: int) -> np.ndarray:
-        return self.vectors[:, list(self.clusters[k])]
-
 
 def cluster_indices(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:
     """Group indices of sorted values into chains with consecutive gap <= CLUSTER_TOL."""
@@ -64,11 +41,11 @@ def cluster_indices(values: Sequence[float]) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(c) for c in clusters)
 
 
-def orthonormalize(cols, tol: float = 1e-10, basis=(), limit: int | None = None) -> np.ndarray:
+def orthonormalize(cols, basis=(), limit: int | None = None) -> np.ndarray:
     """Gram-Schmidt of ``cols`` in order, against ``basis`` and each other.
 
     ``basis`` holds orthonormal vectors to project out first; they are not
-    returned.  A vector whose remainder has norm at most ``tol`` is dropped,
+    returned.  A vector whose remainder has norm at most 1e-10 is dropped,
     and the pass stops once ``limit`` new vectors are kept.  Returns the new
     vectors as columns, an (n, 0) block when none is kept.
     """
@@ -81,7 +58,7 @@ def orthonormalize(cols, tol: float = 1e-10, basis=(), limit: int | None = None)
         for b in basis + new:
             w -= (b @ w) * b
         nw = np.linalg.norm(w)
-        if nw > tol:
+        if nw > 1e-10:
             new.append(w / nw)
     return np.column_stack(new) if new else np.zeros((len(cols[0]) if len(cols) else 0, 0))
 
@@ -95,32 +72,17 @@ def complete_basis(n: int, cols: np.ndarray) -> np.ndarray:
     return orthonormalize(np.eye(n), basis=cols.T, limit=n - cols.shape[1])
 
 
-def eig_sym(m: np.ndarray) -> EigenDecomposition:
-    """Spectral decomposition of a symmetric matrix, rejecting an asymmetry
-    above SYM_TOL; eigenvalues chain into clusters by ``cluster_indices``."""
+def eig_sym(m: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, ...], ...]]:
+    """Ascending eigenvalues of a symmetric matrix and their ``cluster_indices``,
+    rejecting an asymmetry above SYM_TOL."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size:
-        asym = float(np.max(np.abs(m - m.T)))
-        if asym > SYM_TOL:
-            raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} > {SYM_TOL:.3e}")
-    if m.size == 0:
-        return EigenDecomposition(np.zeros(0), np.zeros((0, 0)), ())
-    m = 0.5 * (m + m.T)
-    vals, vecs = np.linalg.eigh(m)
-    clusters = cluster_indices(list(vals))
-    cols = []
-    for c in clusters:
-        block = vecs[:, list(c)]
-        if len(c) > 1:
-            # Gram-Schmidt the coordinate axes projected onto the cluster
-            proj = block @ block.T
-            axes = orthonormalize(proj.T, tol=1e-8, limit=len(c))
-            if axes.shape[1] == len(c):  # else a pathological projector: keep LAPACK's
-                block = axes
-        cols.append(block)
-    return EigenDecomposition(vals, np.hstack(cols), clusters)
+    asym = float(np.max(np.abs(m - m.T), initial=0.0))
+    if asym > SYM_TOL:
+        raise ValueError(f"matrix is not symmetric: max asymmetry {asym:.3e} > {SYM_TOL:.3e}")
+    vals = np.linalg.eigh(0.5 * (m + m.T))[0]
+    return vals, cluster_indices(list(vals))
 
 
 _MAX_DAMP = np.finfo(float).max / 10.0  # one more tenfold growth would overflow

@@ -18,8 +18,8 @@ import numpy as np
 from .clifford import division_algebra_mults, max_center_dim
 from .curvature import CurvatureContext, jacobi_closed_batch, ricci_heisenberg
 from .dralgebra import DamekRicci
-from .numkernel import MPoly, levenberg_marquardt, orthonormalize, poly_reduce
-from .spectrum import (NormalFrame, eigen_families, eta_alpha_exact_identity, f_cubic_roots,
+from .numkernel import MPoly, levenberg_marquardt, poly_reduce
+from .spectrum import (NormalFrame, eigenspaces, eta_alpha_exact_identity, f_cubic_roots,
                        random_frame)
 
 EXACT = "exact-pass"
@@ -531,7 +531,8 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     g = DamekRicci.from_dims(5, 8)
     ctx = CurvatureContext(g)
     frame = random_frame(g, rng)
-    lm1, lq = quarter_structure_bases(frame)
+    spaces = dict(eigenspaces(frame))
+    lm1, lq = spaces[-1.0], spaces[-0.25]
     gs = curvature_complex_structures(frame, ctx, lm1, lq)
     worst = 0.0
     dim_q = lq.shape[1]
@@ -557,7 +558,8 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
     g6 = DamekRicci.from_dims(6, 8)
     ctx6 = CurvatureContext(g6)
     frame6 = random_frame(g6, rng)
-    lm1_6, lq6 = quarter_structure_bases(frame6)
+    spaces6 = dict(eigenspaces(frame6))
+    lm1_6, lq6 = spaces6[-1.0], spaces6[-0.25]
     block = _six_eight_block_check(frame6, ctx6, lm1_6, lq6)
     rep.record("kernel-direction-block-form", "curvature-complex-structures",
                block["ok"], exact=False, residual=block["residual"],
@@ -590,14 +592,6 @@ def replay_quarter_eigenspace_jcompat(seed: int = 0,
         rep.record("residual-floor-minimization", "quarter-compat", floor > 1e-2,
                    exact=False, residual=floor, seed=seed, method="cayley-lm", **witness)
     return rep
-
-
-def quarter_structure_bases(frame: NormalFrame) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal bases of the -1 and -1/4 eigenspaces of a generic frame,
-    from its eigenvector families in their order."""
-    families = eigen_families(frame).values()
-    return tuple(orthonormalize([v for alpha, vecs in families if alpha == value
-                                 for v in vecs]) for value in (-1.0, -0.25))
 
 
 def curvature_complex_structures(frame: NormalFrame, ctx: CurvatureContext,

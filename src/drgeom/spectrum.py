@@ -18,8 +18,8 @@ import numpy as np
 
 from .curvature import CurvatureContext
 from .dralgebra import DamekRicci, is_minus1
-from .numkernel import (EigenDecomposition, MPoly, cluster_indices, complete_basis, eig_sym,
-                        orthonormalize, poly_eval_fraction, rational_bisect)
+from .numkernel import (MPoly, cluster_indices, complete_basis, eig_sym, orthonormalize,
+                        poly_eval_fraction, rational_bisect)
 
 
 @dataclass(frozen=True)
@@ -269,6 +269,32 @@ def psi_homothety_ratio(frame: NormalFrame, eta: float, mu: float) -> float:
             + 9.0 * frame.s ** 2 * eta ** 2 * v + 54.0 * mu * nu * v ** 2 * y)
 
 
+def eigenspaces(frame: NormalFrame) -> list[tuple[float, np.ndarray]]:
+    """The Jacobi eigenspaces on xi-perp of a fully generic frame (V, Y, s all
+    nonzero) from its explicit families: (alpha, orthonormal basis as columns)
+    by ascending alpha.  Each basis is the Gram-Schmidt of the ``eigen_families``
+    vectors of that eigenvalue in their order, or of one psi_l image family,
+    with ``alpha_cubic`` solved once per K^2 cluster and no certificate.
+    Raises ValueError on a frame without these families or if they do not span
+    xi-perp."""
+    families = eigen_families(frame)
+    if "t0" not in families:
+        raise ValueError("the frame has no generic eigenvector families: "
+                         "V, Y and s must be nonzero")
+    groups: dict[float, list[np.ndarray]] = {}
+    for alpha, vectors in families.values():
+        groups.setdefault(alpha, []).extend(vectors)
+    for mu, basis in frame.mu_clusters:
+        roots = alpha_cubic(mu, frame.vsq, frame.ysq)
+        for alpha, images in zip(roots["alphas"], psi_map(frame, basis, roots["etas"])):
+            groups.setdefault(alpha, []).extend(images)
+    spaces = [(alpha, orthonormalize(groups[alpha])) for alpha in sorted(groups)]
+    if sum(basis.shape[1] for _, basis in spaces) != frame.g.dim - 1:
+        raise ValueError(f"the eigenvector families do not span the {frame.g.dim - 1} "
+                         "dimensions of xi-perp")
+    return spaces
+
+
 # ---------------------------------------------------------------------------
 # full spectral report
 # ---------------------------------------------------------------------------
@@ -289,19 +315,6 @@ class SpectralReport:
         return self.predicted.shape == self.eigenvalues.shape
 
 
-def normal_jacobi(frame: NormalFrame, ctx: CurvatureContext
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, EigenDecomposition]:
-    """The Jacobi operator along xi and its restriction to xi-perp.
-
-    Returns (R_xi in ambient coordinates, orthonormal basis of xi-perp as
-    columns, R_xi in that basis, its ``eig_sym`` decomposition).
-    """
-    jac = ctx.jacobi(frame.xi)
-    perp = complete_basis(frame.g.dim, frame.xi[:, None])
-    jac_perp = perp.T @ jac @ perp
-    return jac, perp, jac_perp, eig_sym(jac_perp)
-
-
 def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext) -> SpectralReport:
     """Numeric spectrum of the Jacobi operator on xi-perp plus certificates.
 
@@ -312,7 +325,10 @@ def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext) -> SpectralReport:
     """
     if abs(float(frame.xi @ frame.xi) - 1.0) > 1e-9:
         raise ValueError("xi is not a unit vector")
-    jac, perp, jac_perp, dec = normal_jacobi(frame, ctx)
+    jac = ctx.jacobi(frame.xi)
+    perp = complete_basis(frame.g.dim, frame.xi[:, None])
+    jac_perp = perp.T @ jac @ perp
+    eigenvalues, clusters = eig_sym(jac_perp)
     preds: list[float] = []
     certs: dict[str, float] = {}
     dims = {"d_p": frame.d_p, "d_minus1": frame.d_minus1}
@@ -345,9 +361,9 @@ def xi_spectrum(frame: NormalFrame, ctx: CurvatureContext) -> SpectralReport:
         certs["psi_homothety_spread"] = spread
 
     predicted = np.sort(np.asarray(preds))
-    if predicted.shape == dec.eigenvalues.shape:
-        match = float(np.max(np.abs(predicted - dec.eigenvalues)))
+    if predicted.shape == eigenvalues.shape:
+        match = float(np.max(np.abs(predicted - eigenvalues)))
     else:
         match = float("inf")
-    return SpectralReport(dec.eigenvalues, dec.clusters, predicted, match,
+    return SpectralReport(eigenvalues, clusters, predicted, match,
                           certs, dims, basis_perp=perp, jacobi_perp=jac_perp)

@@ -145,7 +145,7 @@ def per_c_probe_frame(ctx, frame_seed, fidx: int, c_grid) -> tuple[int, float, i
     """One frame's index, minimum residual, candidate count and the minimum's
     C, H and splits, from every candidate's residual, one batch per C."""
     frame = random_frame(ctx.g, np.random.default_rng(frame_seed))
-    eigenframe = _Eigenframe(frame, ctx)
+    eigenframe = _Eigenframe(frame)
     tensors = _FrameTensors(ctx, frame.xi, eigenframe.x, eigenframe.vector_alphas)
     n = eigenframe.x.shape[1]
     k, i, j = np.indices((n, n, n)).reshape(3, -1)

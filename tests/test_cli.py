@@ -625,10 +625,12 @@ def test_main_summarize_roundtrip(tmp_path, capsys):
     assert "clifford-relations(1,2)" in captured
 
 
-def test_config_rejects_unwritable_output():
-    cfg = RunConfig(dims=[(2, 4)], out="/nonexistent-dir/report.json")
-    with pytest.raises(ValueError, match="does not exist"):
-        cfg.validate()
+def test_config_rejects_unwritable_output(tmp_path):
+    # a missing directory, and an existing directory as the report's own path
+    for out, message in (("/nonexistent-dir/report.json", "does not exist"),
+                         (str(tmp_path), "is a directory")):
+        with pytest.raises(ValueError, match=message):
+            RunConfig(dims=[(2, 4)], out=out).validate()
 
 
 def test_probe_subcommand_smoke(tmp_path):

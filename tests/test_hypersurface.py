@@ -31,9 +31,9 @@ from scipy.optimize import brentq
 from drgeom.hypersurface import (BLOCK, H_BOUND, H_SAMPLES, QUADRATIC_TOL, _candidates,
                                  _Eigenframe, _FrameTensors, _probe_chunk, horosphere_residual,
                                  nomizu, probe_c_grid, probe_codazzi_floor)
-from drgeom.numkernel import EigenDecomposition
 from drgeom.obstruction import no_z_candidate_constants
-from drgeom.spectrum import make_frame, random_frame
+from drgeom.numkernel import orthonormalize
+from drgeom.spectrum import eigen_families, eigenspaces, make_frame, random_frame
 from per_c_probe import candidates_per_c, cutoff, per_c_candidates, per_c_probe_frame
 
 
@@ -82,7 +82,7 @@ def _distinct(n):
 def _first_candidate(fr, ctx, c):
     """The eigenframe, its tensors and the first candidate's (1, n) principal
     curvatures at C, or a skip when C has no candidate."""
-    ef = _Eigenframe(fr, ctx)
+    ef = _Eigenframe(fr)
     _, lam, _ = candidates_per_c(ef, [c])[0]
     if not len(lam):
         pytest.skip("no candidate at this C")
@@ -96,7 +96,7 @@ def _first_candidate(fr, ctx, c):
 def test_candidates_satisfy_invariants(g24, ctx24):
     rng = np.random.default_rng(0)
     fr = random_frame(g24, rng)
-    ef = _Eigenframe(fr, ctx24)
+    ef = _Eigenframe(fr)
     found = 0
     for c in np.arange(-1.5, -0.2, 0.17):
         h, lam, _ = candidates_per_c(ef, [float(c)])[0]
@@ -119,7 +119,7 @@ def test_candidates_alpha_equals_c_gives_zero_and_h_roots(g24, ctx24):
     perp = complete_basis(g24.dim, fr.xi[:, None])
     vals = np.linalg.eigvalsh(perp.T @ jac @ perp)
     c_val = float(vals[0])
-    ef = _Eigenframe(fr, ctx24)
+    ef = _Eigenframe(fr)
     h, lam, _ = candidates_per_c(ef, [c_val])[0]
     for hb, lb in zip(h, lam):
         for lk in lb[np.abs(ef.vector_alphas - c_val) < 1e-9]:
@@ -127,16 +127,14 @@ def test_candidates_alpha_equals_c_gives_zero_and_h_roots(g24, ctx24):
 
 
 def _made_up_eigenframe(monkeypatch, alphas, mults):
-    """An _Eigenframe built by its own constructor from a made-up normal
-    Jacobi spectrum: cluster k holds mults[k] coordinate vectors with the
+    """An _Eigenframe built by its own constructor from made-up eigenspaces, in
+    the order given: eigenspace k holds mults[k] coordinate vectors with the
     eigenvalue alphas[k]."""
-    n = sum(mults)
     ends = np.cumsum([0, *mults]).tolist()
-    dec = EigenDecomposition(np.repeat(np.asarray(alphas, dtype=float), mults), np.eye(n),
-                             tuple(tuple(range(a, b)) for a, b in zip(ends, ends[1:])))
-    monkeypatch.setattr(hypersurface, "normal_jacobi",
-                        lambda frame, ctx: (None, np.eye(n), None, dec))
-    return _Eigenframe(None, None)
+    blocks = np.split(np.eye(ends[-1]), ends[1:-1], axis=1)
+    monkeypatch.setattr(hypersurface, "eigenspaces",
+                        lambda frame: list(zip(map(float, alphas), blocks)))
+    return _Eigenframe(None)
 
 
 def test_h_grid_is_zero_then_the_positive_half(monkeypatch):
@@ -161,7 +159,7 @@ def test_reversed_split_index_is_the_mirror_split(monkeypatch, mults, n_splits):
                                   (8, 16)], ids=lambda d: f"{d[0]}-{d[1]}")
 def test_reversed_split_index_is_the_mirror_split_on_default_pairs(dims):
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
-    splits = _Eigenframe(random_frame(ctx.g, np.random.default_rng(12)), ctx).splits
+    splits = _Eigenframe(random_frame(ctx.g, np.random.default_rng(12))).splits
     assert all(splits[-1 - i] == tuple((m, p) for p, m in s) for i, s in enumerate(splits))
 
 
@@ -231,14 +229,20 @@ def test_no_z_forced_constants_solve_quadratics_exactly():
             assert rho * rho - h * rho + (alpha - c) == 0
 
 
-def test_no_z_forced_trace_never_consistent(g24, ctx24):
+def test_no_z_forced_trace_never_consistent(monkeypatch, g24):
     # no enumerated self-consistent candidate at the forced C carries the
-    # forced mean curvature: Tr S = H fails for every admissible split
+    # forced mean curvature: Tr S = H fails for every admissible split.  The
+    # Y = 0 frame has no generic families, so its eigenspaces are its line families
     s = Fraction(1, 2)
     cst = no_z_candidate_constants(s)
     v = np.array([1.0, 0, 0, 0]) * np.sqrt(float(cst["v"]))
     fr = make_frame(g24, v, np.zeros(2), float(s))
-    ef = _Eigenframe(fr, ctx24)
+    families = eigen_families(fr).values()
+    spaces = [(alpha, orthonormalize([w for a, vecs in families if a == alpha for w in vecs]))
+              for alpha in (-1.0, -0.25)]
+    assert sum(basis.shape[1] for _, basis in spaces) == g24.dim - 1
+    monkeypatch.setattr(hypersurface, "eigenspaces", lambda frame: spaces)
+    ef = _Eigenframe(fr)
     c = float(cst["C"])
     h, lam, _ = candidates_per_c(ef, [c])[0]
     rho_m, rho_1 = float(cst["rho_minus"]), float(cst["rho_1"])
@@ -258,7 +262,7 @@ def test_gauss_alpha_consistency(g24, ctx24):
     # alpha_i = -lam_i^2 + H lam_i + C on the candidate's own eigenframe
     rng = np.random.default_rng(2)
     fr = random_frame(g24, rng)
-    ef = _Eigenframe(fr, ctx24)
+    ef = _Eigenframe(fr)
     h, lam, _ = candidates_per_c(ef, [-0.7])[0]
     for hb, lb in zip(h, lam):
         recon = -lb ** 2 + hb * lb - 0.7
@@ -564,15 +568,10 @@ class _RefCandidate:
         return _invariant_residual(self.c_const, self.h_mean, self.lambdas, self.alphas)
 
 
-def _ref_eigenspace_data(frame, ctx):
-    from drgeom.numkernel import complete_basis, eig_sym
-    jac = ctx.jacobi(frame.xi)
-    perp = complete_basis(frame.g.dim, frame.xi[:, None])
-    dec = eig_sym(perp.T @ jac @ perp)
-    alphas = [float(np.mean(dec.eigenvalues[list(c)])) for c in dec.clusters]
-    mults = [len(c) for c in dec.clusters]
-    bases = [perp @ dec.cluster_basis(k) for k in range(len(dec.clusters))]
-    return alphas, mults, bases
+def _ref_eigenspace_data(frame):
+    spaces = eigenspaces(frame)
+    return ([alpha for alpha, _ in spaces], [basis.shape[1] for _, basis in spaces],
+            [basis for _, basis in spaces])
 
 
 def _trace_gap(alphas, splits, c_const):
@@ -623,10 +622,10 @@ def _dedupe(xs, tol=1e-9):
     return out
 
 
-def _ref_shape_candidates(frame, ctx, c_const, root=_bisect_to_adjacent_floats):
+def _ref_shape_candidates(frame, c_const, root=_bisect_to_adjacent_floats):
     """Eigendata recomputed for this C, one trace scan of the whole H grid and
     one scalar root search per split and bracket."""
-    return _ref_spectrum_candidates(*_ref_eigenspace_data(frame, ctx), c_const, root)
+    return _ref_spectrum_candidates(*_ref_eigenspace_data(frame), c_const, root)
 
 
 def _ref_spectrum_candidates(alphas, mults, bases, c_const, root=_bisect_to_adjacent_floats):
@@ -722,7 +721,7 @@ def _ref_probe_frame(g, ctx, frame_seed, fidx, c_grid):
     frame = random_frame(g, np.random.default_rng(frame_seed))
     best, best_info, n_candidates = np.inf, None, 0
     for c in c_grid:
-        for cand in _ref_shape_candidates(frame, ctx, float(c)):
+        for cand in _ref_shape_candidates(frame, float(c)):
             n_candidates += 1
             _, gamma = _ref_derived_gauss(cand, ctx, frame)
             # the components with k, i and j distinct
@@ -825,7 +824,7 @@ def test_codazzi_bound_is_at_most_the_aggregate(g24, ctx24, frame_seed, rows, tr
         tensors = _FrameTensors(ctx24, g24.vec(a=1.0), np.eye(g24.dim)[:, :-1], -lam * lam)
     else:
         fr = random_frame(g24, np.random.default_rng(frame_seed))
-        ef = _Eigenframe(fr, ctx24)
+        ef = _Eigenframe(fr)
         tensors = _FrameTensors(ctx24, fr.xi, ef.x, ef.vector_alphas)
     lam = np.array(rows)
     sentinels = tensors.sentinels(lam)
@@ -841,7 +840,7 @@ def test_codazzi_bound_over_every_component_is_the_codazzi_max(g24, ctx24):
     # the bound reads each component from ``codazzi`` and skips the NaN ones; its
     # sentinels are where each row's largest one sits
     fr = random_frame(g24, np.random.default_rng(5))
-    ef = _Eigenframe(fr, ctx24)
+    ef = _Eigenframe(fr)
     tensors = _FrameTensors(ctx24, fr.xi, ef.x, ef.vector_alphas)
     lam = _candidates([ef], [-1.1, -0.6, -0.25])[0][2]
     res = np.abs(tensors.codazzi(lam, tensors.every))
@@ -869,7 +868,7 @@ def test_residual_reads_exactly_the_components_with_distinct_indices(ctx24, ctx5
     # is then each row's aggregate itself
     ctx = {(2, 4): ctx24, (5, 8): ctx58}[pair]
     fr = random_frame(ctx.g, np.random.default_rng(frame_seed))
-    ef = _Eigenframe(fr, ctx)
+    ef = _Eigenframe(fr)
     tensors = _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas)
     n = ef.x.shape[1]
     # a few repeated values, so that some terms drop below the 1e-12 cut
@@ -895,7 +894,7 @@ def test_gamma_equals_the_matmul_form_of_the_derived_gauss_relation(dims):
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
     for frame_seed in np.random.SeedSequence(12).spawn(2):
         fr = random_frame(ctx.g, np.random.default_rng(frame_seed))
-        ef = _Eigenframe(fr, ctx)
+        ef = _Eigenframe(fr)
         tensors = _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas)
         lam = _candidates([ef], REF_GRID)[0][2][:200]
         b, n = lam.shape
@@ -924,7 +923,7 @@ def test_one_contraction_matches_the_full_curvature_contractions(dims):
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
     for frame_seed in np.random.SeedSequence(12).spawn(2):
         fr = random_frame(ctx.g, np.random.default_rng(frame_seed))
-        ef = _Eigenframe(fr, ctx)
+        ef = _Eigenframe(fr)
         tensors, x, n = _FrameTensors(ctx, fr.xi, ef.x, ef.vector_alphas), ef.x, ef.x.shape[1]
         rkij = np.einsum("ak,bi,cj,e,abce->kij", x, x, x, fr.xi, ctx.riemann_tensor,
                          optimize=True).ravel()
@@ -947,7 +946,7 @@ def test_probe_frame_keeps_the_first_of_tied_minima(monkeypatch, ctx24):
     frame_seed = np.random.SeedSequence(3).spawn(1)[0]
     grid = np.array([-1e6, -0.9, -0.5])  # nothing at -1e6
     [(fidx, best, n, info, evaluated)] = _probe_chunk((ctx24, [frame_seed], 0, grid))
-    ef = _Eigenframe(random_frame(ctx24.g, np.random.default_rng(frame_seed)), ctx24)
+    ef = _Eigenframe(random_frame(ctx24.g, np.random.default_rng(frame_seed)))
     per_c = candidates_per_c(ef, grid)
     h, _, si = per_c[1]
     assert not per_c[0][0].size and h.size and n == evaluated == sum(p[0].size for p in per_c)
@@ -964,12 +963,12 @@ def _rows(eigenframe, cands):
 def test_single_candidate_residuals_match_batch_rows(g24, ctx24):
     # a batch of one row, the batch row and the per-candidate reference agree
     fr = random_frame(g24, np.random.default_rng(11))
-    eigenframe = _Eigenframe(fr, ctx24)
+    eigenframe = _Eigenframe(fr)
     tensors = _FrameTensors(ctx24, fr.xi, eigenframe.x, eigenframe.vector_alphas)
     for c in (-1.3, -0.8, -0.35):
         cands = candidates_per_c(eigenframe, [c])[0]
         assert _rows(eigenframe, cands) == \
-               [(cd.h_mean, cd.splits) for cd in _ref_shape_candidates(fr, ctx24, c)]
+               [(cd.h_mean, cd.splits) for cd in _ref_shape_candidates(fr, c)]
         h, lam, si = cands
         if not len(h):
             continue
@@ -1011,9 +1010,9 @@ def test_bisection_matches_brentq_oracle(g24, ctx24):
     n_cands, flat = 0, 0
     for frame_seed in np.random.SeedSequence(0).spawn(6):
         fr = random_frame(g24, np.random.default_rng(frame_seed))
-        eigenframe = _Eigenframe(fr, ctx24)
+        eigenframe = _Eigenframe(fr)
         for c, cands in zip(grid, candidates_per_c(eigenframe, grid)):
-            ref = _ref_shape_candidates(fr, ctx24, float(c), root=_brentq_root)
+            ref = _ref_shape_candidates(fr, float(c), root=_brentq_root)
             rows = _rows(eigenframe, cands)
             assert [splits for _, splits in rows] == [cd.splits for cd in ref]
             n_cands += len(rows)
@@ -1030,7 +1029,7 @@ def test_flat_root_within_1e_11_of_40_digit_root(g24, ctx24):
     # rho-+ = (H -+ sqrt(disc))/2 it cancels to multiples of 7.1e-15 there,
     # which put the root 1.7e-9 off
     fr = random_frame(g24, np.random.default_rng(3))
-    eigenframe = _Eigenframe(fr, ctx24)
+    eigenframe = _Eigenframe(fr)
     splits, c = ((1, 0), (1, 0), (0, 1), (2, 0), (1, 0)), -0.52
     h, _, si = candidates_per_c(eigenframe, [c])[0]
     roots = [hb for hb, s in zip(h.tolist(), si) if eigenframe.splits[s] == splits]
@@ -1045,7 +1044,7 @@ def test_flat_root_within_1e_11_of_40_digit_root(g24, ctx24):
 def test_frame_batch_equals_one_c_at_a_time(dims, c_grid):
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
     fr = random_frame(ctx.g, np.random.default_rng(13))
-    eigenframe = _Eigenframe(fr, ctx)
+    eigenframe = _Eigenframe(fr)
     batch = candidates_per_c(eigenframe, c_grid)
     assert sum(len(h) for h, _, _ in batch) > 0
 
@@ -1251,7 +1250,7 @@ def test_candidates_of_several_frames_equal_each_frame_alone(monkeypatch, ctx24)
     # one bisection over (2,4) frames (5 eigenspaces) and made-up frames with 2 and 7:
     # zero-padded eigenspaces change no bit of any frame's candidates
     grid = _c_grid(0.02)
-    frames = [_Eigenframe(random_frame(ctx24.g, np.random.default_rng(s)), ctx24)
+    frames = [_Eigenframe(random_frame(ctx24.g, np.random.default_rng(s)))
               for s in np.random.SeedSequence(12).spawn(3)]
     narrow = _made_up_eigenframe(monkeypatch, [-0.5, -0.25], [2, 1])
     wide = _made_up_eigenframe(monkeypatch, [-1.0, -0.8, -0.6, -0.45, -0.3, -0.25, -0.1],
@@ -1283,7 +1282,7 @@ def test_flat_table_is_the_per_c_oracle_joined_in_c_order(dims, n_frames, c_grid
     # that the oracle's loop drops one at a time
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
     for s in np.random.SeedSequence(12).spawn(n_frames):
-        ef = _Eigenframe(random_frame(ctx.g, np.random.default_rng(s)), ctx)
+        ef = _Eigenframe(random_frame(ctx.g, np.random.default_rng(s)))
         table = _candidates([ef], c_grid)[0]
         assert table[1].size and np.all(np.diff(table[0]) >= 0)
         assert _bits(table) == _bits(_joined(per_c_candidates(ef, c_grid)))
@@ -1297,7 +1296,7 @@ def test_candidates_equal_the_full_grid_scan(dims, n_frames, c_grid):
     # including the roots in the cell of the branch point 2 sqrt(max alpha - C)
     ctx = CurvatureContext(DamekRicci.from_dims(*dims))
     for s in np.random.SeedSequence(11).spawn(n_frames):
-        ef = _Eigenframe(random_frame(ctx.g, np.random.default_rng(s)), ctx)
+        ef = _Eigenframe(random_frame(ctx.g, np.random.default_rng(s)))
         table = _candidates([ef], c_grid)[0]
         assert _bits(table) == _bits(_joined(per_c_candidates(ef, c_grid, from_h_zero=True)))
         first = np.searchsorted(ef.hs ** 2, 4.0 * (ef.alphas.max() - c_grid))

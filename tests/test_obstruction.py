@@ -29,11 +29,11 @@ from drgeom.obstruction import (EXACT, FAIL, MIXED_SIGNS, _compat_model,
                                 leading_coefficient_positivity, m_coefficients,
                                 product_identity_reduction,
                                 psi_coprimality_samples, quarter_compat_element,
-                                quarter_structure_bases, replay_no_a, replay_no_v,
+                                replay_no_a, replay_no_v,
                                 replay_no_z, replay_octonion_case,
                                 replay_p_space_annihilation,
                                 replay_quarter_eigenspace_jcompat)
-from drgeom.spectrum import random_frame
+from drgeom.spectrum import eigenspaces, random_frame
 from elimination import symmetric_eliminate
 from families import center_family_vector
 from sylvester import mpoly_resultant
@@ -180,8 +180,8 @@ def test_replay_quarter_eigenspace_jcompat_fast():
 
 
 def _listed_quarter_structure_bases(frame):
-    # the family lists quarter_structure_bases built before it read them
-    # from spectrum.eigen_families
+    # the -1 and -1/4 family lists, as the quarter-eigenspace replay built its
+    # bases before it read them from spectrum.eigenspaces
     lm1 = [frame.t0] + [center_family_vector(frame, frame.z_minus1[:, i], "minus1")
                         for i in range(frame.d_minus1)]
     rest = orthonormalize([frame.s4[:, i]
@@ -201,9 +201,9 @@ def test_quarter_structure_bases_equal_the_listed_families(dims):
     rng = np.random.default_rng(sum(dims))
     for _ in range(4):
         frame = random_frame(g, rng)
-        for got, expect in zip(quarter_structure_bases(frame),
-                               _listed_quarter_structure_bases(frame)):
-            assert np.array_equal(got, expect)
+        spaces = dict(eigenspaces(frame))
+        for alpha, expect in zip((-1.0, -0.25), _listed_quarter_structure_bases(frame)):
+            assert np.array_equal(spaces[alpha], expect)
 
 
 def test_replay_quarter_minimization_floor():
@@ -291,8 +291,8 @@ def _quarter_structures(seed):
     # the (5,8) structures replay_quarter_eigenspace_jcompat draws at this seed
     g = DamekRicci.from_dims(5, 8)
     frame = random_frame(g, np.random.default_rng(seed))
-    return curvature_complex_structures(frame, CurvatureContext(g),
-                                        *quarter_structure_bases(frame))
+    spaces = dict(eigenspaces(frame))
+    return curvature_complex_structures(frame, CurvatureContext(g), spaces[-1.0], spaces[-0.25])
 
 
 BLOCK_NORMS = {"spectral": lambda m: np.linalg.norm(m, 2, axis=(-2, -1)),

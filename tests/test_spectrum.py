@@ -13,8 +13,9 @@ from bisection import bisect_cuts, fraction_bisect
 from drgeom import spectrum
 from drgeom.curvature import CurvatureContext
 from drgeom.dralgebra import DamekRicci
+from drgeom.hypersurface import _Eigenframe
 from drgeom.numkernel import poly_eval_fraction
-from drgeom.spectrum import (alpha_cubic, eigen_families, eta_alpha_exact_identity,
+from drgeom.spectrum import (alpha_cubic, eigen_families, eigenspaces, eta_alpha_exact_identity,
                              f_cubic_roots, make_frame, psi_homothety_ratio, psi_map,
                              random_frame, xi_spectrum)
 from families import center_family_vector, psi_image
@@ -383,3 +384,41 @@ def test_xi_spectrum_without_families_predicts_nothing(gctx, v, y, s):
     assert rep.predicted.shape == (0,) and rep.eigenvalues.shape == (g.dim - 1,)
     assert rep.match_residual == float("inf") and not rep.complete
     assert rep.certificate_residuals == {}
+
+
+# ---------------------------------------------------------------------------
+# eigenspaces from the families
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("dims", MODULES)
+def test_eigenspaces_diagonalize_the_jacobi_operator(gctx, dims):
+    # the families' eigenspaces span xi-perp with the numeric spectrum's clusters
+    g, ctx = gctx(*dims)
+    rng = np.random.default_rng(sum(dims))
+    for _ in range(2):
+        fr = random_frame(g, rng)
+        spaces = eigenspaces(fr)
+        alphas = np.array([alpha for alpha, _ in spaces])
+        x = np.hstack([basis for _, basis in spaces])
+        assert np.all(np.diff(alphas) > 0) and x.shape == (g.dim, g.dim - 1)
+        assert np.max(np.abs(x.T @ x - np.eye(g.dim - 1))) <= 1e-12
+        assert np.max(np.abs(fr.xi @ x)) <= 1e-12
+        jac = ctx.jacobi(fr.xi)
+        for alpha, basis in spaces:
+            assert np.max(np.linalg.norm(jac @ basis - alpha * basis, axis=0)) <= 1e-12
+        rep = xi_spectrum(fr, ctx)
+        assert [basis.shape[1] for _, basis in spaces] == [len(c) for c in rep.clusters]
+        numeric = [np.mean(rep.eigenvalues[list(c)]) for c in rep.clusters]
+        assert np.max(np.abs(alphas - numeric)) <= 1e-12
+
+
+@pytest.mark.parametrize("v, y, s", [((0.6, 0, 0, 0), (0.8, 0), 0.0),
+                                     ((np.sqrt(0.75), 0, 0, 0), (0, 0), 0.5)])
+def test_eigenspaces_refuse_a_frame_without_generic_families(gctx, v, y, s):
+    # s = 0 has no families; Y = 0 has its line families, but not the generic ones
+    g, ctx = gctx(2, 4)
+    fr = make_frame(g, np.array(v), np.array(y), s)
+    with pytest.raises(ValueError, match="no generic eigenvector families"):
+        eigenspaces(fr)
+    with pytest.raises(ValueError, match="no generic eigenvector families"):
+        _Eigenframe(fr)
